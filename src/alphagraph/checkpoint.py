@@ -50,6 +50,13 @@ def load_checkpoint(path) -> dict:
         data = fh.read()
     if data[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
+    try:
+        return _parse(data, path)
+    except (struct.error, ValueError) as exc:
+        raise DataError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
+
+
+def _parse(data: bytes, path) -> dict:
     version, count = struct.unpack_from("<II", data, 4)
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")

@@ -109,10 +109,18 @@ def _load_graph(path, symbols) -> StockGraph:
     with open(path, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            i = index[row["source"]]
-            adjacency[i].append(index[row["target"]])
-            distances[i].append(float(row["distance"]))
-            k = max(k, int(row["rank"]))
+            where = f"{path} line {reader.line_num}"
+            try:
+                source, target = row["source"], row["target"]
+                distance, rank = float(row["distance"]), int(row["rank"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{where}: malformed graph row: {exc!r}") from exc
+            for sym in (source, target):
+                if sym not in index:
+                    raise DataError(f"{where}: symbol {sym!r} has no stock embedding")
+            adjacency[index[source]].append(index[target])
+            distances[index[source]].append(distance)
+            k = max(k, rank)
     return StockGraph(tuple(symbols), k, adjacency, distances)
 
 
@@ -316,16 +324,22 @@ def cmd_graph(cfg, out: Path, args):
 
 
 def cmd_train(cfg, out: Path, args):
-    glove = _load_glove(out / GLOVE_FILE)
+    # the graph module needs glove.npz; the other ablations only record its
+    # dim in the model config, so without the file they take the configured one
+    glove = _load_glove(out / GLOVE_FILE) if (out / GLOVE_FILE).exists() else None
     factors = _load_factors(out / FACTORS_FILE)
     wordvec_dim = None
     if (out / WORDVEC_FILE).exists():
         with open(out / WORDVEC_FILE, encoding="utf-8") as fh:
             wordvec_dim = int(fh.readline().split()[1])
-    model_cfg = _model_config(cfg, args.ablation, glove.dim,
+    model_cfg = _model_config(cfg, args.ablation,
+                              cfg["glove"]["dim"] if glove is None else glove.dim,
                               len(factors.factor_names),
                               wordvec_dim or cfg["word2vec"]["dim"],
                               cfg["graph"]["k"])
+    if model_cfg.use_graph and glove is None:
+        raise DataError(f"{out / GLOVE_FILE} not found; the graph module needs "
+                        f"train-glove to run first")
     bars, ds, _ = _assemble_dataset(cfg, out, model_cfg)
     train_end = _train_end(cfg)
     if train_end not in bars.date_index:
@@ -339,7 +353,9 @@ def cmd_train(cfg, out: Path, args):
     with open(out / MODELCFG_FILE, "w", encoding="utf-8") as fh:
         json.dump(vars(model_cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    inputs = [out / GLOVE_FILE, out / FACTORS_FILE, out / PANEL_FILE]
+    inputs = [out / FACTORS_FILE, out / PANEL_FILE]
+    if glove is not None:
+        inputs.append(out / GLOVE_FILE)
     if model_cfg.use_graph:
         inputs.append(out / GRAPH_FILE)
     if model_cfg.use_news:

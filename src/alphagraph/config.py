@@ -133,11 +133,13 @@ def load_config(path=None, env=None, overrides=None) -> dict:
     """Resolve the effective configuration from all sources."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         _merge(cfg, file_cfg)
     env = os.environ if env is None else env
     for name, raw in sorted(env.items()):

@@ -19,7 +19,6 @@ Implemented factor families, each a standard price/volume construction:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,8 @@ DEFAULT_REGISTRY = {
 }
 
 STANDARDIZE_CLIP = 3.0
+# rows per standardization block: its temporaries stay at a few MB
+BLOCK_ROWS = 512
 
 
 @dataclass
@@ -53,17 +54,9 @@ class FactorPanel:
         return len(self.factor_names)
 
 
-def load_registry(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        reg = json.load(fh)
-    unknown = set(reg) - set(DEFAULT_REGISTRY)
-    if unknown:
-        raise ConfigError(f"unknown factor families: {sorted(unknown)}")
-    return {k: [int(w) for w in v] for k, v in reg.items()}
-
-
 def _trailing_mean(x: np.ndarray, w: int) -> np.ndarray:
-    # plain loop keeps NaN propagation exact; panels are desk-scale
+    # one mean per window: a running sum would carry a NaN into every later
+    # window and round differently; the loop costs O(D) numpy calls, not O(D*S)
     out = np.full_like(x, np.nan)
     for t in range(w - 1, x.shape[0]):
         out[t] = np.mean(x[t - w + 1:t + 1], axis=0)
@@ -111,6 +104,60 @@ def _raw_factor(family: str, w: int, opens: np.ndarray, volume: np.ndarray,
     return out
 
 
+def _standardize_block(x: np.ndarray) -> np.ndarray:
+    """Winsorize and z-score each row of a dense (R, n) block, n >= 2.
+
+    Row by row this is the same arithmetic as a 1-D cross-section: mean, std,
+    clip and the equality test all reduce along contiguous rows, so each row
+    sees the same pairwise sums. Rows clip in lockstep; a row leaves the loop
+    when a clip changes nothing or its dispersion vanishes.
+    """
+    x = x.copy()
+    flat = np.zeros(x.shape[0], dtype=bool)
+    active = np.arange(x.shape[0])
+    for _ in range(100):
+        if active.size == 0:
+            break
+        xa = x[active]
+        mu = xa.mean(axis=1, keepdims=True)
+        sd = xa.std(axis=1, keepdims=True)
+        dead = sd[:, 0] <= 1e-15
+        flat[active[dead]] = True
+        clipped = np.clip(xa, mu - STANDARDIZE_CLIP * sd, mu + STANDARDIZE_CLIP * sd)
+        moved = (clipped != xa).any(axis=1) & ~dead
+        x[active[moved]] = clipped[moved]
+        active = active[moved]
+    mu = x.mean(axis=1, keepdims=True)
+    sd = x.std(axis=1, keepdims=True)
+    flat |= sd[:, 0] <= 1e-15
+    out = np.zeros_like(x)
+    live = ~flat
+    out[live] = (x[live] - mu[live]) / sd[live]
+    return out
+
+
+def _standardize_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Standardize the masked entries of each row of (R, S) ``values``.
+
+    Rows are grouped by their count n of valid entries; the valid values of
+    up to BLOCK_ROWS rows of a group, compacted in index order, form one
+    (rows, n) block. Rows with fewer than two valid entries, and masked
+    entries, come out zero.
+    """
+    out = np.zeros_like(values)
+    counts = mask.sum(axis=1)
+    for n in np.unique(counts[counts >= 2]):
+        group = np.flatnonzero(counts == n)
+        for start in range(0, group.size, BLOCK_ROWS):
+            rows = group[start:start + BLOCK_ROWS]
+            sub_mask = mask[rows]
+            block = values[rows][sub_mask].astype(np.float64, copy=False)
+            sub = np.zeros((rows.size, values.shape[1]), dtype=out.dtype)
+            sub[sub_mask] = _standardize_block(block.reshape(rows.size, n)).ravel()
+            out[rows] = sub
+    return out
+
+
 def standardize_cross_section(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Winsorize and z-score one date's cross-section in place-safe fashion.
 
@@ -119,32 +166,7 @@ def standardize_cross_section(values: np.ndarray, mask: np.ndarray) -> np.ndarra
     operation is idempotent up to float rounding. Columns with no dispersion
     standardize to zero.
     """
-    out = np.zeros_like(values)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return out
-    x = values[idx].astype(np.float64)
-    if idx.size == 1:
-        out[idx] = 0.0
-        return out
-    for _ in range(100):
-        mu = x.mean()
-        sd = x.std()
-        if sd <= 1e-15:
-            out[idx] = 0.0
-            return out
-        lo, hi = mu - STANDARDIZE_CLIP * sd, mu + STANDARDIZE_CLIP * sd
-        clipped = np.clip(x, lo, hi)
-        if np.array_equal(clipped, x):
-            break
-        x = clipped
-    mu = x.mean()
-    sd = x.std()
-    if sd <= 1e-15:
-        out[idx] = 0.0
-        return out
-    out[idx] = (x - mu) / sd
-    return out
+    return _standardize_rows(values[None, :], np.asarray(mask, dtype=bool)[None, :])[0]
 
 
 def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPanel:
@@ -153,7 +175,7 @@ def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPane
     Raw factors use trailing windows only; entries whose window exceeds the
     available history (or covers a missing bar) are masked, never imputed.
     Each valid (date, factor) column is then winsorized and z-scored across
-    symbols.
+    symbols, all (date, factor) columns in one batched pass.
     """
     if panel.n_dates == 0 or panel.n_symbols == 0:
         raise DataError("compute_factors: empty panel")
@@ -162,19 +184,15 @@ def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPane
     volume = panel.volume
     rets = daily_log_returns(panel)
 
-    names: list[str] = []
-    raw_list: list[np.ndarray] = []
-    for family in sorted(registry):
-        for w in registry[family]:
-            names.append(f"{family}_{w}")
-            raw_list.append(_raw_factor(family, w, opens, volume, rets))
-
+    windows = [(family, w) for family in sorted(registry) for w in registry[family]]
+    names = [f"{family}_{w}" for family, w in windows]
     D, S, L = panel.n_dates, panel.n_symbols, len(names)
-    values = np.zeros((D, S, L))
-    mask = np.zeros((D, S, L), dtype=bool)
-    for k, raw in enumerate(raw_list):
-        valid = np.isfinite(raw) & panel.mask
-        mask[:, :, k] = valid
-        for t in range(D):
-            values[t, :, k] = standardize_cross_section(raw[t], valid[t])
+    raw = np.empty((L, D, S))
+    for k, (family, w) in enumerate(windows):
+        raw[k] = _raw_factor(family, w, opens, volume, rets)
+    valid = np.isfinite(raw) & panel.mask
+    std = _standardize_rows(raw.reshape(L * D, S), valid.reshape(L * D, S))
+    del raw
+    values = np.ascontiguousarray(std.reshape(L, D, S).transpose(1, 2, 0))
+    mask = np.ascontiguousarray(valid.transpose(1, 2, 0))
     return FactorPanel(names, values, mask, panel.calendar, panel.symbols)

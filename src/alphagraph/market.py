@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,9 @@ def _parse_bar_row(row, line_no: int) -> Bar:
         nums = [float(v) for v in row[2:7]]
     except (ValueError, IndexError) as exc:
         raise DataError(f"line {line_no}: malformed bar row: {exc}") from exc
+    if len(row) < len(BAR_HEADER):
+        raise DataError(f"line {line_no}: malformed bar row: expected "
+                        f"{len(BAR_HEADER)} fields, got {len(row)}")
     if not symbol:
         raise DataError(f"line {line_no}: empty symbol")
     if any(not math.isfinite(v) for v in nums):
@@ -109,37 +113,80 @@ def _parse_bar_row(row, line_no: int) -> Bar:
     return bar
 
 
+def _suspect_bars(cols: np.ndarray) -> np.ndarray:
+    """(N,) flags for rows of (5, N) open/high/low/close/volume columns that
+    may fail :meth:`Bar.validate` or hold a non-finite value; the per-row
+    check decides, and names the row."""
+    o, h, lo, c, v = cols
+    with np.errstate(invalid="ignore"):
+        ok = (np.minimum(np.minimum(o, h), np.minimum(lo, c)) > 0) \
+            & (lo <= np.minimum(o, c)) & (np.maximum(o, c) <= h) & (v >= 0)
+    return ~(ok & np.isfinite(cols).all(axis=0))
+
+
+def _panel_from_columns(dates: list, date_code: np.ndarray, names: list,
+                        name_code: np.ndarray, cols: np.ndarray) -> BarPanel:
+    """Scatter coded rows into a panel, rejecting duplicate (date, symbol) keys.
+
+    ``dates[date_code[i]]`` and ``names[name_code[i]]`` are row i's date and
+    symbol, ``cols`` its (5, N) fields in :attr:`BarPanel.FIELDS` order.
+    Several codes may stand for one date or symbol.
+    """
+    calendar = sorted(set(dates))
+    symbols = sorted(set(names))
+    d_index = {d: i for i, d in enumerate(calendar)}
+    s_index = {s: i for i, s in enumerate(symbols)}
+    d = np.array([d_index[x] for x in dates], dtype=np.intp)[date_code]
+    s = np.array([s_index[x] for x in names], dtype=np.intp)[name_code]
+    S = len(symbols)
+    keys = np.sort(d * S + s)
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if dup.size:
+        k = int(keys[dup[0]])
+        raise DataError(f"duplicate bar for {symbols[k % S]} on {calendar[k // S]}")
+    shape = (len(calendar), S)
+    arrays = {}
+    for f, col in zip(BarPanel.FIELDS, cols):
+        arrays[f] = np.full(shape, np.nan)
+        arrays[f][d, s] = col
+    mask = np.zeros(shape, dtype=bool)
+    mask[d, s] = True
+    return BarPanel(calendar, symbols, arrays, mask)
+
+
 def build_panel(bars) -> BarPanel:
     """Assemble bars into a panel; every bar is validated and duplicate
     (date, symbol) keys are rejected."""
     bars = sorted(bars, key=lambda b: (b.date, b.symbol))
     if not bars:
         raise DataError("no bars to build a panel from")
-    seen = set()
-    for b in bars:
-        b.validate()
-        key = (b.date, b.symbol)
-        if key in seen:
-            raise DataError(f"duplicate bar for {b.symbol} on {b.date}")
-        seen.add(key)
-    calendar = sorted({b.date for b in bars})
-    symbols = sorted({b.symbol for b in bars})
-    d_index = {d: i for i, d in enumerate(calendar)}
-    s_index = {s: i for i, s in enumerate(symbols)}
-    shape = (len(calendar), len(symbols))
-    arrays = {f: np.full(shape, np.nan) for f in BarPanel.FIELDS}
-    mask = np.zeros(shape, dtype=bool)
-    for b in bars:
-        d, s = d_index[b.date], s_index[b.symbol]
-        for f in BarPanel.FIELDS:
-            arrays[f][d, s] = getattr(b, f)
-        mask[d, s] = True
-    return BarPanel(calendar, symbols, arrays, mask)
+    cols = np.array([[getattr(b, f) for b in bars] for f in BarPanel.FIELDS],
+                    dtype=np.float64)
+    for i in np.flatnonzero(_suspect_bars(cols)):
+        bars[i].validate()
+    rows = np.arange(len(bars))
+    return _panel_from_columns([b.date for b in bars], rows,
+                               [b.symbol for b in bars], rows, cols)
 
 
 def load_bars(path) -> BarPanel:
-    """Load and validate a bar CSV into a :class:`BarPanel`."""
-    bars = []
+    """Load and validate a bar CSV into a :class:`BarPanel`.
+
+    Rows stream into a float buffer (fields parsed with ``float``) and
+    integer date and symbol codes; the columns are then validated at once.
+    A bad row is re-checked alone, so the error names it exactly as a
+    row-by-row parse would: the first bad row in file order, by line number.
+    """
+    values = array("d")          # five fields per row, row after row
+    lines = array("q")
+    date_codes: dict[str, int] = {}
+    name_codes: dict[str, int] = {}
+    d_code, s_code = array("q"), array("q")
+    # bound methods: this loop runs once per CSV row
+    extend, add_line = values.extend, lines.append
+    add_date, add_name = d_code.append, s_code.append
+    date_of, name_of = date_codes.setdefault, name_codes.setdefault
+    stop = None  # (row, line) of a row the stream could not take
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -151,10 +198,40 @@ def load_bars(path) -> BarPanel:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            bars.append(_parse_bar_row(row, line_no))
-    if not bars:
+            if len(row) < len(BAR_HEADER):
+                stop = (row, line_no)
+                break
+            try:
+                extend(map(float, row[2:7]))
+            except ValueError:
+                stop = (row, line_no)
+                break
+            add_line(line_no)
+            add_date(date_of(row[0], len(date_codes)))
+            add_name(name_of(row[1], len(name_codes)))
+
+    date_text, names = list(date_codes), list(name_codes)
+    dates = []
+    for text in date_text:
+        try:
+            dates.append(dt.date.fromisoformat(text))
+        except ValueError:
+            dates.append(None)
+    d_code = np.frombuffer(d_code, dtype=np.int64)
+    s_code = np.frombuffer(s_code, dtype=np.int64)
+    n = len(lines)  # a failed row may have left part of its fields behind
+    columns = np.frombuffer(values)[:5 * n].reshape(n, 5).T.copy()
+    bad_date = np.array([d is None for d in dates], dtype=bool)
+    bad_name = np.array([not name for name in names], dtype=bool)
+    suspect = _suspect_bars(columns) | bad_date[d_code] | bad_name[s_code]
+    for i in np.flatnonzero(suspect):
+        row = [date_text[d_code[i]], names[s_code[i]], *map(repr, columns[:, i].tolist())]
+        _parse_bar_row(row, lines[i])
+    if stop is not None:
+        _parse_bar_row(*stop)
+    if not lines:
         raise DataError(f"{path}: no data rows")
-    return build_panel(bars)
+    return _panel_from_columns(dates, d_code, names, s_code, columns)
 
 
 def log_return(p_t: float, p_prev: float) -> float:

@@ -11,9 +11,11 @@ Adam; the stock embedding matrix is fine-tuned through the attention path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from . import nn
@@ -21,7 +23,7 @@ from .autodiff import Tape, Tensor
 from .embeddings import StockEmbeddingSet, StockGraph, attention_representation
 from .errors import ConfigError, DataError, NumericalFault, ShapeError
 from .factors import FactorPanel
-from .market import BarPanel, forward_return
+from .market import BarPanel, log_return
 from .news import DailyNewsPanel
 
 MAX_TECH_DIM = 1024
@@ -64,6 +66,8 @@ class ModelConfig:
     def validate(self) -> None:
         if self.lookback < 1:
             raise ConfigError("lookback must be >= 1")
+        if self.horizon < 0:
+            raise ConfigError("horizon must be >= 0")
         if not (self.use_graph or self.use_tech or self.use_news):
             raise ConfigError("at least one input module must be enabled")
         if self.tech_dim > MAX_TECH_DIM:
@@ -220,31 +224,33 @@ def build_dataset(bars: BarPanel, factors: FactorPanel | None,
     else:
         nvals = None
 
-    stock_idx, anchor_idx, labels = [], [], []
-    T = cfg.lookback
-    for s in range(S):
-        sym = bars.symbols[s]
-        for a in range(T, D):
-            window = slice(a - T, a)
-            if not bars.mask[window, s].all():
-                continue
-            if factor_valid is not None and not factor_valid[window, s].all():
-                continue
-            y = forward_return(bars, sym, bars.calendar[a - 1], cfg.horizon)
-            if y is None:
-                if require_labels:
-                    continue
-                y = np.nan
-            # label hygiene: newest feature day strictly precedes the entry day
-            assert bars.calendar[a - 1] < bars.calendar[a]
-            stock_idx.append(s)
-            anchor_idx.append(a)
-            labels.append(y)
+    T, H = cfg.lookback, cfg.horizon
+    usable = bars.mask if factor_valid is None else bars.mask & factor_valid
+    keep = np.zeros((D, S), dtype=bool)      # full lookback window a-T..a-1
+    if D > T:
+        keep[T:] = sliding_window_view(usable, T, axis=0)[:D - T].all(axis=2)
+    # anchor a is labelled by log(open[a+H] / open[a]), as forward_return
+    # labels features through day a-1; anchors past D-1-H have no label
+    labelled = np.zeros((D, S), dtype=bool)
+    if D > H:
+        p_in, p_out = bars.open[:D - H], bars.open[H:]
+        labelled[:D - H] = keep[:D - H] & np.isfinite(p_in) & np.isfinite(p_out)
+        bad = labelled[:D - H] & ((p_in <= 0) | (p_out <= 0))
+        if bad.any():
+            s, a = (int(v[0]) for v in np.nonzero(bad.T))
+            log_return(float(p_out[a, s]), float(p_in[a, s]))  # raises DataError
+    if require_labels:
+        keep = labelled
+    stock_idx, anchor_idx = np.nonzero(keep.T)   # stock-major, then anchor
+    has = labelled[anchor_idx, stock_idx]
+    s, a = stock_idx[has], anchor_idx[has]
+    ratio = bars.open[a + H, s] / bars.open[a, s]
+    labels = np.full(stock_idx.size, np.nan)
+    # math.log, not np.log, whose result can differ in the last bit
+    labels[has] = np.fromiter(map(math.log, ratio), dtype=np.float64, count=ratio.size)
     store = FeatureStore(bars.calendar, bars.symbols, fvals, factor_valid,
                          nvals, bars.mask)
-    return Dataset(store, np.asarray(stock_idx, dtype=np.intp),
-                   np.asarray(anchor_idx, dtype=np.intp),
-                   np.asarray(labels, dtype=np.float64))
+    return Dataset(store, stock_idx, anchor_idx, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError, DataError
 from .market import BarPanel, build_panel, Bar
 
 
@@ -52,8 +53,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
-        assert 1 <= self.n_clusters <= self.n_stocks
-        assert self.noise_std >= 0 and self.cluster_vol >= 0
+        if not 1 <= self.n_clusters <= self.n_stocks:
+            raise ConfigError(f"synth.n_clusters must be in [1, n_stocks={self.n_stocks}], "
+                              f"got {self.n_clusters}")
+        if self.noise_std < 0 or self.cluster_vol < 0:
+            raise ConfigError("synth.noise_std and synth.cluster_vol must be >= 0")
 
 
 @dataclass
@@ -265,7 +269,8 @@ def read_truth_signals(path):
     out = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
-        assert header.strip() == "date,symbol,signal"
+        if header.strip() != "date,symbol,signal":
+            raise DataError(f"{path}: header {header.strip()!r} is not 'date,symbol,signal'")
         for line in fh:
             date_s, sym, val = line.rstrip("\n").split(",")
             out[(dt.date.fromisoformat(date_s), sym)] = float(val)

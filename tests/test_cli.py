@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -165,3 +166,68 @@ def test_seed_flag_overrides_config(tmp_path):
                  "--seed", "99"]) == 0
     manifest = json.loads((out / "synth_manifest.json").read_text())
     assert manifest["seed"] == 99
+
+
+# ---------------------------------------------------------------------------
+# bad inputs end as typed errors with their documented exit codes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def run_copy(tmp_path, pipeline_run):
+    out, cfg_path = pipeline_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    return copy, cfg_path
+
+
+def test_short_bar_row_is_data_error(tmp_path, capsys):
+    bars = tmp_path / "bars.csv"
+    bars.write_text("date,symbol,open,high,low,close,volume\n"
+                    "2020-01-06,AAA,10,11,9,10.5,1000\n\n2020-01-06,BBB,10,11\n")
+    assert main(["ingest", "--out", str(tmp_path / "o"), "--bars", str(bars)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: line 4: malformed bar row") and err.count("\n") == 1
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert main(["synth", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("setting", ["synth.n_clusters=0", "synth.noise_std=-1"])
+def test_invalid_synth_spec_is_config_error(tmp_path, capsys, setting):
+    assert main(["synth", "--out", str(tmp_path / "o"), "--set", setting]) == 1
+    assert capsys.readouterr().err.startswith("error: config: synth.")
+
+
+def test_truncated_checkpoint_is_data_error(run_copy, capsys):
+    out, cfg_path = run_copy
+    ckpt = out / "checkpoint.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:-20])
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "truncated or corrupt checkpoint" in capsys.readouterr().err
+
+
+def test_unknown_graph_symbol_is_data_error(run_copy, capsys):
+    out, cfg_path = run_copy
+    graph = out / "graph.csv"
+    lines = graph.read_text().splitlines()
+    first = lines[1].split(",")
+    lines[1] = ",".join(["ZZZ"] + first[1:])
+    graph.write_text("\n".join(lines) + "\n")
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "'ZZZ' has no stock embedding" in capsys.readouterr().err
+
+
+def test_non_graph_train_runs_without_glove(run_copy, capsys):
+    out, cfg_path = run_copy
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    (out / "glove.npz").unlink()
+    assert main(["train"] + base + ["--ablation", "Tech"]) == 0
+    stored = json.loads((out / "model_config.json").read_text())
+    assert stored["embed_dim"] == json.loads(cfg_path.read_text())["glove"]["dim"]
+    assert "glove.npz" not in json.loads((out / "train_manifest.json").read_text())["inputs"]
+    assert main(["predict"] + base) == 0
+    assert main(["train"] + base + ["--ablation", "Full"]) == 2
+    assert "glove.npz not found" in capsys.readouterr().err
