@@ -462,6 +462,9 @@ def cmd_interpret(cfg, out: Path, args):
         emb = model.params["graph.emb"].values
         symbols = model.symbols
     else:
+        if not (out / GLOVE_FILE).exists():
+            raise DataError(f"{out / GLOVE_FILE} not found; interpret reads the stock "
+                            f"embeddings of a non-graph model from train-glove")
         glove = _load_glove(out / GLOVE_FILE)
         emb, symbols = glove.vectors, glove.symbols
     report = itp.pairwise_distance_report(emb)

@@ -31,6 +31,8 @@ class Bar:
     volume: float
 
     def validate(self) -> None:
+        # load_bars and build_panel call this only on the rows _suspect_bars
+        # flags, so a rule added here must be added there too
         if min(self.open, self.high, self.low, self.close) <= 0:
             raise DataError(f"bar {self.symbol} {self.date}: non-positive price")
         body_lo = min(self.open, self.close)
@@ -116,12 +118,17 @@ def _parse_bar_row(row, line_no: int) -> Bar:
 def _suspect_bars(cols: np.ndarray) -> np.ndarray:
     """(N,) flags for rows of (5, N) open/high/low/close/volume columns that
     may fail :meth:`Bar.validate` or hold a non-finite value; the per-row
-    check decides, and names the row."""
+    check decides, and names the row. Every row that check rejects must be
+    flagged here."""
     o, h, lo, c, v = cols
     with np.errstate(invalid="ignore"):
         ok = (np.minimum(np.minimum(o, h), np.minimum(lo, c)) > 0) \
             & (lo <= np.minimum(o, c)) & (np.maximum(o, c) <= h) & (v >= 0)
     return ~(ok & np.isfinite(cols).all(axis=0))
+
+
+def _duplicate_bar(symbol: str, date: dt.date) -> DataError:
+    return DataError(f"duplicate bar for {symbol} on {date}")
 
 
 def _panel_from_columns(dates: list, date_code: np.ndarray, names: list,
@@ -143,7 +150,7 @@ def _panel_from_columns(dates: list, date_code: np.ndarray, names: list,
     dup = np.flatnonzero(keys[1:] == keys[:-1])
     if dup.size:
         k = int(keys[dup[0]])
-        raise DataError(f"duplicate bar for {symbols[k % S]} on {calendar[k // S]}")
+        raise _duplicate_bar(symbols[k % S], calendar[k // S])
     shape = (len(calendar), S)
     arrays = {}
     for f, col in zip(BarPanel.FIELDS, cols):
@@ -156,14 +163,24 @@ def _panel_from_columns(dates: list, date_code: np.ndarray, names: list,
 
 def build_panel(bars) -> BarPanel:
     """Assemble bars into a panel; every bar is validated and duplicate
-    (date, symbol) keys are rejected."""
+    (date, symbol) keys are rejected.
+
+    Of several problems, the one met first in (date, symbol) order is
+    reported: an invalid bar, or the second bar of a duplicate key.
+    """
     bars = sorted(bars, key=lambda b: (b.date, b.symbol))
     if not bars:
         raise DataError("no bars to build a panel from")
     cols = np.array([[getattr(b, f) for b in bars] for f in BarPanel.FIELDS],
                     dtype=np.float64)
     for i in np.flatnonzero(_suspect_bars(cols)):
-        bars[i].validate()
+        try:
+            bars[i].validate()
+        except DataError:
+            for a, b in zip(bars[:i], bars[1:i]):   # sorted: duplicates are adjacent
+                if (a.date, a.symbol) == (b.date, b.symbol):
+                    raise _duplicate_bar(b.symbol, b.date) from None
+            raise
     rows = np.arange(len(bars))
     return _panel_from_columns([b.date for b in bars], rows,
                                [b.symbol for b in bars], rows, cols)

@@ -229,5 +229,8 @@ def test_non_graph_train_runs_without_glove(run_copy, capsys):
     assert stored["embed_dim"] == json.loads(cfg_path.read_text())["glove"]["dim"]
     assert "glove.npz" not in json.loads((out / "train_manifest.json").read_text())["inputs"]
     assert main(["predict"] + base) == 0
+    capsys.readouterr()
+    assert main(["interpret"] + base) == 2
+    assert "glove.npz not found" in capsys.readouterr().err
     assert main(["train"] + base + ["--ablation", "Full"]) == 2
     assert "glove.npz not found" in capsys.readouterr().err

@@ -13,6 +13,7 @@ and identical error text, never a tolerance):
 
 import csv
 import datetime as dt
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from alphagraph import factors as F
 from alphagraph.errors import DataError
 from alphagraph.factors import FactorPanel, compute_factors
-from alphagraph.market import (BarPanel, _parse_bar_row, build_panel,
+from alphagraph.market import (Bar, BarPanel, _parse_bar_row, _suspect_bars, build_panel,
                                daily_log_returns, forward_return, load_bars)
 from alphagraph.model import ModelConfig, build_dataset
 from alphagraph.synth import SyntheticSpec, generate, write_market
@@ -125,6 +126,20 @@ def ref_load_bars(path):
     return BarPanel(calendar, symbols, arrays, mask)
 
 
+def ref_build_panel_errors(bars):
+    """The first error of the sorted validate-then-duplicate scan, or None."""
+    seen = set()
+    for b in sorted(bars, key=lambda b: (b.date, b.symbol)):
+        try:
+            b.validate()
+        except DataError as exc:
+            return str(exc)
+        if (b.date, b.symbol) in seen:
+            return f"duplicate bar for {b.symbol} on {b.date}"
+        seen.add((b.date, b.symbol))
+    return None
+
+
 def same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -205,6 +220,39 @@ def test_batched_standardisation_matches_scalar_property(case):
     for r in range(values.shape[0]):
         assert same(out[r], ref_standardize(values[r], mask[r]))
         assert same(F.standardize_cross_section(values[r], mask[r]), out[r])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_standardisation_matches_scalar_above_128_valid(seed):
+    # numpy's pairwise sum switches from its unrolled loop to recursive
+    # halving above 128 elements; rows of several hundred valid stocks, in
+    # groups sharing a valid count, must still match the 1-D code bit for bit
+    rng = np.random.default_rng(seed)
+    S = 320
+    values = rng.standard_t(1.5, size=(10, S)) * 3.0 + rng.normal(size=(10, S))
+    values[:, ::17] *= 50.0                        # heavy tails: several clip rounds
+    mask = np.ones((10, S), dtype=bool)
+    for r, n in enumerate([320, 300, 300, 129, 129, 130, 200, 257, 300, 2]):
+        mask[r, rng.permutation(S)[:S - n]] = False
+    out = F._standardize_rows(values, mask)
+    for r in range(values.shape[0]):
+        assert same(out[r], ref_standardize(values[r], mask[r]))
+
+
+def test_factors_bit_equal_to_reference_above_128_stocks():
+    market = generate(SyntheticSpec(n_stocks=150, days=45, n_clusters=4, seed=11))
+    rng = np.random.default_rng(11)
+    bars = [b for b in market.bars
+            if not (int(b.symbol[1:]) < 12 and market.calendar.index(b.date) < 25)
+            and rng.random() > 0.01]              # late listings and holes: n varies
+    panel = build_panel(bars)
+    registry = {"momentum": [5], "reversal": [1], "volatility": [10], "amihud": [5]}
+    names, values, mask = ref_compute_factors(panel, registry)
+    fp = compute_factors(panel, registry)
+    assert fp.factor_names == names
+    assert same(fp.values, values) and same(fp.mask, mask)
+    counts = mask.sum(axis=1)
+    assert counts.max() > 128 and len(np.unique(counts[counts > 128])) >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +376,39 @@ def test_build_panel_reports_first_invalid_bar_in_key_order():
     ok = [type(b)(b.symbol, b.date, b.open, b.high, b.low, b.close, math.nan)] + market.bars[1:]
     assert np.isnan(build_panel(ok).volume[0, 0])
     assert build_panel(ok).calendar[0] == dt.date.fromisoformat(market.spec.start)
+
+
+def test_build_panel_error_precedence_matches_sorted_scan():
+    market = generate(SyntheticSpec(n_stocks=3, days=5, n_clusters=1, seed=0))
+    bars = sorted(market.bars, key=lambda b: (b.date, b.symbol))
+
+    def invalid(b):
+        return type(b)(b.symbol, b.date, b.open, b.high, b.low, b.close, -1.0)
+
+    cases = {  # positions are in (date, symbol) order
+        "duplicate before invalid": (bars[:9] + [invalid(bars[9])] + bars[10:] + [bars[1]],
+                                     "duplicate bar"),
+        "invalid before duplicate": (bars[:4] + [invalid(bars[4])] + bars[5:] + [bars[10]],
+                                     "negative volume"),
+        "duplicate that is invalid": (bars + [invalid(bars[4])], "negative volume"),
+    }
+    for name, (case, kind) in cases.items():
+        for order in (case, case[::-1]):
+            expected = ref_build_panel_errors(order)
+            assert kind in expected, name
+            with pytest.raises(DataError) as exc:
+                build_panel(order)
+            assert str(exc.value) == expected, name
+
+
+def test_suspect_bars_flags_every_row_the_per_row_check_rejects():
+    # load_bars and build_panel run Bar.validate and _parse_bar_row only on
+    # the rows _suspect_bars flags (load_bars adds bad dates and symbols), so
+    # every unflagged row of this exhaustive grid must pass both
+    grid = [-1.0, 0.0, 1.0, 2.0, 3.0, math.inf, -math.inf, math.nan]
+    rows = list(itertools.product(grid, repeat=5))
+    flagged = _suspect_bars(np.array(rows).T)
+    assert 0 < (~flagged).sum() < len(rows)
+    for fields in itertools.compress(rows, ~flagged):
+        Bar("AAA", dt.date(2020, 1, 6), *fields).validate()
+        _parse_bar_row(["2020-01-06", "AAA", *map(repr, fields)], 2)
