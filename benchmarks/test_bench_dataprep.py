@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the three data-preparation steps on a 120 x 600 market.
+"""Micro-benchmarks of the three data-preparation steps on a 120 x 600 market,
+and of the stock-embedding factorization on a news-text sized co-mention matrix.
 
 Run from the repository root (tier-1 does not collect this directory):
 
@@ -10,9 +11,11 @@ Run from the repository root (tier-1 does not collect this directory):
 
 import pytest
 
+from alphagraph.embeddings import train_glove
 from alphagraph.factors import compute_factors
 from alphagraph.market import load_bars
 from alphagraph.model import ModelConfig, build_dataset
+from alphagraph.news import build_cooccurrence, load_articles
 from alphagraph.synth import SyntheticSpec, generate, write_market
 
 # the factor set of the acceptance recovery workload
@@ -46,3 +49,20 @@ def test_bench_build_dataset(benchmark, market):
                       use_graph=False, use_news=False)
     ds = benchmark(build_dataset, panel, fp, None, cfg)
     assert ds.n > 0
+
+
+@pytest.fixture(scope="module")
+def cooccur(tmp_path_factory):
+    """Co-mentions in the first half of a 40 x 400 market, 2.5 articles a day,
+    as the news-text workload of perfbench counts them."""
+    spec = SyntheticSpec(n_stocks=40, days=400, news_rate=2.5, seed=1)
+    market = generate(spec)
+    path = write_market(market, tmp_path_factory.mktemp("bench"))["news"]
+    train_end = market.calendar[len(market.calendar) // 2]
+    articles = [a for a in load_articles(path) if a.date <= train_end]
+    return build_cooccurrence(articles, market.symbols)
+
+
+def test_bench_train_glove(benchmark, cooccur):
+    emb = benchmark(train_glove, cooccur, dim=8, epochs=40, lr=0.01, seed=1)
+    assert len(emb.loss_trace) == 41 and emb.loss_trace[-1] < emb.loss_trace[0]

@@ -472,18 +472,6 @@ def mean(x) -> Tensor:
     return _emit(np.asarray(x.values.mean()), "mean", (x,), make)
 
 
-def sum_all(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate(np.full_like(x.values, float(g)))
-        return backward
-
-    return _emit(np.asarray(x.values.sum()), "sum", (x,), make)
-
-
 def sq_error(pred, target) -> Tensor:
     """Mean squared error against a constant target array."""
     pred = _as_tensor(pred)

@@ -55,6 +55,18 @@ class _Parser(argparse.ArgumentParser):
 # Artifact I/O helpers
 # ---------------------------------------------------------------------------
 
+def _artifact(path, producer: str) -> Path:
+    """``path`` if it exists, else a DataError naming the stage that writes it."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{path} not found; run {producer} first")
+    return path
+
+
+def _load_npz(path, producer: str):
+    return np.load(_artifact(path, producer), allow_pickle=False)
+
+
 def _save_panel(path, panel: BarPanel) -> None:
     np.savez(path,
              calendar=np.array([d.isoformat() for d in panel.calendar]),
@@ -64,7 +76,7 @@ def _save_panel(path, panel: BarPanel) -> None:
 
 
 def _load_panel(path) -> BarPanel:
-    z = np.load(path, allow_pickle=False)
+    z = _load_npz(path, "ingest")
     calendar = [dt.date.fromisoformat(s) for s in z["calendar"]]
     symbols = [str(s) for s in z["symbols"]]
     arrays = {f: z[f] for f in BarPanel.FIELDS}
@@ -79,14 +91,14 @@ def _save_factors(path, fp: FactorPanel) -> None:
 
 
 def _load_factors(path) -> FactorPanel:
-    z = np.load(path, allow_pickle=False)
+    z = _load_npz(path, "ingest")
     return FactorPanel([str(s) for s in z["names"]], z["values"], z["mask"],
                        tuple(dt.date.fromisoformat(s) for s in z["calendar"]),
                        tuple(str(s) for s in z["symbols"]))
 
 
 def _load_cooccur(path) -> CooccurrenceMatrix:
-    z = np.load(path, allow_pickle=False)
+    z = _load_npz(path, "cooccur")
     counts = {}
     for i, j, v in zip(z["rows"], z["cols"], z["vals"]):
         if i < j:
@@ -95,7 +107,7 @@ def _load_cooccur(path) -> CooccurrenceMatrix:
 
 
 def _load_glove(path) -> StockEmbeddingSet:
-    z = np.load(path, allow_pickle=False)
+    z = _load_npz(path, "train-glove")
     return StockEmbeddingSet(tuple(str(s) for s in z["symbols"]),
                              z["vectors"], z["biases"],
                              [float(v) for v in z["trace"]])
@@ -106,7 +118,7 @@ def _load_graph(path, symbols) -> StockGraph:
     adjacency = [[] for _ in symbols]
     distances = [[] for _ in symbols]
     k = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(_artifact(path, "graph"), encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{path} line {reader.line_num}"
@@ -125,7 +137,7 @@ def _load_graph(path, symbols) -> StockGraph:
 
 
 def _load_word_embeddings(path) -> WordEmbeddingSet:
-    labels, matrix = read_embeddings(path)
+    labels, matrix = read_embeddings(_artifact(path, "train-word2vec"))
     return WordEmbeddingSet({t: i for i, t in enumerate(labels)}, matrix)
 
 
@@ -145,7 +157,7 @@ def _write_forecasts(path, panel: mdl.ForecastPanel) -> None:
 
 def _read_forecasts(path) -> mdl.ForecastPanel:
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open(_artifact(path, "predict"), encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             rows.append((dt.date.fromisoformat(row["date"]), row["symbol"],
@@ -197,11 +209,11 @@ def _bars_path(cfg, out: Path) -> Path:
 
 
 def _model_config(cfg, ablation: str | None, glove_dim: int, n_factors: int,
-                  news_dim: int, graph_k: int) -> mdl.ModelConfig:
+                  news_dim: int) -> mdl.ModelConfig:
     m = cfg["model"]
     base = mdl.ModelConfig(
-        lookback=m["lookback"], embed_dim=glove_dim, neighbors=graph_k,
-        n_factors=n_factors, tech_dim=m["tech_dim"], news_dim=news_dim,
+        lookback=m["lookback"], embed_dim=glove_dim, n_factors=n_factors,
+        tech_dim=m["tech_dim"], news_dim=news_dim,
         hidden=m["hidden"], attn_hidden=m["attn_hidden"],
         temporal_hidden=m["temporal_hidden"], horizon=m["horizon"],
         epochs=m["epochs"], lr=m["lr"], batch_size=m["batch_size"],
@@ -335,8 +347,7 @@ def cmd_train(cfg, out: Path, args):
     model_cfg = _model_config(cfg, args.ablation,
                               cfg["glove"]["dim"] if glove is None else glove.dim,
                               len(factors.factor_names),
-                              wordvec_dim or cfg["word2vec"]["dim"],
-                              cfg["graph"]["k"])
+                              wordvec_dim or cfg["word2vec"]["dim"])
     if model_cfg.use_graph and glove is None:
         raise DataError(f"{out / GLOVE_FILE} not found; the graph module needs "
                         f"train-glove to run first")
@@ -366,14 +377,17 @@ def cmd_train(cfg, out: Path, args):
 
 
 def _load_trained(cfg, out: Path):
-    with open(out / MODELCFG_FILE, encoding="utf-8") as fh:
+    with open(_artifact(out / MODELCFG_FILE, "train"), encoding="utf-8") as fh:
         stored = json.load(fh)
-    model_cfg = mdl.ModelConfig(**stored)
+    try:
+        model_cfg = mdl.ModelConfig(**stored)
+    except TypeError as exc:
+        raise DataError(f"{out / MODELCFG_FILE}: {exc}; rerun train") from exc
     glove = _load_glove(out / GLOVE_FILE) if model_cfg.use_graph else None
     graph = _load_graph(out / GRAPH_FILE, glove.symbols) if model_cfg.use_graph else None
     rng = np.random.default_rng(model_cfg.seed)
     params = mdl.build_params(model_cfg, rng, glove)
-    stored_values = load_checkpoint(out / CHECKPOINT_FILE)
+    stored_values = load_checkpoint(_artifact(out / CHECKPOINT_FILE, "train"))
     if set(stored_values) != set(params):
         raise DataError("checkpoint parameter names do not match the model config")
     for name, values in stored_values.items():
@@ -461,10 +475,7 @@ def cmd_interpret(cfg, out: Path, args):
     if model_cfg.use_graph:
         emb = model.params["graph.emb"].values
         symbols = model.symbols
-    else:
-        if not (out / GLOVE_FILE).exists():
-            raise DataError(f"{out / GLOVE_FILE} not found; interpret reads the stock "
-                            f"embeddings of a non-graph model from train-glove")
+    else:  # a non-graph model has no embeddings of its own: read train-glove's
         glove = _load_glove(out / GLOVE_FILE)
         emb, symbols = glove.vectors, glove.symbols
     report = itp.pairwise_distance_report(emb)

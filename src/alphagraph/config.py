@@ -146,8 +146,6 @@ def load_config(path=None, env=None, overrides=None) -> dict:
         if not name.startswith(ENV_PREFIX):
             continue
         tail = name[len(ENV_PREFIX):].lower()
-        if tail in ("numba",):  # acceleration flag, not a config key
-            continue
         parts = tail.split("_", 1)
         if len(parts) == 1:
             _merge(cfg, {parts[0]: _coerce(raw)})
@@ -214,7 +212,3 @@ def write_manifest(outdir, command: str, cfg: dict, inputs, outputs,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def manifest_hash(path) -> str:
-    return sha256_file(path)

@@ -3,10 +3,10 @@
 Embeddings are trained by weighted factorization of the co-mention count
 matrix: minimize sum over positive-count ordered pairs of
 ``f(X_ij) * (e_i . e_j + b_i + b_j - log X_ij)^2`` by full-batch gradient
-descent with a fixed step. The squared residual keeps the objective bounded
-below. Pairs with zero count are skipped. These embeddings initialize the
-forecasting model and are fine-tuned there; the graph built from them stays
-frozen afterwards.
+descent with a fixed step, each step one vectorized pass over all pairs.
+The squared residual keeps the objective bounded below. Pairs with zero
+count are skipped. These embeddings initialize the forecasting model and
+are fine-tuned there; the graph built from them stays frozen afterwards.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .accel import maybe_njit
-from .autodiff import Tensor
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericalFault
 from .news import CooccurrenceMatrix
 
 
@@ -51,13 +49,6 @@ class StockGraph:
         return self.adjacency[i]
 
 
-@dataclass
-class StockAttentionParams:
-    w: np.ndarray  # (2d, hidden)
-    b: np.ndarray  # (hidden,)
-    v: np.ndarray  # (hidden,)
-
-
 def glove_weight(x: float, x_max: float, alpha: float) -> float:
     """Co-occurrence weighting: (x / x_max)^alpha below x_max, else 1."""
     if x_max <= 0:
@@ -71,46 +62,8 @@ def glove_weight(x: float, x_max: float, alpha: float) -> float:
     return (x / x_max) ** alpha
 
 
-def _glove_epoch(rows, cols, logx, wgt, emb, bias, lr):
-    """Full-batch descent step; returns the pre-step loss.
-
-    Gradients are accumulated over all ordered pairs from the current
-    parameters, then applied once. Same source runs under numba or CPython.
-    """
-    n, d = emb.shape
-    g_emb = np.zeros((n, d))
-    g_bias = np.zeros(n)
-    loss = 0.0
-    for p in range(rows.shape[0]):
-        i = rows[p]
-        j = cols[p]
-        dot = 0.0
-        for k in range(d):
-            dot += emb[i, k] * emb[j, k]
-        resid = dot + bias[i] + bias[j] - logx[p]
-        w = wgt[p]
-        loss += w * resid * resid
-        coef = 2.0 * w * resid
-        for k in range(d):
-            g_emb[i, k] += coef * emb[j, k]
-            g_emb[j, k] += coef * emb[i, k]
-        g_bias[i] += coef
-        g_bias[j] += coef
-    for i in range(n):
-        for k in range(d):
-            emb[i, k] -= lr * g_emb[i, k]
-        bias[i] -= lr * g_bias[i]
-    return loss
-
-
-glove_epoch = maybe_njit(_glove_epoch)
-
-
 def glove_loss_and_grads(emb, bias, rows, cols, logx, wgt):
-    """Vectorized reference for the factorization objective and its gradient.
-
-    Used by tests as an independent check of the training kernel.
-    """
+    """The factorization objective and its gradient, over all pairs at once."""
     resid = np.einsum("ij,ij->i", emb[rows], emb[cols]) + bias[rows] + bias[cols] - logx
     loss = float(np.sum(wgt * resid * resid))
     coef = 2.0 * wgt * resid
@@ -128,9 +81,10 @@ def train_glove(x: CooccurrenceMatrix, dim: int = 32, x_max: float = 100.0,
                 seed: int = 0) -> StockEmbeddingSet:
     """Fit stock embeddings to the co-mention matrix.
 
-    Deterministic given the seed. The per-epoch loss trace is attached to
-    the returned embedding set; with a sufficiently small step the trace is
-    non-increasing (full-batch descent on a smooth objective).
+    Deterministic given the seed. The trace holds the loss before each step
+    and the final loss; with a sufficiently small step it is non-increasing
+    (full-batch descent on a smooth objective). Raises ``NumericalFault``,
+    naming the epoch, once the loss or the parameters stop being finite.
     """
     rows, cols, vals = x.to_coo()
     if rows.size == 0:
@@ -142,10 +96,19 @@ def train_glove(x: CooccurrenceMatrix, dim: int = 32, x_max: float = 100.0,
     emb = rng.uniform(-scale, scale, size=(x.n, dim))
     bias = np.zeros(x.n)
     trace = []
-    for _ in range(epochs):
-        trace.append(float(glove_epoch(rows, cols, logx, wgt, emb, bias, float(lr))))
-    final, _, _ = glove_loss_and_grads(emb, bias, rows, cols, logx, wgt)
-    trace.append(final)
+    for epoch in range(epochs + 1):
+        # a diverging run overflows; it ends in the NumericalFault below
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, g_emb, g_bias = glove_loss_and_grads(emb, bias, rows, cols, logx, wgt)
+        # a stock without pairs never moves, so a non-finite parameter
+        # always shows up in the loss
+        if not np.isfinite(loss):
+            raise NumericalFault(f"train_glove: loss is {loss} at epoch {epoch}; "
+                                 f"lower glove.lr (now {lr})")
+        trace.append(loss)
+        if epoch < epochs:
+            emb -= lr * g_emb
+            bias -= lr * g_bias
     return StockEmbeddingSet(x.symbols, emb, bias, trace)
 
 
@@ -194,16 +157,6 @@ def export_graph_csv(graph: StockGraph, path) -> None:
 # Neighbor attention
 # ---------------------------------------------------------------------------
 
-def init_attention_params(rng: np.random.Generator, dim: int,
-                          hidden: int) -> StockAttentionParams:
-    s = np.sqrt(6.0 / (2 * dim + hidden))
-    return StockAttentionParams(
-        w=rng.uniform(-s, s, size=(2 * dim, hidden)),
-        b=np.zeros(hidden),
-        v=rng.uniform(-s, s, size=hidden),
-    )
-
-
 def attention_representation(e_i, neighbor_rows, w, b, v):
     """Differentiable attention over a stock's neighbors.
 
@@ -222,25 +175,8 @@ def attention_representation(e_i, neighbor_rows, w, b, v):
     return rep, weights
 
 
-def stock_attention(i: int, emb: StockEmbeddingSet, graph: StockGraph,
-                    params: StockAttentionParams):
-    """Attention-weighted representation of stock ``i`` over its graph neighbors.
-
-    Pure forward evaluation (no gradients). Returns (c_i (d,), weights (K,))
-    where the weights are positive and sum to one over S(i).
-    """
-    nbrs = graph.neighbors(i)
-    if not nbrs:
-        raise ShapeError(f"stock {i} has no neighbors")
-    rep, weights = attention_representation(
-        Tensor(emb.vectors[i]), Tensor(emb.vectors[nbrs]),
-        Tensor(params.w), Tensor(params.b), Tensor(params.v))
-    return rep.values, weights.values
-
-
 __all__ = [
-    "StockEmbeddingSet", "StockGraph", "StockAttentionParams",
-    "glove_weight", "train_glove", "glove_loss_and_grads", "glove_epoch",
-    "build_knn_graph", "export_graph_csv", "init_attention_params",
-    "attention_representation", "stock_attention",
+    "StockEmbeddingSet", "StockGraph", "glove_weight", "train_glove",
+    "glove_loss_and_grads", "build_knn_graph", "export_graph_csv",
+    "attention_representation",
 ]

@@ -42,7 +42,6 @@ ABLATIONS = {
 class ModelConfig:
     lookback: int = 5          # days of history per sample
     embed_dim: int = 32        # stock embedding width
-    neighbors: int = 5         # kNN graph degree
     n_factors: int = 0         # technical factor count (set from the panel)
     tech_dim: int = 200        # technical embedding width
     news_dim: int = 400        # word/news vector width
@@ -52,8 +51,6 @@ class ModelConfig:
     use_graph: bool = True
     use_tech: bool = True
     use_news: bool = True
-    head: str = "linear"       # "linear" or "softmax"
-    head_out: int = 1
     horizon: int = 5
     epochs: int = 30
     lr: float = 1e-3
@@ -72,11 +69,6 @@ class ModelConfig:
             raise ConfigError("at least one input module must be enabled")
         if self.tech_dim > MAX_TECH_DIM:
             raise ConfigError(f"tech_dim {self.tech_dim} exceeds maximum {MAX_TECH_DIM}")
-        if self.head not in ("linear", "softmax"):
-            raise ConfigError(f"unknown head {self.head!r}")
-        if self.head == "softmax" and self.head_out < 2:
-            raise ConfigError("softmax head with a single output is a constant; "
-                              "use the linear head for scalar regression")
 
     def input_dim(self) -> int:
         return (self.embed_dim * self.use_graph + self.tech_dim * self.use_tech
@@ -90,59 +82,6 @@ def ablation_config(name: str, base: ModelConfig) -> ModelConfig:
         raise ConfigError(f"unknown ablation {name!r}; choose from {sorted(ABLATIONS)}")
     graph, tech, news = ABLATIONS[key]
     return replace(base, use_graph=graph, use_tech=tech, use_news=news)
-
-
-# ---------------------------------------------------------------------------
-# Standalone layer operations
-# ---------------------------------------------------------------------------
-
-def tech_embed(f: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Technical factor embedding: relu(f @ w + b), w of shape (l, m)."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape[-1] != w.shape[0]:
-        raise ShapeError(f"tech_embed: factor dim {f.shape[-1]} vs weight {w.shape}")
-    return np.maximum(f @ w + b, 0.0)
-
-
-def assemble_input(c=None, g=None, o=None) -> np.ndarray:
-    """Concatenate the enabled per-day components in fixed order [c, g, o]."""
-    parts = [np.asarray(p, dtype=np.float64) for p in (c, g, o) if p is not None]
-    if not parts:
-        raise ShapeError("assemble_input: no components enabled")
-    return np.concatenate(parts, axis=-1)
-
-
-def temporal_attention(vs, w: np.ndarray, b: np.ndarray, v: np.ndarray):
-    """Pool a sequence of vectors with softmax attention.
-
-    ``vs`` is a list of T equal-length vectors. Returns (pooled vector,
-    weights) where the weights are positive and sum to one.
-    """
-    if not vs:
-        raise ShapeError("temporal_attention: empty sequence")
-    params = {"t.w": Tensor(w), "t.b": Tensor(b), "t.v": Tensor(v)}
-    rows = ad.stack_rows([Tensor(x) for x in vs])
-    scores = nn.score_net(rows, params, "t")
-    beta = ad.softmax(scores)
-    pooled = ad.matmul(beta, rows)
-    return pooled.values, beta.values
-
-
-def predict_head(v_out: np.ndarray, w: np.ndarray, b: np.ndarray,
-                 mode: str = "linear") -> np.ndarray:
-    """Final readout: linear scalar by default, softmax for multi-output."""
-    v_out = np.asarray(v_out, dtype=np.float64)
-    z = v_out @ w + b
-    if mode == "linear":
-        return z
-    if mode == "softmax":
-        width = z.shape[-1] if z.ndim else 1
-        if width < 2:
-            raise ConfigError("softmax head needs output dimension >= 2")
-        m = z.max(axis=-1, keepdims=True)
-        e = np.exp(z - m)
-        return e / e.sum(axis=-1, keepdims=True)
-    raise ConfigError(f"unknown head mode {mode!r}")
 
 
 def mse_loss(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -282,12 +221,8 @@ def build_params(cfg: ModelConfig, rng: np.random.Generator,
     nn.init_score_net(rng, 2 * cfg.hidden, cfg.temporal_hidden, params, "temporal")
     # the readout starts at zero so initial forecasts sit at the label scale;
     # its own gradient is nonzero, so training immediately moves it
-    if cfg.head == "linear":
-        nn.param(np.zeros(2 * cfg.hidden), params, "head.w")
-        nn.param(np.zeros(()), params, "head.b")
-    else:
-        nn.param(np.zeros((2 * cfg.hidden, cfg.head_out)), params, "head.w")
-        nn.param(np.zeros(cfg.head_out), params, "head.b")
+    nn.param(np.zeros(2 * cfg.hidden), params, "head.w")
+    nn.param(np.zeros(()), params, "head.b")
     return params
 
 
@@ -306,6 +241,20 @@ def _graph_representations(params: dict, graph: StockGraph, stocks) -> dict:
             params["graph.attn.v"])
         reps[int(i)] = (rep, weights)
     return reps
+
+
+def temporal_pool(vs, params: dict, prefix: str):
+    """Softmax attention over a sequence of T (N, width) tensors.
+
+    Scores are ``v . tanh(W x_t + b)`` per step, softmaxed over the T steps
+    of each row. Returns (pooled (N, width), weights (N, T)).
+    """
+    beta = ad.softmax(ad.stack_cols([nn.score_net(v, params, prefix) for v in vs]))
+    pooled = None
+    for t, v in enumerate(vs):
+        term = ad.mul_rows(v, ad.take_col(beta, t))
+        pooled = term if pooled is None else ad.add(pooled, term)
+    return pooled, beta
 
 
 def model_forward(params: dict, cfg: ModelConfig, store: FeatureStore,
@@ -344,19 +293,10 @@ def model_forward(params: dict, cfg: ModelConfig, store: FeatureStore,
         xs.append(parts[0] if len(parts) == 1 else ad.concat(parts, axis=1))
 
     vs = nn.bilstm(xs, cfg.hidden, params, "lstm")
-    scores = ad.stack_cols([nn.score_net(v, params, "temporal") for v in vs])
-    beta = ad.softmax(scores)
-    pooled = None
-    for t, v in enumerate(vs):
-        term = ad.mul_rows(v, ad.take_col(beta, t))
-        pooled = term if pooled is None else ad.add(pooled, term)
+    pooled, beta = temporal_pool(vs, params, "temporal")
     if capture is not None:
         capture["temporal_beta"] = beta.values.copy()
-    if cfg.head != "linear":
-        raise ConfigError("training/prediction uses the linear head; the softmax "
-                          "head is exposed through predict_head for multi-output use")
-    yhat = ad.add_bias(ad.matmul(pooled, params["head.w"]), params["head.b"])
-    return yhat
+    return ad.add_bias(ad.matmul(pooled, params["head.w"]), params["head.b"])
 
 
 # ---------------------------------------------------------------------------

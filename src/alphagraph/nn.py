@@ -143,10 +143,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def adam_step(params: dict, optimizer: Adam) -> None:
-    """Functional alias: apply one optimizer step to ``params`` in place."""
-    if optimizer.params is not params:
-        raise ConfigError("adam_step: optimizer was built for a different parameter set")
-    optimizer.step()

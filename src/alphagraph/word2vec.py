@@ -1,11 +1,9 @@
 """CBOW word embeddings with negative sampling.
 
-The training loop is the hottest code in the text pipeline, so the epoch
-kernel is numba-compiled when enabled (see :mod:`alphagraph.accel`); the
-interpreted fallback runs the identical function. Training is single
+Training is plain sequential SGD, one center word at a time, single
 threaded and fully determined by the seed: negative samples come from a
-Park-Miller stream inside the kernel, so both execution paths draw the same
-negatives and produce the same embeddings.
+Park-Miller stream inside the epoch kernel, so a given seed always draws
+the same negatives and produces the same embeddings.
 """
 
 from __future__ import annotations
@@ -14,11 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import MINSTD_A, MINSTD_M, maybe_njit, seed_to_state
 from .errors import ConfigError, DataError
 
 NEG_TABLE_SIZE = 100_000
 UNIGRAM_POWER = 0.75
+
+# Park-Miller multiplicative congruential generator for the negative samples.
+# Kept, rather than np.random, so that the negatives, and therefore every
+# stored loss and embedding, stay bit-identical to earlier releases.
+MINSTD_M = 2147483647
+MINSTD_A = 48271
+
+
+def seed_to_state(seed):
+    """Map an arbitrary integer seed onto a valid Park-Miller state."""
+    return (int(seed) % (MINSTD_M - 1)) + 1
 
 
 @dataclass
@@ -32,12 +40,11 @@ class WordEmbeddingSet:
         return int(self.vectors.shape[1])
 
 
-def _cbow_epoch(tokens, starts, w_in, w_out, window, negatives, lr, table, rng_state):
+def cbow_epoch(tokens, starts, w_in, w_out, window, negatives, lr, table, rng_state):
     """One pass over the corpus; returns (loss_sum, n_terms, new_rng_state).
 
     ``tokens`` is the flattened token-id array, ``starts`` the sentence
-    offsets (len = n_sentences + 1). Updates w_in / w_out in place. Written
-    to compile under numba nopython mode and to run unmodified in CPython.
+    offsets (len = n_sentences + 1). Updates w_in / w_out in place.
     """
     dim = w_in.shape[1]
     tsize = table.shape[0]
@@ -102,9 +109,6 @@ def _cbow_epoch(tokens, starts, w_in, w_out, window, negatives, lr, table, rng_s
                     for d in range(dim):
                         w_in[row, d] -= grad_h[d] * inv
     return loss_sum, n_terms, state
-
-
-cbow_epoch = maybe_njit(_cbow_epoch)
 
 
 def build_negative_table(freqs: np.ndarray, size: int = NEG_TABLE_SIZE) -> np.ndarray:

@@ -47,7 +47,7 @@ def _tiny_model_world(seed):
     rng = np.random.default_rng(seed)
     n, T, l, m, d, dw, hidden = 4, 3, 5, 4, 3, 4, 6
     D = 10
-    cfg = ModelConfig(lookback=T, embed_dim=d, neighbors=2, n_factors=l,
+    cfg = ModelConfig(lookback=T, embed_dim=d, n_factors=l,
                       tech_dim=m, news_dim=dw, hidden=hidden, attn_hidden=3,
                       temporal_hidden=3, horizon=1, seed=seed)
     emb = StockEmbeddingSet(tuple(f"S{i}" for i in range(n)),
@@ -244,7 +244,7 @@ def test_criterion_3_overfit_twenty_samples():
     rng = np.random.default_rng(0)
     n, T, l, d, dw = 4, 3, 5, 3, 4
     D = 15
-    cfg = ModelConfig(lookback=T, embed_dim=d, neighbors=2, n_factors=l,
+    cfg = ModelConfig(lookback=T, embed_dim=d, n_factors=l,
                       tech_dim=4, news_dim=dw, hidden=6, attn_hidden=3,
                       temporal_hidden=3, horizon=1, epochs=500, lr=1e-2,
                       batch_size=20, val_fraction=0.0, patience=10 ** 6, seed=0)
@@ -300,7 +300,7 @@ def recovery_world():
                             dim=8, epochs=300, lr=0.01, seed=2)
     graph = build_knn_graph(stockvecs, 5)
     news_panel = daily_stock_news_vectors(articles, wordvecs, panel.symbols, cal)
-    cfg = ModelConfig(lookback=5, embed_dim=8, neighbors=5,
+    cfg = ModelConfig(lookback=5, embed_dim=8,
                       n_factors=factors.n_factors, tech_dim=8, news_dim=16,
                       hidden=10, attn_hidden=4, temporal_hidden=8, horizon=1,
                       epochs=220, lr=2e-3, batch_size=256, patience=30, seed=7)

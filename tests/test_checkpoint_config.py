@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from alphagraph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from alphagraph.cli import main
 from alphagraph.config import (DEFAULTS, dump_config, load_config,
                                sha256_file, write_manifest)
 from alphagraph.errors import ConfigError, DataError
@@ -120,9 +121,14 @@ def test_flags_override_env():
     assert cfg["seed"] == 8
 
 
-def test_numba_env_flag_not_a_config_key():
-    cfg = load_config(env={"ALPHAGRAPH_NUMBA": "0"})
-    assert cfg == DEFAULTS
+def test_numba_env_flag_not_a_config_key(tmp_path, monkeypatch, capsys):
+    """ALPHAGRAPH_NUMBA selected a kernel path that no longer exists; it is
+    now an unknown key like any other."""
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(env={"ALPHAGRAPH_NUMBA": "0"})
+    monkeypatch.setenv("ALPHAGRAPH_NUMBA", "0")
+    assert main(["synth", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: config: unknown config key")
 
 
 def test_config_round_trip(tmp_path):

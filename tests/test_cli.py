@@ -234,3 +234,53 @@ def test_non_graph_train_runs_without_glove(run_copy, capsys):
     assert "glove.npz not found" in capsys.readouterr().err
     assert main(["train"] + base + ["--ablation", "Full"]) == 2
     assert "glove.npz not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, missing, producer", [
+    (["train", "--ablation", "Tech"], "factors.npz", "ingest"),
+    (["train-glove"], "cooccur.npz", "cooccur"),
+    (["graph"], "glove.npz", "train-glove"),
+    (["predict"], "model_config.json", "train"),
+    (["backtest"], "forecasts.csv", "predict"),
+])
+def test_missing_upstream_artifact_is_data_error(tmp_path, capsys, command, missing,
+                                                 producer):
+    out = tmp_path / "empty"
+    assert main([command[0], "--out", str(out)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ") and len(err.splitlines()) == 1
+    assert f"{missing} not found; run {producer} first" in err
+
+
+def test_model_config_with_removed_setting_is_data_error(run_copy, capsys):
+    """A model_config.json written before the head and neighbors settings
+    were removed asks for train to run again."""
+    out, cfg_path = run_copy
+    path = out / "model_config.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), neighbors=5)))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'neighbors'" in err and "rerun train" in err
+
+
+@pytest.mark.parametrize("missing, producer", [("graph.csv", "graph"),
+                                               ("word_embeddings.txt", "train-word2vec")])
+def test_missing_graph_or_word_vectors_is_data_error(run_copy, capsys, missing, producer):
+    out, cfg_path = run_copy
+    (out / missing).unlink()
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"{missing} not found; run {producer} first" in capsys.readouterr().err
+
+
+def test_diverging_train_glove_is_numerical_fault(tmp_path, capsys):
+    cfg_path = small_config(tmp_path, train_end="2015-04-06")
+    base = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    for command in ("synth", "ingest", "cooccur"):
+        assert main([command] + base) == 0
+    capsys.readouterr()
+    assert main(["train-glove"] + base + ["--set", "glove.lr=5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: train_glove: ") and "epoch" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run" / "glove.npz").exists()
+    assert not (tmp_path / "run" / "stock_embeddings.txt").exists()

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from alphagraph import accel
 from alphagraph import autodiff as ad
+from alphagraph import nn
 from alphagraph.autodiff import Tensor
-from alphagraph.embeddings import (StockEmbeddingSet,
-                                   _glove_epoch, attention_representation,
+from alphagraph.embeddings import (StockEmbeddingSet, attention_representation,
                                    build_knn_graph, export_graph_csv,
                                    glove_loss_and_grads, glove_weight,
-                                   init_attention_params, stock_attention,
                                    train_glove)
-from alphagraph.errors import ConfigError, DataError, ShapeError
+from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
 from alphagraph.news import CooccurrenceMatrix
 
 
@@ -120,39 +118,51 @@ def test_gradient_matches_finite_differences_random_4_stock():
     assert worst <= 1e-6
 
 
+def loop_loss_and_grads(emb, bias, rows, cols, logx, wgt):
+    """Pair-by-pair reference for glove_loss_and_grads."""
+    g_emb, g_bias, loss = np.zeros_like(emb), np.zeros_like(bias), 0.0
+    for i, j, lx, w in zip(rows, cols, logx, wgt):
+        resid = float(emb[i] @ emb[j]) + bias[i] + bias[j] - lx
+        loss += w * resid * resid
+        coef = 2.0 * w * resid
+        g_emb[i] += coef * emb[j]
+        g_emb[j] += coef * emb[i]
+        g_bias[i] += coef
+        g_bias[j] += coef
+    return loss, g_emb, g_bias
+
+
 def test_epoch_kernel_matches_vectorized_reference():
+    """One epoch is the seeded init minus lr times the vectorized gradient,
+    which matches the pair-by-pair loop up to summation order."""
     x = random_cooccurrence(6, seed=3)
     rows, cols, vals = x.to_coo()
     logx = np.log(vals)
     wgt = np.array([glove_weight(v, 100.0, 0.75) for v in vals])
-    rng = np.random.default_rng(4)
-    emb = rng.normal(scale=0.4, size=(6, 5))
+    dim, lr = 5, 0.01
+    scale = 1.0 / np.sqrt(dim)
+    emb = np.random.default_rng(4).uniform(-scale, scale, size=(6, dim))
     bias = np.zeros(6)
     ref_loss, g_emb, g_bias = glove_loss_and_grads(emb, bias, rows, cols, logx, wgt)
-    expected_emb = emb - 0.01 * g_emb
-    expected_bias = bias - 0.01 * g_bias
-    loss = _glove_epoch(rows, cols, logx, wgt, emb, bias, 0.01)
-    assert loss == pytest.approx(ref_loss, rel=1e-12)
-    assert np.allclose(emb, expected_emb, atol=1e-12)
-    assert np.allclose(bias, expected_bias, atol=1e-12)
+    loop_loss, loop_emb, loop_bias = loop_loss_and_grads(emb, bias, rows, cols, logx, wgt)
+    assert ref_loss == pytest.approx(loop_loss, rel=1e-12)
+    assert np.allclose(g_emb, loop_emb, rtol=0, atol=1e-12)
+    assert np.allclose(g_bias, loop_bias, rtol=0, atol=1e-12)
+    out = train_glove(x, dim=dim, x_max=100.0, alpha=0.75, epochs=1, lr=lr, seed=4)
+    assert out.loss_trace[0] == ref_loss
+    assert np.array_equal(out.vectors, emb - lr * g_emb)
+    assert np.array_equal(out.biases, bias - lr * g_bias)
+    after, _, _ = glove_loss_and_grads(out.vectors, out.biases, rows, cols, logx, wgt)
+    assert out.loss_trace[1:] == [after]
 
 
-@pytest.mark.skipif(not accel.NUMBA_AVAILABLE, reason="numba not installed")
-def test_epoch_kernel_numba_matches_python():
-    x = random_cooccurrence(5, seed=5)
-    rows, cols, vals = x.to_coo()
-    logx = np.log(vals)
-    wgt = np.ones_like(logx)
-    rng = np.random.default_rng(6)
-    e0 = rng.normal(size=(5, 4))
-    compiled = accel.force_njit(_glove_epoch)
-    e_a, b_a = e0.copy(), np.zeros(5)
-    e_b, b_b = e0.copy(), np.zeros(5)
-    la = _glove_epoch(rows, cols, logx, wgt, e_a, b_a, 0.02)
-    lb = compiled(rows, cols, logx, wgt, e_b, b_b, 0.02)
-    assert la == pytest.approx(lb, abs=1e-12)
-    assert np.allclose(e_a, e_b, atol=1e-13, rtol=0)
-    assert np.allclose(b_a, b_b, atol=1e-13, rtol=0)
+def test_divergent_step_raises_numerical_fault():
+    x = planted_two_clusters()
+    with pytest.raises(NumericalFault) as exc:
+        train_glove(x, dim=4, epochs=200, lr=5.0, seed=0)
+    assert "epoch" in str(exc.value)
+    ok = train_glove(x, dim=4, epochs=200, lr=0.05, seed=0)
+    assert np.all(np.isfinite(ok.vectors))
 
 
 def test_all_zero_cooccurrence_rejected():
@@ -235,19 +245,25 @@ def test_knn_rejects_tiny_universe():
 # neighbor attention
 # ---------------------------------------------------------------------------
 
-def graph_of(adjacency, n):
-    from alphagraph.embeddings import StockGraph
-    return StockGraph(tuple(f"S{i}" for i in range(n)),
-                      max(len(a) for a in adjacency), adjacency,
-                      [[1.0] * len(a) for a in adjacency])
+def attention_params(rng, dim, hidden):
+    """Neighbor-attention scorer parameters as the model initializes them."""
+    params = {}
+    nn.init_score_net(rng, 2 * dim, hidden, params, "graph.attn")
+    return {k.rsplit(".", 1)[1]: t.values for k, t in params.items()}
+
+
+def attend(emb, i, nbrs, params):
+    rep, weights = attention_representation(
+        Tensor(emb.vectors[i]), Tensor(emb.vectors[nbrs]),
+        params["w"], params["b"], params["v"])
+    return rep.values, weights.values
 
 
 def test_attention_single_neighbor_is_identity():
     rng = np.random.default_rng(0)
     emb = emb_from(rng.normal(size=(3, 4)))
-    params = init_attention_params(rng, 4, 3)
-    g = graph_of([[1], [0], [0]], 3)
-    c, w = stock_attention(0, emb, g, params)
+    params = attention_params(rng, 4, 3)
+    c, w = attend(emb, 0, [1], params)
     assert np.allclose(w, [1.0])
     assert np.allclose(c, emb.vectors[1], atol=1e-12)
 
@@ -256,26 +272,24 @@ def test_attention_identical_neighbors_split_evenly():
     rng = np.random.default_rng(1)
     base = rng.normal(size=4)
     emb = emb_from([rng.normal(size=4), base, base.copy()])
-    params = init_attention_params(rng, 4, 3)
-    g = graph_of([[1, 2], [0], [0]], 3)
-    c, w = stock_attention(0, emb, g, params)
+    params = attention_params(rng, 4, 3)
+    c, w = attend(emb, 0, [1, 2], params)
     assert np.allclose(w, [0.5, 0.5], atol=1e-12)
     assert np.allclose(c, base, atol=1e-12)
+
+
+def bruteforce_scores(emb, i, nbrs, params):
+    return np.asarray([params["v"] @ np.tanh(np.concatenate([emb.vectors[i], emb.vectors[j]])
+                                             @ params["w"] + params["b"]) for j in nbrs])
 
 
 def test_attention_matches_bruteforce_softmax():
     rng = np.random.default_rng(2)
     emb = emb_from(rng.normal(size=(6, 3)))
-    params = init_attention_params(rng, 3, 4)
+    params = attention_params(rng, 3, 4)
     nbrs = [2, 4, 5]
-    g = graph_of([nbrs] + [[0]] * 5, 6)
-    c, w = stock_attention(0, emb, g, params)
-
-    scores = []
-    for j in nbrs:
-        pair = np.concatenate([emb.vectors[0], emb.vectors[j]])
-        scores.append(params.v @ np.tanh(pair @ params.w + params.b))
-    scores = np.asarray(scores)
+    c, w = attend(emb, 0, nbrs, params)
+    scores = bruteforce_scores(emb, 0, nbrs, params)
     expected_w = np.exp(scores - scores.max())
     expected_w /= expected_w.sum()
     assert np.allclose(w, expected_w, atol=1e-12)
@@ -285,10 +299,9 @@ def test_attention_matches_bruteforce_softmax():
 def test_attention_weights_sum_to_one_and_convex_hull():
     rng = np.random.default_rng(3)
     emb = emb_from(rng.normal(size=(8, 5)))
-    params = init_attention_params(rng, 5, 4)
+    params = attention_params(rng, 5, 4)
     nbrs = [1, 3, 5, 7]
-    g = graph_of([nbrs] + [[0]] * 7, 8)
-    c, w = stock_attention(0, emb, g, params)
+    c, w = attend(emb, 0, nbrs, params)
     assert abs(w.sum() - 1.0) <= 1e-12
     assert np.all(w > 0)
     rows = emb.vectors[nbrs]
@@ -299,16 +312,11 @@ def test_attention_weights_sum_to_one_and_convex_hull():
 def test_attention_score_shift_invariance():
     rng = np.random.default_rng(4)
     emb = emb_from(rng.normal(size=(5, 3)))
-    params = init_attention_params(rng, 3, 4)
+    params = attention_params(rng, 3, 4)
     nbrs = [1, 2, 3]
-    g = graph_of([nbrs] + [[0]] * 4, 5)
-    _, w = stock_attention(0, emb, g, params)
-    # shifting every score by a constant: add c to v^T tanh(...) via explicit recompute
-    scores = []
-    for j in nbrs:
-        pair = np.concatenate([emb.vectors[0], emb.vectors[j]])
-        scores.append(params.v @ np.tanh(pair @ params.w + params.b))
-    shifted = np.asarray(scores) + 123.456
+    _, w = attend(emb, 0, nbrs, params)
+    # the softmax of every score shifted by one constant gives the same weights
+    shifted = bruteforce_scores(emb, 0, nbrs, params) + 123.456
     e = np.exp(shifted - shifted.max())
     assert np.allclose(w, e / e.sum(), atol=1e-12)
 
@@ -333,7 +341,6 @@ def test_attention_gradients_match_fd():
 def test_attention_empty_neighbor_set_rejected():
     rng = np.random.default_rng(6)
     emb = emb_from(rng.normal(size=(2, 3)))
-    params = init_attention_params(rng, 3, 2)
-    g = graph_of([[], [0]], 2)
+    params = attention_params(rng, 3, 2)
     with pytest.raises(ShapeError):
-        stock_attention(0, emb, g, params)
+        attend(emb, 0, [], params)

@@ -127,16 +127,14 @@ def test_aggregate_temporal_attention_sums_to_one():
 
 
 def test_aggregate_temporal_attention_uniform_for_identical_inputs():
-    from alphagraph.model import temporal_attention
+    from alphagraph.autodiff import Tensor
+    from alphagraph.model import temporal_pool
     rng = np.random.default_rng(7)
-    w, b, u = rng.normal(size=(6, 3)), np.zeros(3), rng.normal(size=3)
-    betas = []
-    for _ in range(10):
-        v = rng.normal(size=6)
-        _, beta = temporal_attention([v, v.copy(), v.copy(), v.copy(), v.copy()],
-                                     w, b, u)
-        betas.append(beta)
-    mean = aggregate_temporal_attention(np.vstack(betas))
+    params = {"t.w": Tensor(rng.normal(size=(6, 3))), "t.b": Tensor(np.zeros(3)),
+              "t.v": Tensor(rng.normal(size=3))}
+    rows = rng.normal(size=(10, 6))  # ten samples, each the same vector on all five days
+    _, beta = temporal_pool([Tensor(rows.copy()) for _ in range(5)], params, "t")
+    mean = aggregate_temporal_attention(beta.values)
     assert np.allclose(mean, 0.2, atol=1e-12)
 
 

@@ -4,74 +4,123 @@ import numpy as np
 import pytest
 
 from alphagraph import autodiff as ad
+from alphagraph.autodiff import Tensor
 from alphagraph.embeddings import StockEmbeddingSet, StockGraph
 from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
-from alphagraph.model import (ModelConfig, ablation_config, assemble_input,
-                              build_dataset, build_params, mse_loss,
-                              model_forward, predict, predict_head, ridge_fit,
-                              ridge_predict, ridge_scan, tech_embed,
-                              temporal_attention, train)
+from alphagraph.model import (ModelConfig, ablation_config, build_dataset,
+                              build_params, mse_loss, model_forward, predict,
+                              ridge_fit, ridge_predict, ridge_scan, temporal_pool,
+                              train)
 
 from test_market import make_bars  # shared panel builder
 
 
 # ---------------------------------------------------------------------------
-# standalone layer ops
+# layers of the forward pass
 # ---------------------------------------------------------------------------
 
+def tech_layer(f, w, b):
+    """The technical factor embedding as model_forward applies it."""
+    return ad.relu(ad.affine(Tensor(f), Tensor(w), Tensor(b))).values
+
+
 def test_tech_embed_zero_weights():
-    out = tech_embed(np.array([1.0, -2.0, 3.0]), np.zeros((3, 4)), np.zeros(4))
+    out = tech_layer(np.array([1.0, -2.0, 3.0]), np.zeros((3, 4)), np.zeros(4))
     assert np.array_equal(out, np.zeros(4))
 
 
 def test_tech_embed_relu_clips_negative():
     w = np.eye(3)
-    out = tech_embed(np.array([-1.0, 2.0, -0.5]), w, np.zeros(3))
+    out = tech_layer(np.array([-1.0, 2.0, -0.5]), w, np.zeros(3))
     assert np.array_equal(out, [0.0, 2.0, 0.0])
 
 
 def test_tech_embed_matches_bruteforce():
     rng = np.random.default_rng(0)
-    f, w, b = rng.normal(size=5), rng.normal(size=(5, 3)), rng.normal(size=3)
-    assert np.allclose(tech_embed(f, w, b), np.maximum(f @ w + b, 0.0), atol=1e-15)
+    f, w, b = rng.normal(size=(4, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)
+    assert np.allclose(tech_layer(f, w, b), np.maximum(f @ w + b, 0.0), atol=1e-15)
 
 
 def test_tech_embed_dimension_mismatch():
     with pytest.raises(ShapeError):
-        tech_embed(np.zeros(4), np.zeros((3, 2)), np.zeros(2))
+        tech_layer(np.zeros(4), np.zeros((3, 2)), np.zeros(2))
+
+
+def input_reaches_forecast(perturb, seed, blind_block=None):
+    """Whether ``perturb(store)`` changes the forecast after the LSTM input
+    rows of ``blind_block`` ("graph", "tech" or "news") are zeroed."""
+    _, cfg, ds, emb, graph = tiny_world(seed=seed)
+    params = build_params(cfg, np.random.default_rng(0), emb)
+    params["head.w"].values[:] = 1.0
+    if blind_block is not None:
+        g = cfg.embed_dim
+        t = g + cfg.tech_dim
+        lo, hi = {"graph": (0, g), "tech": (g, t), "news": (t, cfg.input_dim())}[blind_block]
+        for name, p in params.items():
+            if name.startswith("lstm.") and name.endswith(".w"):
+                assert p.values.shape[0] == cfg.input_dim()
+                p.values[lo:hi] = 0.0
+    idx = np.arange(6)
+
+    def forward():
+        return model_forward(params, cfg, ds.store, ds.stock_idx[idx],
+                             ds.anchor_idx[idx], graph).values
+
+    before = forward()
+    perturb(ds.store)
+    return not np.array_equal(forward(), before)
+
+
+def bump_news(store):
+    store.news += 1.0
+
+
+def bump_factors(store):
+    store.factors += 1.0
 
 
 def test_assemble_input_order_and_lengths():
-    c, g, o = np.ones(2), 2 * np.ones(3), 3 * np.ones(4)
-    h = assemble_input(c, g, o)
-    assert h.shape == (9,)
-    assert np.array_equal(h[:2], c) and np.array_equal(h[2:5], g) and np.array_equal(h[5:], o)
+    """The per-day input is [graph c, tech g, news o]: news is the last block."""
+    cfg = tiny_world()[1]
+    assert cfg.input_dim() == cfg.embed_dim + cfg.tech_dim + cfg.news_dim
+    assert input_reaches_forecast(bump_news, 10)
+    assert not input_reaches_forecast(bump_news, 10, "news")
 
 
 def test_assemble_input_disabled_news():
-    h = assemble_input(np.ones(2), 2 * np.ones(3), None)
-    assert h.shape == (5,)
+    _, cfg, ds, emb, graph = tiny_world(seed=11, with_news=False)
+    cfg = ablation_config("Graph+Tech", cfg)
+    assert cfg.input_dim() == cfg.embed_dim + cfg.tech_dim
+    params = build_params(cfg, np.random.default_rng(0), emb)
+    assert params["lstm.fwd.i.w"].values.shape[0] == cfg.input_dim()
+    out = model_forward(params, cfg, ds.store, ds.stock_idx[:3], ds.anchor_idx[:3], graph)
+    assert out.shape == (3,)
 
 
 def test_assemble_input_round_trip_slices():
-    rng = np.random.default_rng(1)
-    c, g, o = rng.normal(size=3), rng.normal(size=4), rng.normal(size=5)
-    h = assemble_input(c, g, o)
-    assert np.array_equal(h[:3], c)
-    assert np.array_equal(h[3:7], g)
-    assert np.array_equal(h[7:], o)
+    """The technical embedding occupies the columns between graph and news."""
+    assert input_reaches_forecast(bump_factors, 12, "news")
+    assert input_reaches_forecast(bump_factors, 12, "graph")
+    assert not input_reaches_forecast(bump_factors, 12, "tech")
 
 
 def test_assemble_input_empty_rejected():
-    with pytest.raises(ShapeError):
-        assemble_input(None, None, None)
+    with pytest.raises(ConfigError):
+        ModelConfig(use_graph=False, use_tech=False, use_news=False).validate()
+
+
+def pool(vs, w, b, u):
+    """temporal_pool over T single vectors (a batch of one row)."""
+    params = {"t.w": Tensor(w), "t.b": Tensor(b), "t.v": Tensor(u)}
+    pooled, beta = temporal_pool([Tensor(np.atleast_2d(v)) for v in vs], params, "t")
+    return pooled.values[0], beta.values[0]
 
 
 def test_temporal_attention_identical_inputs_uniform():
     rng = np.random.default_rng(2)
     v = rng.normal(size=6)
     w, b, u = rng.normal(size=(6, 3)), np.zeros(3), rng.normal(size=3)
-    pooled, beta = temporal_attention([v, v.copy(), v.copy()], w, b, u)
+    pooled, beta = pool([v, v.copy(), v.copy()], w, b, u)
     assert np.allclose(beta, 1.0 / 3.0, atol=1e-12)
     assert np.allclose(pooled, v, atol=1e-12)
 
@@ -79,8 +128,7 @@ def test_temporal_attention_identical_inputs_uniform():
 def test_temporal_attention_t1():
     rng = np.random.default_rng(3)
     v = rng.normal(size=4)
-    pooled, beta = temporal_attention([v], rng.normal(size=(4, 2)), np.zeros(2),
-                                      rng.normal(size=2))
+    pooled, beta = pool([v], rng.normal(size=(4, 2)), np.zeros(2), rng.normal(size=2))
     assert np.array_equal(beta, [1.0])
     assert np.allclose(pooled, v)
 
@@ -89,7 +137,7 @@ def test_temporal_attention_matches_bruteforce():
     rng = np.random.default_rng(4)
     vs = [rng.normal(size=5) for _ in range(5)]
     w, b, u = rng.normal(size=(5, 3)), rng.normal(size=3), rng.normal(size=3)
-    pooled, beta = temporal_attention(vs, w, b, u)
+    pooled, beta = pool(vs, w, b, u)
     scores = np.array([u @ np.tanh(v @ w + b) for v in vs])
     e = np.exp(scores - scores.max())
     expected = e / e.sum()
@@ -98,25 +146,28 @@ def test_temporal_attention_matches_bruteforce():
     assert beta.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def head_forward(seed, w, b):
+    """model_forward on six samples with the head set to (w, b)."""
+    _, cfg, ds, emb, graph = tiny_world(seed=seed)
+    params = build_params(cfg, np.random.default_rng(0), emb)
+    params["head.w"].values = np.asarray(w, dtype=float)
+    params["head.b"].values = np.asarray(b, dtype=float)
+    return model_forward(params, cfg, ds.store, ds.stock_idx[:6], ds.anchor_idx[:6],
+                         graph).values
+
+
 def test_predict_head_linear_bias_only():
-    out = predict_head(np.ones(4), np.zeros(4), 0.7, "linear")
-    assert out == pytest.approx(0.7)
-
-
-def test_predict_head_softmax_uniform():
-    out = predict_head(np.zeros(4), np.zeros((4, 3)), np.zeros(3), "softmax")
-    assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
+    width = 2 * tiny_world()[1].hidden
+    assert np.array_equal(head_forward(13, np.zeros(width), 0.7), np.full(6, 0.7))
 
 
 def test_predict_head_linear_matches_dot():
-    rng = np.random.default_rng(5)
-    v, w = rng.normal(size=6), rng.normal(size=6)
-    assert predict_head(v, w, 0.1) == pytest.approx(v @ w + 0.1, abs=1e-15)
-
-
-def test_predict_head_softmax_scalar_rejected():
-    with pytest.raises(ConfigError):
-        predict_head(np.zeros(4), np.zeros((4, 1)), np.zeros(1), "softmax")
+    """The forecast is linear in the head: pooled @ w + b."""
+    width = 2 * tiny_world()[1].hidden
+    pooled = np.column_stack([head_forward(14, np.eye(width)[k], 0.0)
+                              for k in range(width)])
+    w = np.random.default_rng(5).normal(size=width)
+    assert np.allclose(head_forward(14, w, 0.1), pooled @ w + 0.1, atol=1e-12)
 
 
 def test_mse_loss_examples():
@@ -150,8 +201,6 @@ def test_config_validation():
         ModelConfig(lookback=0).validate()
     with pytest.raises(ConfigError):
         ModelConfig(use_graph=False, use_tech=False, use_news=False).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(head="softmax", head_out=1).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +214,7 @@ def tiny_world(seed=0, n=4, days=30, l=5, with_graph=True, with_news=True,
     prices = {f"S{i}": list(50 * np.exp(np.cumsum(rng.normal(0, 0.01, size=days))))
               for i in range(n)}
     panel = make_bars(prices)
-    cfg = ModelConfig(lookback=lookback, embed_dim=3, neighbors=2, n_factors=l,
+    cfg = ModelConfig(lookback=lookback, embed_dim=3, n_factors=l,
                       tech_dim=4, news_dim=4, hidden=6, attn_hidden=3,
                       temporal_hidden=3, horizon=horizon, epochs=10, lr=5e-3,
                       batch_size=16, val_fraction=0.25, patience=50, seed=seed,

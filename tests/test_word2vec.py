@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from alphagraph import accel
 from alphagraph.errors import ConfigError, DataError
 from alphagraph.news import build_vocabulary
-from alphagraph.word2vec import (_cbow_epoch, build_negative_table,
-                                 encode_corpus, train_cbow)
+from alphagraph.word2vec import build_negative_table, encode_corpus, train_cbow
 
 
 def topic_corpus(seed=0, sentences=120, length=8):
@@ -89,27 +87,3 @@ def test_encode_corpus_drops_oov():
     tokens, starts = encode_corpus([["a", "zz", "b"], ["b"]], vocab)
     assert tokens.tolist() == [0, 1, 1]
     assert starts.tolist() == [0, 2, 3]
-
-
-@pytest.mark.skipif(not accel.NUMBA_AVAILABLE, reason="numba not installed")
-def test_cbow_kernel_numba_matches_python():
-    corpus = topic_corpus(seed=7, sentences=30)
-    vocab = build_vocabulary(corpus, min_count=1)
-    tokens, starts = encode_corpus(corpus, vocab)
-    rng = np.random.default_rng(0)
-    n, dim = len(vocab), 8
-    w_in0 = (rng.random((n, dim)) - 0.5) / dim
-    table = build_negative_table(np.bincount(tokens, minlength=n))
-    compiled = accel.force_njit(_cbow_epoch)
-
-    w_in_a, w_out_a = w_in0.copy(), np.zeros((n, dim))
-    loss_a, terms_a, state_a = _cbow_epoch(tokens, starts, w_in_a, w_out_a,
-                                           3, 4, 0.05, table, 12345)
-    w_in_b, w_out_b = w_in0.copy(), np.zeros((n, dim))
-    loss_b, terms_b, state_b = compiled(tokens, starts, w_in_b, w_out_b,
-                                        3, 4, 0.05, table, 12345)
-    assert terms_a == terms_b
-    assert state_a == state_b
-    assert loss_a == pytest.approx(loss_b, abs=1e-12)
-    assert np.allclose(w_in_a, w_in_b, atol=1e-15, rtol=0)
-    assert np.allclose(w_out_a, w_out_b, atol=1e-15, rtol=0)
