@@ -268,14 +268,20 @@ def test_standardization_idempotence():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-100, 100), min_size=4, max_size=60))
 @example([0.0, 0.0, 0.0, 1e-12])             # std 4e-13: z-scored, not zeroed
-@example([100.0, 100.0, 100.0, 100.000000000003])  # mean rounding is 1e-3 of the std
+# std 1.3e-12 but mean 0.0027: the zero threshold is absolute, not relative to
+# the column's magnitude (a known defect of standardize_cross_section)
+@example([100.0, 100.0, 100.0, 100.000000000003]).xfail(raises=AssertionError)
 def test_standardization_postconditions_property(values):
     col = np.asarray(values)
     mask = np.ones(col.size, dtype=bool)
     out = standardize_cross_section(col, mask)
     sd = np.std(col)
-    if sd > 1e-15:
-        # the z-scores' mean is off by the rounding of the column mean over sd
+    if sd > 1e-12:
+        assert abs(out[mask].mean()) <= 1e-9
+        assert out.min() >= -3.0 - 1e-12 and out.max() <= 3.0 + 1e-12
+    elif sd > 1e-15:
+        # z-scored, not zeroed; the mean is off by the rounding of the
+        # column mean over sd
         rounding = col.size * np.finfo(float).eps * np.abs(col).max() / sd
         assert abs(out[mask].mean()) <= 1e-9 + rounding
         assert out.min() >= -3.0 - 1e-12 and out.max() <= 3.0 + 1e-12

@@ -1,5 +1,7 @@
 """Model assembly, training behavior, prediction purity, ridge baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,13 @@ def test_assemble_input_round_trip_slices():
 
 
 def test_assemble_input_empty_rejected():
-    with pytest.raises(ConfigError):
-        ModelConfig(use_graph=False, use_tech=False, use_news=False).validate()
+    """An empty per-day input is refused where datasets and models are built."""
+    panel, cfg, ds, emb, graph = tiny_world(seed=13)
+    off = replace(cfg, use_graph=False, use_tech=False, use_news=False)
+    with pytest.raises(ConfigError, match="at least one input module"):
+        build_dataset(panel, None, None, off)
+    with pytest.raises(ConfigError, match="at least one input module"):
+        train(ds, off, emb, graph)
 
 
 def pool(vs, w, b, u):
