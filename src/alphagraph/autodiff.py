@@ -4,7 +4,10 @@ A :class:`Tape` records every primitive applied while it is active, in
 forward order, together with a closure that propagates the output gradient
 back to the inputs. ``Tape.backward`` walks the records in exact reverse
 order, accumulating gradients additively into each tensor's ``grad`` buffer.
-Outside a tape, primitives are plain numpy forward computations.
+A primitive with several outputs (``unstack``, ``lstm_step``) is one record
+whose closure receives the gradient of every output, ``None`` for an output
+nothing consumed. Outside a tape, primitives are plain numpy forward
+computations.
 
 Every primitive checks its output for NaN/Inf and raises
 :class:`NumericalFault` on the first non-finite value.
@@ -46,12 +49,16 @@ class Tensor:
 
     def ensure_grad(self) -> np.ndarray:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
+            self.grad = np.zeros(self.values.shape)
         return self.grad
 
     def accumulate(self, g):
-        self.ensure_grad()
-        self.grad += g
+        """Add ``g`` (same shape as the values) into the gradient buffer."""
+        if self.grad is None:
+            # a copy, never ``g`` itself: one array may feed several inputs
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def item(self) -> float:
         return float(self.values)
@@ -64,7 +71,7 @@ class Tape:
     """Ordered record of primitive applications for one forward pass."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, object]] = []
+        self._records: list[tuple[Tensor | tuple, object]] = []
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -85,7 +92,11 @@ class Tape:
         loss.ensure_grad()
         loss.grad += 1.0
         for out, backward_fn in reversed(self._records):
-            if out.grad is not None:
+            if type(out) is tuple:
+                grads = [t.grad for t in out]
+                if any(g is not None for g in grads):
+                    backward_fn(grads)
+            elif out.grad is not None:
                 backward_fn(out.grad)
 
 
@@ -99,7 +110,7 @@ def _as_tensor(x) -> Tensor:
 
 def _emit(values: np.ndarray, op: str, inputs, make_backward) -> Tensor:
     """Build the output tensor, validate finiteness, and record on the tape."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericalFault(f"non-finite values produced by '{op}'")
     tape = _active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
@@ -107,6 +118,19 @@ def _emit(values: np.ndarray, op: str, inputs, make_backward) -> Tensor:
     if needs:
         tape._records.append((out, make_backward(out)))
     return out
+
+
+def _emit_many(values_list, op: str, inputs, make_backward) -> list[Tensor]:
+    """``_emit`` for a primitive with several outputs, recorded once."""
+    for values in values_list:
+        if not np.isfinite(values).all():
+            raise NumericalFault(f"non-finite values produced by '{op}'")
+    tape = _active_tape()
+    needs = tape is not None and any(t.requires_grad for t in inputs)
+    outs = tuple(Tensor(v, requires_grad=needs) for v in values_list)
+    if needs:
+        tape._records.append((outs, make_backward(outs)))
+    return list(outs)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +227,15 @@ def tanh(x) -> Tensor:
     return _emit(y, "tanh", (x,), make)
 
 
+def _sigmoid_values(v: np.ndarray) -> np.ndarray:
+    # sigmoid(v) = (1 + tanh(v/2)) / 2: one transcendental call and no
+    # overflow for any finite v (tanh saturates to exactly +-1)
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    v = x.values
-    # Split form avoids exp overflow for large |v|.
-    y = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                 np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    y = _sigmoid_values(x.values)
 
     def make(out):
         def backward(g):
@@ -219,12 +246,24 @@ def sigmoid(x) -> Tensor:
     return _emit(y, "sigmoid", (x,), make)
 
 
-def softmax(x) -> Tensor:
-    """Softmax over the last axis of a 1-D or 2-D tensor, max-subtracted."""
+def softmax(x, mask=None) -> Tensor:
+    """Softmax over the last axis of a 1-D or 2-D tensor, max-subtracted.
+
+    With a boolean ``mask`` of the same shape, entries where it is False get
+    weight exactly 0 and receive no gradient; every row must keep at least
+    one entry.
+    """
     x = _as_tensor(x)
     if x.ndim not in (1, 2):
         raise ShapeError(f"softmax: expected 1-D or 2-D input, got shape {x.shape}")
     v = x.values
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != v.shape:
+            raise ShapeError(f"softmax: mask shape {mask.shape} != input shape {v.shape}")
+        if not mask.any(axis=-1).all():
+            raise ShapeError("softmax: a row is masked out entirely")
+        v = np.where(mask, v, -np.inf)
     m = v.max(axis=-1, keepdims=True)
     e = np.exp(v - m)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -298,7 +337,9 @@ def affine(x, w, b) -> Tensor:
                 b.accumulate(g if x.ndim == 1 else g.sum(axis=0))
         return backward
 
-    return _emit(xv @ wv + bv, "affine", (x, w, b), make)
+    y = xv @ wv
+    y += bv  # in place: a fresh broadcast sum costs a second large allocation
+    return _emit(y, "affine", (x, w, b), make)
 
 
 def add_bias(x, b) -> Tensor:
@@ -354,42 +395,77 @@ def concat(tensors, axis: int = -1) -> Tensor:
                  "concat", tensors, make)
 
 
+def _index(ndim: int, axis: int, i) -> tuple:
+    return (slice(None),) * axis + (i,) + (slice(None),) * (ndim - axis - 1)
+
+
+def stack(tensors, axis: int = 0) -> Tensor:
+    """Stack K same-shape tensors along a new ``axis``."""
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
+        raise ShapeError("stack: expects a non-empty list of same-shape tensors")
+    nd = tensors[0].ndim + 1
+    ax = axis % nd
+
+    def make(out):
+        def backward(g):
+            for i, t in enumerate(tensors):
+                if t.requires_grad:
+                    t.accumulate(g[_index(nd, ax, i)])
+        return backward
+
+    return _emit(np.stack([t.values for t in tensors], axis=ax), "stack", tensors, make)
+
+
 def stack_rows(tensors) -> Tensor:
     """Stack K same-length 1-D tensors into a (K, M) matrix."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors or any(t.ndim != 1 for t in tensors):
+    if not tensors or any(_as_tensor(t).ndim != 1 for t in tensors):
         raise ShapeError("stack_rows: expects a non-empty list of 1-D tensors")
+    return stack(tensors, axis=0)
+
+
+def unstack(x, axis: int = 0) -> list[Tensor]:
+    """Split ``x`` along ``axis`` into views without that axis; one record."""
+    x = _as_tensor(x)
+    if x.ndim < 1:
+        raise ShapeError("unstack: expected at least a 1-D input")
+    ax = axis % x.ndim
+    parts = [x.values[_index(x.ndim, ax, i)] for i in range(x.shape[ax])]
+
+    def make(outs):
+        def backward(grads):
+            if x.requires_grad:
+                x.ensure_grad()
+                for i, g in enumerate(grads):
+                    if g is not None:
+                        x.grad[_index(x.ndim, ax, i)] += g
+        return backward
+
+    return _emit_many(parts, "unstack", (x,), make)
+
+
+def reshape(x, shape) -> Tensor:
+    """Same values in a new shape (a view where numpy allows one)."""
+    x = _as_tensor(x)
+    try:
+        y = x.values.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}") from exc
 
     def make(out):
         def backward(g):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    t.accumulate(g[i])
+            if x.requires_grad:
+                x.accumulate(g.reshape(x.shape))
         return backward
 
-    return _emit(np.stack([t.values for t in tensors], axis=0),
-                 "stack_rows", tensors, make)
-
-
-def stack_cols(tensors) -> Tensor:
-    """Stack K same-length 1-D tensors into an (N, K) matrix."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors or any(t.ndim != 1 for t in tensors):
-        raise ShapeError("stack_cols: expects a non-empty list of 1-D tensors")
-
-    def make(out):
-        def backward(g):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    t.accumulate(g[:, i])
-        return backward
-
-    return _emit(np.stack([t.values for t in tensors], axis=1),
-                 "stack_cols", tensors, make)
+    return _emit(y, "reshape", (x,), make)
 
 
 def gather_rows(m, index) -> Tensor:
-    """Select rows ``index`` from a 2-D tensor; backward scatter-adds."""
+    """Select rows ``index`` (an int array of any shape) from a 2-D tensor.
+
+    The output has shape ``index.shape + (M,)``; backward scatter-adds.
+    """
     m = _as_tensor(m)
     if m.ndim != 2:
         raise ShapeError(f"gather_rows: expected 2-D input, got {m.shape}")
@@ -420,21 +496,6 @@ def take_row(m, i: int) -> Tensor:
     return _emit(m.values[i].copy(), "take_row", (m,), make)
 
 
-def take_col(m, j: int) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2:
-        raise ShapeError(f"take_col: expected 2-D input, got {m.shape}")
-
-    def make(out):
-        def backward(g):
-            if m.requires_grad:
-                m.ensure_grad()
-                m.grad[:, j] += g
-        return backward
-
-    return _emit(m.values[:, j].copy(), "take_col", (m,), make)
-
-
 def mul_rows(m, s) -> Tensor:
     """Scale each row of (N, M) tensor ``m`` by the matching entry of (N,) ``s``."""
     m, s = _as_tensor(m), _as_tensor(s)
@@ -451,6 +512,97 @@ def mul_rows(m, s) -> Tensor:
         return backward
 
     return _emit(mv * sv[:, None], "mul_rows", (m, s), make)
+
+
+def weighted_sum(seq, w) -> Tensor:
+    """Per-row weighted sum over the middle axis: ``sum_k w[n, k] * seq[n, k]``.
+
+    ``seq`` is (N, K, M) and ``w`` (N, K); the result is (N, M). The terms
+    are added in order k = 0, 1, ..., K-1.
+    """
+    seq, w = _as_tensor(seq), _as_tensor(w)
+    if seq.ndim != 3 or w.shape != seq.shape[:2] or seq.shape[1] == 0:
+        raise ShapeError(f"weighted_sum: shapes {seq.shape} and {w.shape} incompatible")
+    sv, wv = seq.values, w.values
+    y = sv[:, 0] * wv[:, 0, None]
+    for k in range(1, sv.shape[1]):
+        y += sv[:, k] * wv[:, k, None]
+
+    def make(out):
+        def backward(g):
+            if seq.requires_grad:
+                seq.accumulate(g[:, None, :] * wv[:, :, None])
+            if w.requires_grad:
+                w.accumulate(np.einsum("nkm,nm->nk", sv, g))
+        return backward
+
+    return _emit(y, "weighted_sum", (seq, w), make)
+
+
+def lstm_step(zx, zh, c_prev):
+    """Pointwise LSTM update from fused gate pre-activations; returns (h, c).
+
+    ``zx + zh`` holds the i, f, g, o pre-activations as four blocks of width
+    H along the last axis, so ``zx`` is (..., 4H); ``c_prev`` is (..., H).
+    ``zh`` and ``c_prev`` may be None for a zero initial state. The gates
+    are ``i, f, o = sigmoid(.)`` and ``g = tanh(.)``, then
+    ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``. One record with an
+    analytic backward.
+    """
+    zx = _as_tensor(zx)
+    zh = None if zh is None else _as_tensor(zh)
+    c_prev = None if c_prev is None else _as_tensor(c_prev)
+    width = zx.shape[-1] if zx.ndim else 0
+    H = width // 4
+    if zx.ndim == 0 or width != 4 * H or (zh is not None and zh.shape != zx.shape) \
+            or (c_prev is not None and c_prev.shape != zx.shape[:-1] + (H,)):
+        raise ShapeError(f"lstm_step: shapes {zx.shape}, "
+                         f"{None if zh is None else zh.shape}, "
+                         f"{None if c_prev is None else c_prev.shape} incompatible")
+    act = zx.values.copy() if zh is None else zx.values + zh.values
+    # act becomes sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) in place, with
+    # sigmoid = (1 + tanh(z/2)) / 2 as _sigmoid_values evaluates it, so one
+    # tanh call covers all four gates
+    sig = (act[..., :2 * H], act[..., 3 * H:])
+    for block in sig:
+        block *= 0.5
+    np.tanh(act, out=act)
+    for block in sig:
+        block += 1.0
+        block *= 0.5
+    i, f, g, o = (act[..., k * H:(k + 1) * H] for k in range(4))
+    if c_prev is None:
+        c = i * g
+    else:  # f * c_prev + i * g
+        c = f * c_prev.values
+        c += i * g
+    tc = np.tanh(c)
+    h = o * tc
+    inputs = (zx,) + tuple(t for t in (zh, c_prev) if t is not None)
+
+    def make(outs):
+        def backward(grads):
+            gh, gc = grads
+            dc = np.zeros_like(c) if gc is None else gc
+            if gh is not None:
+                dc = dc + gh * o * (1.0 - tc * tc)
+            dz = np.zeros_like(act)
+            dz[..., :H] = dc * g * i * (1.0 - i)
+            if c_prev is not None:
+                dz[..., H:2 * H] = dc * c_prev.values * f * (1.0 - f)
+            dz[..., 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            if gh is not None:
+                dz[..., 3 * H:] = gh * tc * o * (1.0 - o)
+            if zx.requires_grad:
+                zx.accumulate(dz)
+            if zh is not None and zh.requires_grad:
+                zh.accumulate(dz)
+            if c_prev is not None and c_prev.requires_grad:
+                c_prev.accumulate(dc * f)
+        return backward
+
+    h_t, c_t = _emit_many((h, c), "lstm_step", inputs, make)
+    return h_t, c_t
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import csv
 import datetime as dt
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,34 @@ def _artifact(path, producer: str) -> Path:
     return path
 
 
-def _load_npz(path, producer: str):
-    return np.load(_artifact(path, producer), allow_pickle=False)
+class _NpzArrays(dict):
+    """The arrays of one ``.npz`` artifact; asking for a missing one is a
+    DataError naming the file."""
+
+    def __init__(self, arrays, path, producer: str):
+        super().__init__(arrays)
+        self.path, self.producer = path, producer
+
+    def __missing__(self, name):
+        raise DataError(f"{self.path}: no array {name!r}; rerun {self.producer}")
+
+
+def _load_npz(path, producer: str) -> _NpzArrays:
+    """Every array of an ``.npz`` artifact, read at once.
+
+    A truncated or corrupt file (no zip directory, a member failing its
+    CRC check) is a DataError naming it.
+    """
+    path = _artifact(path, producer)
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with z:
+            return _NpzArrays({name: z[name] for name in z.files}, path, producer)
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
+        raise DataError(f"{path}: truncated or corrupt .npz file ({exc}); "
+                        f"rerun {producer}") from exc
 
 
 def _save_panel(path, panel: BarPanel) -> None:

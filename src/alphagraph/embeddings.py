@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, NumericalFault
+from .errors import ConfigError, DataError, NumericalFault, ShapeError
 from .news import CooccurrenceMatrix
 
 
@@ -157,21 +157,34 @@ def export_graph_csv(graph: StockGraph, path) -> None:
 # Neighbor attention
 # ---------------------------------------------------------------------------
 
-def attention_representation(e_i, neighbor_rows, w, b, v):
-    """Differentiable attention over a stock's neighbors.
+def attention_representation(e_i, neighbor_rows, w, b, v, mask=None):
+    """Differentiable attention over stocks' neighbors, all stocks at once.
 
-    ``e_i`` is the stock's own embedding (d,), ``neighbor_rows`` the (K, d)
-    neighbor embeddings; parameters may be Tensors or arrays. Scores are
-    ``v . tanh(W [e_i; e_j] + b)`` per neighbor, softmaxed into weights; the
-    representation is the weight-averaged neighbor embedding. Returns
-    (representation Tensor (d,), weights Tensor (K,)).
+    For one stock, ``e_i`` is its own embedding (d,) and ``neighbor_rows``
+    the (K, d) neighbor embeddings. For U stocks, they are (U, d) and
+    (U, K, d), and the optional (U, K) boolean ``mask`` marks the real
+    neighbors when the lists are ragged (padded rows are False and get
+    weight 0). Parameters may be Tensors or arrays. Scores are
+    ``v . tanh(W [e_i; e_j] + b)`` per (stock, neighbor) pair, all U*K
+    pairs in one pass, softmaxed over each stock's neighbors into weights;
+    the representation is the weight-averaged neighbor embedding. Returns
+    (representation (d,) or (U, d), weights (K,) or (U, K)).
     """
-    k = neighbor_rows.shape[0]
-    tiled = ad.stack_rows([e_i] * k)
-    pairs = ad.concat([tiled, neighbor_rows], axis=1)
+    single = neighbor_rows.ndim == 2
+    if single:
+        k, d = neighbor_rows.shape
+        e_i = ad.reshape(e_i, (1, d))
+        neighbor_rows = ad.reshape(neighbor_rows, (1, k, d))
+    u, k, d = neighbor_rows.shape
+    if k == 0:
+        raise ShapeError("attention_representation: empty neighbor set")
+    tiled = ad.gather_rows(e_i, np.repeat(np.arange(u), k))
+    pairs = ad.concat([tiled, ad.reshape(neighbor_rows, (u * k, d))], axis=1)
     scores = ad.matmul(ad.tanh(ad.affine(pairs, w, b)), v)
-    weights = ad.softmax(scores)
-    rep = ad.matmul(weights, neighbor_rows)
+    weights = ad.softmax(ad.reshape(scores, (u, k)), mask)
+    rep = ad.weighted_sum(neighbor_rows, weights)
+    if single:
+        return ad.reshape(rep, (d,)), ad.reshape(weights, (k,))
     return rep, weights
 
 

@@ -27,6 +27,9 @@ from .market import BarPanel, log_return
 from .news import DailyNewsPanel
 
 MAX_TECH_DIM = 1024
+# samples per forward pass in prediction and validation; it bounds the
+# (N*T, 4*hidden) arrays the BiLSTM holds at once
+EVAL_CHUNK = 1024
 
 ABLATIONS = {
     "news": (False, False, True),
@@ -226,73 +229,66 @@ def build_params(cfg: ModelConfig, rng: np.random.Generator,
     return params
 
 
-def _graph_representations(params: dict, graph: StockGraph, stocks) -> dict:
-    """Attention representation c_i for each distinct stock in the batch."""
+def _graph_representations(params: dict, graph: StockGraph, stocks: np.ndarray) -> Tensor:
+    """Attention representations (U, d) of the U distinct stocks of a batch,
+    in one attention call; ragged neighbor lists are padded and masked."""
+    nbrs = [graph.neighbors(int(i)) for i in stocks]
+    lens = np.fromiter(map(len, nbrs), dtype=np.intp, count=len(nbrs))
+    if not lens.all():
+        raise ShapeError(f"stock index {stocks[np.argmin(lens)]} has no graph neighbors")
+    k = int(lens.max())
+    mask = np.arange(k) < lens[:, None]
+    idx = np.zeros(mask.shape, dtype=np.intp)
+    idx[mask] = np.concatenate(nbrs)
     emb = params["graph.emb"]
-    reps = {}
-    for i in stocks:
-        nbrs = graph.neighbors(int(i))
-        if not nbrs:
-            raise ShapeError(f"stock index {i} has no graph neighbors")
-        e_i = ad.take_row(emb, int(i))
-        rows = ad.gather_rows(emb, nbrs)
-        rep, weights = attention_representation(
-            e_i, rows, params["graph.attn.w"], params["graph.attn.b"],
-            params["graph.attn.v"])
-        reps[int(i)] = (rep, weights)
+    reps, _ = attention_representation(
+        ad.gather_rows(emb, stocks), ad.gather_rows(emb, idx), params["graph.attn.w"],
+        params["graph.attn.b"], params["graph.attn.v"],
+        mask=None if mask.all() else mask)
     return reps
 
 
-def temporal_pool(vs, params: dict, prefix: str):
-    """Softmax attention over a sequence of T (N, width) tensors.
+def temporal_pool(seq: Tensor, params: dict, prefix: str):
+    """Softmax attention over the T steps of each (N, T, width) sequence.
 
-    Scores are ``v . tanh(W x_t + b)`` per step, softmaxed over the T steps
-    of each row. Returns (pooled (N, width), weights (N, T)).
+    Scores are ``v . tanh(W x_t + b)``, computed for all N*T steps in one
+    pass and softmaxed over the T steps of each row. Returns
+    (pooled (N, width), weights (N, T)).
     """
-    beta = ad.softmax(ad.stack_cols([nn.score_net(v, params, prefix) for v in vs]))
-    pooled = None
-    for t, v in enumerate(vs):
-        term = ad.mul_rows(v, ad.take_col(beta, t))
-        pooled = term if pooled is None else ad.add(pooled, term)
-    return pooled, beta
+    N, T, width = seq.shape
+    scores = nn.score_net(ad.reshape(seq, (N * T, width)), params, prefix)
+    beta = ad.softmax(ad.reshape(scores, (N, T)))
+    return ad.weighted_sum(seq, beta), beta
 
 
 def model_forward(params: dict, cfg: ModelConfig, store: FeatureStore,
                   stock_idx: np.ndarray, anchor_idx: np.ndarray,
                   graph: StockGraph | None, capture: dict | None = None) -> Tensor:
-    """Forecasts for a batch of samples; (N,) tensor."""
-    N = stock_idx.size
-    parts_static = None
+    """Forecasts for a batch of samples; (N,) tensor.
+
+    Each layer runs once per batch. Per-day inputs are laid out sample-major,
+    row ``n * T + t`` holding sample n on lookback day t: neighbor attention
+    runs once for the batch's distinct stocks, the technical embedding once
+    over all N*T days, and the BiLSTM and temporal attention on the
+    (N, T, width) sequence.
+    """
+    N, T = stock_idx.size, cfg.lookback
+    days = anchor_idx[:, None] - T + np.arange(T)
+    stocks = np.broadcast_to(stock_idx[:, None], days.shape)
+    parts = []
     if cfg.use_graph:
-        uniq = sorted(set(int(i) for i in stock_idx))
+        uniq, pos = np.unique(stock_idx, return_inverse=True)
         reps = _graph_representations(params, graph, uniq)
-        c_all = ad.stack_rows([reps[i][0] for i in uniq])
-        pos = {i: r for r, i in enumerate(uniq)}
-        rows = np.asarray([pos[int(i)] for i in stock_idx], dtype=np.intp)
-        parts_static = ad.gather_rows(c_all, rows)
-        if capture is not None:
-            capture["stock_alpha"] = {i: reps[i][1].values.copy() for i in uniq}
+        parts.append(ad.gather_rows(reps, np.repeat(pos, T)))
+    if cfg.use_tech:
+        tech_w = ad.relu(params["tech.w"]) if cfg.nonneg_tech else params["tech.w"]
+        f = store.factors[days, stocks].reshape(N * T, -1)
+        parts.append(ad.relu(ad.affine(f, tech_w, params["tech.b"])))
+    if cfg.use_news:
+        parts.append(Tensor(store.news[days, stocks].reshape(N * T, -1)))
+    x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
 
-    if cfg.use_tech and cfg.nonneg_tech:
-        tech_w = ad.relu(params["tech.w"])
-    elif cfg.use_tech:
-        tech_w = params["tech.w"]
-
-    xs = []
-    T = cfg.lookback
-    for lag in range(T):
-        days = anchor_idx - T + lag
-        parts = []
-        if parts_static is not None:
-            parts.append(parts_static)
-        if cfg.use_tech:
-            f = Tensor(store.factors[days, stock_idx])
-            parts.append(ad.relu(ad.affine(f, tech_w, params["tech.b"])))
-        if cfg.use_news:
-            parts.append(Tensor(store.news[days, stock_idx]))
-        xs.append(parts[0] if len(parts) == 1 else ad.concat(parts, axis=1))
-
-    vs = nn.bilstm(xs, cfg.hidden, params, "lstm")
+    vs = nn.bilstm(ad.reshape(x, (N, T, x.shape[1])), cfg.hidden, params, "lstm")
     pooled, beta = temporal_pool(vs, params, "temporal")
     if capture is not None:
         capture["temporal_beta"] = beta.values.copy()
@@ -315,10 +311,10 @@ class TrainedModel:
         return {k: t.values.copy() for k, t in self.params.items()}
 
 
-def _forward_loss_eval(params, cfg, ds: Dataset, graph, idx, chunk=4096) -> float:
+def _forward_loss_eval(params, cfg, ds: Dataset, graph, idx) -> float:
     total, count = 0.0, 0
-    for s in range(0, idx.size, chunk):
-        sub = idx[s:s + chunk]
+    for s in range(0, idx.size, EVAL_CHUNK):
+        sub = idx[s:s + EVAL_CHUNK]
         yhat = model_forward(params, cfg, ds.store, ds.stock_idx[sub],
                              ds.anchor_idx[sub], graph)
         total += float(np.sum((yhat.values - ds.labels[sub]) ** 2))
@@ -410,15 +406,15 @@ class ForecastPanel:
         return np.isfinite(self.yhat) & np.isfinite(self.y)
 
 
-def predict(model: TrainedModel, dataset: Dataset, chunk: int = 4096,
+def predict(model: TrainedModel, dataset: Dataset,
             capture: dict | None = None) -> ForecastPanel:
     """Pure forward evaluation over a dataset, keyed by (entry day, stock)."""
     D, S = len(dataset.store.calendar), len(dataset.store.symbols)
     yhat = np.full((D, S), np.nan)
     y = np.full((D, S), np.nan)
     betas = [] if capture is not None else None
-    for s in range(0, dataset.n, chunk):
-        sl = slice(s, s + chunk)
+    for s in range(0, dataset.n, EVAL_CHUNK):
+        sl = slice(s, s + EVAL_CHUNK)
         cap = {} if capture is not None else None
         out = model_forward(model.params, model.cfg, dataset.store,
                             dataset.stock_idx[sl], dataset.anchor_idx[sl],

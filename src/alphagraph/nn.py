@@ -38,25 +38,23 @@ def init_lstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
         param(bias, params, f"{prefix}.{gate}.b")
 
 
+def _fused_gates(params: dict, prefix: str, piece: str) -> Tensor:
+    """The four per-gate tensors ``{prefix}.{i,f,g,o}.{piece}`` side by side
+    along the last axis: (in_dim, 4H) for ``w``, (H, 4H) for ``u`` and (4H,)
+    for ``b``. Built at forward time, so the parameters stay per gate."""
+    return ad.concat([params[f"{prefix}.{gate}.{piece}"] for gate in GATES], axis=-1)
+
+
 def lstm_cell(x, h_prev, c_prev, params: dict, prefix: str):
     """One LSTM step: returns (h_t, c_t).
 
     ``x`` may be a single input vector or an (N, in_dim) batch; hidden and
     cell states follow the same convention. No peepholes; sigmoid gates and
-    tanh candidate/cell activations.
+    tanh candidate/cell activations, evaluated through the fused gate
+    matrices by one ``lstm_step``.
     """
-    def gate(name, activation):
-        z = ad.add(ad.affine(x, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"]),
-                   ad.matmul(h_prev, params[f"{prefix}.{name}.u"]))
-        return activation(z)
-
-    i = gate("i", ad.sigmoid)
-    f = gate("f", ad.sigmoid)
-    g = gate("g", ad.tanh)
-    o = gate("o", ad.sigmoid)
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h_t = ad.mul(o, ad.tanh(c_t))
-    return h_t, c_t
+    zx = ad.affine(x, _fused_gates(params, prefix, "w"), _fused_gates(params, prefix, "b"))
+    return ad.lstm_step(zx, ad.matmul(h_prev, _fused_gates(params, prefix, "u")), c_prev)
 
 
 def init_bilstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
@@ -68,28 +66,47 @@ def init_bilstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
 def bilstm(xs, hidden: int, params: dict, prefix: str):
     """Run forward and backward LSTM passes over a sequence.
 
-    ``xs`` is a list of T tensors, each (in_dim,) or (N, in_dim). Returns a
-    list of T outputs where output t is the concatenation of the forward
-    state at t and the backward state at t (width 2*hidden).
+    ``xs`` is an (N, T, in_dim) tensor, or a list of T tensors, each
+    (in_dim,) or (N, in_dim). The result takes the same form: an
+    (N, T, 2*hidden) tensor, or a list of T outputs of width 2*hidden.
+    Output t is the concatenation of the forward state at t and the
+    backward state at t.
     """
+    if isinstance(xs, Tensor):
+        if xs.ndim != 3:
+            raise ShapeError(f"bilstm: expected an (N, T, in_dim) tensor, got {xs.shape}")
+        return _bilstm(xs, hidden, params, prefix)
     if not xs:
         raise ShapeError("bilstm: empty input sequence")
-    batched = xs[0].ndim == 2
-    state_shape = (xs[0].shape[0], hidden) if batched else (hidden,)
+    T = len(xs)
+    if xs[0].ndim == 1:
+        seq = ad.reshape(ad.stack(xs, axis=0), (1, T, xs[0].shape[0]))
+        return ad.unstack(ad.reshape(_bilstm(seq, hidden, params, prefix), (T, 2 * hidden)))
+    return ad.unstack(_bilstm(ad.stack(xs, axis=1), hidden, params, prefix), axis=1)
 
-    def run(seq, sub):
-        h = Tensor(np.zeros(state_shape))
-        c = Tensor(np.zeros(state_shape))
-        out = []
-        for x in seq:
-            h, c = lstm_cell(x, h, c, params, f"{prefix}.{sub}")
-            out.append(h)
-        return out
 
-    fwd = run(xs, "fwd")
-    bwd = run(list(reversed(xs)), "bwd")
-    bwd.reverse()
-    return [ad.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+def _bilstm(seq: Tensor, hidden: int, params: dict, prefix: str) -> Tensor:
+    """BiLSTM over an (N, T, in_dim) tensor -> (N, T, 2*hidden).
+
+    Each direction projects all N*T inputs through its fused input matrix
+    in one affine, so a recurrent step is one (hidden, 4*hidden) matmul and
+    one ``lstm_step``.
+    """
+    N, T, in_dim = seq.shape
+    x = ad.reshape(seq, (N * T, in_dim))
+    halves = []
+    for sub, steps in (("fwd", range(T)), ("bwd", range(T - 1, -1, -1))):
+        p = f"{prefix}.{sub}"
+        zx = ad.affine(x, _fused_gates(params, p, "w"), _fused_gates(params, p, "b"))
+        zx = ad.unstack(ad.reshape(zx, (N, T, 4 * hidden)), axis=1)
+        u = _fused_gates(params, p, "u")
+        h = c = None  # zero initial state
+        hs = [None] * T
+        for t in steps:
+            h, c = ad.lstm_step(zx[t], None if h is None else ad.matmul(h, u), c)
+            hs[t] = h
+        halves.append(ad.stack(hs, axis=1))
+    return ad.concat(halves, axis=-1)
 
 
 def init_score_net(rng: np.random.Generator, in_dim: int, hidden: int,

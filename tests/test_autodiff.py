@@ -1,5 +1,7 @@
 """Gradient and contract tests for the reverse-mode engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from alphagraph import autodiff as ad
 from alphagraph import nn
 from alphagraph.autodiff import Tape, Tensor, gradient_check
+from alphagraph.embeddings import attention_representation
 from alphagraph.errors import ConfigError, NumericalFault, ShapeError
 
 
@@ -45,6 +48,24 @@ def test_softmax_shift_invariance_property(xs, shift):
     b = ad.softmax(t(x + shift)).values
     assert abs(a.sum() - 1.0) <= 1e-12
     assert np.allclose(a, b, atol=1e-12)
+
+
+def _sigmoid_exp_form(v):
+    """The split exp form sigmoid was evaluated with before the tanh form."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_tanh_form_matches_exp_form():
+    x = np.linspace(-50.0, 50.0, 200_001)
+    assert np.max(np.abs(ad.sigmoid(t(x)).values - _sigmoid_exp_form(x))) <= 4.5e-16
+
+
+def test_sigmoid_saturates_exactly_without_warning():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        out = ad.sigmoid(t([-1000.0, 1000.0])).values
+    assert out[0] == 0.0 and out[1] == 1.0
 
 
 def test_sigmoid_extreme_inputs_no_overflow():
@@ -130,17 +151,124 @@ def test_structural_primitives_backward_matches_fd():
         g = ad.gather_rows(m, idx)             # (4, 3)
         g = ad.mul_rows(g, s)                  # rows scaled
         c = ad.concat([ad.take_row(m, 1), v1, v2], axis=0)
-        st_ = ad.stack_rows([v1, v2, ad.take_col(g, 0)[:3]]) if False else ad.stack_rows([v1, v2])
+        st_ = ad.stack_rows([v1, v2])
         return ad.add(ad.mean(g), ad.add(ad.mean(c), ad.mean(st_)))
 
     _fd_case(build, [m, s, v1, v2], 0)
 
 
-def test_take_col_and_stack_cols_backward():
+def test_stack_and_unstack_backward():
     rng = np.random.default_rng(5)
     m = t(rng.normal(size=(4, 3)))
-    cols = [ad.take_col(m, j) for j in range(3)]
-    _fd_case(lambda: ad.mean(ad.stack_cols([ad.tanh(ad.take_col(m, j)) for j in range(3)])), [m], 0)
+    for axis in (0, 1):
+        _fd_case(lambda: ad.mean(ad.stack([ad.tanh(c) for c in ad.unstack(m, axis)],
+                                          axis=axis)), [m], 0)
+    # an unconsumed part contributes no gradient
+    _fd_case(lambda: ad.mean(ad.tanh(ad.unstack(m, 1)[2])), [m], 0)
+
+
+def test_reshape_backward_matches_fd():
+    rng = np.random.default_rng(7)
+    m = t(rng.normal(size=(2, 3, 4)))
+    probe = Tensor(rng.normal(size=(6, 4)))
+    _fd_case(lambda: ad.mean(ad.tanh(ad.mul(ad.reshape(m, (6, 4)), probe))), [m], 0)
+    with pytest.raises(ShapeError):
+        ad.reshape(m, (5, 5))
+
+
+def test_gather_rows_with_2d_index_backward_matches_fd():
+    rng = np.random.default_rng(8)
+    m = t(rng.normal(size=(5, 3)))
+    idx = np.array([[0, 2], [2, 4], [1, 1]])
+    assert ad.gather_rows(m, idx).shape == (3, 2, 3)
+    _fd_case(lambda: ad.mean(ad.tanh(ad.gather_rows(m, idx))), [m], 0)
+
+
+def test_weighted_sum_matches_loop_and_fd():
+    rng = np.random.default_rng(9)
+    seq, w = t(rng.normal(size=(3, 4, 5))), t(rng.normal(size=(3, 4)))
+    expected = sum(seq.values[:, k] * w.values[:, k, None] for k in range(4))
+    assert np.array_equal(ad.weighted_sum(seq, w).values, expected)
+    _fd_case(lambda: ad.mean(ad.tanh(ad.weighted_sum(seq, w))), [seq, w], 0)
+    with pytest.raises(ShapeError):
+        ad.weighted_sum(seq, t(np.ones((3, 5))))
+
+
+def _lstm_step_by_gates(z, c_prev):
+    """lstm_step spelled out with one primitive per gate."""
+    H = z.shape[-1] // 4
+    i, f, g, o = (z.values[..., k * H:(k + 1) * H] for k in range(4))
+    c = ad.add(ad.mul(ad.sigmoid(t(f)), c_prev), ad.mul(ad.sigmoid(t(i)), ad.tanh(t(g))))
+    return ad.mul(ad.sigmoid(t(o)), ad.tanh(c)), c
+
+
+def test_lstm_step_equals_per_gate_formula():
+    rng = np.random.default_rng(10)
+    zx, zh, c0 = rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), rng.normal(size=(3, 2))
+    h, c = ad.lstm_step(t(zx), t(zh), t(c0))
+    h_ref, c_ref = _lstm_step_by_gates(t(zx + zh), t(c0))
+    assert np.array_equal(h.values, h_ref.values) and np.array_equal(c.values, c_ref.values)
+    h, c = ad.lstm_step(t(zx), None, None)  # zero initial state
+    h_ref, c_ref = _lstm_step_by_gates(t(zx), t(np.zeros((3, 2))))
+    assert np.array_equal(h.values, h_ref.values) and np.array_equal(c.values, c_ref.values)
+    with pytest.raises(ShapeError):
+        ad.lstm_step(t(np.ones((3, 7))), None, None)
+
+
+@pytest.mark.parametrize("with_state", [True, False])
+@pytest.mark.parametrize("consume", ["both", "h", "c"])
+def test_lstm_step_backward_matches_fd(with_state, consume):
+    rng = np.random.default_rng(11)
+    zx, zh, c0 = t(rng.normal(size=(3, 8))), t(rng.normal(size=(3, 8))), t(rng.normal(size=(3, 2)))
+    ph, pc = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
+
+    def build():
+        h, c = ad.lstm_step(zx, zh if with_state else None, c0 if with_state else None)
+        terms = {"h": ad.mul(h, ph), "c": ad.mul(c, pc)}
+        if consume == "both":
+            return ad.mean(ad.add(terms["h"], terms["c"]))
+        return ad.mean(terms[consume])
+
+    _fd_case(build, [zx, zh, c0] if with_state else [zx], 0)
+
+
+def test_masked_softmax_zeroes_masked_entries_and_matches_fd():
+    rng = np.random.default_rng(12)
+    x = t(rng.normal(size=(3, 4)))
+    mask = np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 0]], dtype=bool)
+    y = ad.softmax(x, mask).values
+    assert np.all(y[~mask] == 0.0)
+    assert np.allclose(y.sum(axis=1), 1.0, atol=1e-15)
+    kept = ad.softmax(t(x.values[1, [0, 2]])).values
+    assert np.allclose(y[1, [0, 2]], kept, atol=1e-15)
+    probe = Tensor(rng.normal(size=(3, 4)))
+    _fd_case(lambda: ad.mean(ad.mul(ad.softmax(x, mask), probe)), [x], 0)
+    with Tape() as tape:
+        tape.backward(ad.mean(ad.mul(ad.softmax(x, mask), probe)))
+    assert np.all(x.grad[~mask] == 0.0)
+    with pytest.raises(ShapeError):
+        ad.softmax(x, np.zeros((3, 4), dtype=bool))
+
+
+def test_masked_batched_attention_matches_per_stock_and_fd():
+    rng = np.random.default_rng(13)
+    e = t(rng.normal(size=(6, 3)))
+    aw, ab, av = t(rng.normal(scale=0.5, size=(6, 4))), t(np.zeros(4)), t(rng.normal(size=4))
+    lists = [[1, 3, 4], [2, 5], [0]]
+    idx = np.array([[1, 3, 4], [2, 5, 0], [0, 0, 0]])
+    mask = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]], dtype=bool)
+
+    def batched():
+        return attention_representation(ad.gather_rows(e, [0, 1, 2]), ad.gather_rows(e, idx),
+                                        aw, ab, av, mask=mask)
+
+    rep, weights = batched()
+    for u, nbrs in enumerate(lists):
+        r, w = attention_representation(ad.take_row(e, u), ad.gather_rows(e, nbrs), aw, ab, av)
+        assert np.allclose(rep.values[u], r.values, rtol=0, atol=1e-15)
+        assert np.allclose(weights.values[u, :len(nbrs)], w.values, rtol=0, atol=1e-15)
+    assert np.all(weights.values[~mask] == 0.0)
+    _fd_case(lambda: ad.mean(ad.tanh(batched()[0])), [e, aw, ab, av], 0)
 
 
 def test_sq_error_backward_matches_fd():

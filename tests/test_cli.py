@@ -4,6 +4,7 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from alphagraph.checkpoint import load_checkpoint
@@ -207,6 +208,47 @@ def test_truncated_checkpoint_is_data_error(run_copy, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:-20])
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "truncated or corrupt checkpoint" in capsys.readouterr().err
+
+
+def _truncate(data: bytes) -> bytes:
+    return data[:2000]
+
+
+def _empty(data: bytes) -> bytes:
+    return b""
+
+
+def _flip_member_byte(data: bytes) -> bytes:
+    """One byte changed inside the stored data of the ``open`` array."""
+    at = data.index(b"open.npy") + 500
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("damage, detail", [
+    (_truncate, "truncated or corrupt .npz file (File is not a zip file)"),
+    (_flip_member_byte, "truncated or corrupt .npz file (Bad CRC-32"),
+    (_empty, "truncated or corrupt .npz file"),
+])
+def test_corrupt_npz_is_data_error(run_copy, capsys, damage, detail):
+    out, cfg_path = run_copy
+    panel = out / "panel.npz"
+    panel.write_bytes(damage(panel.read_bytes()))
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--ablation", "Tech"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ") and len(err.splitlines()) == 1
+    assert f"{panel}: {detail}" in err
+
+
+def test_npz_without_a_member_is_data_error(run_copy, capsys):
+    out, cfg_path = run_copy
+    panel = out / "panel.npz"
+    with np.load(panel) as z:
+        arrays = {name: z[name] for name in z.files if name != "mask"}
+    np.savez(panel, **arrays)
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--ablation", "Tech"]) == 2
+    assert f"{panel}: no array 'mask'; rerun ingest" in capsys.readouterr().err
 
 
 def test_unknown_graph_symbol_is_data_error(run_copy, capsys):

@@ -133,7 +133,7 @@ def test_aggregate_temporal_attention_uniform_for_identical_inputs():
     params = {"t.w": Tensor(rng.normal(size=(6, 3))), "t.b": Tensor(np.zeros(3)),
               "t.v": Tensor(rng.normal(size=3))}
     rows = rng.normal(size=(10, 6))  # ten samples, each the same vector on all five days
-    _, beta = temporal_pool([Tensor(rows.copy()) for _ in range(5)], params, "t")
+    _, beta = temporal_pool(Tensor(np.stack([rows] * 5, axis=1)), params, "t")
     mean = aggregate_temporal_attention(beta.values)
     assert np.allclose(mean, 0.2, atol=1e-12)
 

@@ -119,7 +119,7 @@ def test_assemble_input_empty_rejected():
 def pool(vs, w, b, u):
     """temporal_pool over T single vectors (a batch of one row)."""
     params = {"t.w": Tensor(w), "t.b": Tensor(b), "t.v": Tensor(u)}
-    pooled, beta = temporal_pool([Tensor(np.atleast_2d(v)) for v in vs], params, "t")
+    pooled, beta = temporal_pool(Tensor(np.stack(vs)[None]), params, "t")
     return pooled.values[0], beta.values[0]
 
 

@@ -1,0 +1,205 @@
+"""The batched forward pass against the per-stock, per-gate reference.
+
+``ref_forward`` below is the forward the batched ``model_forward`` replaced,
+kept here so the two can be compared: one attention call per distinct
+stock, four separate gate affines per LSTM step, each step's input
+projected inside the recurrence, and temporal pooling as a chain of T
+row-scaled adds. The batched form sums some dot products in another order,
+so outputs are compared to 1e-12 and parameter gradients to 1e-10, relative
+to the largest magnitude of each array.
+"""
+
+import numpy as np
+import pytest
+
+from alphagraph import autodiff as ad
+from alphagraph import nn
+from alphagraph.autodiff import Tape, Tensor
+from alphagraph.embeddings import StockEmbeddingSet, StockGraph
+from alphagraph.model import (FeatureStore, ModelConfig, ablation_config, build_params,
+                              model_forward)
+
+OUT_RTOL = 1e-12
+GRAD_RTOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# per-stock / per-gate reference
+# ---------------------------------------------------------------------------
+
+def ref_attention(e_i, rows, w, b, v):
+    k = rows.shape[0]
+    pairs = ad.concat([ad.stack_rows([e_i] * k), rows], axis=1)
+    weights = ad.softmax(ad.matmul(ad.tanh(ad.affine(pairs, w, b)), v))
+    return ad.matmul(weights, rows)
+
+
+def ref_lstm_cell(x, h_prev, c_prev, params, prefix):
+    def gate(name, activation):
+        z = ad.add(ad.affine(x, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"]),
+                   ad.matmul(h_prev, params[f"{prefix}.{name}.u"]))
+        return activation(z)
+
+    i = gate("i", ad.sigmoid)
+    f = gate("f", ad.sigmoid)
+    g = gate("g", ad.tanh)
+    o = gate("o", ad.sigmoid)
+    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(c_t)), c_t
+
+
+def ref_bilstm(xs, hidden, params, prefix):
+    def run(seq, sub):
+        h = Tensor(np.zeros((xs[0].shape[0], hidden)))
+        c = Tensor(np.zeros((xs[0].shape[0], hidden)))
+        out = []
+        for x in seq:
+            h, c = ref_lstm_cell(x, h, c, params, f"{prefix}.{sub}")
+            out.append(h)
+        return out
+
+    fwd = run(xs, "fwd")
+    bwd = run(xs[::-1], "bwd")[::-1]
+    return [ad.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+
+
+def ref_forward(params, cfg, store, stock_idx, anchor_idx, graph):
+    parts_static = None
+    if cfg.use_graph:
+        emb = params["graph.emb"]
+        uniq = sorted(set(int(i) for i in stock_idx))
+        reps = [ref_attention(ad.take_row(emb, i), ad.gather_rows(emb, graph.neighbors(i)),
+                              params["graph.attn.w"], params["graph.attn.b"],
+                              params["graph.attn.v"]) for i in uniq]
+        pos = {i: r for r, i in enumerate(uniq)}
+        parts_static = ad.gather_rows(ad.stack_rows(reps), [pos[int(i)] for i in stock_idx])
+    tech_w = None
+    if cfg.use_tech:
+        tech_w = ad.relu(params["tech.w"]) if cfg.nonneg_tech else params["tech.w"]
+    xs = []
+    T = cfg.lookback
+    for lag in range(T):
+        days = anchor_idx - T + lag
+        parts = [parts_static] if parts_static is not None else []
+        if cfg.use_tech:
+            f = Tensor(store.factors[days, stock_idx])
+            parts.append(ad.relu(ad.affine(f, tech_w, params["tech.b"])))
+        if cfg.use_news:
+            parts.append(Tensor(store.news[days, stock_idx]))
+        xs.append(parts[0] if len(parts) == 1 else ad.concat(parts, axis=1))
+    vs = ref_bilstm(xs, cfg.hidden, params, "lstm")
+    beta = ad.softmax(ad.stack([nn.score_net(v, params, "temporal") for v in vs], axis=1))
+    cols = ad.unstack(beta, axis=1)
+    pooled = ad.mul_rows(vs[0], cols[0])
+    for v, col in zip(vs[1:], cols[1:]):
+        pooled = ad.add(pooled, ad.mul_rows(v, col))
+    return ad.add_bias(ad.matmul(pooled, params["head.w"]), params["head.b"])
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
+
+N_STOCKS, N_DAYS = 12, 40
+
+
+def world(ablation="Full", seed=0, ragged=False, nonneg_tech=False):
+    rng = np.random.default_rng(seed)
+    base = ModelConfig(lookback=5, embed_dim=4, n_factors=5, tech_dim=6, news_dim=7,
+                       hidden=5, attn_hidden=3, temporal_hidden=4, seed=seed,
+                       nonneg_tech=nonneg_tech)
+    cfg = ablation_config(ablation, base)
+    symbols = tuple(f"S{i}" for i in range(N_STOCKS))
+    store = FeatureStore(tuple(range(N_DAYS)), symbols,
+                         rng.normal(size=(N_DAYS, N_STOCKS, 5)),
+                         np.ones((N_DAYS, N_STOCKS), bool),
+                         rng.normal(size=(N_DAYS, N_STOCKS, 7)),
+                         np.ones((N_DAYS, N_STOCKS), bool))
+    if ragged:
+        adjacency = [[int(j) for j in rng.choice(np.delete(np.arange(N_STOCKS), i),
+                                                 size=1 + i % 4, replace=False)]
+                     for i in range(N_STOCKS)]
+    else:
+        adjacency = [[(i + d) % N_STOCKS for d in (1, 2, 3)] for i in range(N_STOCKS)]
+    graph = StockGraph(symbols, max(map(len, adjacency)), adjacency,
+                       [[1.0] * len(a) for a in adjacency])
+    emb = StockEmbeddingSet(symbols, rng.normal(size=(N_STOCKS, 4)), np.zeros(N_STOCKS))
+    params = build_params(cfg, rng, emb)
+    for t in params.values():  # every parameter away from its initial zeros
+        t.values = rng.normal(scale=0.5, size=t.shape)
+    return cfg, store, graph, params, rng
+
+
+def batch(rng, n, repeat=False):
+    stocks = rng.integers(0, 3 if repeat else N_STOCKS, size=n)
+    anchors = rng.integers(5, N_DAYS, size=n)
+    return stocks, anchors
+
+
+def outputs_and_grads(forward, params, cfg, store, stocks, anchors, graph, labels):
+    for t in params.values():
+        t.zero_grad()
+    with Tape() as tape:
+        yhat = forward(params, cfg, store, stocks, anchors, graph)
+        tape.backward(ad.sq_error(yhat, labels))
+    grads = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.values))
+             for k, t in params.items()}
+    return yhat.values.copy(), grads, len(tape)
+
+
+def assert_parity(cfg, store, graph, params, stocks, anchors, labels):
+    y_new, g_new, _ = outputs_and_grads(model_forward, params, cfg, store, stocks, anchors,
+                                        graph, labels)
+    y_ref, g_ref, _ = outputs_and_grads(ref_forward, params, cfg, store, stocks, anchors,
+                                        graph, labels)
+    assert np.max(np.abs(y_new - y_ref)) <= OUT_RTOL * np.max(np.abs(y_ref))
+    assert g_new.keys() == g_ref.keys()
+    for name in g_ref:
+        scale = max(np.max(np.abs(g_ref[name])), 1e-300)
+        assert np.max(np.abs(g_new[name] - g_ref[name])) <= GRAD_RTOL * scale, name
+
+
+# ---------------------------------------------------------------------------
+# parity
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ablation", ["Full", "Graph+Tech", "Tech", "News"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forward_and_gradients_match_reference(ablation, seed):
+    cfg, store, graph, params, rng = world(ablation, seed)
+    stocks, anchors = batch(rng, 32)
+    assert_parity(cfg, store, graph, params, stocks, anchors, rng.normal(size=32))
+
+
+def test_ragged_neighbor_lists_match_reference():
+    cfg, store, graph, params, rng = world("Full", seed=2, ragged=True)
+    assert len(set(map(len, graph.adjacency))) > 1
+    stocks, anchors = batch(rng, 40)
+    assert_parity(cfg, store, graph, params, stocks, anchors, rng.normal(size=40))
+
+
+def test_repeated_stocks_and_nonneg_tech_match_reference():
+    cfg, store, graph, params, rng = world("Full", seed=3, nonneg_tech=True)
+    stocks, anchors = batch(rng, 24, repeat=True)
+    assert len(set(stocks.tolist())) < stocks.size
+    assert_parity(cfg, store, graph, params, stocks, anchors, rng.normal(size=24))
+
+
+@pytest.mark.parametrize("ablation", ["Full", "Tech"])
+def test_single_sample_batch_matches_reference(ablation):
+    cfg, store, graph, params, rng = world(ablation, seed=4)
+    stocks, anchors = batch(rng, 1)
+    assert_parity(cfg, store, graph, params, stocks, anchors, rng.normal(size=1))
+
+
+def test_full_batch_tape_is_short():
+    """One record per layer op, not per stock, gate or step."""
+    cfg, store, graph, params, rng = world("Full", seed=5)
+    stocks, anchors = batch(rng, 128)
+    labels = rng.normal(size=128)
+    _, _, records = outputs_and_grads(model_forward, params, cfg, store, stocks, anchors,
+                                      graph, labels)
+    _, _, ref_records = outputs_and_grads(ref_forward, params, cfg, store, stocks, anchors,
+                                          graph, labels)
+    assert records <= 120
+    assert ref_records >= 300  # 12 distinct stocks: 9 records each, 21 per LSTM step
