@@ -302,7 +302,21 @@ class QuantileReport:
     n_trades: int
     pnl_curve: np.ndarray
     skipped_days: int
-    members: list  # per-day boolean masks over symbols
+    members: np.ndarray  # (D, S) bool: row t is day t's bucket
+
+
+def _count_groups(mask: np.ndarray):
+    """(rows, n) for each count n >= 1 of True entries in a row of a (D, S)
+    mask, where ``rows`` are the rows with that count.
+
+    ``values[rows][mask[rows]].reshape(rows.size, n)`` then holds each row's
+    selected values, compacted in index order, as one C-ordered block: a
+    reduction along its rows sees the same 1-D values, and so the same
+    pairwise sums, as the per-row code.
+    """
+    counts = mask.sum(axis=1)
+    for n in np.unique(counts[counts > 0]):
+        yield np.flatnonzero(counts == n), int(n)
 
 
 def quantile_analysis(yhat: np.ndarray, y: np.ndarray, thresholds=(1, 2, 3, 4),
@@ -315,42 +329,46 @@ def quantile_analysis(yhat: np.ndarray, y: np.ndarray, thresholds=(1, 2, 3, 4),
     Every bucketed stock is traded at $1 notional with the forecast's sign,
     so the per-trade P&L is sign(yhat) * y dollars; PPD is its mean in basis
     points. ``side`` restricts trades to positive or negative forecasts.
+    A report's ``members`` is the (D, S) bucket mask; days without a valid
+    (finite) forecast and realization on the side are all-False rows,
+    counted in ``skipped_days``.
+
+    Days that share a valid count form one block, so each rank's thresholds
+    take one ``np.quantile`` call per distinct count, and daily P&Ls one sum
+    per distinct bucket size; both give the same floats as the 1-D
+    per-day quantile and sum.
     """
     if side not in ("both", "long", "short"):
         raise ConfigError(f"unknown side {side!r}")
-    D, _ = yhat.shape
-    out = {}
     for qr in thresholds:
         if qr not in QUANTILE_FRACTIONS:
             raise ConfigError(f"quantile rank {qr} not in {sorted(QUANTILE_FRACTIONS)}")
-        frac = QUANTILE_FRACTIONS[qr]
+    D, _ = yhat.shape
+    valid = np.isfinite(yhat) & np.isfinite(y)
+    if side == "long":
+        valid &= yhat > 0
+    elif side == "short":
+        valid &= yhat < 0
+    mags = np.abs(yhat)
+    with np.errstate(invalid="ignore"):  # 0 * inf on cells that are not valid
+        pay = np.sign(yhat) * y
+    skipped = int((~valid.any(axis=1)).sum())
+    levels = [1.0 - QUANTILE_FRACTIONS[qr] for qr in thresholds]
+    thr = np.full((len(levels), D), np.nan)  # NaN rows: no valid name that day
+    for rows, n in _count_groups(valid):
+        block = mags[rows][valid[rows]].reshape(rows.size, n)
+        thr[:, rows] = np.quantile(block, levels, axis=1)
+    out = {}
+    for qr, day_thr in zip(thresholds, thr):
+        bucket = valid & (mags >= day_thr[:, None])
         pnl_curve = np.zeros(D)
-        trade_pnls = []
-        members = []
-        skipped = 0
-        for t in range(D):
-            valid = np.isfinite(yhat[t]) & np.isfinite(y[t])
-            if side == "long":
-                valid &= yhat[t] > 0
-            elif side == "short":
-                valid &= yhat[t] < 0
-            if not valid.any():
-                members.append(np.zeros_like(valid))
-                skipped += 1
-                continue
-            mags = np.abs(yhat[t][valid])
-            thr = np.quantile(mags, 1.0 - frac)
-            bucket = valid.copy()
-            bucket[valid] = mags >= thr
-            members.append(bucket)
-            day = np.sign(yhat[t][bucket]) * y[t][bucket]
-            trade_pnls.extend(day.tolist())
-            pnl_curve[t] = float(day.sum())
-        trades = np.asarray(trade_pnls)
+        for rows, k in _count_groups(bucket):
+            pnl_curve[rows] = pay[rows][bucket[rows]].reshape(rows.size, k).sum(axis=1)
+        trades = pay[bucket]
         ppd = float(trades.mean()) * 1e4 if trades.size else math.nan
         sr = sharpe(pnl_curve) if D >= 2 and pnl_curve.std() > 0 else math.nan
-        out[qr] = QuantileReport(qr, frac, ppd, sr, int(trades.size), pnl_curve,
-                                 skipped, members)
+        out[qr] = QuantileReport(qr, QUANTILE_FRACTIONS[qr], ppd, sr, int(trades.size),
+                                 pnl_curve, skipped, bucket)
     return out
 
 

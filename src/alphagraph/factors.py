@@ -54,13 +54,69 @@ class FactorPanel:
         return len(self.factor_names)
 
 
+def _pairwise(term, lo: int, n: int) -> np.ndarray:
+    """Sum of ``term(lo) ... term(lo + n - 1)`` in the order of numpy's
+    pairwise summation of a contiguous run of n float64s (``pairwise_sum``
+    in numpy's ``loops_utils.h.src``): sequential below 8, eight
+    interleaved partial sums up to 128, halves above."""
+    if n < 8:
+        acc = term(lo).copy()
+        for j in range(lo + 1, lo + n):
+            acc += term(j)
+        return acc
+    if n <= 128:
+        part = [term(lo + j).copy() for j in range(8)]
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                part[j] += term(lo + i + j)
+            i += 8
+        acc = ((part[0] + part[1]) + (part[2] + part[3])) + \
+              ((part[4] + part[5]) + (part[6] + part[7]))
+        for j in range(lo + i, lo + n):
+            acc += term(j)
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _pairwise(term, lo, half) + _pairwise(term, lo + half, n - half)
+
+
+def _window_sum(x: np.ndarray, w: int, center: np.ndarray | None = None) -> np.ndarray:
+    """Row t of the result sums the w rows of x ending at row t + w - 1, or
+    their squared deviations from ``center[t]``.
+
+    Each (t, s) entry equals the 1-D ``np.sum`` of that window of column s,
+    bit for bit: 0.0 plus numpy's pairwise sum of the w terms. The pairwise
+    tree runs over whole shifted (D - w + 1, S) arrays, so this is O(w)
+    numpy calls instead of one reduction per date; a running cumulative sum
+    would round differently and carry a NaN into every later window.
+    """
+    n = x.shape[0] - w + 1
+
+    def term(j):
+        return x[j:j + n] if center is None else np.square(x[j:j + n] - center)
+
+    return 0.0 + _pairwise(term, 0, w)
+
+
 def _trailing_mean(x: np.ndarray, w: int) -> np.ndarray:
-    # one mean per window: a running sum would carry a NaN into every later
-    # window and round differently; the loop costs O(D) numpy calls, not O(D*S)
+    """The mean of each column over the w rows ending at row t, for every
+    t >= w - 1 (NaN before): ``np.mean`` of that 1-D window, bit for bit."""
     out = np.full_like(x, np.nan)
-    for t in range(w - 1, x.shape[0]):
-        out[t] = np.mean(x[t - w + 1:t + 1], axis=0)
+    if x.shape[0] >= w:
+        out[w - 1:] = _window_sum(x, w) / w
     return out
+
+
+def _trailing_moments(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_trailing_mean`` and the ddof=1 standard deviation over the same
+    windows: ``np.std(..., ddof=1)`` of each 1-D window, bit for bit (the
+    squared deviations from that mean, divide and sqrt of numpy's _var)."""
+    mean = _trailing_mean(x, w)
+    std = np.full_like(x, np.nan)
+    if x.shape[0] >= w:
+        std[w - 1:] = np.sqrt(_window_sum(x, w, center=mean[w - 1:]) / (w - 1))
+    return mean, std
 
 
 def _raw_factor(family: str, w: int, opens: np.ndarray, volume: np.ndarray,
@@ -75,27 +131,21 @@ def _raw_factor(family: str, w: int, opens: np.ndarray, volume: np.ndarray,
             if D > w:
                 out[w:] = -np.log(opens[w:] / opens[:-w])
         elif family == "volatility":
-            for t in range(w, D):
-                out[t] = np.std(rets[t - w + 1:t + 1], axis=0, ddof=1)
+            out[w:] = _trailing_moments(rets, w)[1][w:]
         elif family == "volume_z":
-            for t in range(w - 1, D):
-                win = volume[t - w + 1:t + 1]
-                mu = np.mean(win, axis=0)
-                sd = np.std(win, axis=0, ddof=1)
-                out[t] = np.where(sd > 0, (volume[t] - mu) / sd, 0.0)
+            mu, sd = _trailing_moments(volume, w)
+            out[w - 1:] = np.where(sd > 0, (volume - mu) / sd, 0.0)[w - 1:]
         elif family == "amihud":
             dollar = opens * volume
             ratio = np.abs(rets) / dollar
-            for t in range(w, D):
-                out[t] = np.mean(ratio[t - w + 1:t + 1], axis=0)
+            out[w:] = _trailing_mean(ratio, w)[w:]
         elif family == "rsi":
             gains = np.where(rets > 0, rets, 0.0)
             losses = np.where(rets < 0, -rets, 0.0)
-            for t in range(w, D):
-                ag = np.mean(gains[t - w + 1:t + 1], axis=0)
-                al = np.mean(losses[t - w + 1:t + 1], axis=0)
-                denom = ag + al
-                out[t] = np.where(denom > 0, 100.0 * ag / denom, 50.0)
+            ag = _trailing_mean(gains, w)
+            al = _trailing_mean(losses, w)
+            denom = ag + al
+            out[w:] = np.where(denom > 0, 100.0 * ag / denom, 50.0)[w:]
         elif family == "ma_ratio":
             out = _trailing_mean(opens, w)
             out = np.where(np.isfinite(out), opens / out - 1.0, np.nan)
@@ -185,6 +235,9 @@ def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPane
     rets = daily_log_returns(panel)
 
     windows = [(family, w) for family in sorted(registry) for w in registry[family]]
+    for family, w in windows:
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+            raise ConfigError(f"factor window {family} {w!r} is not a positive integer")
     names = [f"{family}_{w}" for family, w in windows]
     D, S, L = panel.n_dates, panel.n_symbols, len(names)
     raw = np.empty((L, D, S))

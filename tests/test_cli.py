@@ -326,3 +326,72 @@ def test_diverging_train_glove_is_numerical_fault(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "run" / "glove.npz").exists()
     assert not (tmp_path / "run" / "stock_embeddings.txt").exists()
+
+
+# ---------------------------------------------------------------------------
+# forecasts.csv: every malformed file is a one-line DataError naming the line
+# ---------------------------------------------------------------------------
+
+def _set_field(lines, line_no, field, value):
+    cells = lines[line_no - 1].split(",")
+    cells[field] = value
+    lines[line_no - 1] = ",".join(cells)
+    return lines
+
+
+FORECAST_DAMAGE = {
+    "yhat not a number": (lambda lines: _set_field(lines, 3, 2, "notanumber"),
+                          "line 3: yhat 'notanumber' is not a number"),
+    "y not a number": (lambda lines: _set_field(lines, 6, 3, "0.1.2"),
+                       "line 6: y '0.1.2' is not a number"),
+    "non-finite yhat": (lambda lines: _set_field(lines, 4, 2, "inf"),
+                        "line 4: yhat inf is not finite"),
+    "header without y": (lambda lines: ["date,symbol,yhat"] + lines[1:],
+                         "line 1: header 'date,symbol,yhat', expected 'date,symbol,yhat,y'"),
+    "empty file": (lambda lines: [], "line 1: header '', expected"),
+    "no rows": (lambda lines: lines[:1], "no forecasts"),
+    "short row": (lambda lines: lines[:6] + [lines[6].rsplit(",", 1)[0]] + lines[7:],
+                  "line 7: 3 fields, expected 4"),
+    "impossible date": (lambda lines: _set_field(lines, 5, 0, "2021-13-45"),
+                        "line 5: bad date '2021-13-45' (month must be in 1..12)"),
+    "date not YYYY-MM-DD": (
+        lambda lines: _set_field(lines, 2, 0, lines[1][:10].replace("-", "")),
+        "line 2: date"),
+    "empty symbol": (lambda lines: _set_field(lines, 8, 1, ""), "line 8: empty symbol"),
+    "duplicate row": (lambda lines: lines[:4] + [lines[2]] + lines[4:],
+                      "line 5: second forecast for"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORECAST_DAMAGE))
+def test_malformed_forecasts_are_data_errors(run_copy, capsys, case):
+    out, cfg_path = run_copy
+    damage, detail = FORECAST_DAMAGE[case]
+    path = out / "forecasts.csv"
+    lines = damage(path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+    for command in ("backtest", "quantiles"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {path}") and len(err.splitlines()) == 1
+        assert detail in err
+
+
+@pytest.mark.parametrize("field, replacement", [(0, "2030-01-02"), (1, "ZZZ")])
+def test_forecasts_not_matching_the_panel_are_data_errors(run_copy, capsys, field,
+                                                          replacement):
+    out, cfg_path = run_copy
+    path = out / "forecasts.csv"
+    lines = path.read_text().splitlines()
+    original = lines[1].split(",")[field]
+    lines = [lines[0]] + [",".join(replacement if i == field and c == original else c
+                                   for i, c in enumerate(line.split(",")))
+                          for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n")
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["backtest"] + base) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert (f"error: data: {path}: {replacement} is not in {out / 'panel.npz'}; the "
+            f"forecasts do not match the panel, rerun predict") in err
+    assert main(["quantiles"] + base) == 0    # quantiles reads no panel

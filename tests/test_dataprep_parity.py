@@ -4,6 +4,11 @@ Each reference below is the per-element code the batched implementation
 replaced, kept here so the two can be compared exactly (``np.array_equal``
 and identical error text, never a tolerance):
 
+* ``ref_raw_factor``: one axis-0 ``np.mean``/``np.std`` per date and trailing
+  window, run on F-ordered arrays as ``ingest`` passes them (its
+  ``restrict_symbols`` fancy-indexes columns), where numpy reduces each window
+  column pairwise as it reduces a 1-D array; on C-ordered arrays it adds the
+  rows one after another and rounds differently;
 * ``ref_standardize`` / ``ref_compute_factors``: one 1-D winsorize-and-z-score
   per (date, factor) column;
 * ``ref_build_dataset``: one ``forward_return`` call per (stock, anchor);
@@ -57,13 +62,48 @@ def ref_standardize(values, mask):
     return out
 
 
+def ref_raw_factor(family, w, opens, volume, rets):
+    opens, volume, rets = map(np.asfortranarray, (opens, volume, rets))
+    D = opens.shape[0]
+    out = np.full_like(opens, np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if family == "volatility":
+            for t in range(w, D):
+                out[t] = np.std(rets[t - w + 1:t + 1], axis=0, ddof=1)
+        elif family == "volume_z":
+            for t in range(w - 1, D):
+                win = volume[t - w + 1:t + 1]
+                mu = np.mean(win, axis=0)
+                sd = np.std(win, axis=0, ddof=1)
+                out[t] = np.where(sd > 0, (volume[t] - mu) / sd, 0.0)
+        elif family == "amihud":
+            ratio = np.abs(rets) / (opens * volume)
+            for t in range(w, D):
+                out[t] = np.mean(ratio[t - w + 1:t + 1], axis=0)
+        elif family == "rsi":
+            gains = np.where(rets > 0, rets, 0.0)
+            losses = np.where(rets < 0, -rets, 0.0)
+            for t in range(w, D):
+                ag = np.mean(gains[t - w + 1:t + 1], axis=0)
+                al = np.mean(losses[t - w + 1:t + 1], axis=0)
+                denom = ag + al
+                out[t] = np.where(denom > 0, 100.0 * ag / denom, 50.0)
+        elif family == "ma_ratio":
+            for t in range(w - 1, D):
+                out[t] = np.mean(opens[t - w + 1:t + 1], axis=0)
+            out = np.where(np.isfinite(out), opens / out - 1.0, np.nan)
+        else:
+            return F._raw_factor(family, w, opens, volume, rets)
+    return out
+
+
 def ref_compute_factors(panel, registry):
     rets = daily_log_returns(panel)
     names, raws = [], []
     for family in sorted(registry):
         for w in registry[family]:
             names.append(f"{family}_{w}")
-            raws.append(F._raw_factor(family, w, panel.open, panel.volume, rets))
+            raws.append(ref_raw_factor(family, w, panel.open, panel.volume, rets))
     D, S, L = panel.n_dates, panel.n_symbols, len(names)
     values = np.zeros((D, S, L))
     mask = np.zeros((D, S, L), dtype=bool)
@@ -191,6 +231,43 @@ def test_factors_bit_equal_to_per_column_reference(holey_panel):
     # the panel does exercise several group sizes and several clip rounds
     counts = mask.sum(axis=1)
     assert len(np.unique(counts[counts >= 2])) >= 3
+
+
+WINDOWED = ("amihud", "ma_ratio", "rsi", "volatility", "volume_z")
+
+
+@pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0")
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+@pytest.mark.parametrize("family", WINDOWED)
+def test_window_factors_bit_equal_to_per_date_loop(holey_panel, family, layout):
+    # windows below 8, at the 8-term unroll, up to 128 and above it, where
+    # numpy's pairwise sum splits the window in halves
+    rets = daily_log_returns(holey_panel)
+    arrays = [layout(a) for a in (holey_panel.open, holey_panel.volume, rets)]
+    for w in (1, 2, 7, 8, 9, 14, 17, 21, 63, 140, 159, 160, 200):
+        expected = ref_raw_factor(family, w, *arrays)
+        got = F._raw_factor(family, w, *arrays)
+        assert same(got, expected), (family, w)
+        if w in (7, 63, 140):  # each branch of the pairwise sum meets real values
+            assert np.isfinite(got).any(), (family, w)
+
+
+def test_window_moments_equal_1d_numpy_per_column():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-8, 9, size=(300, 4))
+    x[rng.random(x.shape) < 0.02] = np.nan
+    x[17, 1], x[40, 2], x[90:100, 3] = np.inf, -np.inf, -0.0
+    for w in (1, 3, 8, 16, 63, 128, 129, 136, 255, 300):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean, std = F._trailing_moments(x, w)
+        for t in range(w - 1, x.shape[0]):
+            for s in range(x.shape[1]):
+                window = x[t - w + 1:t + 1, s]
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    assert same(mean[t, s], np.mean(window)), (w, t, s)
+                    if w > 1:
+                        assert same(std[t, s], np.std(window, ddof=1)), (w, t, s)
+        assert np.isnan(mean[:w - 1]).all() and np.isnan(std[:w - 1]).all()
 
 
 def test_heavy_tail_needs_several_clip_rounds():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from alphagraph.errors import DataError
+from alphagraph.errors import ConfigError, DataError
 from alphagraph.factors import (DEFAULT_REGISTRY, compute_factors,
                                 standardize_cross_section)
 from alphagraph.market import (Bar, build_panel, filter_universe,
@@ -299,3 +299,10 @@ def test_window_exceeding_history_masked_not_error():
     panel = make_bars({"AAA": [100.0] * 30, "BBB": [90.0] * 30})
     fp = compute_factors(panel, {"momentum": [252]})
     assert not fp.mask.any()
+
+
+@pytest.mark.parametrize("window", [0, -5, 2.5, "21", True])
+def test_factor_window_must_be_a_positive_integer(window):
+    panel = make_bars({"AAA": [100.0] * 30, "BBB": [90.0] * 30})
+    with pytest.raises(ConfigError, match="is not a positive integer"):
+        compute_factors(panel, {"volatility": [5, window]})
