@@ -4,7 +4,7 @@ Layout (all integers little-endian unsigned 32-bit, values little-endian
 float64, no padding):
 
     magic   4 bytes  b"AGCP"
-    version u32      currently 1
+    version u32      currently 2 (version 1 also stored the unused graph.bias)
     count   u32      number of parameters
     then per parameter, in ascending name order:
         name_len u32
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"AGCP"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path, params: dict) -> None:
@@ -59,7 +59,8 @@ def load_checkpoint(path) -> dict:
 def _parse(data: bytes, path) -> dict:
     version, count = struct.unpack_from("<II", data, 4)
     if version != VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
+        raise DataError(f"{path}: checkpoint version {version}, this program reads "
+                        f"version {VERSION}; rerun train")
     out = {}
     offset = 12
     for _ in range(count):

@@ -23,10 +23,11 @@ from . import backtest as bt
 from . import interpret as itp
 from . import model as mdl
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import load_config, sha256_file, write_manifest
+from .config import (load_config, manifest_outputs, manifest_path, sha256_file,
+                     write_manifest)
 from .embeddings import (StockEmbeddingSet, StockGraph, build_knn_graph,
                          export_graph_csv, train_glove)
-from .embfile import read_embeddings, write_embeddings
+from .embfile import embedding_dim, read_embeddings, write_embeddings
 from .errors import (AlphagraphError, ConfigError, DataError, NumericalFault,
                      UsageError)
 from .factors import FactorPanel, compute_factors
@@ -36,6 +37,8 @@ from .news import (CooccurrenceMatrix, build_cooccurrence,
 from .synth import SyntheticSpec, generate, write_market
 from .word2vec import WordEmbeddingSet, train_cbow
 
+BARS_FILE = "bars.csv"
+NEWS_FILE = "news.jsonl"
 PANEL_FILE = "panel.npz"
 FACTORS_FILE = "factors.npz"
 COOCCUR_FILE = "cooccur.npz"
@@ -50,52 +53,91 @@ FORECASTS_HEADER = "date,symbol,yhat,y"
 # forecast rows formatted or parsed at a time: text temporaries stay at ~1 MB
 FORECAST_CHUNK = 8192
 
+# the command that writes each file a command reads, named by the errors
+# about a missing or malformed input
+WRITTEN_BY = {BARS_FILE: "synth", NEWS_FILE: "synth", PANEL_FILE: "ingest",
+              FACTORS_FILE: "ingest", COOCCUR_FILE: "cooccur", WORDVEC_FILE: "train-word2vec",
+              GLOVE_FILE: "train-glove", GRAPH_FILE: "graph", CHECKPOINT_FILE: "train",
+              MODELCFG_FILE: "train", FORECASTS_FILE: "predict"}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
+class OutDir:
+    """The output directory of one command. The command opens every file it
+    reads through ``read`` and every file it writes through ``write``, so
+    ``inputs`` and ``outputs`` are what its manifest lists and what ``run``
+    deletes when it fails."""
+
+    def __init__(self, path: Path, cfg: dict):
+        self.path, self.inputs, self.outputs = path, set(), set()
+        # the raw bars and news may live elsewhere (paths.bars, paths.news)
+        self._elsewhere = {BARS_FILE: cfg["paths"]["bars"], NEWS_FILE: cfg["paths"]["news"]}
+
+    def has(self, name: str) -> bool:
+        return (self.path / name).exists()
+
+    def read(self, name: str) -> Path:
+        """The path of input ``name``, recorded; a DataError naming the
+        command that writes it if the file does not exist."""
+        path = Path(self._elsewhere.get(name) or self.path / name)
+        if not path.exists():
+            raise DataError(f"{path} not found; run {WRITTEN_BY[name]} first")
+        self.inputs.add(path)
+        return path
+
+    def write(self, name: str) -> Path:
+        """The path of output ``name``, recorded."""
+        path = self.path / name
+        self.outputs.add(path)
+        return path
+
+
 # ---------------------------------------------------------------------------
 # Artifact I/O helpers
 # ---------------------------------------------------------------------------
 
-def _artifact(path, producer: str) -> Path:
-    """``path`` if it exists, else a DataError naming the stage that writes it."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path} not found; run {producer} first")
-    return path
+class _NpzArrays:
+    """Every array of one ``.npz`` artifact, read at once. A truncated or
+    corrupt file (no zip directory, a member failing its CRC check), a
+    missing array or one of the wrong shape is a DataError naming the file
+    and the command that writes it."""
 
+    def __init__(self, path):
+        self.path = Path(path)
+        try:
+            z = np.load(self.path, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("a single array, not an archive")
+            with z:
+                self.arrays = {name: z[name] for name in z.files}
+        except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
+            raise self.error(f"truncated or corrupt .npz file ({exc})") from exc
 
-class _NpzArrays(dict):
-    """The arrays of one ``.npz`` artifact; asking for a missing one is a
-    DataError naming the file."""
+    def error(self, what: str) -> DataError:
+        return DataError(f"{self.path}: {what}; rerun {WRITTEN_BY[self.path.name]}")
 
-    def __init__(self, arrays, path, producer: str):
-        super().__init__(arrays)
-        self.path, self.producer = path, producer
+    def shaped(self, name: str, *shape) -> np.ndarray:
+        """Array ``name``, whose shape must be ``shape``; None matches any length."""
+        if name not in self.arrays:
+            raise self.error(f"no array {name!r}")
+        a = self.arrays[name]
+        if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+            want = " x ".join("*" if n is None else str(n) for n in shape)
+            raise self.error(f"array {name!r} has shape {a.shape}, expected {want}")
+        return a
 
-    def __missing__(self, name):
-        raise DataError(f"{self.path}: no array {name!r}; rerun {self.producer}")
+    def strings(self, name: str) -> list[str]:
+        return [str(s) for s in self.shaped(name, None)]
 
-
-def _load_npz(path, producer: str) -> _NpzArrays:
-    """Every array of an ``.npz`` artifact, read at once.
-
-    A truncated or corrupt file (no zip directory, a member failing its
-    CRC check) is a DataError naming it.
-    """
-    path = _artifact(path, producer)
-    try:
-        z = np.load(path, allow_pickle=False)
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise ValueError("a single array, not an archive")
-        with z:
-            return _NpzArrays({name: z[name] for name in z.files}, path, producer)
-    except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
-        raise DataError(f"{path}: truncated or corrupt .npz file ({exc}); "
-                        f"rerun {producer}") from exc
+    def dates(self, name: str) -> list[dt.date]:
+        try:
+            return [dt.date.fromisoformat(s) for s in self.strings(name)]
+        except ValueError as exc:
+            raise self.error(f"array {name!r}: {exc}") from None
 
 
 def _save_panel(path, panel: BarPanel) -> None:
@@ -107,11 +149,11 @@ def _save_panel(path, panel: BarPanel) -> None:
 
 
 def _load_panel(path) -> BarPanel:
-    z = _load_npz(path, "ingest")
-    calendar = [dt.date.fromisoformat(s) for s in z["calendar"]]
-    symbols = [str(s) for s in z["symbols"]]
-    arrays = {f: z[f] for f in BarPanel.FIELDS}
-    return BarPanel(calendar, symbols, arrays, z["mask"])
+    z = _NpzArrays(path)
+    calendar, symbols = z.dates("calendar"), z.strings("symbols")
+    shape = (len(calendar), len(symbols))
+    arrays = {f: z.shaped(f, *shape) for f in BarPanel.FIELDS}
+    return BarPanel(calendar, symbols, arrays, z.shaped("mask", *shape))
 
 
 def _save_factors(path, fp: FactorPanel) -> None:
@@ -122,26 +164,31 @@ def _save_factors(path, fp: FactorPanel) -> None:
 
 
 def _load_factors(path) -> FactorPanel:
-    z = _load_npz(path, "ingest")
-    return FactorPanel([str(s) for s in z["names"]], z["values"], z["mask"],
-                       tuple(dt.date.fromisoformat(s) for s in z["calendar"]),
-                       tuple(str(s) for s in z["symbols"]))
+    z = _NpzArrays(path)
+    names, calendar, symbols = z.strings("names"), z.dates("calendar"), z.strings("symbols")
+    shape = (len(calendar), len(symbols), len(names))
+    return FactorPanel(names, z.shaped("values", *shape), z.shaped("mask", *shape),
+                       tuple(calendar), tuple(symbols))
 
 
 def _load_cooccur(path) -> CooccurrenceMatrix:
-    z = _load_npz(path, "cooccur")
+    z = _NpzArrays(path)
+    symbols = z.strings("symbols")
+    rows = z.shaped("rows", None)
+    cols, vals = z.shaped("cols", rows.size), z.shaped("vals", rows.size)
     counts = {}
-    for i, j, v in zip(z["rows"], z["cols"], z["vals"]):
+    for i, j, v in zip(rows, cols, vals):
         if i < j:
             counts[(int(i), int(j))] = int(v)
-    return CooccurrenceMatrix(tuple(str(s) for s in z["symbols"]), counts)
+    return CooccurrenceMatrix(tuple(symbols), counts)
 
 
 def _load_glove(path) -> StockEmbeddingSet:
-    z = _load_npz(path, "train-glove")
-    return StockEmbeddingSet(tuple(str(s) for s in z["symbols"]),
-                             z["vectors"], z["biases"],
-                             [float(v) for v in z["trace"]])
+    z = _NpzArrays(path)
+    symbols = z.strings("symbols")
+    return StockEmbeddingSet(tuple(symbols), z.shaped("vectors", len(symbols), None),
+                             z.shaped("biases", len(symbols)),
+                             [float(v) for v in z.shaped("trace", None)])
 
 
 def _load_graph(path, symbols) -> StockGraph:
@@ -149,7 +196,7 @@ def _load_graph(path, symbols) -> StockGraph:
     adjacency = [[] for _ in symbols]
     distances = [[] for _ in symbols]
     k = 0
-    with open(_artifact(path, "graph"), encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{path} line {reader.line_num}"
@@ -164,11 +211,14 @@ def _load_graph(path, symbols) -> StockGraph:
             adjacency[index[source]].append(index[target])
             distances[index[source]].append(distance)
             k = max(k, rank)
+    lonely = [s for s, nbrs in zip(symbols, adjacency) if not nbrs]
+    if lonely:
+        raise DataError(f"{path}: {lonely[0]} has no neighbors; rerun graph")
     return StockGraph(tuple(symbols), k, adjacency, distances)
 
 
 def _load_word_embeddings(path) -> WordEmbeddingSet:
-    labels, matrix = read_embeddings(_artifact(path, "train-word2vec"))
+    labels, matrix = read_embeddings(path)
     return WordEmbeddingSet({t: i for i, t in enumerate(labels)}, matrix)
 
 
@@ -231,7 +281,7 @@ def _read_forecasts(path) -> mdl.ForecastPanel:
     date_of, name_of = date_codes.setdefault, name_codes.setdefault
     d_code, s_code, yhat_v, y_v = [], [], [], []  # one array per chunk
     try:
-        with open(_artifact(path, "predict"), encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if header != FORECASTS_HEADER:
                 raise DataError(f"{path} line 1: header {header!r}, expected "
@@ -308,46 +358,26 @@ def _train_end(cfg) -> dt.date:
     return dt.date.fromisoformat(_require(cfg, "split", "train_end"))
 
 
-def _news_path(cfg, out: Path) -> Path:
-    p = cfg["paths"]["news"]
-    path = Path(p) if p else out / "news.jsonl"
-    if not path.exists():
-        raise DataError(f"news file {path} not found")
-    return path
-
-
-def _bars_path(cfg, out: Path) -> Path:
-    p = cfg["paths"]["bars"]
-    path = Path(p) if p else out / "bars.csv"
-    if not path.exists():
-        raise DataError(f"bars file {path} not found")
-    return path
-
-
 def _model_config(cfg, ablation: str | None, glove_dim: int, n_factors: int,
                   news_dim: int) -> mdl.ModelConfig:
-    m = cfg["model"]
-    base = mdl.ModelConfig(
-        lookback=m["lookback"], embed_dim=glove_dim, n_factors=n_factors,
-        tech_dim=m["tech_dim"], news_dim=news_dim,
-        hidden=m["hidden"], attn_hidden=m["attn_hidden"],
-        temporal_hidden=m["temporal_hidden"], horizon=m["horizon"],
-        epochs=m["epochs"], lr=m["lr"], batch_size=m["batch_size"],
-        val_fraction=m["val_fraction"], patience=m["patience"],
-        nonneg_tech=m["nonneg_tech"], seed=cfg["seed"])
+    # every key of the model section is a ModelConfig field
+    base = mdl.ModelConfig(**cfg["model"], embed_dim=glove_dim, n_factors=n_factors,
+                           news_dim=news_dim, seed=cfg["seed"])
     if ablation:
         base = mdl.ablation_config(ablation, base)
     return base
 
 
-def _assemble_dataset(cfg, out: Path, model_cfg: mdl.ModelConfig,
+def _assemble_dataset(cfg, out: OutDir, model_cfg: mdl.ModelConfig,
                       require_labels: bool = True):
-    bars = _load_panel(out / PANEL_FILE)
-    factors = _load_factors(out / FACTORS_FILE) if model_cfg.use_tech else None
+    if not isinstance(out, OutDir):   # the directory itself (perfbench's tests pass it)
+        out = OutDir(Path(out), cfg)
+    bars = _load_panel(out.read(PANEL_FILE))
+    factors = _load_factors(out.read(FACTORS_FILE)) if model_cfg.use_tech else None
     news_panel = None
     if model_cfg.use_news:
-        articles = load_articles(_news_path(cfg, out))
-        wordvecs = _load_word_embeddings(out / WORDVEC_FILE)
+        articles = load_articles(out.read(NEWS_FILE))
+        wordvecs = _load_word_embeddings(out.read(WORDVEC_FILE))
         news_panel = daily_stock_news_vectors(articles, wordvecs, bars.symbols,
                                               bars.calendar)
     ds = mdl.build_dataset(bars, factors, news_panel, model_cfg,
@@ -375,16 +405,15 @@ def _window_indices(calendar, start: dt.date | None, end: dt.date | None):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(cfg, out: Path, args):
-    spec = SyntheticSpec(seed=cfg["seed"], **cfg["synth"])
-    market = generate(spec)
-    paths = write_market(market, out)
-    return [], list(paths.values()), {"n_articles": len(market.articles)}
+def cmd_synth(cfg, out: OutDir, args):
+    market = generate(SyntheticSpec(seed=cfg["seed"], **cfg["synth"]))
+    for path in write_market(market, out.path).values():
+        out.write(path.name)
+    return {"n_articles": len(market.articles)}
 
 
-def cmd_ingest(cfg, out: Path, args):
-    bars_path = _bars_path(cfg, out)
-    panel = load_bars(bars_path)
+def cmd_ingest(cfg, out: OutDir, args):
+    panel = load_bars(out.read(BARS_FILE))
     u = cfg["universe"]
     window = panel
     if cfg["split"]["train_end"]:
@@ -396,28 +425,26 @@ def cmd_ingest(cfg, out: Path, args):
     panel = panel.restrict_symbols(universe)
     registry = cfg["factors"] or None
     fp = compute_factors(panel, registry)
-    _save_panel(out / PANEL_FILE, panel)
-    _save_factors(out / FACTORS_FILE, fp)
-    return [bars_path], [out / PANEL_FILE, out / FACTORS_FILE], {
-        "n_symbols": panel.n_symbols, "n_dates": panel.n_dates,
-        "factors": fp.factor_names}
+    _save_panel(out.write(PANEL_FILE), panel)
+    _save_factors(out.write(FACTORS_FILE), fp)
+    return {"n_symbols": panel.n_symbols, "n_dates": panel.n_dates,
+            "factors": fp.factor_names}
 
 
-def cmd_cooccur(cfg, out: Path, args):
-    news_path = _news_path(cfg, out)
+def cmd_cooccur(cfg, out: OutDir, args):
+    news_path = out.read(NEWS_FILE)
     train_end = _train_end(cfg)
-    panel = _load_panel(out / PANEL_FILE)
+    panel = _load_panel(out.read(PANEL_FILE))
     articles = [a for a in load_articles(news_path) if a.date <= train_end]
     x = build_cooccurrence(articles, panel.symbols)
     rows, cols, vals = x.to_coo()
-    np.savez(out / COOCCUR_FILE, rows=rows, cols=cols, vals=vals,
+    np.savez(out.write(COOCCUR_FILE), rows=rows, cols=cols, vals=vals,
              symbols=np.array(panel.symbols))
-    return [news_path, out / PANEL_FILE], [out / COOCCUR_FILE], {
-        "n_articles": len(articles), "n_pairs": len(x.counts)}
+    return {"n_articles": len(articles), "n_pairs": len(x.counts)}
 
 
-def cmd_train_word2vec(cfg, out: Path, args):
-    news_path = _news_path(cfg, out)
+def cmd_train_word2vec(cfg, out: OutDir, args):
+    news_path = out.read(NEWS_FILE)
     train_end = _train_end(cfg)
     articles = [a for a in load_articles(news_path) if a.date <= train_end]
     corpus = [a.tokens for a in articles]
@@ -427,45 +454,40 @@ def cmd_train_word2vec(cfg, out: Path, args):
                      negatives=w["negatives"], epochs=w["epochs"], lr=w["lr"],
                      seed=cfg["seed"])
     labels = sorted(vocab, key=vocab.get)
-    write_embeddings(out / WORDVEC_FILE, labels, emb.vectors)
-    return [news_path], [out / WORDVEC_FILE], {
-        "vocab_size": len(vocab), "epoch_losses": emb.epoch_losses}
+    write_embeddings(out.write(WORDVEC_FILE), labels, emb.vectors)
+    return {"vocab_size": len(vocab), "epoch_losses": emb.epoch_losses}
 
 
-def cmd_train_glove(cfg, out: Path, args):
-    x = _load_cooccur(out / COOCCUR_FILE)
+def cmd_train_glove(cfg, out: OutDir, args):
+    x = _load_cooccur(out.read(COOCCUR_FILE))
     g = cfg["glove"]
     emb = train_glove(x, dim=g["dim"], x_max=g["x_max"], alpha=g["alpha"],
                       epochs=g["epochs"], lr=g["lr"], seed=cfg["seed"])
-    np.savez(out / GLOVE_FILE, vectors=emb.vectors, biases=emb.biases,
+    np.savez(out.write(GLOVE_FILE), vectors=emb.vectors, biases=emb.biases,
              symbols=np.array(emb.symbols), trace=np.array(emb.loss_trace))
-    write_embeddings(out / STOCKVEC_FILE, list(emb.symbols), emb.vectors)
-    return [out / COOCCUR_FILE], [out / GLOVE_FILE, out / STOCKVEC_FILE], {
-        "loss_first": emb.loss_trace[0], "loss_last": emb.loss_trace[-1]}
+    write_embeddings(out.write(STOCKVEC_FILE), list(emb.symbols), emb.vectors)
+    return {"loss_first": emb.loss_trace[0], "loss_last": emb.loss_trace[-1]}
 
 
-def cmd_graph(cfg, out: Path, args):
-    emb = _load_glove(out / GLOVE_FILE)
+def cmd_graph(cfg, out: OutDir, args):
+    emb = _load_glove(out.read(GLOVE_FILE))
     graph = build_knn_graph(emb, cfg["graph"]["k"])
-    export_graph_csv(graph, out / GRAPH_FILE)
-    return [out / GLOVE_FILE], [out / GRAPH_FILE], {"k": graph.k}
+    export_graph_csv(graph, out.write(GRAPH_FILE))
+    return {"k": graph.k}
 
 
-def cmd_train(cfg, out: Path, args):
+def cmd_train(cfg, out: OutDir, args):
     # the graph module needs glove.npz; the other ablations only record its
     # dim in the model config, so without the file they take the configured one
-    glove = _load_glove(out / GLOVE_FILE) if (out / GLOVE_FILE).exists() else None
-    factors = _load_factors(out / FACTORS_FILE)
-    wordvec_dim = None
-    if (out / WORDVEC_FILE).exists():
-        with open(out / WORDVEC_FILE, encoding="utf-8") as fh:
-            wordvec_dim = int(fh.readline().split()[1])
+    glove = _load_glove(out.read(GLOVE_FILE)) if out.has(GLOVE_FILE) else None
+    factors = _load_factors(out.read(FACTORS_FILE))
+    wordvec_dim = embedding_dim(out.read(WORDVEC_FILE)) if out.has(WORDVEC_FILE) else None
     model_cfg = _model_config(cfg, args.ablation,
                               cfg["glove"]["dim"] if glove is None else glove.dim,
                               len(factors.factor_names),
                               wordvec_dim or cfg["word2vec"]["dim"])
     if model_cfg.use_graph and glove is None:
-        raise DataError(f"{out / GLOVE_FILE} not found; the graph module needs "
+        raise DataError(f"{out.path / GLOVE_FILE} not found; the graph module needs "
                         f"train-glove to run first")
     bars, ds, _ = _assemble_dataset(cfg, out, model_cfg)
     train_end = _train_end(cfg)
@@ -473,49 +495,44 @@ def cmd_train(cfg, out: Path, args):
         raise DataError(f"split.train_end {train_end} is not a trading day in the panel")
     lo, hi = _window_indices(bars.calendar, None, train_end)
     train_ds = ds.split_by_anchor(lo, hi)
-    graph = _load_graph(out / GRAPH_FILE, glove.symbols) if model_cfg.use_graph else None
+    graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
     trained = mdl.train(train_ds, model_cfg, glove if model_cfg.use_graph else None,
                         graph)
-    save_checkpoint(out / CHECKPOINT_FILE, trained.params)
-    with open(out / MODELCFG_FILE, "w", encoding="utf-8") as fh:
+    save_checkpoint(out.write(CHECKPOINT_FILE), trained.params)
+    with open(out.write(MODELCFG_FILE), "w", encoding="utf-8") as fh:
         json.dump(vars(model_cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    inputs = [out / FACTORS_FILE, out / PANEL_FILE]
-    if glove is not None:
-        inputs.append(out / GLOVE_FILE)
-    if model_cfg.use_graph:
-        inputs.append(out / GRAPH_FILE)
-    if model_cfg.use_news:
-        inputs.append(out / WORDVEC_FILE)
-    return inputs, [out / CHECKPOINT_FILE, out / MODELCFG_FILE], {
-        "ablation": args.ablation or "Full", "n_train_samples": train_ds.n,
-        "trace": trained.trace}
+    return {"ablation": args.ablation or "Full", "n_train_samples": train_ds.n,
+            "trace": trained.trace}
 
 
-def _load_trained(cfg, out: Path):
-    with open(_artifact(out / MODELCFG_FILE, "train"), encoding="utf-8") as fh:
-        stored = json.load(fh)
+def _read_model_config(path) -> mdl.ModelConfig:
     try:
-        model_cfg = mdl.ModelConfig(**stored)
-    except TypeError as exc:
-        raise DataError(f"{out / MODELCFG_FILE}: {exc}; rerun train") from exc
-    glove = _load_glove(out / GLOVE_FILE) if model_cfg.use_graph else None
-    graph = _load_graph(out / GRAPH_FILE, glove.symbols) if model_cfg.use_graph else None
+        with open(path, encoding="utf-8") as fh:
+            return mdl.ModelConfig.from_dict(json.load(fh))
+    except (TypeError, ValueError) as exc:    # JSON and UTF-8 errors are ValueErrors
+        raise DataError(f"{path}: {exc}; rerun train") from exc
+
+
+def _load_trained(cfg, out: OutDir):
+    model_cfg = _read_model_config(out.read(MODELCFG_FILE))
+    glove = _load_glove(out.read(GLOVE_FILE)) if model_cfg.use_graph else None
+    graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
     rng = np.random.default_rng(model_cfg.seed)
     params = mdl.build_params(model_cfg, rng, glove)
-    stored_values = load_checkpoint(_artifact(out / CHECKPOINT_FILE, "train"))
+    stored_values = load_checkpoint(out.read(CHECKPOINT_FILE))
     if set(stored_values) != set(params):
         raise DataError("checkpoint parameter names do not match the model config")
     for name, values in stored_values.items():
         if params[name].values.shape != values.shape:
             raise DataError(f"checkpoint shape mismatch for {name}")
         params[name].values = values.astype(np.float64)
-    bars = _load_panel(out / PANEL_FILE)
+    bars = _load_panel(out.read(PANEL_FILE))
     model = mdl.TrainedModel(params, model_cfg, graph, bars.symbols)
     return model, model_cfg, bars
 
 
-def cmd_predict(cfg, out: Path, args):
+def cmd_predict(cfg, out: OutDir, args):
     model, model_cfg, bars = _load_trained(cfg, out)
     _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False)
     train_end = _train_end(cfg)
@@ -528,20 +545,19 @@ def cmd_predict(cfg, out: Path, args):
     if sub.n == 0:
         raise DataError("no samples in the requested prediction window")
     panel = mdl.predict(model, sub)
-    _write_forecasts(out / FORECASTS_FILE, panel)
-    return [out / CHECKPOINT_FILE, out / PANEL_FILE], [out / FORECASTS_FILE], {
-        "window": args.window, "n_forecasts": sub.n,
-        "test_start": spec.test_start.isoformat()}
+    _write_forecasts(out.write(FORECASTS_FILE), panel)
+    return {"window": args.window, "n_forecasts": sub.n,
+            "test_start": spec.test_start.isoformat()}
 
 
-def cmd_backtest(cfg, out: Path, args):
-    fc = _read_forecasts(out / FORECASTS_FILE)
-    bars = _load_panel(out / PANEL_FILE)
+def cmd_backtest(cfg, out: OutDir, args):
+    fc = _read_forecasts(out.read(FORECASTS_FILE))
+    bars = _load_panel(out.read(PANEL_FILE))
     unknown = ([d.isoformat() for d in fc.calendar if d not in bars.date_index]
                + [s for s in fc.symbols if s not in bars.symbol_index])
     if unknown:
-        raise DataError(f"{out / FORECASTS_FILE}: {unknown[0]} is not in "
-                        f"{out / PANEL_FILE}; the forecasts do not match the panel, "
+        raise DataError(f"{out.path / FORECASTS_FILE}: {unknown[0]} is not in "
+                        f"{out.path / PANEL_FILE}; the forecasts do not match the panel, "
                         f"rerun predict")
     rets_full = daily_simple_returns(bars)
     rows = [bars.date_index[d] for d in fc.calendar]
@@ -572,33 +588,31 @@ def cmd_backtest(cfg, out: Path, args):
         metrics["r2_out"] = bt.r_squared(fc.y[aligned], fc.yhat[aligned])
     if len(fc.calendar) >= 2 and ledger.pnl.std() > 0:
         metrics["sharpe"] = bt.sharpe(ledger.pnl)
-    bt.write_pnl_csv(out / "pnl_daily.csv", ledger)
-    bt.write_metrics_csv(out / "metrics.csv", metrics)
-    return [out / FORECASTS_FILE, out / PANEL_FILE], \
-        [out / "pnl_daily.csv", out / "metrics.csv"], {"simulator": args.simulator}
+    bt.write_pnl_csv(out.write("pnl_daily.csv"), ledger)
+    bt.write_metrics_csv(out.write("metrics.csv"), metrics)
+    return {"simulator": args.simulator}
 
 
-def cmd_quantiles(cfg, out: Path, args):
-    fc = _read_forecasts(out / FORECASTS_FILE)
+def cmd_quantiles(cfg, out: OutDir, args):
+    fc = _read_forecasts(out.read(FORECASTS_FILE))
     reports = bt.quantile_analysis(fc.yhat, fc.y)
-    bt.write_quantiles_csv(out / "quantiles.csv", reports)
+    bt.write_quantiles_csv(out.write("quantiles.csv"), reports)
     extra = {}
     for side in ("long", "short"):
         side_reports = bt.quantile_analysis(fc.yhat, fc.y, side=side)
         extra[side] = {qr: r.ppd_bps for qr, r in side_reports.items()}
-    return [out / FORECASTS_FILE], [out / "quantiles.csv"], extra
+    return extra
 
 
-def cmd_interpret(cfg, out: Path, args):
+def cmd_interpret(cfg, out: OutDir, args):
     model, model_cfg, bars = _load_trained(cfg, out)
     icfg = cfg["interpret"]
-    outputs = []
 
     if model_cfg.use_graph:
         emb = model.params["graph.emb"].values
         symbols = model.symbols
     else:  # a non-graph model has no embeddings of its own: read train-glove's
-        glove = _load_glove(out / GLOVE_FILE)
+        glove = _load_glove(out.read(GLOVE_FILE))
         emb, symbols = glove.vectors, glove.symbols
     report = itp.pairwise_distance_report(emb)
     low, high = itp.extreme_distance_pairs(report, icfg["distance_band"])
@@ -606,28 +620,22 @@ def cmd_interpret(cfg, out: Path, args):
         "closest": [[symbols[p.i], symbols[p.j]] for p in low],
         "farthest": [[symbols[p.i], symbols[p.j]] for p in high],
     }
-    path = out / "pair_distances.csv"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out.write("pair_distances.csv"), "w", encoding="utf-8") as fh:
         fh.write("pair_a,pair_b,distance,percentile\n")
         for p in report:
             fh.write(f"{symbols[p.i]},{symbols[p.j]},{repr(p.distance)},"
                      f"{p.percentile:.4f}\n")
-    outputs.append(path)
-    path = out / "final_stock_embeddings.txt"
-    itp.export_embeddings(path, symbols, emb)
-    outputs.append(path)
+    itp.export_embeddings(out.write("final_stock_embeddings.txt"), symbols, emb)
 
     if model_cfg.use_tech:
-        factors = _load_factors(out / FACTORS_FILE)
+        factors = _load_factors(out.read(FACTORS_FILE))
         w = np.maximum(model.params["tech.w"].values, 0.0).T  # (m, l)
         k_emb = min(icfg["k_emb"], w.shape[1])
         freq = itp.factor_frequency(w, k_emb)
-        path = out / "factor_importance.csv"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(out.write("factor_importance.csv"), "w", encoding="utf-8") as fh:
             fh.write("rank,factor_index,factor_name,top_k_appearances\n")
             for rank, (j, count) in enumerate(freq, start=1):
                 fh.write(f"{rank},{j},{factors.factor_names[j]},{count}\n")
-        outputs.append(path)
 
     _, ds, news_panel = _assemble_dataset(cfg, out, model_cfg)
     spec = bt.split(bars.calendar, _train_end(cfg), cfg["split"]["gap_days"])
@@ -637,13 +645,11 @@ def cmd_interpret(cfg, out: Path, args):
         capture: dict = {}
         fc = mdl.predict(model, test_ds, capture=capture)
         beta_mean = itp.aggregate_temporal_attention(capture["temporal_beta"])
-        path = out / "temporal_attention.csv"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(out.write("temporal_attention.csv"), "w", encoding="utf-8") as fh:
             fh.write("lag,mean_weight\n")
             T = model_cfg.lookback
             for idx, wgt in enumerate(beta_mean):
                 fh.write(f"-{T - idx}day,{repr(float(wgt))}\n")
-        outputs.append(path)
 
         errors = (fc.yhat[test_ds.anchor_idx, test_ds.stock_idx]
                   - test_ds.labels) ** 2
@@ -651,8 +657,7 @@ def cmd_interpret(cfg, out: Path, args):
                 for a, s in zip(test_ds.anchor_idx, test_ds.stock_idx)]
         buckets = itp.news_error_buckets(keys, errors, icfg["error_tail"])
         error_of = dict(zip(keys, errors))
-        path = out / "news_error_buckets.csv"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(out.write("news_error_buckets.csv"), "w", encoding="utf-8") as fh:
             fh.write("bucket,date,symbol,sq_error,article_ids\n")
             for name, bucket in (("low_error", buckets.low), ("high_error", buckets.high)):
                 for date_s, sym in bucket:
@@ -664,10 +669,8 @@ def cmd_interpret(cfg, out: Path, args):
                             ids.extend(news_panel.article_ids.get((day, s), []))
                     fh.write(f"{name},{date_s},{sym},"
                              f"{repr(float(error_of[(date_s, sym)]))},{';'.join(ids)}\n")
-        outputs.append(path)
 
-    return [out / CHECKPOINT_FILE], outputs, {
-        "n_test_samples": test_ds.n, "extreme_pairs": extreme_pairs}
+    return {"n_test_samples": test_ds.n, "extreme_pairs": extreme_pairs}
 
 
 COMMANDS = {
@@ -718,41 +721,35 @@ def run(argv=None) -> int:
     if args.news:
         overrides.append(f"paths.news={args.news}")
     cfg = load_config(args.config, overrides=overrides)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    handler = COMMANDS[args.command]
-    created: list[Path] = []
+    out = OutDir(Path(args.out), cfg)
+    out.path.mkdir(parents=True, exist_ok=True)
     try:
-        inputs, outputs, extra = handler(cfg, out, args)
-        created.extend(Path(p) for p in outputs)
-        manifest = write_manifest(out, args.command, cfg, inputs, outputs, extra)
-        print(f"{args.command}: ok ({manifest.name} {sha256_file(manifest)[:12]})")
-        return 0
+        extra = COMMANDS[args.command](cfg, out, args)
     except AlphagraphError:
-        for p in created:
-            if p.exists():
-                p.unlink()
+        # a failed command leaves neither a partial output nor a stale one
+        # of its previous run
+        manifest = manifest_path(out.path, args.command)
+        for path in {*out.outputs, *manifest_outputs(manifest), manifest}:
+            if path.is_file():
+                path.unlink()
         raise
+    manifest = write_manifest(out.path, args.command, cfg, out.inputs, out.outputs, extra)
+    print(f"{args.command}: ok ({manifest.name} {sha256_file(manifest)[:12]})")
+    return 0
+
+
+# (error class, label, exit code), the first class that matches applies
+EXITS = ((UsageError, "usage", 1), (ConfigError, "config", 1), (DataError, "data", 2),
+         (NumericalFault, "numerical", 3), (AlphagraphError, "internal", 3))
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFault as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return 3
     except AlphagraphError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 3
+        label, code = next((label, code) for cls, label, code in EXITS if isinstance(exc, cls))
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

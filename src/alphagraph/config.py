@@ -190,6 +190,21 @@ def _portable(cfg: dict) -> dict:
     return out
 
 
+def manifest_path(outdir, command: str) -> Path:
+    return Path(outdir) / f"{command.replace('-', '_')}_manifest.json"
+
+
+def manifest_outputs(path) -> list[Path]:
+    """The outputs that the manifest at ``path`` lists, beside it; none if
+    there is no readable manifest."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            names = list(json.load(fh)["outputs"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    return [Path(path).parent / os.path.basename(str(name)) for name in names]
+
+
 def write_manifest(outdir, command: str, cfg: dict, inputs, outputs,
                    extra: dict | None = None) -> Path:
     """Write ``<command>_manifest.json`` and return its path.
@@ -207,7 +222,7 @@ def write_manifest(outdir, command: str, cfg: dict, inputs, outputs,
     }
     if extra:
         manifest["extra"] = extra
-    path = Path(outdir) / f"{command.replace('-', '_')}_manifest.json"
+    path = manifest_path(outdir, command)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

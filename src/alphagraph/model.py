@@ -12,7 +12,7 @@ Adam; the stock embedding matrix is fine-tuned through the attention path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,6 +72,20 @@ class ModelConfig:
             raise ConfigError("at least one input module must be enabled")
         if self.tech_dim > MAX_TECH_DIM:
             raise ConfigError(f"tech_dim {self.tech_dim} exceeds maximum {MAX_TECH_DIM}")
+
+    @classmethod
+    def from_dict(cls, stored) -> "ModelConfig":
+        """The config whose ``vars`` are ``stored``. A TypeError names an
+        unknown field, or a value whose type is not its default's (an int
+        may stand for a float)."""
+        if not isinstance(stored, dict):
+            raise TypeError(f"expected an object of config fields, got {type(stored).__name__}")
+        cfg = cls(**stored)
+        for f in fields(cls):
+            value, kind = getattr(cfg, f.name), type(f.default)
+            if type(value) not in ((int, float) if kind is float else (kind,)):
+                raise TypeError(f"{f.name} is {value!r}, expected {kind.__name__}")
+        return cfg
 
     def input_dim(self) -> int:
         return (self.embed_dim * self.use_graph + self.tech_dim * self.use_tech
@@ -213,7 +227,6 @@ def build_params(cfg: ModelConfig, rng: np.random.Generator,
         if init_emb.dim != cfg.embed_dim:
             raise ConfigError(f"embedding dim {init_emb.dim} != config {cfg.embed_dim}")
         nn.param(init_emb.vectors.copy(), params, "graph.emb")
-        nn.param(init_emb.biases.copy(), params, "graph.bias")
         nn.init_score_net(rng, 2 * cfg.embed_dim, cfg.attn_hidden, params, "graph.attn")
     if cfg.use_tech:
         if cfg.n_factors < 1:
@@ -306,9 +319,6 @@ class TrainedModel:
     graph: StockGraph | None
     symbols: tuple
     trace: list = field(default_factory=list)
-
-    def param_values(self) -> dict:
-        return {k: t.values.copy() for k, t in self.params.items()}
 
 
 def _forward_loss_eval(params, cfg, ds: Dataset, graph, idx) -> float:

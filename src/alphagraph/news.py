@@ -72,7 +72,8 @@ class NewsArticle:
 
 def load_articles(path, tokenizer=whitespace_tokenizer,
                   stopwords=DEFAULT_STOPWORDS) -> list[NewsArticle]:
-    """Read a JSONL news file and preprocess every article's text."""
+    """Read a JSONL news file and preprocess every article's text. A file
+    without articles is a DataError."""
     articles = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -90,6 +91,8 @@ def load_articles(path, tokenizer=whitespace_tokenizer,
             except (KeyError, ValueError, TypeError) as exc:
                 raise DataError(f"{path} line {line_no}: malformed news record: {exc}") from exc
             articles.append(art)
+    if not articles:
+        raise DataError(f"{path}: no articles")
     return articles
 
 

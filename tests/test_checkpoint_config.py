@@ -53,6 +53,10 @@ def test_checkpoint_magic_and_version(tmp_path):
     corrupt.write_bytes(good.read_bytes() + b"extra")
     with pytest.raises(DataError):
         load_checkpoint(corrupt)
+    version_1 = tmp_path / "v1.bin"
+    version_1.write_bytes(MAGIC + (1).to_bytes(4, "little") + good.read_bytes()[8:])
+    with pytest.raises(DataError, match="checkpoint version 1, .*; rerun train"):
+        load_checkpoint(version_1)
 
 
 def test_checkpoint_accepts_tensors(tmp_path):

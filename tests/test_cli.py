@@ -6,10 +6,15 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from alphagraph import cli
 from alphagraph.checkpoint import load_checkpoint
 from alphagraph.cli import main
 from alphagraph.config import sha256_file
+from alphagraph.embfile import embedding_dim, read_embeddings
+from alphagraph.errors import DataError
+from alphagraph.model import ModelConfig
 
 
 def small_config(tmp_path, train_end):
@@ -315,17 +320,22 @@ def test_missing_graph_or_word_vectors_is_data_error(run_copy, capsys, missing, 
 
 
 def test_diverging_train_glove_is_numerical_fault(tmp_path, capsys):
+    """The failed run also removes what the earlier successful run wrote, so
+    graph cannot read the stale glove.npz."""
     cfg_path = small_config(tmp_path, train_end="2015-04-06")
     base = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
-    for command in ("synth", "ingest", "cooccur"):
+    for command in ("synth", "ingest", "cooccur", "train-glove"):
         assert main([command] + base) == 0
     capsys.readouterr()
-    assert main(["train-glove"] + base + ["--set", "glove.lr=5"]) == 3
+    assert main(["train-glove"] + base + ["--set", "glove.lr=50"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerical: train_glove: ") and "epoch" in err
     assert len(err.splitlines()) == 1
-    assert not (tmp_path / "run" / "glove.npz").exists()
-    assert not (tmp_path / "run" / "stock_embeddings.txt").exists()
+    for name in ("glove.npz", "stock_embeddings.txt", "train_glove_manifest.json"):
+        assert not (tmp_path / "run" / name).exists(), name
+    assert main(["graph"] + base) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "glove.npz not found; run train-glove first" in err
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +405,184 @@ def test_forecasts_not_matching_the_panel_are_data_errors(run_copy, capsys, fiel
     assert (f"error: data: {path}: {replacement} is not in {out / 'panel.npz'}; the "
             f"forecasts do not match the panel, rerun predict") in err
     assert main(["quantiles"] + base) == 0    # quantiles reads no panel
+
+
+# ---------------------------------------------------------------------------
+# manifests list what each stage read and wrote; a failed command leaves
+# none of its outputs
+# ---------------------------------------------------------------------------
+
+TRAINED = {"model_config.json", "checkpoint.bin", "panel.npz", "factors.npz", "news.jsonl",
+           "word_embeddings.txt", "glove.npz", "graph.csv"}
+INTERPRET_OUTPUTS = {"pair_distances.csv", "final_stock_embeddings.txt",
+                     "factor_importance.csv", "temporal_attention.csv",
+                     "news_error_buckets.csv"}
+READS_AND_WRITES = {
+    "synth": (set(), {"bars.csv", "news.jsonl", "truth.json", "truth_signals.csv"}),
+    "ingest": ({"bars.csv"}, {"panel.npz", "factors.npz"}),
+    "cooccur": ({"news.jsonl", "panel.npz"}, {"cooccur.npz"}),
+    "train_word2vec": ({"news.jsonl"}, {"word_embeddings.txt"}),
+    "train_glove": ({"cooccur.npz"}, {"glove.npz", "stock_embeddings.txt"}),
+    "graph": ({"glove.npz"}, {"graph.csv"}),
+    "train": (TRAINED - {"model_config.json", "checkpoint.bin"},
+              {"checkpoint.bin", "model_config.json"}),
+    "predict": (TRAINED, {"forecasts.csv"}),
+    "backtest": ({"forecasts.csv", "panel.npz"}, {"pnl_daily.csv", "metrics.csv"}),
+    "quantiles": ({"forecasts.csv"}, {"quantiles.csv"}),
+    "interpret": (TRAINED, INTERPRET_OUTPUTS),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(READS_AND_WRITES))
+def test_manifest_lists_exactly_what_the_stage_read_and_wrote(pipeline_run, cmd):
+    out, _ = pipeline_run
+    manifest = json.loads((out / f"{cmd}_manifest.json").read_text())
+    inputs, outputs = READS_AND_WRITES[cmd]
+    assert set(manifest["inputs"]) == inputs
+    assert set(manifest["outputs"]) == outputs
+    for name, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+        assert digest == sha256_file(out / name), name
+
+
+def test_failed_command_removes_what_it_wrote(run_copy, capsys, monkeypatch):
+    """interpret writes three reports before it reads news.jsonl; without
+    that file it fails, and neither those reports nor the ones and the
+    manifest of its earlier run remain."""
+    out, cfg_path = run_copy
+    (out / "news.jsonl").rename(out / "news.moved")
+    written = []
+    write = cli.OutDir.write
+    monkeypatch.setattr(cli.OutDir, "write",
+                        lambda self, name: written.append(name) or write(self, name))
+    assert main(["interpret", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "news.jsonl not found; run synth first" in capsys.readouterr().err
+    assert written == ["pair_distances.csv", "final_stock_embeddings.txt",
+                       "factor_importance.csv"]
+    left = {p.name for p in out.iterdir()}
+    assert not left & (INTERPRET_OUTPUTS | {"interpret_manifest.json"})
+    assert {"forecasts.csv", "predict_manifest.json", "checkpoint.bin"} <= left
+
+
+# ---------------------------------------------------------------------------
+# no traceback escapes a corrupted artifact
+# ---------------------------------------------------------------------------
+
+def _rewrite_npz(path, change):
+    """Replace arrays of an .npz file by those ``change(arrays)`` returns."""
+    with np.load(path) as z:
+        arrays = {name: z[name] for name in z.files}
+    np.savez(path, **dict(arrays, **change(arrays)))
+
+
+def _edit_json(path, **changes):
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **changes)))
+
+
+def _wordvec_value(path):
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(" ", 1)[0] + " abc"
+    path.write_text("\n".join(lines) + "\n")
+
+
+# artifact -> (first command of the pipeline that reads it, its arguments)
+FIRST_READER = {
+    "bars.csv": ["ingest"], "news.jsonl": ["cooccur"], "panel.npz": ["cooccur"],
+    "cooccur.npz": ["train-glove"], "glove.npz": ["graph"],
+    "factors.npz": ["train"], "word_embeddings.txt": ["train"], "graph.csv": ["train"],
+    "checkpoint.bin": ["predict"], "model_config.json": ["predict"],
+    "forecasts.csv": ["backtest"],
+}
+CORRUPTIONS = {
+    **{f"{name} empty": (name, lambda path: path.write_bytes(b""), None)
+       for name in FIRST_READER},
+    "word vector header x y": ("word_embeddings.txt",
+                               lambda path: path.write_text("x y\n"), "line 1: header"),
+    "word vector not a number": ("word_embeddings.txt", _wordvec_value,
+                                 "line 2: could not convert string to float: 'abc'"),
+    "model config not JSON": ("model_config.json", lambda path: path.write_text("{"),
+                              "rerun train"),
+    "model config string width": ("model_config.json",
+                                  lambda path: _edit_json(path, hidden="8"),
+                                  "hidden is '8', expected int; rerun train"),
+    "panel dates not ISO": (
+        "panel.npz", lambda path: _rewrite_npz(path, lambda a: {"calendar": np.array(["x"])}),
+        "array 'calendar': Invalid isoformat string: 'x'; rerun ingest"),
+    "glove vectors 1-D": (
+        "glove.npz", lambda path: _rewrite_npz(path, lambda a: {"vectors": np.zeros(10)}),
+        "array 'vectors' has shape (10,), expected 10 x *; rerun train-glove"),
+    "cooccur lengths differ": (
+        "cooccur.npz", lambda path: _rewrite_npz(path, lambda a: {"vals": a["vals"][:-1]}),
+        "array 'vals' has shape (89,), expected 90; rerun cooccur"),
+    "factor values narrower than names": (
+        "factors.npz",
+        lambda path: _rewrite_npz(path, lambda a: {"values": a["values"][..., :-1]}),
+        "array 'values' has shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupted_artifact_is_a_one_line_error(run_copy, capsys, case):
+    out, cfg_path = run_copy
+    name, damage, detail = CORRUPTIONS[case]
+    damage(out / name)
+    code = main(FIRST_READER[name][:1] + ["--config", str(cfg_path), "--out", str(out)]
+                + FIRST_READER[name][1:])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: data: ") and len(err.splitlines()) == 1, err
+    assert detail is None or detail in err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(vars(ModelConfig())) + ["neighbors", ""]),
+                       st.integers(0, 9) | st.booleans() | _json_values, max_size=3),
+       st.just(0) | st.integers(1, 60))
+def test_model_config_loader_fuzz(tmp_path_factory, changes, cut):
+    """Any edit of a stored model config, or a cut of its text, loads as a
+    config of the right types or raises a DataError."""
+    path = tmp_path_factory.mktemp("mc") / "model_config.json"
+    text = json.dumps(dict(vars(ModelConfig()), **changes))
+    path.write_text(text[:len(text) - cut])
+    try:
+        cfg = cli._read_model_config(path)
+    except DataError:
+        return
+    for name, default in vars(ModelConfig()).items():
+        assert type(getattr(cfg, name)) in ((int, float) if type(default) is float
+                                            else (type(default),))
+
+
+@st.composite
+def _embedding_files(draw):
+    """The bytes of an embedding file, maybe with one token replaced, cut
+    short or not UTF-8."""
+    n, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    tokens = [[str(n), str(dim)]] + [
+        [draw(st.sampled_from(["a", "b", "é"]))]
+        + [repr(draw(st.floats(width=32))) for _ in range(dim)] for _ in range(n)]
+    line = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(tokens[line]) - 1))
+        tokens[line][at] = draw(st.sampled_from(["", "x", "-1", "0", "1.5", "1e999", "9" * 30]))
+    text = "".join(" ".join(row) + "\n" for row in tokens)
+    text = text[:len(text) - draw(st.just(0) | st.integers(1, len(text)))]
+    return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_embedding_files())
+def test_embedding_file_loader_fuzz(tmp_path_factory, data):
+    """Any such file reads as (labels, count x dim matrix) or raises a DataError."""
+    path = tmp_path_factory.mktemp("emb") / "vectors.txt"
+    path.write_bytes(data)
+    try:
+        labels, matrix = read_embeddings(path)
+        dim = embedding_dim(path)
+    except DataError:
+        return
+    assert matrix.shape == (len(labels), dim) and matrix.dtype == np.float64

@@ -350,6 +350,7 @@ def test_ablation_containment_checkpoint_keys():
     assert not any(k.startswith("graph.attn") and k not in graph_tech for k in full_keys - graph_tech)
     assert all(not k.startswith("tech.") or k in graph_tech for k in full_keys)
     assert full_keys - graph_tech == set()  # news module adds no parameters
+    assert "graph.bias" not in full_keys    # the forward never read it
 
 
 def test_predict_pure_and_order_invariant():
