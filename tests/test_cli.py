@@ -484,13 +484,12 @@ def _wordvec_value(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-# artifact -> (first command of the pipeline that reads it, its arguments)
+# artifact -> the first command of the pipeline that reads it
 FIRST_READER = {
-    "bars.csv": ["ingest"], "news.jsonl": ["cooccur"], "panel.npz": ["cooccur"],
-    "cooccur.npz": ["train-glove"], "glove.npz": ["graph"],
-    "factors.npz": ["train"], "word_embeddings.txt": ["train"], "graph.csv": ["train"],
-    "checkpoint.bin": ["predict"], "model_config.json": ["predict"],
-    "forecasts.csv": ["backtest"],
+    "bars.csv": "ingest", "news.jsonl": "cooccur", "panel.npz": "cooccur",
+    "cooccur.npz": "train-glove", "glove.npz": "graph", "factors.npz": "train",
+    "word_embeddings.txt": "train", "graph.csv": "train", "checkpoint.bin": "predict",
+    "model_config.json": "predict", "forecasts.csv": "backtest",
 }
 CORRUPTIONS = {
     **{f"{name} empty": (name, lambda path: path.write_bytes(b""), None)
@@ -525,8 +524,7 @@ def test_corrupted_artifact_is_a_one_line_error(run_copy, capsys, case):
     out, cfg_path = run_copy
     name, damage, detail = CORRUPTIONS[case]
     damage(out / name)
-    code = main(FIRST_READER[name][:1] + ["--config", str(cfg_path), "--out", str(out)]
-                + FIRST_READER[name][1:])
+    code = main([FIRST_READER[name], "--config", str(cfg_path), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: data: ") and len(err.splitlines()) == 1, err
     assert detail is None or detail in err
