@@ -108,29 +108,27 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _emit(values: np.ndarray, op: str, inputs, make_backward) -> Tensor:
-    """Build the output tensor, validate finiteness, and record on the tape."""
-    if not np.isfinite(values).all():
-        raise NumericalFault(f"non-finite values produced by '{op}'")
-    tape = _active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(values, requires_grad=needs)
-    if needs:
-        tape._records.append((out, make_backward(out)))
-    return out
+def _emit(values, op: str, inputs, backward):
+    """Build the output tensor, validate finiteness, and record it on the tape
+    with its ``backward`` closure.
 
-
-def _emit_many(values_list, op: str, inputs, make_backward) -> list[Tensor]:
-    """``_emit`` for a primitive with several outputs, recorded once."""
-    for values in values_list:
-        if not np.isfinite(values).all():
+    A primitive with several outputs passes a tuple of arrays and gets a list
+    of tensors back. They form one record, whose ``backward`` receives the
+    list of their gradients.
+    """
+    many = type(values) is tuple
+    for v in values if many else (values,):
+        if not np.isfinite(v).all():
             raise NumericalFault(f"non-finite values produced by '{op}'")
     tape = _active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
-    outs = tuple(Tensor(v, requires_grad=needs) for v in values_list)
+    if many:
+        out = tuple(Tensor(v, requires_grad=needs) for v in values)
+    else:
+        out = Tensor(values, requires_grad=needs)
     if needs:
-        tape._records.append((outs, make_backward(outs)))
-    return list(outs)
+        tape._records.append((out, backward))
+    return list(out) if many else out
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +144,26 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape("add", a, b)
 
-    def make(out):
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g)
-            if b.requires_grad:
-                b.accumulate(g)
-        return backward
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g)
+        if b.requires_grad:
+            b.accumulate(g)
 
-    return _emit(a.values + b.values, "add", (a, b), make)
+    return _emit(a.values + b.values, "add", (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape("sub", a, b)
 
-    def make(out):
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g)
-            if b.requires_grad:
-                b.accumulate(-g)
-        return backward
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g)
+        if b.requires_grad:
+            b.accumulate(-g)
 
-    return _emit(a.values - b.values, "sub", (a, b), make)
+    return _emit(a.values - b.values, "sub", (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -177,54 +171,46 @@ def mul(a, b) -> Tensor:
     _check_same_shape("mul", a, b)
     av, bv = a.values, b.values
 
-    def make(out):
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g * bv)
-            if b.requires_grad:
-                b.accumulate(g * av)
-        return backward
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * bv)
+        if b.requires_grad:
+            b.accumulate(g * av)
 
-    return _emit(av * bv, "mul", (a, b), make)
+    return _emit(av * bv, "mul", (a, b), backward)
 
 
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
 
-    def make(out):
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g * c)
-        return backward
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * c)
 
-    return _emit(a.values * c, "scale", (a,), make)
+    return _emit(a.values * c, "scale", (a,), backward)
 
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     mask = x.values > 0.0
 
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate(g * mask)
-        return backward
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g * mask)
 
-    return _emit(np.where(mask, x.values, 0.0), "relu", (x,), make)
+    return _emit(np.where(mask, x.values, 0.0), "relu", (x,), backward)
 
 
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     y = np.tanh(x.values)
 
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate(g * (1.0 - y * y))
-        return backward
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g * (1.0 - y * y))
 
-    return _emit(y, "tanh", (x,), make)
+    return _emit(y, "tanh", (x,), backward)
 
 
 def _sigmoid_values(v: np.ndarray) -> np.ndarray:
@@ -237,13 +223,11 @@ def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     y = _sigmoid_values(x.values)
 
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate(g * y * (1.0 - y))
-        return backward
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g * y * (1.0 - y))
 
-    return _emit(y, "sigmoid", (x,), make)
+    return _emit(y, "sigmoid", (x,), backward)
 
 
 def softmax(x, mask=None) -> Tensor:
@@ -268,14 +252,12 @@ def softmax(x, mask=None) -> Tensor:
     e = np.exp(v - m)
     y = e / e.sum(axis=-1, keepdims=True)
 
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                inner = (g * y).sum(axis=-1, keepdims=True)
-                x.accumulate(y * (g - inner))
-        return backward
+    def backward(g):
+        if x.requires_grad:
+            inner = (g * y).sum(axis=-1, keepdims=True)
+            x.accumulate(y * (g - inner))
 
-    return _emit(y, "softmax", (x,), make)
+    return _emit(y, "softmax", (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -291,31 +273,29 @@ def matmul(a, b) -> Tensor:
     if av.shape[-1] != (bv.shape[0] if b.ndim >= 1 else 0):
         raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} differ")
 
-    def make(out):
-        def backward(g):
-            if a.ndim == 2 and b.ndim == 2:
-                if a.requires_grad:
-                    a.accumulate(g @ bv.T)
-                if b.requires_grad:
-                    b.accumulate(av.T @ g)
-            elif a.ndim == 2 and b.ndim == 1:
-                if a.requires_grad:
-                    a.accumulate(np.outer(g, bv))
-                if b.requires_grad:
-                    b.accumulate(av.T @ g)
-            elif a.ndim == 1 and b.ndim == 2:
-                if a.requires_grad:
-                    a.accumulate(bv @ g)
-                if b.requires_grad:
-                    b.accumulate(np.outer(av, g))
-            else:  # dot product
-                if a.requires_grad:
-                    a.accumulate(g * bv)
-                if b.requires_grad:
-                    b.accumulate(g * av)
-        return backward
+    def backward(g):
+        if a.ndim == 2 and b.ndim == 2:
+            if a.requires_grad:
+                a.accumulate(g @ bv.T)
+            if b.requires_grad:
+                b.accumulate(av.T @ g)
+        elif a.ndim == 2 and b.ndim == 1:
+            if a.requires_grad:
+                a.accumulate(np.outer(g, bv))
+            if b.requires_grad:
+                b.accumulate(av.T @ g)
+        elif a.ndim == 1 and b.ndim == 2:
+            if a.requires_grad:
+                a.accumulate(bv @ g)
+            if b.requires_grad:
+                b.accumulate(np.outer(av, g))
+        else:  # dot product
+            if a.requires_grad:
+                a.accumulate(g * bv)
+            if b.requires_grad:
+                b.accumulate(g * av)
 
-    return _emit(av @ bv, "matmul", (a, b), make)
+    return _emit(av @ bv, "matmul", (a, b), backward)
 
 
 def affine(x, w, b) -> Tensor:
@@ -327,19 +307,17 @@ def affine(x, w, b) -> Tensor:
     if xv.shape[-1] != wv.shape[0] or wv.shape[1] != bv.shape[0]:
         raise ShapeError(f"affine: incompatible shapes x{x.shape} w{w.shape} b{b.shape}")
 
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate(g @ wv.T)
-            if w.requires_grad:
-                w.accumulate(np.outer(xv, g) if x.ndim == 1 else xv.T @ g)
-            if b.requires_grad:
-                b.accumulate(g if x.ndim == 1 else g.sum(axis=0))
-        return backward
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g @ wv.T)
+        if w.requires_grad:
+            w.accumulate(np.outer(xv, g) if x.ndim == 1 else xv.T @ g)
+        if b.requires_grad:
+            b.accumulate(g if x.ndim == 1 else g.sum(axis=0))
 
     y = xv @ wv
     y += bv  # in place: a fresh broadcast sum costs a second large allocation
-    return _emit(y, "affine", (x, w, b), make)
+    return _emit(y, "affine", (x, w, b), backward)
 
 
 def add_bias(x, b) -> Tensor:
@@ -351,20 +329,18 @@ def add_bias(x, b) -> Tensor:
     if not ok:
         raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape} do not broadcast")
 
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate(g)
-            if b.requires_grad:
-                if b.shape == x.shape:
-                    b.accumulate(g)
-                elif b.ndim == 0:
-                    b.accumulate(g.sum())
-                else:
-                    b.accumulate(g.sum(axis=0))
-        return backward
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g)
+        if b.requires_grad:
+            if b.shape == x.shape:
+                b.accumulate(g)
+            elif b.ndim == 0:
+                b.accumulate(g.sum())
+            else:
+                b.accumulate(g.sum(axis=0))
 
-    return _emit(xv + bv, "add_bias", (x, b), make)
+    return _emit(xv + bv, "add_bias", (x, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +358,15 @@ def concat(tensors, axis: int = -1) -> Tensor:
     widths = [t.shape[ax] for t in tensors]
     offsets = np.concatenate([[0], np.cumsum(widths)])
 
-    def make(out):
-        def backward(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * nd
-                    sl[ax] = slice(int(lo), int(hi))
-                    t.accumulate(g[tuple(sl)])
-        return backward
+    def backward(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                sl = [slice(None)] * nd
+                sl[ax] = slice(int(lo), int(hi))
+                t.accumulate(g[tuple(sl)])
 
     return _emit(np.concatenate([t.values for t in tensors], axis=ax),
-                 "concat", tensors, make)
+                 "concat", tensors, backward)
 
 
 def _index(ndim: int, axis: int, i) -> tuple:
@@ -407,14 +381,12 @@ def stack(tensors, axis: int = 0) -> Tensor:
     nd = tensors[0].ndim + 1
     ax = axis % nd
 
-    def make(out):
-        def backward(g):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    t.accumulate(g[_index(nd, ax, i)])
-        return backward
+    def backward(g):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.accumulate(g[_index(nd, ax, i)])
 
-    return _emit(np.stack([t.values for t in tensors], axis=ax), "stack", tensors, make)
+    return _emit(np.stack([t.values for t in tensors], axis=ax), "stack", tensors, backward)
 
 
 def stack_rows(tensors) -> Tensor:
@@ -432,16 +404,14 @@ def unstack(x, axis: int = 0) -> list[Tensor]:
     ax = axis % x.ndim
     parts = [x.values[_index(x.ndim, ax, i)] for i in range(x.shape[ax])]
 
-    def make(outs):
-        def backward(grads):
-            if x.requires_grad:
-                x.ensure_grad()
-                for i, g in enumerate(grads):
-                    if g is not None:
-                        x.grad[_index(x.ndim, ax, i)] += g
-        return backward
+    def backward(grads):
+        if x.requires_grad:
+            x.ensure_grad()
+            for i, g in enumerate(grads):
+                if g is not None:
+                    x.grad[_index(x.ndim, ax, i)] += g
 
-    return _emit_many(parts, "unstack", (x,), make)
+    return _emit(tuple(parts), "unstack", (x,), backward)
 
 
 def reshape(x, shape) -> Tensor:
@@ -452,13 +422,11 @@ def reshape(x, shape) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}") from exc
 
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate(g.reshape(x.shape))
-        return backward
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g.reshape(x.shape))
 
-    return _emit(y, "reshape", (x,), make)
+    return _emit(y, "reshape", (x,), backward)
 
 
 def gather_rows(m, index) -> Tensor:
@@ -471,14 +439,12 @@ def gather_rows(m, index) -> Tensor:
         raise ShapeError(f"gather_rows: expected 2-D input, got {m.shape}")
     idx = np.asarray(index, dtype=np.intp)
 
-    def make(out):
-        def backward(g):
-            if m.requires_grad:
-                m.ensure_grad()
-                np.add.at(m.grad, idx, g)
-        return backward
+    def backward(g):
+        if m.requires_grad:
+            m.ensure_grad()
+            np.add.at(m.grad, idx, g)
 
-    return _emit(m.values[idx], "gather_rows", (m,), make)
+    return _emit(m.values[idx], "gather_rows", (m,), backward)
 
 
 def take_row(m, i: int) -> Tensor:
@@ -486,14 +452,12 @@ def take_row(m, i: int) -> Tensor:
     if m.ndim != 2:
         raise ShapeError(f"take_row: expected 2-D input, got {m.shape}")
 
-    def make(out):
-        def backward(g):
-            if m.requires_grad:
-                m.ensure_grad()
-                m.grad[i] += g
-        return backward
+    def backward(g):
+        if m.requires_grad:
+            m.ensure_grad()
+            m.grad[i] += g
 
-    return _emit(m.values[i].copy(), "take_row", (m,), make)
+    return _emit(m.values[i].copy(), "take_row", (m,), backward)
 
 
 def mul_rows(m, s) -> Tensor:
@@ -503,15 +467,13 @@ def mul_rows(m, s) -> Tensor:
         raise ShapeError(f"mul_rows: shapes {m.shape} and {s.shape} incompatible")
     mv, sv = m.values, s.values
 
-    def make(out):
-        def backward(g):
-            if m.requires_grad:
-                m.accumulate(g * sv[:, None])
-            if s.requires_grad:
-                s.accumulate((g * mv).sum(axis=1))
-        return backward
+    def backward(g):
+        if m.requires_grad:
+            m.accumulate(g * sv[:, None])
+        if s.requires_grad:
+            s.accumulate((g * mv).sum(axis=1))
 
-    return _emit(mv * sv[:, None], "mul_rows", (m, s), make)
+    return _emit(mv * sv[:, None], "mul_rows", (m, s), backward)
 
 
 def weighted_sum(seq, w) -> Tensor:
@@ -528,15 +490,13 @@ def weighted_sum(seq, w) -> Tensor:
     for k in range(1, sv.shape[1]):
         y += sv[:, k] * wv[:, k, None]
 
-    def make(out):
-        def backward(g):
-            if seq.requires_grad:
-                seq.accumulate(g[:, None, :] * wv[:, :, None])
-            if w.requires_grad:
-                w.accumulate(np.einsum("nkm,nm->nk", sv, g))
-        return backward
+    def backward(g):
+        if seq.requires_grad:
+            seq.accumulate(g[:, None, :] * wv[:, :, None])
+        if w.requires_grad:
+            w.accumulate(np.einsum("nkm,nm->nk", sv, g))
 
-    return _emit(y, "weighted_sum", (seq, w), make)
+    return _emit(y, "weighted_sum", (seq, w), backward)
 
 
 def lstm_step(zx, zh, c_prev):
@@ -580,28 +540,26 @@ def lstm_step(zx, zh, c_prev):
     h = o * tc
     inputs = (zx,) + tuple(t for t in (zh, c_prev) if t is not None)
 
-    def make(outs):
-        def backward(grads):
-            gh, gc = grads
-            dc = np.zeros_like(c) if gc is None else gc
-            if gh is not None:
-                dc = dc + gh * o * (1.0 - tc * tc)
-            dz = np.zeros_like(act)
-            dz[..., :H] = dc * g * i * (1.0 - i)
-            if c_prev is not None:
-                dz[..., H:2 * H] = dc * c_prev.values * f * (1.0 - f)
-            dz[..., 2 * H:3 * H] = dc * i * (1.0 - g * g)
-            if gh is not None:
-                dz[..., 3 * H:] = gh * tc * o * (1.0 - o)
-            if zx.requires_grad:
-                zx.accumulate(dz)
-            if zh is not None and zh.requires_grad:
-                zh.accumulate(dz)
-            if c_prev is not None and c_prev.requires_grad:
-                c_prev.accumulate(dc * f)
-        return backward
+    def backward(grads):
+        gh, gc = grads
+        dc = np.zeros_like(c) if gc is None else gc
+        if gh is not None:
+            dc = dc + gh * o * (1.0 - tc * tc)
+        dz = np.zeros_like(act)
+        dz[..., :H] = dc * g * i * (1.0 - i)
+        if c_prev is not None:
+            dz[..., H:2 * H] = dc * c_prev.values * f * (1.0 - f)
+        dz[..., 2 * H:3 * H] = dc * i * (1.0 - g * g)
+        if gh is not None:
+            dz[..., 3 * H:] = gh * tc * o * (1.0 - o)
+        if zx.requires_grad:
+            zx.accumulate(dz)
+        if zh is not None and zh.requires_grad:
+            zh.accumulate(dz)
+        if c_prev is not None and c_prev.requires_grad:
+            c_prev.accumulate(dc * f)
 
-    h_t, c_t = _emit_many((h, c), "lstm_step", inputs, make)
+    h_t, c_t = _emit((h, c), "lstm_step", inputs, backward)
     return h_t, c_t
 
 
@@ -615,13 +573,11 @@ def mean(x) -> Tensor:
     if n == 0:
         raise ShapeError("mean: empty input")
 
-    def make(out):
-        def backward(g):
-            if x.requires_grad:
-                x.accumulate(np.full_like(x.values, float(g) / n))
-        return backward
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(np.full_like(x.values, float(g) / n))
 
-    return _emit(np.asarray(x.values.mean()), "mean", (x,), make)
+    return _emit(np.asarray(x.values.mean()), "mean", (x,), backward)
 
 
 def sq_error(pred, target) -> Tensor:
@@ -635,13 +591,11 @@ def sq_error(pred, target) -> Tensor:
     diff = pred.values - tv
     n = pred.size
 
-    def make(out):
-        def backward(g):
-            if pred.requires_grad:
-                pred.accumulate(float(g) * 2.0 * diff / n)
-        return backward
+    def backward(g):
+        if pred.requires_grad:
+            pred.accumulate(float(g) * 2.0 * diff / n)
 
-    return _emit(np.asarray(np.mean(diff * diff)), "sq_error", (pred,), make)
+    return _emit(np.asarray(np.mean(diff * diff)), "sq_error", (pred,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -196,21 +196,24 @@ def _load_graph(path, symbols) -> StockGraph:
     adjacency = [[] for _ in symbols]
     distances = [[] for _ in symbols]
     k = 0
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            try:
-                source, target = row["source"], row["target"]
-                distance, rank = float(row["distance"]), int(row["rank"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{where}: malformed graph row: {exc!r}") from exc
-            for sym in (source, target):
-                if sym not in index:
-                    raise DataError(f"{where}: symbol {sym!r} has no stock embedding")
-            adjacency[index[source]].append(index[target])
-            distances[index[source]].append(distance)
-            k = max(k, rank)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                try:
+                    source, target = row["source"], row["target"]
+                    distance, rank = float(row["distance"]), int(row["rank"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"{where}: malformed graph row: {exc!r}") from exc
+                for sym in (source, target):
+                    if sym not in index:
+                        raise DataError(f"{where}: symbol {sym!r} has no stock embedding")
+                adjacency[index[source]].append(index[target])
+                distances[index[source]].append(distance)
+                k = max(k, rank)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc}); rerun graph") from exc
     lonely = [s for s, nbrs in zip(symbols, adjacency) if not nbrs]
     if lonely:
         raise DataError(f"{path}: {lonely[0]} has no neighbors; rerun graph")
@@ -355,7 +358,12 @@ def _require(cfg, section, key):
 
 
 def _train_end(cfg) -> dt.date:
-    return dt.date.fromisoformat(_require(cfg, "split", "train_end"))
+    value = _require(cfg, "split", "train_end")
+    try:
+        return dt.date.fromisoformat(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"split.train_end {value!r} is not a YYYY-MM-DD date "
+                          f"({exc})") from None
 
 
 def _model_config(cfg, ablation: str | None, glove_dim: int, n_factors: int,
@@ -509,9 +517,11 @@ def cmd_train(cfg, out: OutDir, args):
 def _read_model_config(path) -> mdl.ModelConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            return mdl.ModelConfig.from_dict(json.load(fh))
-    except (TypeError, ValueError) as exc:    # JSON and UTF-8 errors are ValueErrors
+            model_cfg = mdl.ModelConfig.from_dict(json.load(fh))
+        model_cfg.validate()
+    except (TypeError, ValueError, ConfigError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise DataError(f"{path}: {exc}; rerun train") from exc
+    return model_cfg
 
 
 def _load_trained(cfg, out: OutDir):

@@ -19,9 +19,11 @@ Implemented factor families, each a standard price/volume construction:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .market import BarPanel, daily_log_returns
@@ -37,7 +39,8 @@ DEFAULT_REGISTRY = {
 }
 
 STANDARDIZE_CLIP = 3.0
-# rows per standardization block: its temporaries stay at a few MB
+# rows per standardization block, and windows per trailing-window block (about
+# BLOCK_ROWS // w dates of S windows): either keeps its temporaries at a few MB
 BLOCK_ROWS = 512
 
 
@@ -54,68 +57,49 @@ class FactorPanel:
         return len(self.factor_names)
 
 
-def _pairwise(term, lo: int, n: int) -> np.ndarray:
-    """Sum of ``term(lo) ... term(lo + n - 1)`` in the order of numpy's
-    pairwise summation of a contiguous run of n float64s (``pairwise_sum``
-    in numpy's ``loops_utils.h.src``): sequential below 8, eight
-    interleaved partial sums up to 128, halves above."""
-    if n < 8:
-        acc = term(lo).copy()
-        for j in range(lo + 1, lo + n):
-            acc += term(j)
-        return acc
-    if n <= 128:
-        part = [term(lo + j).copy() for j in range(8)]
-        i = 8
-        while i < n - n % 8:
-            for j in range(8):
-                part[j] += term(lo + i + j)
-            i += 8
-        acc = ((part[0] + part[1]) + (part[2] + part[3])) + \
-              ((part[4] + part[5]) + (part[6] + part[7]))
-        for j in range(lo + i, lo + n):
-            acc += term(j)
-        return acc
-    half = n // 2
-    half -= half % 8
-    return _pairwise(term, lo, half) + _pairwise(term, lo + half, n - half)
+def _window_blocks(x: np.ndarray, w: int):
+    """Yield ``(rows, block)`` over the trailing windows of x: ``block[i, s]``
+    is a C-contiguous copy of the w rows of column s ending at row
+    ``rows.start + i``. A block spans about BLOCK_ROWS // w dates.
 
-
-def _window_sum(x: np.ndarray, w: int, center: np.ndarray | None = None) -> np.ndarray:
-    """Row t of the result sums the w rows of x ending at row t + w - 1, or
-    their squared deviations from ``center[t]``.
-
-    Each (t, s) entry equals the 1-D ``np.sum`` of that window of column s,
-    bit for bit: 0.0 plus numpy's pairwise sum of the w terms. The pairwise
-    tree runs over whole shifted (D - w + 1, S) arrays, so this is O(w)
-    numpy calls instead of one reduction per date; a running cumulative sum
-    would round differently and carry a NaN into every later window.
+    numpy reduces the contiguous last axis of the copy with the same pairwise
+    sum as a 1-D window, so ``block.mean(axis=-1)`` and ``block.std(axis=-1,
+    ddof=1)`` equal ``np.mean`` and ``np.std(ddof=1)`` of each window bit for
+    bit. Reducing the strided ``sliding_window_view`` itself does not: on a
+    C-ordered x it adds the window's rows one after another and rounds
+    differently.
     """
-    n = x.shape[0] - w + 1
-
-    def term(j):
-        return x[j:j + n] if center is None else np.square(x[j:j + n] - center)
-
-    return 0.0 + _pairwise(term, 0, w)
+    if x.shape[0] < w:
+        return
+    windows = sliding_window_view(x, w, axis=0)
+    step = max(1, BLOCK_ROWS // w)
+    for t in range(0, windows.shape[0], step):
+        block = np.ascontiguousarray(windows[t:t + step])
+        yield slice(w - 1 + t, w - 1 + t + block.shape[0]), block
 
 
 def _trailing_mean(x: np.ndarray, w: int) -> np.ndarray:
     """The mean of each column over the w rows ending at row t, for every
-    t >= w - 1 (NaN before): ``np.mean`` of that 1-D window, bit for bit."""
+    t >= w - 1 (NaN before): numpy's mean of a contiguous copy of each window
+    (see ``_window_blocks``), so ``np.mean`` of that 1-D window, bit for bit."""
     out = np.full_like(x, np.nan)
-    if x.shape[0] >= w:
-        out[w - 1:] = _window_sum(x, w) / w
+    for rows, block in _window_blocks(x, w):
+        out[rows] = block.mean(axis=-1)
     return out
 
 
 def _trailing_moments(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """``_trailing_mean`` and the ddof=1 standard deviation over the same
-    windows: ``np.std(..., ddof=1)`` of each 1-D window, bit for bit (the
-    squared deviations from that mean, divide and sqrt of numpy's _var)."""
-    mean = _trailing_mean(x, w)
+    windows: numpy's std of the same contiguous copies, so ``np.std(...,
+    ddof=1)`` of each 1-D window, bit for bit. With w = 1 that std is NaN;
+    numpy's degrees-of-freedom warning for it is silenced."""
+    mean = np.full_like(x, np.nan)
     std = np.full_like(x, np.nan)
-    if x.shape[0] >= w:
-        std[w - 1:] = np.sqrt(_window_sum(x, w, center=mean[w - 1:]) / (w - 1))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Degrees of freedom <= 0", RuntimeWarning)
+        for rows, block in _window_blocks(x, w):
+            mean[rows] = block.mean(axis=-1)
+            std[rows] = block.std(axis=-1, ddof=1)
     return mean, std
 
 

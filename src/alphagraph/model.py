@@ -72,6 +72,10 @@ class ModelConfig:
             raise ConfigError("at least one input module must be enabled")
         if self.tech_dim > MAX_TECH_DIM:
             raise ConfigError(f"tech_dim {self.tech_dim} exceeds maximum {MAX_TECH_DIM}")
+        for name in ("embed_dim", "tech_dim", "news_dim", "hidden", "attn_hidden",
+                     "temporal_hidden", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, stored) -> "ModelConfig":

@@ -73,24 +73,28 @@ class NewsArticle:
 def load_articles(path, tokenizer=whitespace_tokenizer,
                   stopwords=DEFAULT_STOPWORDS) -> list[NewsArticle]:
     """Read a JSONL news file and preprocess every article's text. A file
-    without articles is a DataError."""
+    without articles, or not UTF-8, is a DataError."""
     articles = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                art = NewsArticle(
-                    id=str(rec["id"]),
-                    date=dt.date.fromisoformat(rec["date"]),
-                    symbols=list(rec.get("symbols", [])),
-                    tokens=clean_tokens(rec["text"], tokenizer, stopwords),
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DataError(f"{path} line {line_no}: malformed news record: {exc}") from exc
-            articles.append(art)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                    art = NewsArticle(
+                        id=str(rec["id"]),
+                        date=dt.date.fromisoformat(rec["date"]),
+                        symbols=list(rec.get("symbols", [])),
+                        tokens=clean_tokens(rec["text"], tokenizer, stopwords),
+                    )
+                except (KeyError, ValueError, TypeError) as exc:
+                    raise DataError(f"{path} line {line_no}: malformed news record: "
+                                    f"{exc}") from exc
+                articles.append(art)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     if not articles:
         raise DataError(f"{path}: no articles")
     return articles

@@ -3,6 +3,7 @@
 import csv
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,25 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
 def test_invalid_synth_spec_is_config_error(tmp_path, capsys, setting):
     assert main(["synth", "--out", str(tmp_path / "o"), "--set", setting]) == 1
     assert capsys.readouterr().err.startswith("error: config: synth.")
+
+
+@pytest.mark.parametrize("command, setting", [("cooccur", "split.train_end=2015-13-01"),
+                                              ("train", "model.hidden=0"),
+                                              ("train", "model.batch_size=0")])
+def test_invalid_setting_is_config_error(run_copy, capsys, command, setting):
+    out, cfg_path = run_copy
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and len(err.splitlines()) == 1, err
+
+
+def test_one_day_windows_ingest_silently(run_copy, capsys):
+    out, cfg_path = run_copy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ingest", "--config", str(cfg_path), "--out", str(out),
+                     "--set", 'factors={"volatility": [1], "volume_z": [1]}'])
+    assert code == 0 and capsys.readouterr().err == ""
 
 
 def test_truncated_checkpoint_is_data_error(run_copy, capsys):
@@ -484,6 +504,10 @@ def _wordvec_value(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _append_invalid_utf8(path):
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
 # artifact -> the first command of the pipeline that reads it
 FIRST_READER = {
     "bars.csv": "ingest", "news.jsonl": "cooccur", "panel.npz": "cooccur",
@@ -503,6 +527,11 @@ CORRUPTIONS = {
     "model config string width": ("model_config.json",
                                   lambda path: _edit_json(path, hidden="8"),
                                   "hidden is '8', expected int; rerun train"),
+    "model config negative width": ("model_config.json",
+                                    lambda path: _edit_json(path, hidden=-1),
+                                    "hidden must be >= 1, got -1; rerun train"),
+    "news not UTF-8": ("news.jsonl", _append_invalid_utf8, "not UTF-8 text"),
+    "graph not UTF-8": ("graph.csv", _append_invalid_utf8, "not UTF-8 text"),
     "panel dates not ISO": (
         "panel.npz", lambda path: _rewrite_npz(path, lambda a: {"calendar": np.array(["x"])}),
         "array 'calendar': Invalid isoformat string: 'x'; rerun ingest"),
