@@ -1,5 +1,6 @@
 """Micro-benchmarks of the three data-preparation steps on a 120 x 600 market,
-and of the stock-embedding factorization on a news-text sized co-mention matrix.
+of the stock-embedding factorization on a news-text sized co-mention matrix,
+and of CBOW training on the same news-text sized corpus.
 
 Run from the repository root (tier-1 does not collect this directory):
 
@@ -9,14 +10,17 @@ Run from the repository root (tier-1 does not collect this directory):
 ``--benchmark-compare`` sets them against the last saved run.
 """
 
+import math
+
 import pytest
 
 from alphagraph.embeddings import train_glove
 from alphagraph.factors import compute_factors
 from alphagraph.market import load_bars
 from alphagraph.model import ModelConfig, build_dataset
-from alphagraph.news import build_cooccurrence, load_articles
+from alphagraph.news import build_cooccurrence, build_vocabulary, load_articles
 from alphagraph.synth import SyntheticSpec, generate, write_market
+from alphagraph.word2vec import train_cbow
 
 # the factor set of the acceptance recovery workload
 REGISTRY = {"momentum": [5, 10, 21], "reversal": [1], "volatility": [21],
@@ -52,17 +56,30 @@ def test_bench_build_dataset(benchmark, market):
 
 
 @pytest.fixture(scope="module")
-def cooccur(tmp_path_factory):
-    """Co-mentions in the first half of a 40 x 400 market, 2.5 articles a day,
-    as the news-text workload of perfbench counts them."""
+def news(tmp_path_factory):
+    """The articles in the first half of a 40 x 400 market, 2.5 a day, as the
+    news-text workload of perfbench trains on them, and the market's symbols."""
     spec = SyntheticSpec(n_stocks=40, days=400, news_rate=2.5, seed=1)
     market = generate(spec)
     path = write_market(market, tmp_path_factory.mktemp("bench"))["news"]
     train_end = market.calendar[len(market.calendar) // 2]
-    articles = [a for a in load_articles(path) if a.date <= train_end]
-    return build_cooccurrence(articles, market.symbols)
+    return [a for a in load_articles(path) if a.date <= train_end], market.symbols
+
+
+@pytest.fixture(scope="module")
+def cooccur(news):
+    return build_cooccurrence(*news)
 
 
 def test_bench_train_glove(benchmark, cooccur):
     emb = benchmark(train_glove, cooccur, dim=8, epochs=40, lr=0.01, seed=1)
     assert len(emb.loss_trace) == 41 and emb.loss_trace[-1] < emb.loss_trace[0]
+
+
+def test_bench_train_cbow(benchmark, news):
+    # the news-text word2vec settings: dim 8, one epoch at lr 0.25
+    corpus = [a.tokens for a in news[0]]
+    vocab = build_vocabulary(corpus, min_count=5)
+    emb = benchmark(train_cbow, corpus, vocab, dim=8, window=5, negatives=5, epochs=1,
+                    lr=0.25, seed=1)
+    assert emb.vectors.shape == (len(vocab), 8) and emb.epoch_losses[0] < math.log(2)

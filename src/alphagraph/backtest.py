@@ -83,25 +83,6 @@ def sharpe(returns, rf: float = 0.0, annualization: float = math.sqrt(TRADING_DA
     return float(excess.mean() / sd) * annualization
 
 
-def daily_correlation(y_by_day, yhat_by_day):
-    """Per-day Pearson correlation between forecasts and realizations.
-
-    Inputs are lists of per-day aligned arrays. Returns (corr array, flag
-    array) where flagged days had degenerate variance.
-    """
-    out, flags = [], []
-    for y, yh in zip(y_by_day, yhat_by_day):
-        y = np.asarray(y, dtype=np.float64)
-        yh = np.asarray(yh, dtype=np.float64)
-        if y.size < 2 or y.std() == 0.0 or yh.std() == 0.0:
-            out.append(math.nan)
-            flags.append(True)
-            continue
-        out.append(float(np.corrcoef(y, yh)[0, 1]))
-        flags.append(False)
-    return np.asarray(out), np.asarray(flags, dtype=bool)
-
-
 def paper_pnl_metric(yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-day sum of (forecast - realized), as printed in the source metric
     definition. This measures aggregate forecast error, not trading profit;

@@ -635,7 +635,7 @@ def cmd_interpret(cfg, out: OutDir, args):
         for p in report:
             fh.write(f"{symbols[p.i]},{symbols[p.j]},{repr(p.distance)},"
                      f"{p.percentile:.4f}\n")
-    itp.export_embeddings(out.write("final_stock_embeddings.txt"), symbols, emb)
+    write_embeddings(out.write("final_stock_embeddings.txt"), symbols, emb)
 
     if model_cfg.use_tech:
         factors = _load_factors(out.read(FACTORS_FILE))

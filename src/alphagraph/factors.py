@@ -15,11 +15,13 @@ Implemented factor families, each a standard price/volume construction:
                    Amihud illiquidity ratio
 * ``rsi_w``        100 - 100 / (1 + avg gain / avg loss) over w returns
 * ``ma_ratio_w``   open_t / mean(open over last w days) - 1
+
+Windows are positive integers, and at least 2 for ``volatility``,
+``volume_z`` and ``ma_ratio``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,11 @@ DEFAULT_REGISTRY = {
     "rsi": [14],
     "ma_ratio": [21, 63],
 }
+
+# families whose one-day window carries no signal: the ddof=1 std of one
+# return is NaN, the z-score of a volume against itself is 0, and open/open - 1
+# is 0 on every date
+NEEDS_TWO_DAYS = ("ma_ratio", "volatility", "volume_z")
 
 STANDARDIZE_CLIP = 3.0
 # rows per standardization block, and windows per trailing-window block (about
@@ -91,15 +98,13 @@ def _trailing_mean(x: np.ndarray, w: int) -> np.ndarray:
 def _trailing_moments(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """``_trailing_mean`` and the ddof=1 standard deviation over the same
     windows: numpy's std of the same contiguous copies, so ``np.std(...,
-    ddof=1)`` of each 1-D window, bit for bit. With w = 1 that std is NaN;
-    numpy's degrees-of-freedom warning for it is silenced."""
+    ddof=1)`` of each 1-D window, bit for bit. ``compute_factors`` never asks
+    for w = 1, where that std is NaN."""
     mean = np.full_like(x, np.nan)
     std = np.full_like(x, np.nan)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Degrees of freedom <= 0", RuntimeWarning)
-        for rows, block in _window_blocks(x, w):
-            mean[rows] = block.mean(axis=-1)
-            std[rows] = block.std(axis=-1, ddof=1)
+    for rows, block in _window_blocks(x, w):
+        mean[rows] = block.mean(axis=-1)
+        std[rows] = block.std(axis=-1, ddof=1)
     return mean, std
 
 
@@ -222,6 +227,9 @@ def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPane
     for family, w in windows:
         if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
             raise ConfigError(f"factor window {family} {w!r} is not a positive integer")
+        if w == 1 and family in NEEDS_TWO_DAYS:
+            raise ConfigError(f"factor {family}_1 carries no signal: its window must be at "
+                              "least 2")
     names = [f"{family}_{w}" for family, w in windows]
     D, S, L = panel.n_dates, panel.n_symbols, len(names)
     raw = np.empty((L, D, S))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embfile import write_embeddings
 from .errors import ConfigError, DataError
 
 
@@ -114,7 +113,3 @@ def news_error_buckets(sample_keys, sq_errors, tail: float = 0.05) -> ErrorBucke
     high = [keys[i] for i in order[-n_tail:]]
     return ErrorBuckets(low, high, degenerate)
 
-
-def export_embeddings(path, labels, vectors) -> None:
-    """Write embeddings in the shared text format for external visualization."""
-    write_embeddings(path, list(labels), vectors)

@@ -72,13 +72,6 @@ class BarPanel:
     def volume(self) -> np.ndarray:
         return self.arrays["volume"]
 
-    def bar(self, date: dt.date, symbol: str) -> Bar | None:
-        d = self.date_index.get(date)
-        s = self.symbol_index.get(symbol)
-        if d is None or s is None or not self.mask[d, s]:
-            return None
-        return Bar(symbol, date, *(float(self.arrays[f][d, s]) for f in self.FIELDS))
-
     def restrict_dates(self, end: dt.date | None = None, start: dt.date | None = None) -> "BarPanel":
         keep = [i for i, d in enumerate(self.calendar)
                 if (end is None or d <= end) and (start is None or d >= start)]

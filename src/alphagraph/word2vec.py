@@ -3,7 +3,11 @@
 Training is plain sequential SGD, one center word at a time, single
 threaded and fully determined by the seed: negative samples come from a
 Park-Miller stream inside the epoch kernel, so a given seed always draws
-the same negatives and produces the same embeddings.
+the same negatives and produces the same embeddings. Each step of the
+kernel (context mean, dot product, gradient and weight updates) is one
+numpy operation on a whole embedding row; the dot product is a running sum
+in dimension order, so the embeddings and losses are bit-identical to
+those of the per-dimension scalar loop of earlier releases.
 """
 
 from __future__ import annotations
@@ -48,32 +52,28 @@ def cbow_epoch(tokens, starts, w_in, w_out, window, negatives, lr, table, rng_st
     """
     dim = w_in.shape[1]
     tsize = table.shape[0]
+    # Python ints index lists faster than numpy scalars index arrays
+    tokens = tokens.tolist()
+    table = table.tolist()
     state = rng_state
     loss_sum = 0.0
     n_terms = 0
-    grad_h = np.empty(dim)
     for s in range(starts.shape[0] - 1):
         lo = starts[s]
         hi = starts[s + 1]
         for pos in range(lo, hi):
             center = tokens[pos]
-            c0 = pos - window
-            if c0 < lo:
-                c0 = lo
-            c1 = pos + window + 1
-            if c1 > hi:
-                c1 = hi
-            n_ctx = (c1 - c0) - 1
-            if n_ctx <= 0:
+            context = [tokens[q] for q in range(max(pos - window, lo),
+                                                min(pos + window + 1, hi)) if q != pos]
+            if not context:
                 continue
+            n_ctx = len(context)
             # context mean
             h = np.zeros(dim)
-            for q in range(c0, c1):
-                if q != pos:
-                    h += w_in[tokens[q]]
+            for word in context:
+                h += w_in[word]
             h /= n_ctx
-            for d in range(dim):
-                grad_h[d] = 0.0
+            grad_h = np.zeros(dim)
             # positive target then `negatives` sampled targets
             for k in range(negatives + 1):
                 if k == 0:
@@ -85,9 +85,11 @@ def cbow_epoch(tokens, starts, w_in, w_out, window, negatives, lr, table, rng_st
                     if target == center:
                         continue
                     label = 0.0
-                dot = 0.0
-                for d in range(dim):
-                    dot += h[d] * w_out[target, d]
+                row = w_out[target]
+                # summed left to right, as the scalar kernel did: np.dot, np.sum
+                # and (from Python 3.12) sum() add in another order and move
+                # the last bits
+                dot = (h * row).cumsum()[-1]
                 if dot >= 0.0:
                     p = 1.0 / (1.0 + np.exp(-dot))
                 else:
@@ -99,15 +101,12 @@ def cbow_epoch(tokens, starts, w_in, w_out, window, negatives, lr, table, rng_st
                     loss_sum += -np.log(1.0 - p + 1e-12)
                 n_terms += 1
                 g = (p - label) * lr
-                for d in range(dim):
-                    grad_h[d] += g * w_out[target, d]
-                    w_out[target, d] -= g * h[d]
-            inv = 1.0 / n_ctx
-            for q in range(c0, c1):
-                if q != pos:
-                    row = tokens[q]
-                    for d in range(dim):
-                        w_in[row, d] -= grad_h[d] * inv
+                # grad_h reads w_out[target] before its update
+                grad_h += g * row
+                row -= g * h
+            step = grad_h * (1.0 / n_ctx)
+            for word in context:
+                w_in[word] -= step
     return loss_sum, n_terms, state
 
 

@@ -95,20 +95,6 @@ def test_paper_pnl_examples():
                        bt.paper_pnl_metric(yh[:, perm], yy[:, perm]), atol=1e-12)
 
 
-def test_daily_correlation_signs_and_oracle():
-    rng = np.random.default_rng(1)
-    y_days = [rng.normal(size=20) for _ in range(5)]
-    corr, flags = bt.daily_correlation(y_days, y_days)
-    assert np.allclose(corr, 1.0, atol=1e-12)
-    corr_neg, _ = bt.daily_correlation(y_days, [-v for v in y_days])
-    assert np.allclose(corr_neg, -1.0, atol=1e-12)
-    yh_days = [rng.normal(size=20) for _ in range(5)]
-    corr_rand, _ = bt.daily_correlation(y_days, yh_days)
-    for got, y, yh in zip(corr_rand, y_days, yh_days):
-        manual = np.mean((y - y.mean()) * (yh - yh.mean())) / (y.std() * yh.std())
-        assert got == pytest.approx(manual, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # long-short simulator
 # ---------------------------------------------------------------------------

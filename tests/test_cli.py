@@ -3,7 +3,6 @@
 import csv
 import json
 import shutil
-import warnings
 
 import numpy as np
 import pytest
@@ -218,13 +217,13 @@ def test_invalid_setting_is_config_error(run_copy, capsys, command, setting):
     assert err.startswith("error: config: ") and len(err.splitlines()) == 1, err
 
 
-def test_one_day_windows_ingest_silently(run_copy, capsys):
+def test_one_day_window_without_signal_is_config_error(run_copy, capsys):
     out, cfg_path = run_copy
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["ingest", "--config", str(cfg_path), "--out", str(out),
-                     "--set", 'factors={"volatility": [1], "volume_z": [1]}'])
-    assert code == 0 and capsys.readouterr().err == ""
+    code = main(["ingest", "--config", str(cfg_path), "--out", str(out),
+                 "--set", 'factors={"volatility": [1], "momentum": [5]}'])
+    err = capsys.readouterr().err
+    assert code == 1 and err == ("error: config: factor volatility_1 carries no signal: "
+                                 "its window must be at least 2\n")
 
 
 def test_truncated_checkpoint_is_data_error(run_copy, capsys):

@@ -252,6 +252,7 @@ def test_window_factors_bit_equal_to_per_date_loop(holey_panel, family, layout):
             assert np.isfinite(got).any(), (family, w)
 
 
+@pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0")
 def test_window_moments_equal_1d_numpy_per_column():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-8, 9, size=(300, 4))

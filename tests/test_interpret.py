@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from alphagraph.embfile import read_embeddings
+from alphagraph.embfile import read_embeddings, write_embeddings
 from alphagraph.errors import ConfigError, DataError
-from alphagraph.interpret import (aggregate_temporal_attention,
-                                  export_embeddings, extreme_distance_pairs,
+from alphagraph.interpret import (aggregate_temporal_attention, extreme_distance_pairs,
                                   factor_frequency, factor_importance,
                                   news_error_buckets, pairwise_distance_report)
 
@@ -191,11 +190,11 @@ def test_export_round_trip(tmp_path):
     labels = [f"S{i}" for i in range(7)]
     vecs = rng.normal(size=(7, 4))
     path = tmp_path / "emb.txt"
-    export_embeddings(path, labels, vecs)
+    write_embeddings(path, labels, vecs)
     first = path.read_text()
     assert first.splitlines()[0] == "7 4"
     got_labels, got = read_embeddings(path)
     assert got_labels == labels
     assert np.array_equal(got, vecs)
-    export_embeddings(path, got_labels, got)
+    write_embeddings(path, got_labels, got)
     assert path.read_text() == first  # bitwise-stable decimal text

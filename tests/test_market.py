@@ -306,3 +306,12 @@ def test_factor_window_must_be_a_positive_integer(window):
     panel = make_bars({"AAA": [100.0] * 30, "BBB": [90.0] * 30})
     with pytest.raises(ConfigError, match="is not a positive integer"):
         compute_factors(panel, {"volatility": [5, window]})
+
+
+@pytest.mark.parametrize("family", ["ma_ratio", "volatility", "volume_z"])
+def test_one_day_window_without_signal_rejected(family):
+    panel = make_bars({"AAA": [100.0] * 30, "BBB": [90.0] * 30})
+    with pytest.raises(ConfigError, match=f"factor {family}_1 carries no signal"):
+        compute_factors(panel, {"momentum": [5], family: [5, 1]})
+    # the other families accept a one-day window
+    assert compute_factors(panel, {"reversal": [1], "amihud": [1], "rsi": [1]}).n_factors == 3
