@@ -1,6 +1,7 @@
-"""Micro-benchmarks of the three data-preparation steps on a 120 x 600 market,
-of the stock-embedding factorization on a news-text sized co-mention matrix,
-and of CBOW training on the same news-text sized corpus.
+"""Micro-benchmarks of the synthetic market set-up and the three
+data-preparation steps on a 120 x 600 market, of the stock-embedding
+factorization on a news-text sized co-mention matrix, and of CBOW training on
+the same news-text sized corpus.
 
 Run from the repository root (tier-1 does not collect this directory):
 
@@ -27,12 +28,19 @@ REGISTRY = {"momentum": [5, 10, 21], "reversal": [1], "volatility": [21],
             "volume_z": [63], "rsi": [14], "ma_ratio": [21], "amihud": [21]}
 
 
+SPEC = SyntheticSpec(n_stocks=120, days=600, news_rate=1.0, seed=1)
+
+
 @pytest.fixture(scope="module")
 def market(tmp_path_factory):
-    spec = SyntheticSpec(n_stocks=120, days=600, news_rate=1.0, seed=1)
-    path = write_market(generate(spec), tmp_path_factory.mktemp("bench"))["bars"]
+    path = write_market(generate(SPEC), tmp_path_factory.mktemp("bench"))["bars"]
     panel = load_bars(path)
     return path, panel, compute_factors(panel, REGISTRY)
+
+
+def test_bench_synth(benchmark, tmp_path):
+    paths = benchmark(lambda: write_market(generate(SPEC), tmp_path))
+    assert paths["bars"].stat().st_size > 0
 
 
 def test_bench_load_bars(benchmark, market):

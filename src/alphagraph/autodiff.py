@@ -389,13 +389,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _emit(np.stack([t.values for t in tensors], axis=ax), "stack", tensors, backward)
 
 
-def stack_rows(tensors) -> Tensor:
-    """Stack K same-length 1-D tensors into a (K, M) matrix."""
-    if not tensors or any(_as_tensor(t).ndim != 1 for t in tensors):
-        raise ShapeError("stack_rows: expects a non-empty list of 1-D tensors")
-    return stack(tensors, axis=0)
-
-
 def unstack(x, axis: int = 0) -> list[Tensor]:
     """Split ``x`` along ``axis`` into views without that axis; one record."""
     x = _as_tensor(x)
@@ -445,35 +438,6 @@ def gather_rows(m, index) -> Tensor:
             np.add.at(m.grad, idx, g)
 
     return _emit(m.values[idx], "gather_rows", (m,), backward)
-
-
-def take_row(m, i: int) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2:
-        raise ShapeError(f"take_row: expected 2-D input, got {m.shape}")
-
-    def backward(g):
-        if m.requires_grad:
-            m.ensure_grad()
-            m.grad[i] += g
-
-    return _emit(m.values[i].copy(), "take_row", (m,), backward)
-
-
-def mul_rows(m, s) -> Tensor:
-    """Scale each row of (N, M) tensor ``m`` by the matching entry of (N,) ``s``."""
-    m, s = _as_tensor(m), _as_tensor(s)
-    if m.ndim != 2 or s.ndim != 1 or m.shape[0] != s.shape[0]:
-        raise ShapeError(f"mul_rows: shapes {m.shape} and {s.shape} incompatible")
-    mv, sv = m.values, s.values
-
-    def backward(g):
-        if m.requires_grad:
-            m.accumulate(g * sv[:, None])
-        if s.requires_grad:
-            s.accumulate((g * mv).sum(axis=1))
-
-    return _emit(mv * sv[:, None], "mul_rows", (m, s), backward)
 
 
 def weighted_sum(seq, w) -> Tensor:

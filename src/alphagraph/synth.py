@@ -17,19 +17,31 @@ News articles co-mention same-cluster stocks with configurable fidelity
 tokens correlated with the cluster shocks inside the article's future label
 window. The exact conditional mean of every sample label is written to a
 sidecar, giving tests a noiseless oracle.
+
+The market is whole-array data: the open, high, low, close and volume are
+(dates, stocks) arrays, rounded as ``bars.csv`` holds them, and
+:meth:`SyntheticMarket.panel` is the :class:`~alphagraph.market.BarPanel`
+that :func:`~alphagraph.market.load_bars` reads back from that file.
+``write_market`` formats a block of dates at a time.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .market import BarPanel, build_panel, Bar
+from .market import BarPanel
+
+# accepted value types of each SyntheticSpec annotation; bool is refused apart
+_FIELD_TYPES = {"int": (int,), "float": (int, float),
+                "float | None": (int, float, type(None)), "str": (str,)}
+WRITE_BLOCK_DATES = 64   # dates write_market formats at once; bounds its memory
 
 
 @dataclass
@@ -53,6 +65,20 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"synth.{f.name} must be {f.type}, got {value!r}")
+        if self.days < 1 or self.horizon < 1:
+            raise ConfigError(f"synth.days and synth.horizon must be >= 1, "
+                              f"got {self.days} and {self.horizon}")
+        if not (math.isfinite(self.news_rate) and self.news_rate >= 0):
+            raise ConfigError(f"synth.news_rate must be finite and >= 0, got {self.news_rate}")
+        try:
+            dt.date.fromisoformat(self.start)
+        except ValueError:
+            raise ConfigError(f"synth.start must be a YYYY-MM-DD date, "
+                              f"got {self.start!r}") from None
         if not 1 <= self.n_clusters <= self.n_stocks:
             raise ConfigError(f"synth.n_clusters must be in [1, n_stocks={self.n_stocks}], "
                               f"got {self.n_clusters}")
@@ -63,16 +89,20 @@ class SyntheticSpec:
 @dataclass
 class SyntheticMarket:
     spec: SyntheticSpec
-    calendar: list
-    symbols: list
+    calendar: list              # D dates
+    symbols: list               # S symbols, in generation order
     cluster_of: dict            # symbol -> cluster id
-    bars: list                  # list of Bar
+    arrays: dict                # BarPanel.FIELDS name -> (D, S) float64, as bars.csv holds it
     articles: list              # list of dicts (JSONL records)
     signals: np.ndarray         # (D, S) conditional mean of the label entered at day t
     returns: np.ndarray         # (D, S) realized daily log returns (row t ends at t)
 
     def panel(self) -> BarPanel:
-        return build_panel(self.bars)
+        """The bars as a panel, symbols sorted as ``load_bars`` sorts them."""
+        order = sorted(range(len(self.symbols)), key=self.symbols.__getitem__)
+        arrays = {f: np.take(a, order, axis=1) for f, a in self.arrays.items()}
+        mask = np.ones((len(self.calendar), len(order)), dtype=bool)
+        return BarPanel(self.calendar, [self.symbols[i] for i in order], arrays, mask)
 
 
 def trading_calendar(start: dt.date, days: int) -> list:
@@ -103,7 +133,8 @@ def _label_signal(f_state, r_state, b_rev, spec: SyntheticSpec) -> np.ndarray:
 
     The label entered at day a sums daily returns r[a+1..a+h]; with features
     through day a-1, that is steps 2..h+1 of the return recursion from the
-    day a-1 state. ``b_rev`` is the per-stock reversal slope vector.
+    day a-1 state. ``f_state`` and ``r_state`` are (..., S) rows of states
+    and ``b_rev`` is the (S,) per-stock reversal slope vector.
     """
     m_f = f_state.copy()
     m_r = r_state.copy()
@@ -142,15 +173,13 @@ def generate(spec: SyntheticSpec) -> SyntheticMarket:
 
     # conditional label means, keyed by entry day a (uses the day a-1 state)
     signals = np.full((D, n), np.nan)
-    for a in range(1, D):
-        signals[a] = _label_signal(f[a - 1], r[a - 1], b_rev, spec)
+    signals[1:] = _label_signal(f[:-1], r[:-1], b_rev, spec)
 
-    # prices and bars
+    # prices and bars; opens[t] = opens[t - 1] * exp(r[t]), multiplied in order
     base_price = np.exp(rng.uniform(np.log(20.0), np.log(100.0), size=n))
-    opens = np.empty((D, n))
-    opens[0] = base_price
-    for t in range(1, D):
-        opens[t] = opens[t - 1] * np.exp(r[t])
+    growth = np.exp(r)
+    growth[0] = base_price
+    opens = np.multiply.accumulate(growth, axis=0)
     base_vol = np.exp(rng.uniform(np.log(2e5), np.log(8e5), size=n))
     intraday = 0.004 * rng.standard_normal((D, n))
     wick_hi = np.abs(0.002 * rng.standard_normal((D, n)))
@@ -160,44 +189,65 @@ def generate(spec: SyntheticSpec) -> SyntheticMarket:
     lows = np.minimum(opens, closes) * np.exp(-wick_lo)
     volumes = np.round(base_vol[None, :] * np.exp(f + 0.05 * rng.standard_normal((D, n))))
 
-    bars = []
-    for t in range(D):
-        for i in range(n):
-            o = round(float(opens[t, i]), 6)
-            c = round(float(closes[t, i]), 6)
-            h = round(float(highs[t, i]), 6)
-            lo = round(float(lows[t, i]), 6)
-            h = max(h, o, c)
-            lo = min(lo, o, c)
-            bars.append(Bar(symbols[i], calendar[t], o, h, lo, c, float(volumes[t, i])))
+    o, c = round6(opens), round6(closes)
+    arrays = {"open": o,
+              "high": np.maximum(np.maximum(round6(highs), o), c),
+              "low": np.minimum(np.minimum(round6(lows), o), c),
+              "close": c,
+              "volume": volumes}
 
     articles = _generate_news(spec, rng, calendar, symbols, clusters, z)
     cluster_of = {symbols[i]: int(clusters[i]) for i in range(n)}
-    return SyntheticMarket(spec, calendar, symbols, cluster_of, bars, articles,
+    return SyntheticMarket(spec, calendar, symbols, cluster_of, arrays, articles,
                            signals, r)
 
 
+def round6(x: np.ndarray) -> np.ndarray:
+    """``round(v, 6)`` of every element of ``x``, bit for bit.
+
+    ``rint(x * 1e6)`` is the integer nearest the exact ``x * 10**6`` unless
+    the rounded product lies within its rounding error, at most
+    ``|x * 1e6| * 2**-53``, of a half-integer; dividing that integer by
+    ``1e6`` then rounds correctly, as ``round`` does. The few elements in a
+    band of ``|x * 1e6| * 2**-50`` around a half-integer go through
+    ``round`` itself; from ``|x * 1e6| >= 2**49`` the band holds every
+    element, so products too large for an exact integer are ``round``'s too.
+    """
+    y = x * 1e6
+    whole = np.rint(y)
+    out = whole / 1e6
+    near = np.abs(np.abs(y - whole) - 0.5) <= np.abs(y) * 2.0 ** -50
+    out[near] = [round(v, 6) for v in x[near].tolist()]
+    return out
+
+
 def _generate_news(spec, rng, calendar, symbols, clusters, z):
+    # each draw is one rng.integers call, as rng.choice makes it, so the
+    # stream is the one rng.choice(...) over the same pools would consume
     n, D, C = spec.n_stocks, spec.days, spec.n_clusters
     members = [np.flatnonzero(clusters == c) for c in range(C)]
-    topic_vocab = {c: [f"t{c}w{k}" for k in range(25)] for c in range(C)}
-    common_vocab = [f"comw{k}" for k in range(50)]
-    pos_vocab = [f"posw{k}" for k in range(10)]
-    neg_vocab = [f"negw{k}" for k in range(10)]
+    topic_vocab = [np.array([f"t{c}w{k}" for k in range(25)]) for c in range(C)]
+    common_vocab = np.array([f"comw{k}" for k in range(50)])
+    pos_vocab = np.array([f"posw{k}" for k in range(10)])
+    neg_vocab = np.array([f"negw{k}" for k in range(10)])
+
+    def draw(pool, size=None):
+        return pool[rng.integers(len(pool), size=size)]
+
     articles = []
     art_id = 0
     for t in range(D - 1):
         for c in range(C):
             count = rng.poisson(spec.news_rate / C)
             for _ in range(count):
-                anchor = int(rng.choice(members[c]))
+                anchor = int(draw(members[c]))
                 mentions = {anchor}
                 for _ in range(int(rng.integers(1, 4))):
                     if rng.random() < spec.co_mention_fidelity or C == 1:
-                        mentions.add(int(rng.choice(members[c])))
+                        mentions.add(int(draw(members[c])))
                     else:
                         other = (c + 1 + int(rng.integers(C - 1))) % C
-                        mentions.add(int(rng.choice(members[other])))
+                        mentions.add(int(draw(members[other])))
                 # tone tracks the cluster shocks inside the label window of
                 # samples that will see this article (entered at day t+1)
                 window = z[min(t + 2, D - 1):min(t + 1 + spec.horizon, D), c]
@@ -206,9 +256,9 @@ def _generate_news(spec, rng, calendar, symbols, clusters, z):
                     tone_pool = pos_vocab if actual >= 0 else neg_vocab
                 else:
                     tone_pool = pos_vocab if rng.random() < 0.5 else neg_vocab
-                tokens = (list(rng.choice(topic_vocab[c], size=8))
-                          + list(rng.choice(common_vocab, size=6))
-                          + list(rng.choice(tone_pool, size=3)))
+                tokens = (draw(topic_vocab[c], 8).tolist()
+                          + draw(common_vocab, 6).tolist()
+                          + draw(tone_pool, 3).tolist())
                 articles.append({
                     "id": f"A{art_id:07d}",
                     "date": calendar[t].isoformat(),
@@ -239,9 +289,9 @@ def write_market(market: SyntheticMarket, outdir) -> dict:
     }
     with open(paths["bars"], "w", encoding="utf-8") as fh:
         fh.write("date,symbol,open,high,low,close,volume\n")
-        for b in market.bars:
-            fh.write(f"{b.date.isoformat()},{b.symbol},{b.open:.6f},{b.high:.6f},"
-                     f"{b.low:.6f},{b.close:.6f},{int(b.volume)}\n")
+        _write_rows(fh, market.calendar, market.symbols,
+                    [market.arrays[f] for f in BarPanel.FIELDS],
+                    "%s,%s,%.6f,%.6f,%.6f,%.6f,%d\n")
     with open(paths["news"], "w", encoding="utf-8") as fh:
         for rec in market.articles:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -254,14 +304,25 @@ def write_market(market: SyntheticMarket, outdir) -> dict:
         fh.write("\n")
     with open(paths["signals"], "w", encoding="utf-8") as fh:
         fh.write("date,symbol,signal\n")
-        D, n = market.signals.shape
-        for t in range(D):
-            if not np.isfinite(market.signals[t]).any():
-                continue
-            for i in range(n):
-                fh.write(f"{market.calendar[t].isoformat()},{market.symbols[i]},"
-                         f"{repr(float(market.signals[t, i]))}\n")
+        rows = np.flatnonzero(np.isfinite(market.signals).any(axis=1))
+        _write_rows(fh, [market.calendar[t] for t in rows], market.symbols,
+                    [market.signals[rows]], "%s,%s,%r\n")
     return paths
+
+
+def _write_rows(fh, calendar, symbols, columns, line: str) -> None:
+    """Write ``line % (date, symbol, *values)`` for every cell of the (D, S)
+    ``columns``, date after date, one ``%``-format per block of dates."""
+    n = len(symbols)
+    cells = np.empty((WRITE_BLOCK_DATES, n, 2 + len(columns)), dtype=object)
+    cells[:, :, 1] = symbols
+    for t0 in range(0, len(calendar), WRITE_BLOCK_DATES):
+        block = cells[:len(calendar) - t0]      # a view; the last block is short
+        dates = [d.isoformat() for d in calendar[t0:t0 + WRITE_BLOCK_DATES]]
+        block[:, :, 0] = np.array(dates, dtype=object)[:, None]
+        for k, col in enumerate(columns):
+            block[:, :, 2 + k] = col[t0:t0 + WRITE_BLOCK_DATES]   # Python floats
+        fh.write(line * (len(dates) * n) % tuple(block.ravel().tolist()))
 
 
 def read_truth_signals(path):

@@ -30,6 +30,8 @@ from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence
 from alphagraph.synth import SyntheticSpec, generate
 from alphagraph.word2vec import train_cbow
 
+from helpers import mul_rows, stack_rows, take_row
+
 N_SEEDS = 10
 PRIMITIVE_TOL = 1e-6
 END_TO_END_TOL = 1e-4
@@ -86,13 +88,13 @@ def test_criterion_1_gradient_integrity():
             (lambda: ad.mean(ad.relu(v)), [v]),
             (lambda: ad.mean(ad.tanh(v)), [v]),
             (lambda: ad.mean(ad.sigmoid(v)), [v]),
-            (lambda: ad.matmul(ad.softmax(ad.take_row(x, 0)), Tensor(softmax_readout)), [x]),
+            (lambda: ad.matmul(ad.softmax(take_row(x, 0)), Tensor(softmax_readout)), [x]),
             (lambda: ad.mean(ad.concat([v, v], axis=0)), [v]),
-            (lambda: ad.mean(ad.add(ad.mul(ad.take_row(x, 1), ad.take_row(x, 2)),
-                                    ad.take_row(x, 0))), [x]),
-            (lambda: ad.mean(ad.mul_rows(x, s)), [x, s]),
+            (lambda: ad.mean(ad.add(ad.mul(take_row(x, 1), take_row(x, 2)),
+                                    take_row(x, 0))), [x]),
+            (lambda: ad.mean(mul_rows(x, s)), [x, s]),
             (lambda: ad.mean(ad.gather_rows(x, np.array([0, 2, 2]))), [x]),
-            (lambda: ad.sq_error(ad.affine(ad.take_row(x, 0), w, b), probe.values), [x, w, b]),
+            (lambda: ad.sq_error(ad.affine(take_row(x, 0), w, b), probe.values), [x, w, b]),
         ]
         for build, params in cases:
             worst["primitives"] = max(worst["primitives"],
@@ -105,7 +107,7 @@ def test_criterion_1_gradient_integrity():
         av = Tensor(rng.normal(scale=0.5, size=4), requires_grad=True)
 
         def attn():
-            rep, _ = attention_representation(ad.take_row(e, 0),
+            rep, _ = attention_representation(take_row(e, 0),
                                               ad.gather_rows(e, [1, 3, 4]),
                                               aw, ab, av)
             return ad.mean(rep)
@@ -150,7 +152,7 @@ def test_criterion_1_gradient_integrity():
         vs = [Tensor(rng.normal(size=4), requires_grad=True) for _ in range(4)]
 
         def temporal():
-            rows = ad.stack_rows(vs)
+            rows = stack_rows(vs)
             beta = ad.softmax(nn.score_net(rows, tp, "t"))
             return ad.mean(ad.matmul(beta, rows))
 

@@ -12,6 +12,8 @@ from alphagraph.autodiff import Tape, Tensor, gradient_check
 from alphagraph.embeddings import attention_representation
 from alphagraph.errors import ConfigError, NumericalFault, ShapeError
 
+from helpers import mul_rows, stack_rows, take_row
+
 
 def t(values, grad=True):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=grad)
@@ -149,9 +151,9 @@ def test_structural_primitives_backward_matches_fd():
 
     def build():
         g = ad.gather_rows(m, idx)             # (4, 3)
-        g = ad.mul_rows(g, s)                  # rows scaled
-        c = ad.concat([ad.take_row(m, 1), v1, v2], axis=0)
-        st_ = ad.stack_rows([v1, v2])
+        g = mul_rows(g, s)                     # rows scaled
+        c = ad.concat([take_row(m, 1), v1, v2], axis=0)
+        st_ = stack_rows([v1, v2])
         return ad.add(ad.mean(g), ad.add(ad.mean(c), ad.mean(st_)))
 
     _fd_case(build, [m, s, v1, v2], 0)
@@ -264,7 +266,7 @@ def test_masked_batched_attention_matches_per_stock_and_fd():
 
     rep, weights = batched()
     for u, nbrs in enumerate(lists):
-        r, w = attention_representation(ad.take_row(e, u), ad.gather_rows(e, nbrs), aw, ab, av)
+        r, w = attention_representation(take_row(e, u), ad.gather_rows(e, nbrs), aw, ab, av)
         assert np.allclose(rep.values[u], r.values, rtol=0, atol=1e-15)
         assert np.allclose(weights.values[u, :len(nbrs)], w.values, rtol=0, atol=1e-15)
     assert np.all(weights.values[~mask] == 0.0)

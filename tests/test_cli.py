@@ -201,10 +201,16 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
-@pytest.mark.parametrize("setting", ["synth.n_clusters=0", "synth.noise_std=-1"])
+@pytest.mark.parametrize("setting", ["synth.n_clusters=0", "synth.noise_std=-1",
+                                     "synth.days=0", "synth.days=2.5", "synth.days=abc",
+                                     "synth.news_rate=-1", "synth.news_rate=NaN",
+                                     "synth.start=notadate", "synth.start=20150105",
+                                     "synth.horizon=0", "synth.horizon=-3"])
 def test_invalid_synth_spec_is_config_error(tmp_path, capsys, setting):
     assert main(["synth", "--out", str(tmp_path / "o"), "--set", setting]) == 1
-    assert capsys.readouterr().err.startswith("error: config: synth.")
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: synth.") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, setting", [("cooccur", "split.train_end=2015-13-01"),

@@ -33,6 +33,8 @@ from alphagraph.market import (Bar, BarPanel, _parse_bar_row, _suspect_bars, bui
 from alphagraph.model import ModelConfig, build_dataset
 from alphagraph.synth import SyntheticSpec, generate, write_market
 
+from helpers import market_bars
+
 REGISTRY = {"momentum": [5, 21], "reversal": [1], "volatility": [21],
             "volume_z": [21], "amihud": [10], "rsi": [14], "ma_ratio": [10]}
 
@@ -200,7 +202,7 @@ def holey_panel():
     market = generate(SyntheticSpec(n_stocks=14, days=160, n_clusters=3, seed=5))
     rng = np.random.default_rng(5)
     bars = []
-    for b in market.bars:
+    for b in market_bars(market):
         i = int(b.symbol[1:])
         t = market.calendar.index(b.date)
         if i == 1 and t < 50:                     # late listing
@@ -320,7 +322,7 @@ def test_batched_standardisation_matches_scalar_above_128_valid(seed):
 def test_factors_bit_equal_to_reference_above_128_stocks():
     market = generate(SyntheticSpec(n_stocks=150, days=45, n_clusters=4, seed=11))
     rng = np.random.default_rng(11)
-    bars = [b for b in market.bars
+    bars = [b for b in market_bars(market)
             if not (int(b.symbol[1:]) < 12 and market.calendar.index(b.date) < 25)
             and rng.random() > 0.01]              # late listings and holes: n varies
     panel = build_panel(bars)
@@ -442,7 +444,7 @@ def test_load_bars_panel_bit_equal_to_reference(tmp_path):
 
 def test_build_panel_reports_first_invalid_bar_in_key_order():
     market = generate(SyntheticSpec(n_stocks=3, days=5, n_clusters=1, seed=0))
-    bars = list(market.bars)
+    bars = market_bars(market)
     b = bars[7]
     bars[7] = type(b)(b.symbol, b.date, b.open, b.open * 0.5, b.low, b.close, b.volume)
     b = bars[2]
@@ -450,15 +452,16 @@ def test_build_panel_reports_first_invalid_bar_in_key_order():
     with pytest.raises(DataError, match=f"bar {bars[2].symbol} {bars[2].date}: negative volume"):
         build_panel(bars[::-1])
     # NaN volume passes Bar.validate, as it always has
-    b = market.bars[0]
-    ok = [type(b)(b.symbol, b.date, b.open, b.high, b.low, b.close, math.nan)] + market.bars[1:]
+    bars = market_bars(market)
+    b = bars[0]
+    ok = [type(b)(b.symbol, b.date, b.open, b.high, b.low, b.close, math.nan)] + bars[1:]
     assert np.isnan(build_panel(ok).volume[0, 0])
     assert build_panel(ok).calendar[0] == dt.date.fromisoformat(market.spec.start)
 
 
 def test_build_panel_error_precedence_matches_sorted_scan():
     market = generate(SyntheticSpec(n_stocks=3, days=5, n_clusters=1, seed=0))
-    bars = sorted(market.bars, key=lambda b: (b.date, b.symbol))
+    bars = sorted(market_bars(market), key=lambda b: (b.date, b.symbol))
 
     def invalid(b):
         return type(b)(b.symbol, b.date, b.open, b.high, b.low, b.close, -1.0)

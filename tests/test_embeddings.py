@@ -13,6 +13,8 @@ from alphagraph.embeddings import (StockEmbeddingSet, attention_representation,
 from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
 from alphagraph.news import CooccurrenceMatrix
 
+from helpers import take_row
+
 
 def planted_two_clusters(n_per=2, within=100, cross=1):
     n = 2 * n_per
@@ -331,7 +333,7 @@ def test_attention_gradients_match_fd():
 
     def build():
         rep, weights = attention_representation(
-            ad.take_row(e, 0), ad.gather_rows(e, nbrs), w, b, v)
+            take_row(e, 0), ad.gather_rows(e, nbrs), w, b, v)
         return ad.mean(rep)
 
     err = ad.gradient_check(build, [e, w, b, v], h=1e-5)

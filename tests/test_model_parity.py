@@ -19,6 +19,8 @@ from alphagraph.embeddings import StockEmbeddingSet, StockGraph
 from alphagraph.model import (FeatureStore, ModelConfig, ablation_config, build_params,
                               model_forward)
 
+from helpers import mul_rows, stack_rows, take_row
+
 OUT_RTOL = 1e-12
 GRAD_RTOL = 1e-10
 
@@ -29,7 +31,7 @@ GRAD_RTOL = 1e-10
 
 def ref_attention(e_i, rows, w, b, v):
     k = rows.shape[0]
-    pairs = ad.concat([ad.stack_rows([e_i] * k), rows], axis=1)
+    pairs = ad.concat([stack_rows([e_i] * k), rows], axis=1)
     weights = ad.softmax(ad.matmul(ad.tanh(ad.affine(pairs, w, b)), v))
     return ad.matmul(weights, rows)
 
@@ -68,11 +70,11 @@ def ref_forward(params, cfg, store, stock_idx, anchor_idx, graph):
     if cfg.use_graph:
         emb = params["graph.emb"]
         uniq = sorted(set(int(i) for i in stock_idx))
-        reps = [ref_attention(ad.take_row(emb, i), ad.gather_rows(emb, graph.neighbors(i)),
+        reps = [ref_attention(take_row(emb, i), ad.gather_rows(emb, graph.neighbors(i)),
                               params["graph.attn.w"], params["graph.attn.b"],
                               params["graph.attn.v"]) for i in uniq]
         pos = {i: r for r, i in enumerate(uniq)}
-        parts_static = ad.gather_rows(ad.stack_rows(reps), [pos[int(i)] for i in stock_idx])
+        parts_static = ad.gather_rows(stack_rows(reps), [pos[int(i)] for i in stock_idx])
     tech_w = None
     if cfg.use_tech:
         tech_w = ad.relu(params["tech.w"]) if cfg.nonneg_tech else params["tech.w"]
@@ -90,9 +92,9 @@ def ref_forward(params, cfg, store, stock_idx, anchor_idx, graph):
     vs = ref_bilstm(xs, cfg.hidden, params, "lstm")
     beta = ad.softmax(ad.stack([nn.score_net(v, params, "temporal") for v in vs], axis=1))
     cols = ad.unstack(beta, axis=1)
-    pooled = ad.mul_rows(vs[0], cols[0])
+    pooled = mul_rows(vs[0], cols[0])
     for v, col in zip(vs[1:], cols[1:]):
-        pooled = ad.add(pooled, ad.mul_rows(v, col))
+        pooled = ad.add(pooled, mul_rows(v, col))
     return ad.add_bias(ad.matmul(pooled, params["head.w"]), params["head.b"])
 
 

@@ -6,6 +6,7 @@ import pytest
 from alphagraph import backtest as bt
 from alphagraph import model as mdl
 from alphagraph.factors import compute_factors
+from alphagraph.market import BarPanel
 from alphagraph.news import build_cooccurrence, load_articles
 from alphagraph.synth import (SyntheticSpec, cluster_reversal_slopes, generate,
                               read_truth_signals, write_market)
@@ -31,10 +32,10 @@ def test_different_seed_differs(tmp_path):
 
 def test_generated_bars_satisfy_invariants():
     market = generate(SMALL)
-    for b in market.bars:
-        assert min(b.open, b.high, b.low, b.close) > 0
-        assert b.low <= min(b.open, b.close) <= max(b.open, b.close) <= b.high
-        assert b.volume >= 0
+    o, h, lo, c, v = (market.arrays[f] for f in BarPanel.FIELDS)
+    assert (np.minimum(np.minimum(o, h), np.minimum(lo, c)) > 0).all()
+    assert (lo <= np.minimum(o, c)).all() and (np.maximum(o, c) <= h).all()
+    assert (v >= 0).all()
     panel = market.panel()
     assert panel.n_dates == SMALL.days and panel.n_symbols == SMALL.n_stocks
 
