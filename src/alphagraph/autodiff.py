@@ -153,19 +153,6 @@ def add(a, b) -> Tensor:
     return _emit(a.values + b.values, "add", (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("sub", a, b)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(-g)
-
-    return _emit(a.values - b.values, "sub", (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape("mul", a, b)

@@ -4,7 +4,8 @@ Layout (all integers little-endian unsigned 32-bit, values little-endian
 float64, no padding):
 
     magic   4 bytes  b"AGCP"
-    version u32      currently 2 (version 1 also stored the unused graph.bias)
+    version u32      currently 3 (versions 1 and 2 stored the LSTM one tensor
+                     per gate; version 1 also the unused graph.bias)
     count   u32      number of parameters
     then per parameter, in ascending name order:
         name_len u32
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"AGCP"
-VERSION = 2
+VERSION = 3
 
 
 def save_checkpoint(path, params: dict) -> None:

@@ -1,7 +1,7 @@
 """Trainable layers and the optimizer, built on the autodiff primitives.
 
 Parameters live in a flat ``dict[str, Tensor]`` keyed by dotted names
-(``lstm.fwd.i.w`` etc.) so that checkpoints, ablation containment checks, and
+(``lstm.fwd.w`` etc.) so that checkpoints, ablation containment checks, and
 the optimizer can treat every model uniformly.
 """
 
@@ -12,8 +12,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-
-GATES = ("i", "f", "g", "o")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -30,31 +28,20 @@ def param(values, params: dict, name: str) -> Tensor:
 
 def init_lstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
                      params: dict, prefix: str) -> None:
-    """Standard LSTM gate parameters; forget-gate bias starts at 1."""
-    for gate in GATES:
-        param(glorot_uniform(rng, in_dim, hidden), params, f"{prefix}.{gate}.w")
-        param(glorot_uniform(rng, hidden, hidden), params, f"{prefix}.{gate}.u")
-        bias = np.full(hidden, 1.0) if gate == "f" else np.zeros(hidden)
-        param(bias, params, f"{prefix}.{gate}.b")
+    """Fused LSTM parameters ``{prefix}.w`` (in_dim, 4H), ``{prefix}.u``
+    (H, 4H) and ``{prefix}.b`` (4H,), one column block per gate in the
+    ``i, f, g, o`` order of ``autodiff.lstm_step``.
 
-
-def _fused_gates(params: dict, prefix: str, piece: str) -> Tensor:
-    """The four per-gate tensors ``{prefix}.{i,f,g,o}.{piece}`` side by side
-    along the last axis: (in_dim, 4H) for ``w``, (H, 4H) for ``u`` and (4H,)
-    for ``b``. Built at forward time, so the parameters stay per gate."""
-    return ad.concat([params[f"{prefix}.{gate}.{piece}"] for gate in GATES], axis=-1)
-
-
-def lstm_cell(x, h_prev, c_prev, params: dict, prefix: str):
-    """One LSTM step: returns (h_t, c_t).
-
-    ``x`` may be a single input vector or an (N, in_dim) batch; hidden and
-    cell states follow the same convention. No peepholes; sigmoid gates and
-    tanh candidate/cell activations, evaluated through the fused gate
-    matrices by one ``lstm_step``.
+    Gate by gate, the ``w`` block and then the ``u`` block are drawn, each
+    with its own Glorot scale (fan_out H); the forget-gate bias starts at 1.
     """
-    zx = ad.affine(x, _fused_gates(params, prefix, "w"), _fused_gates(params, prefix, "b"))
-    return ad.lstm_step(zx, ad.matmul(h_prev, _fused_gates(params, prefix, "u")), c_prev)
+    ws, us = zip(*[(glorot_uniform(rng, in_dim, hidden), glorot_uniform(rng, hidden, hidden))
+                   for _ in range(4)])
+    bias = np.zeros(4 * hidden)
+    bias[hidden:2 * hidden] = 1.0
+    param(np.concatenate(ws, axis=1), params, f"{prefix}.w")
+    param(np.concatenate(us, axis=1), params, f"{prefix}.u")
+    param(bias, params, f"{prefix}.b")
 
 
 def init_bilstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
@@ -63,43 +50,25 @@ def init_bilstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
     init_lstm_params(rng, in_dim, hidden, params, f"{prefix}.bwd")
 
 
-def bilstm(xs, hidden: int, params: dict, prefix: str):
-    """Run forward and backward LSTM passes over a sequence.
-
-    ``xs`` is an (N, T, in_dim) tensor, or a list of T tensors, each
-    (in_dim,) or (N, in_dim). The result takes the same form: an
-    (N, T, 2*hidden) tensor, or a list of T outputs of width 2*hidden.
-    Output t is the concatenation of the forward state at t and the
-    backward state at t.
-    """
-    if isinstance(xs, Tensor):
-        if xs.ndim != 3:
-            raise ShapeError(f"bilstm: expected an (N, T, in_dim) tensor, got {xs.shape}")
-        return _bilstm(xs, hidden, params, prefix)
-    if not xs:
-        raise ShapeError("bilstm: empty input sequence")
-    T = len(xs)
-    if xs[0].ndim == 1:
-        seq = ad.reshape(ad.stack(xs, axis=0), (1, T, xs[0].shape[0]))
-        return ad.unstack(ad.reshape(_bilstm(seq, hidden, params, prefix), (T, 2 * hidden)))
-    return ad.unstack(_bilstm(ad.stack(xs, axis=1), hidden, params, prefix), axis=1)
-
-
-def _bilstm(seq: Tensor, hidden: int, params: dict, prefix: str) -> Tensor:
+def bilstm(seq: Tensor, hidden: int, params: dict, prefix: str) -> Tensor:
     """BiLSTM over an (N, T, in_dim) tensor -> (N, T, 2*hidden).
 
-    Each direction projects all N*T inputs through its fused input matrix
-    in one affine, so a recurrent step is one (hidden, 4*hidden) matmul and
-    one ``lstm_step``.
+    Output t is the forward state at t next to the backward state at t,
+    both from a zero initial state. Each direction projects all N*T inputs
+    through its ``w`` in one affine, so a recurrent step is one
+    (hidden, 4*hidden) matmul and one ``lstm_step``.
     """
+    if seq.ndim != 3 or seq.shape[1] == 0:
+        raise ShapeError(f"bilstm: expected an (N, T, in_dim) tensor with T >= 1, "
+                         f"got {seq.shape}")
     N, T, in_dim = seq.shape
     x = ad.reshape(seq, (N * T, in_dim))
     halves = []
     for sub, steps in (("fwd", range(T)), ("bwd", range(T - 1, -1, -1))):
         p = f"{prefix}.{sub}"
-        zx = ad.affine(x, _fused_gates(params, p, "w"), _fused_gates(params, p, "b"))
+        zx = ad.affine(x, params[f"{p}.w"], params[f"{p}.b"])
         zx = ad.unstack(ad.reshape(zx, (N, T, 4 * hidden)), axis=1)
-        u = _fused_gates(params, p, "u")
+        u = params[f"{p}.u"]
         h = c = None  # zero initial state
         hs = [None] * T
         for t in steps:

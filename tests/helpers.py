@@ -1,8 +1,9 @@
 """Test-side helpers shared by several test modules.
 
-* ``take_row``, ``mul_rows`` and ``stack_rows``: autodiff primitives that
-  only the gradient checks and the model parity references use; they record
-  on the tape like the package's own primitives.
+* ``take_row``, ``mul_rows``, ``stack_rows`` and ``gate_block``: autodiff
+  primitives that only the gradient checks and the model parity references
+  use; they record on the tape like the package's own primitives.
+* ``gate_cols``: the columns of one gate in a fused LSTM parameter.
 * ``market_bars``: a synthetic market's bars as :class:`Bar` objects.
 """
 
@@ -45,6 +46,26 @@ def mul_rows(m, s) -> Tensor:
             s.accumulate((g * mv).sum(axis=1))
 
     return _emit(mv * sv[:, None], "mul_rows", (m, s), backward)
+
+
+def gate_cols(gate: str, hidden: int) -> slice:
+    """Columns of gate ``gate`` (one of "ifgo") in a fused LSTM parameter,
+    whose last axis holds the i, f, g, o blocks of width ``hidden``."""
+    k = "ifgo".index(gate)
+    return slice(k * hidden, (k + 1) * hidden)
+
+
+def gate_block(m, gate: str) -> Tensor:
+    """The ``gate_cols`` block of a fused LSTM parameter ``m`` as a tensor."""
+    m = _as_tensor(m)
+    cols = gate_cols(gate, m.shape[-1] // 4)
+
+    def backward(g):
+        if m.requires_grad:
+            m.ensure_grad()
+            m.grad[..., cols] += g
+
+    return _emit(m.values[..., cols].copy(), "gate_block", (m,), backward)
 
 
 def market_bars(market) -> list:

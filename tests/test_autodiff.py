@@ -12,7 +12,7 @@ from alphagraph.autodiff import Tape, Tensor, gradient_check
 from alphagraph.embeddings import attention_representation
 from alphagraph.errors import ConfigError, NumericalFault, ShapeError
 
-from helpers import mul_rows, stack_rows, take_row
+from helpers import gate_cols, mul_rows, stack_rows, take_row
 
 
 def t(values, grad=True):
@@ -362,12 +362,17 @@ def _lstm_params(rng, in_dim, hidden, prefix="cell"):
     return params
 
 
+def _lstm_cell(x, h_prev, c_prev, params, prefix="cell"):
+    """One LSTM step on the fused ``{prefix}.{w,u,b}`` parameters."""
+    zx = ad.affine(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
+    return ad.lstm_step(zx, ad.matmul(h_prev, params[f"{prefix}.u"]), c_prev)
+
+
 def test_lstm_zero_weights_zero_state_gives_zero_output():
     params = _lstm_params(np.random.default_rng(0), 3, 4)
     for p in params.values():
         p.values[:] = 0.0
-    h, c = nn.lstm_cell(Tensor(np.zeros(3)), Tensor(np.zeros(4)), Tensor(np.zeros(4)),
-                        params, "cell")
+    h, c = _lstm_cell(Tensor(np.zeros(3)), Tensor(np.zeros(4)), Tensor(np.zeros(4)), params)
     assert np.allclose(h.values, 0.0)
     assert np.allclose(c.values, 0.0)
 
@@ -375,11 +380,11 @@ def test_lstm_zero_weights_zero_state_gives_zero_output():
 def test_lstm_saturated_gates_copy_cell_state():
     rng = np.random.default_rng(1)
     params = _lstm_params(rng, 3, 4)
-    params["cell.f.b"].values[:] = 20.0   # forget ~ 1
-    params["cell.i.b"].values[:] = -20.0  # input ~ 0
+    params["cell.b"].values[gate_cols("f", 4)] = 20.0   # forget ~ 1
+    params["cell.b"].values[gate_cols("i", 4)] = -20.0  # input ~ 0
     c_prev = rng.normal(size=4)
-    _, c = nn.lstm_cell(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=4)),
-                        Tensor(c_prev), params, "cell")
+    _, c = _lstm_cell(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=4)),
+                      Tensor(c_prev), params)
     assert np.allclose(c.values, c_prev, atol=1e-6)
 
 
@@ -392,25 +397,48 @@ def test_lstm_cell_backward_matches_fd(seed):
     c0 = t(rng.normal(size=4))
 
     def build():
-        h, c = nn.lstm_cell(x, h0, c0, params, "cell")
+        h, c = _lstm_cell(x, h0, c0, params)
         return ad.mean(ad.add(h, c))
 
     _fd_case(build, list(params.values()) + [x, h0, c0], seed)
+
+
+def test_init_lstm_params_concatenates_per_gate_draws():
+    """Gate by gate, a Glorot (in, H) then (H, H) draw, fused in i, f, g, o
+    order; the bias is 1 on the forget block and 0 elsewhere."""
+    in_dim, hidden = 3, 4
+    rng = np.random.default_rng(5)
+    params = _lstm_params(rng, in_dim, hidden)
+    ref = np.random.default_rng(5)
+    draws = [(nn.glorot_uniform(ref, in_dim, hidden), nn.glorot_uniform(ref, hidden, hidden))
+             for _ in range(4)]
+    assert sorted(params) == ["cell.b", "cell.u", "cell.w"]
+    assert params["cell.w"].shape == (in_dim, 4 * hidden)
+    assert params["cell.u"].shape == (hidden, 4 * hidden)
+    for gate, (w, u) in zip("ifgo", draws):
+        cols = gate_cols(gate, hidden)
+        assert np.array_equal(params["cell.w"].values[:, cols], w)
+        assert np.array_equal(params["cell.u"].values[:, cols], u)
+    expected_b = np.zeros(4 * hidden)
+    expected_b[gate_cols("f", hidden)] = 1.0
+    assert np.array_equal(params["cell.b"].values, expected_b)
+    # later parameters draw from the same point of the stream as before
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_bilstm_output_shape_and_t1():
     rng = np.random.default_rng(2)
     params = {}
     nn.init_bilstm_params(rng, 3, 4, params, "b")
-    out = nn.bilstm([Tensor(rng.normal(size=3))], 4, params, "b")
-    assert len(out) == 1
-    assert out[0].shape == (8,)
-    assert np.all(np.isfinite(out[0].values))
+    out = nn.bilstm(Tensor(rng.normal(size=(1, 1, 3))), 4, params, "b")
+    assert out.shape == (1, 1, 8)
+    assert np.all(np.isfinite(out.values))
 
 
-def test_bilstm_empty_sequence_rejected():
+@pytest.mark.parametrize("shape", [(1, 0, 3), (2, 3)], ids=["empty", "2-D"])
+def test_bilstm_empty_sequence_rejected(shape):
     with pytest.raises(ShapeError):
-        nn.bilstm([], 4, {}, "b")
+        nn.bilstm(Tensor(np.zeros(shape)), 4, {}, "b")
 
 
 def test_bilstm_palindrome_with_mirrored_parameters():
@@ -418,16 +446,15 @@ def test_bilstm_palindrome_with_mirrored_parameters():
     params = {}
     nn.init_bilstm_params(rng, 3, 4, params, "b")
     # mirror: backward direction shares the forward parameters
-    for gate in nn.GATES:
-        for piece in ("w", "u", "b"):
-            params[f"b.bwd.{gate}.{piece}"].values = params[f"b.fwd.{gate}.{piece}"].values.copy()
+    for piece in ("w", "u", "b"):
+        params[f"b.bwd.{piece}"].values = params[f"b.fwd.{piece}"].values.copy()
     seq = [rng.normal(size=3) for _ in range(3)]
     seq = seq + seq[-2::-1]  # palindrome of length 5
-    out = nn.bilstm([Tensor(x) for x in seq], 4, params, "b")
+    out = nn.bilstm(Tensor(np.array(seq)[None]), 4, params, "b").values[0]
     T = len(seq)
     for i in range(T):
-        fwd_at_i = out[i].values[:4]
-        bwd_at_mirror = out[T - 1 - i].values[4:]
+        fwd_at_i = out[i, :4]
+        bwd_at_mirror = out[T - 1 - i, 4:]
         assert np.allclose(fwd_at_i, bwd_at_mirror, atol=1e-12)
 
 
@@ -436,16 +463,12 @@ def test_bilstm_backward_matches_fd(seed):
     rng = np.random.default_rng(seed + 10)
     params = {}
     nn.init_bilstm_params(rng, 2, 3, params, "b")
-    xs = [t(rng.normal(size=2)) for _ in range(3)]
+    seq = t(rng.normal(size=(1, 3, 2)))
 
     def build():
-        out = nn.bilstm(xs, 3, params, "b")
-        total = out[0]
-        for v in out[1:]:
-            total = ad.add(total, v)
-        return ad.mean(total)
+        return ad.mean(nn.bilstm(seq, 3, params, "b"))
 
-    _fd_case(build, list(params.values()) + xs, seed, tol=1e-5)
+    _fd_case(build, list(params.values()) + [seq], seed, tol=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,18 @@ def test_checkpoint_magic_and_version(tmp_path):
     corrupt.write_bytes(good.read_bytes() + b"extra")
     with pytest.raises(DataError):
         load_checkpoint(corrupt)
-    version_1 = tmp_path / "v1.bin"
-    version_1.write_bytes(MAGIC + (1).to_bytes(4, "little") + good.read_bytes()[8:])
-    with pytest.raises(DataError, match="checkpoint version 1, .*; rerun train"):
-        load_checkpoint(version_1)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_old_version_asks_to_rerun_train(tmp_path, version):
+    """Version 1 also stored graph.bias; versions 1 and 2 stored the LSTM
+    one tensor per gate."""
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, {"x": np.zeros(2)})
+    old = tmp_path / f"v{version}.bin"
+    old.write_bytes(MAGIC + version.to_bytes(4, "little") + good.read_bytes()[8:])
+    with pytest.raises(DataError, match=f"checkpoint version {version}, .*; rerun train"):
+        load_checkpoint(old)
 
 
 def test_checkpoint_accepts_tensors(tmp_path):

@@ -14,6 +14,7 @@ from alphagraph.model import (ModelConfig, ablation_config, build_dataset,
                               ridge_fit, ridge_predict, ridge_scan, temporal_pool,
                               train)
 
+from helpers import gate_cols
 from test_market import make_bars  # shared panel builder
 
 
@@ -94,7 +95,7 @@ def test_assemble_input_disabled_news():
     cfg = ablation_config("Graph+Tech", cfg)
     assert cfg.input_dim() == cfg.embed_dim + cfg.tech_dim
     params = build_params(cfg, np.random.default_rng(0), emb)
-    assert params["lstm.fwd.i.w"].values.shape[0] == cfg.input_dim()
+    assert params["lstm.fwd.w"].shape == (cfg.input_dim(), 4 * cfg.hidden)
     out = model_forward(params, cfg, ds.store, ds.stock_idx[:3], ds.anchor_idx[:3], graph)
     assert out.shape == (3,)
 
@@ -406,7 +407,9 @@ def test_single_sample_layerwise_oracle():
         outs = []
         for x in seq:
             def gate(gname, act):
-                z = x @ p(f"{prefix}.{gname}.w") + p(f"{prefix}.{gname}.b") + h @ p(f"{prefix}.{gname}.u")
+                cols = gate_cols(gname, cfg.hidden)
+                z = x @ p(f"{prefix}.w")[:, cols] + p(f"{prefix}.b")[cols] \
+                    + h @ p(f"{prefix}.u")[:, cols]
                 return act(z)
             sig = lambda z: 1 / (1 + np.exp(-z))
             ii, ff, gg, oo = gate("i", sig), gate("f", sig), gate("g", np.tanh), gate("o", sig)

@@ -2,11 +2,12 @@
 
 ``ref_forward`` below is the forward the batched ``model_forward`` replaced,
 kept here so the two can be compared: one attention call per distinct
-stock, four separate gate affines per LSTM step, each step's input
-projected inside the recurrence, and temporal pooling as a chain of T
-row-scaled adds. The batched form sums some dot products in another order,
-so outputs are compared to 1e-12 and parameter gradients to 1e-10, relative
-to the largest magnitude of each array.
+stock, four separate gate affines per LSTM step on the column blocks of
+the fused LSTM parameters, each step's input projected inside the
+recurrence, and temporal pooling as a chain of T row-scaled adds. The
+batched form sums some dot products in another order, so outputs are
+compared to 1e-12 and parameter gradients to 1e-10, relative to the
+largest magnitude of each array.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from alphagraph.embeddings import StockEmbeddingSet, StockGraph
 from alphagraph.model import (FeatureStore, ModelConfig, ablation_config, build_params,
                               model_forward)
 
-from helpers import mul_rows, stack_rows, take_row
+from helpers import gate_block, mul_rows, stack_rows, take_row
 
 OUT_RTOL = 1e-12
 GRAD_RTOL = 1e-10
@@ -36,11 +37,12 @@ def ref_attention(e_i, rows, w, b, v):
     return ad.matmul(weights, rows)
 
 
-def ref_lstm_cell(x, h_prev, c_prev, params, prefix):
+def ref_lstm_cell(x, h_prev, c_prev, gates):
+    """One step with four separate gate affines; ``gates`` maps each of
+    "ifgo" to its (w, u, b) blocks."""
     def gate(name, activation):
-        z = ad.add(ad.affine(x, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"]),
-                   ad.matmul(h_prev, params[f"{prefix}.{name}.u"]))
-        return activation(z)
+        w, u, b = gates[name]
+        return activation(ad.add(ad.affine(x, w, b), ad.matmul(h_prev, u)))
 
     i = gate("i", ad.sigmoid)
     f = gate("f", ad.sigmoid)
@@ -52,11 +54,14 @@ def ref_lstm_cell(x, h_prev, c_prev, params, prefix):
 
 def ref_bilstm(xs, hidden, params, prefix):
     def run(seq, sub):
+        gates = {name: tuple(gate_block(params[f"{prefix}.{sub}.{piece}"], name)
+                             for piece in "wub")
+                 for name in "ifgo"}
         h = Tensor(np.zeros((xs[0].shape[0], hidden)))
         c = Tensor(np.zeros((xs[0].shape[0], hidden)))
         out = []
         for x in seq:
-            h, c = ref_lstm_cell(x, h, c, params, f"{prefix}.{sub}")
+            h, c = ref_lstm_cell(x, h, c, gates)
             out.append(h)
         return out
 
@@ -203,5 +208,5 @@ def test_full_batch_tape_is_short():
                                       graph, labels)
     _, _, ref_records = outputs_and_grads(ref_forward, params, cfg, store, stocks, anchors,
                                           graph, labels)
-    assert records <= 120
+    assert records <= 54
     assert ref_records >= 300  # 12 distinct stocks: 9 records each, 21 per LSTM step
