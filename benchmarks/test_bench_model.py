@@ -30,9 +30,12 @@ def world(ablation, n_stocks, n_days, n_samples):
     cfg = ablation_config(ablation, BASE)
     symbols = tuple(f"S{i}" for i in range(n_stocks))
     shape = (n_days, n_stocks)
-    store = FeatureStore(tuple(range(n_days)), symbols,
-                         rng.normal(size=shape + (cfg.n_factors,)), np.ones(shape, bool),
-                         rng.normal(size=shape + (cfg.news_dim,)), np.ones(shape, bool))
+    factors = rng.normal(size=shape + (cfg.n_factors,))
+    # every cell has news: one row per cell, then the zero row
+    news = np.concatenate([rng.normal(size=(n_days * n_stocks, cfg.news_dim)),
+                           np.zeros((1, cfg.news_dim))])
+    store = FeatureStore(tuple(range(n_days)), symbols, factors,
+                         (news, np.arange(n_days * n_stocks).reshape(shape)))
     emb = StockEmbeddingSet(symbols, rng.normal(size=(n_stocks, cfg.embed_dim)),
                             np.zeros(n_stocks))
     params = build_params(cfg, rng, emb)

@@ -377,11 +377,18 @@ def _model_config(cfg, ablation: str | None, glove_dim: int, n_factors: int,
 
 
 def _assemble_dataset(cfg, out: OutDir, model_cfg: mdl.ModelConfig,
-                      require_labels: bool = True):
+                      require_labels: bool = True, bars: BarPanel | None = None,
+                      factors: FactorPanel | None = None):
+    """(bars, dataset, news panel) of every sample the model config can use.
+
+    The bar and factor panels are read from ``out`` unless the caller passes
+    the ones it already holds, so a stage reads each file once."""
     if not isinstance(out, OutDir):   # the directory itself (perfbench's tests pass it)
         out = OutDir(Path(out), cfg)
-    bars = _load_panel(out.read(PANEL_FILE))
-    factors = _load_factors(out.read(FACTORS_FILE)) if model_cfg.use_tech else None
+    if bars is None:
+        bars = _load_panel(out.read(PANEL_FILE))
+    if model_cfg.use_tech and factors is None:
+        factors = _load_factors(out.read(FACTORS_FILE))
     news_panel = None
     if model_cfg.use_news:
         articles = load_articles(out.read(NEWS_FILE))
@@ -484,25 +491,35 @@ def cmd_graph(cfg, out: OutDir, args):
     return {"k": graph.k}
 
 
-def cmd_train(cfg, out: OutDir, args):
-    # the graph module needs glove.npz; the other ablations only record its
-    # dim in the model config, so without the file they take the configured one
-    glove = _load_glove(out.read(GLOVE_FILE)) if out.has(GLOVE_FILE) else None
+def _training_set(cfg, out: OutDir, ablation: str | None, glove: StockEmbeddingSet | None):
+    """The model config and the samples anchored through split.train_end.
+
+    Of what is read here, only the returned samples' feature store outlives
+    the call: the bar prices, the factor mask and the samples of the whole
+    calendar are not held while the model trains."""
     factors = _load_factors(out.read(FACTORS_FILE))
     wordvec_dim = embedding_dim(out.read(WORDVEC_FILE)) if out.has(WORDVEC_FILE) else None
-    model_cfg = _model_config(cfg, args.ablation,
+    model_cfg = _model_config(cfg, ablation,
                               cfg["glove"]["dim"] if glove is None else glove.dim,
                               len(factors.factor_names),
                               wordvec_dim or cfg["word2vec"]["dim"])
     if model_cfg.use_graph and glove is None:
         raise DataError(f"{out.path / GLOVE_FILE} not found; the graph module needs "
                         f"train-glove to run first")
-    bars, ds, _ = _assemble_dataset(cfg, out, model_cfg)
+    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, factors=factors)
+    calendar = ds.store.calendar
     train_end = _train_end(cfg)
-    if train_end not in bars.date_index:
+    if train_end not in calendar:
         raise DataError(f"split.train_end {train_end} is not a trading day in the panel")
-    lo, hi = _window_indices(bars.calendar, None, train_end)
-    train_ds = ds.split_by_anchor(lo, hi)
+    lo, hi = _window_indices(calendar, None, train_end)
+    return model_cfg, ds.split_by_anchor(lo, hi)
+
+
+def cmd_train(cfg, out: OutDir, args):
+    # the graph module needs glove.npz; the other ablations only record its
+    # dim in the model config, so without the file they take the configured one
+    glove = _load_glove(out.read(GLOVE_FILE)) if out.has(GLOVE_FILE) else None
+    model_cfg, train_ds = _training_set(cfg, out, args.ablation, glove)
     graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
     trained = mdl.train(train_ds, model_cfg, glove if model_cfg.use_graph else None,
                         graph)
@@ -525,6 +542,8 @@ def _read_model_config(path) -> mdl.ModelConfig:
 
 
 def _load_trained(cfg, out: OutDir):
+    """The trained model, its config and the bar panel, on which the caller
+    builds its dataset rather than read the panel again."""
     model_cfg = _read_model_config(out.read(MODELCFG_FILE))
     glove = _load_glove(out.read(GLOVE_FILE)) if model_cfg.use_graph else None
     graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
@@ -544,7 +563,7 @@ def _load_trained(cfg, out: OutDir):
 
 def cmd_predict(cfg, out: OutDir, args):
     model, model_cfg, bars = _load_trained(cfg, out)
-    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False)
+    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False, bars=bars)
     train_end = _train_end(cfg)
     spec = bt.split(bars.calendar, train_end, cfg["split"]["gap_days"])
     if args.window == "test":
@@ -637,6 +656,7 @@ def cmd_interpret(cfg, out: OutDir, args):
                      f"{p.percentile:.4f}\n")
     write_embeddings(out.write("final_stock_embeddings.txt"), symbols, emb)
 
+    factors = None
     if model_cfg.use_tech:
         factors = _load_factors(out.read(FACTORS_FILE))
         w = np.maximum(model.params["tech.w"].values, 0.0).T  # (m, l)
@@ -647,7 +667,7 @@ def cmd_interpret(cfg, out: OutDir, args):
             for rank, (j, count) in enumerate(freq, start=1):
                 fh.write(f"{rank},{j},{factors.factor_names[j]},{count}\n")
 
-    _, ds, news_panel = _assemble_dataset(cfg, out, model_cfg)
+    _, ds, news_panel = _assemble_dataset(cfg, out, model_cfg, bars=bars, factors=factors)
     spec = bt.split(bars.calendar, _train_end(cfg), cfg["split"]["gap_days"])
     lo, hi = _window_indices(bars.calendar, spec.test_start, spec.test_end)
     test_ds = ds.split_by_anchor(lo, hi)
@@ -655,30 +675,31 @@ def cmd_interpret(cfg, out: OutDir, args):
         capture: dict = {}
         fc = mdl.predict(model, test_ds, capture=capture)
         beta_mean = itp.aggregate_temporal_attention(capture["temporal_beta"])
+        T = model_cfg.lookback
         with open(out.write("temporal_attention.csv"), "w", encoding="utf-8") as fh:
             fh.write("lag,mean_weight\n")
-            T = model_cfg.lookback
             for idx, wgt in enumerate(beta_mean):
                 fh.write(f"-{T - idx}day,{repr(float(wgt))}\n")
 
-        errors = (fc.yhat[test_ds.anchor_idx, test_ds.stock_idx]
-                  - test_ds.labels) ** 2
-        keys = [(bars.calendar[a].isoformat(), bars.symbols[s])
-                for a, s in zip(test_ds.anchor_idx, test_ds.stock_idx)]
-        buckets = itp.news_error_buckets(keys, errors, icfg["error_tail"])
-        error_of = dict(zip(keys, errors))
+        anchors, stocks = test_ds.anchor_idx, test_ds.stock_idx
+        errors = (fc.yhat[anchors, stocks] - test_ds.labels) ** 2
+        # equal errors rank by date, then by symbol (sorted order)
+        S = bars.n_symbols
+        symbol_rank = np.empty(S, dtype=np.intp)
+        symbol_rank[sorted(range(S), key=bars.symbols.__getitem__)] = np.arange(S)
+        buckets = itp.news_error_buckets(errors, (anchors, symbol_rank[stocks]),
+                                         icfg["error_tail"])
         with open(out.write("news_error_buckets.csv"), "w", encoding="utf-8") as fh:
             fh.write("bucket,date,symbol,sq_error,article_ids\n")
             for name, bucket in (("low_error", buckets.low), ("high_error", buckets.high)):
-                for date_s, sym in bucket:
+                for i in bucket:
+                    a, s = int(anchors[i]), int(stocks[i])
                     ids = []
                     if news_panel is not None:
-                        a = bars.date_index[dt.date.fromisoformat(date_s)]
-                        s = bars.symbol_index[sym]
-                        for day in range(a - model_cfg.lookback, a):
-                            ids.extend(news_panel.article_ids.get((day, s), []))
-                    fh.write(f"{name},{date_s},{sym},"
-                             f"{repr(float(error_of[(date_s, sym)]))},{';'.join(ids)}\n")
+                        for row in news_panel.row_index[a - T:a, s]:
+                            ids.extend(news_panel.article_ids[row])
+                    fh.write(f"{name},{bars.calendar[a].isoformat()},{bars.symbols[s]},"
+                             f"{repr(float(errors[i]))},{';'.join(ids)}\n")
 
     return {"n_test_samples": test_ds.n, "extreme_pairs": extreme_pairs}
 

@@ -90,26 +90,24 @@ def aggregate_temporal_attention(beta: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ErrorBuckets:
-    low: list   # sample keys with the smallest errors
-    high: list  # sample keys with the largest errors
+    low: np.ndarray   # positions of the samples with the smallest errors, in rank order
+    high: np.ndarray  # positions of the samples with the largest errors, in rank order
     degenerate: bool
 
 
-def news_error_buckets(sample_keys, sq_errors, tail: float = 0.05) -> ErrorBuckets:
+def news_error_buckets(sq_errors, tie_keys, tail: float = 0.05) -> ErrorBuckets:
     """Samples in the smallest and largest ``tail`` fraction of squared errors.
 
-    Both buckets have ceil(tail * N) members; ties are resolved by sample key
-    for determinism. Fewer than 20 samples makes a 5% tail degenerate, which
-    is flagged but still returns the single extreme sample per side.
+    Samples rank by ascending error. Equal errors rank by the integer arrays
+    of ``tie_keys``, the first array deciding first, and then by position,
+    so the ranking is deterministic. Both buckets have ceil(tail * N)
+    members. Fewer than 20 samples makes a 5% tail degenerate, which is
+    flagged but still returns the single extreme sample per side.
     """
-    keys = list(sample_keys)
     errs = np.asarray(sq_errors, dtype=np.float64)
-    if len(keys) != errs.size or errs.size == 0:
-        raise DataError("news_error_buckets: keys and errors must align and be non-empty")
-    order = sorted(range(errs.size), key=lambda i: (errs[i], keys[i]))
+    keys = [np.asarray(k) for k in tie_keys]
+    if errs.ndim != 1 or errs.size == 0 or any(k.shape != errs.shape for k in keys):
+        raise DataError("news_error_buckets: errors and tie keys must align and be non-empty")
+    order = np.lexsort((*reversed(keys), errs))   # lexsort's last key sorts first
     n_tail = max(1, math.ceil(tail * errs.size))
-    degenerate = errs.size < 20
-    low = [keys[i] for i in order[:n_tail]]
-    high = [keys[i] for i in order[-n_tail:]]
-    return ErrorBuckets(low, high, degenerate)
-
+    return ErrorBuckets(order[:n_tail], order[-n_tail:], errs.size < 20)

@@ -31,8 +31,8 @@ class Bar:
     volume: float
 
     def validate(self) -> None:
-        # load_bars and build_panel call this only on the rows _suspect_bars
-        # flags, so a rule added here must be added there too
+        # load_bars calls this only on the rows _suspect_bars flags, so a
+        # rule added here must be added there too
         if min(self.open, self.high, self.low, self.close) <= 0:
             raise DataError(f"bar {self.symbol} {self.date}: non-positive price")
         body_lo = min(self.open, self.close)
@@ -152,31 +152,6 @@ def _panel_from_columns(dates: list, date_code: np.ndarray, names: list,
     mask = np.zeros(shape, dtype=bool)
     mask[d, s] = True
     return BarPanel(calendar, symbols, arrays, mask)
-
-
-def build_panel(bars) -> BarPanel:
-    """Assemble bars into a panel; every bar is validated and duplicate
-    (date, symbol) keys are rejected.
-
-    Of several problems, the one met first in (date, symbol) order is
-    reported: an invalid bar, or the second bar of a duplicate key.
-    """
-    bars = sorted(bars, key=lambda b: (b.date, b.symbol))
-    if not bars:
-        raise DataError("no bars to build a panel from")
-    cols = np.array([[getattr(b, f) for b in bars] for f in BarPanel.FIELDS],
-                    dtype=np.float64)
-    for i in np.flatnonzero(_suspect_bars(cols)):
-        try:
-            bars[i].validate()
-        except DataError:
-            for a, b in zip(bars[:i], bars[1:i]):   # sorted: duplicates are adjacent
-                if (a.date, a.symbol) == (b.date, b.symbol):
-                    raise _duplicate_bar(b.symbol, b.date) from None
-            raise
-    rows = np.arange(len(bars))
-    return _panel_from_columns([b.date for b in bars], rows,
-                               [b.symbol for b in bars], rows, cols)
 
 
 def load_bars(path) -> BarPanel:

@@ -124,10 +124,14 @@ def mse_loss(y: np.ndarray, yhat: np.ndarray) -> float:
 class FeatureStore:
     calendar: tuple
     symbols: tuple
-    factors: np.ndarray | None       # (D, S, L)
-    factor_valid: np.ndarray | None  # (D, S) all factors present
-    news: np.ndarray | None          # (D, S, d_w)
-    bar_mask: np.ndarray             # (D, S)
+    factors: np.ndarray | None  # (D, S, L)
+    news: tuple | None          # (rows, row index) as in DailyNewsPanel
+
+    def news_at(self, days, stocks) -> np.ndarray:
+        """News vectors of the cells (days, stocks), index arrays that
+        broadcast together; the zero vector for a cell without articles."""
+        rows, index = self.news
+        return rows[index[days, stocks]]
 
 
 @dataclass
@@ -180,7 +184,7 @@ def build_dataset(bars: BarPanel, factors: FactorPanel | None,
             raise ConfigError("news module enabled but no news panel given")
         if tuple(news.calendar) != tuple(bars.calendar) or tuple(news.symbols) != tuple(bars.symbols):
             raise DataError("news panel is not aligned with the bar panel")
-        nvals = news.vectors
+        nvals = (news.vectors, news.row_index)
     else:
         nvals = None
 
@@ -208,8 +212,7 @@ def build_dataset(bars: BarPanel, factors: FactorPanel | None,
     labels = np.full(stock_idx.size, np.nan)
     # math.log, not np.log, whose result can differ in the last bit
     labels[has] = np.fromiter(map(math.log, ratio), dtype=np.float64, count=ratio.size)
-    store = FeatureStore(bars.calendar, bars.symbols, fvals, factor_valid,
-                         nvals, bars.mask)
+    store = FeatureStore(bars.calendar, bars.symbols, fvals, nvals)
     return Dataset(store, stock_idx, anchor_idx, labels)
 
 
@@ -302,10 +305,10 @@ def model_forward(params: dict, cfg: ModelConfig, store: FeatureStore,
         f = store.factors[days, stocks].reshape(N * T, -1)
         parts.append(ad.relu(ad.affine(f, tech_w, params["tech.b"])))
     if cfg.use_news:
-        parts.append(Tensor(store.news[days, stocks].reshape(N * T, -1)))
+        parts.append(Tensor(store.news_at(days, stocks).reshape(N * T, -1)))
     x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
 
-    vs = nn.bilstm(ad.reshape(x, (N, T, x.shape[1])), cfg.hidden, params, "lstm")
+    vs = nn.bilstm(x, (N, T), cfg.hidden, params, "lstm")
     pooled, beta = temporal_pool(vs, params, "temporal")
     if capture is not None:
         capture["temporal_beta"] = beta.values.copy()
@@ -485,7 +488,7 @@ def build_ridge_features(dataset: Dataset, cfg: ModelConfig,
     for lag in range(T):
         days = dataset.anchor_idx - T + lag
         if cfg.use_news:
-            blocks.append(st.news[days, dataset.stock_idx])
+            blocks.append(st.news_at(days, dataset.stock_idx))
         if cfg.use_tech:
             blocks.append(st.factors[days, dataset.stock_idx])
         if cfg.use_graph:

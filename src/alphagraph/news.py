@@ -117,13 +117,30 @@ def news_vector(tokens, emb) -> tuple[np.ndarray, int]:
 
 @dataclass
 class DailyNewsPanel:
-    """Per (trading day, stock) averaged article vectors."""
+    """Per (trading day, stock) averaged article vectors, held as ragged
+    cell rows.
+
+    Few (day, stock) cells have an article, so the panel keeps one row per
+    cell that has one rather than a dense (D, S, d_w) array:
+
+    * ``vectors`` (n_cells + 1, d_w): the mean article vector of each
+      non-empty cell, in order of the cell's first article; the last row
+      is zero;
+    * ``row_index`` (D, S) int32: the row of each cell; every empty cell
+      points at the zero row, so ``vectors[row_index[d, s]]`` is the vector
+      of cell (d, s) either way;
+    * ``article_count`` (n_cells + 1,): the articles of each row, 0 for the
+      zero row;
+    * ``article_ids``: the ids of each row's articles, in article order; the
+      zero row's list is empty.
+    """
 
     calendar: tuple
     symbols: tuple
-    vectors: np.ndarray        # (D, S, d_w)
-    article_count: np.ndarray  # (D, S) int
-    article_ids: dict = field(default_factory=dict)  # (d, s) -> list of ids
+    vectors: np.ndarray        # (n_cells + 1, d_w)
+    row_index: np.ndarray      # (D, S) int32
+    article_count: np.ndarray  # (n_cells + 1,) int
+    article_ids: list = field(default_factory=list)
     n_unknown_symbols: int = 0
     n_all_oov: int = 0
 
@@ -141,35 +158,55 @@ def daily_stock_news_vectors(articles, emb, universe, calendar) -> DailyNewsPane
     publication date; day-t vectors therefore use only articles dated t-1 or
     earlier. Days without articles carry the zero vector and a count of 0.
     Articles tagged with symbols outside ``universe`` are counted and skipped.
+
+    Two passes build the ragged rows without a (D, S, d_w) array. The first
+    gives each cell a row and counts its articles; the second adds each
+    article's vector to its rows in article order and divides by the
+    counts, so every mean is the one a dense running sum would give.
     """
     calendar = tuple(calendar)
     symbols = tuple(universe)
     sym_index = {s: i for i, s in enumerate(symbols)}
-    D, S = len(calendar), len(symbols)
-    sums = np.zeros((D, S, emb.dim))
-    counts = np.zeros((D, S), dtype=np.int64)
-    ids: dict[tuple[int, int], list[str]] = {}
+    row_index = np.full((len(calendar), len(symbols)), -1, dtype=np.int32)
+    counts: list[int] = []
+    ids: list[list[str]] = []
+    placed = []  # (article, the rows it feeds) for each article inside the calendar
     n_unknown = 0
-    n_all_oov = 0
     for art in articles:
         d = _next_trading_day_index(calendar, art.date)
         if d is None:
             continue
-        vec, n_known = news_vector(art.tokens, emb)
-        if n_known == 0 and art.tokens:
-            n_all_oov += 1
+        rows = []
         for sym in art.symbols:
             s = sym_index.get(sym)
             if s is None:
                 n_unknown += 1
                 continue
-            sums[d, s] += vec
-            counts[d, s] += 1
-            ids.setdefault((d, s), []).append(art.id)
-    vectors = np.zeros_like(sums)
-    nz = counts > 0
-    vectors[nz] = sums[nz] / counts[nz][:, None]
-    return DailyNewsPanel(calendar, symbols, vectors, counts, ids, n_unknown, n_all_oov)
+            r = int(row_index[d, s])
+            if r < 0:
+                r = len(counts)
+                row_index[d, s] = r
+                counts.append(0)
+                ids.append([])
+            counts[r] += 1
+            ids[r].append(art.id)
+            rows.append(r)
+        placed.append((art, rows))
+    n_cells = len(counts)
+    row_index[row_index < 0] = n_cells
+    vectors = np.zeros((n_cells + 1, emb.dim))
+    n_all_oov = 0
+    for art, rows in placed:
+        vec, n_known = news_vector(art.tokens, emb)
+        if n_known == 0 and art.tokens:
+            n_all_oov += 1
+        for r in rows:
+            vectors[r] += vec
+    article_count = np.array(counts + [0], dtype=np.int64)
+    vectors[:n_cells] /= article_count[:n_cells, None]
+    ids.append([])
+    return DailyNewsPanel(calendar, symbols, vectors, row_index, article_count, ids,
+                          n_unknown, n_all_oov)
 
 
 # ---------------------------------------------------------------------------

@@ -50,19 +50,20 @@ def init_bilstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
     init_lstm_params(rng, in_dim, hidden, params, f"{prefix}.bwd")
 
 
-def bilstm(seq: Tensor, hidden: int, params: dict, prefix: str) -> Tensor:
-    """BiLSTM over an (N, T, in_dim) tensor -> (N, T, 2*hidden).
+def bilstm(x: Tensor, seq_shape: tuple, hidden: int, params: dict, prefix: str) -> Tensor:
+    """BiLSTM over N sequences of T steps -> (N, T, 2*hidden).
 
-    Output t is the forward state at t next to the backward state at t,
-    both from a zero initial state. Each direction projects all N*T inputs
-    through its ``w`` in one affine, so a recurrent step is one
-    (hidden, 4*hidden) matmul and one ``lstm_step``.
+    ``x`` holds the inputs as (N*T, in_dim) rows, row ``n * T + t`` being
+    step t of sequence n, and ``seq_shape`` is (N, T). Output t is the
+    forward state at t next to the backward state at t, both from a zero
+    initial state. Each direction projects all N*T rows through its ``w``
+    in one affine, so a recurrent step is one (hidden, 4*hidden) matmul and
+    one ``lstm_step``.
     """
-    if seq.ndim != 3 or seq.shape[1] == 0:
-        raise ShapeError(f"bilstm: expected an (N, T, in_dim) tensor with T >= 1, "
-                         f"got {seq.shape}")
-    N, T, in_dim = seq.shape
-    x = ad.reshape(seq, (N * T, in_dim))
+    N, T = seq_shape
+    if x.ndim != 2 or T < 1 or x.shape[0] != N * T:
+        raise ShapeError(f"bilstm: expected (N*T, in_dim) rows for (N, T) = {seq_shape} "
+                         f"with T >= 1, got {x.shape}")
     halves = []
     for sub, steps in (("fwd", range(T)), ("bwd", range(T - 1, -1, -1))):
         p = f"{prefix}.{sub}"

@@ -4,12 +4,17 @@
   primitives that only the gradient checks and the model parity references
   use; they record on the tape like the package's own primitives.
 * ``gate_cols``: the columns of one gate in a fused LSTM parameter.
-* ``market_bars``: a synthetic market's bars as :class:`Bar` objects.
+* ``market_bars``: a synthetic market's bars as :class:`Bar` objects, and
+  ``build_panel``, which assembles such bars into a :class:`BarPanel`.
+* ``news_rows``: a dense (D, S, d_w) news array as ragged cell rows.
 """
 
+import numpy as np
+
 from alphagraph.autodiff import Tensor, _as_tensor, _emit, stack
-from alphagraph.errors import ShapeError
-from alphagraph.market import Bar, BarPanel
+from alphagraph.errors import DataError, ShapeError
+from alphagraph.market import (Bar, BarPanel, _duplicate_bar, _panel_from_columns,
+                               _suspect_bars)
 
 
 def stack_rows(tensors) -> Tensor:
@@ -75,3 +80,36 @@ def market_bars(market) -> list:
     return [Bar(sym, date, *(col[t][i] for col in cols))
             for t, date in enumerate(market.calendar)
             for i, sym in enumerate(market.symbols)]
+
+
+def build_panel(bars) -> BarPanel:
+    """Assemble bars into a panel; every bar is validated and duplicate
+    (date, symbol) keys are rejected.
+
+    Of several problems, the one met first in (date, symbol) order is
+    reported: an invalid bar, or the second bar of a duplicate key.
+    """
+    bars = sorted(bars, key=lambda b: (b.date, b.symbol))
+    if not bars:
+        raise DataError("no bars to build a panel from")
+    cols = np.array([[getattr(b, f) for b in bars] for f in BarPanel.FIELDS],
+                    dtype=np.float64)
+    for i in np.flatnonzero(_suspect_bars(cols)):
+        try:
+            bars[i].validate()
+        except DataError:
+            for a, b in zip(bars[:i], bars[1:i]):   # sorted: duplicates are adjacent
+                if (a.date, a.symbol) == (b.date, b.symbol):
+                    raise _duplicate_bar(b.symbol, b.date) from None
+            raise
+    rows = np.arange(len(bars))
+    return _panel_from_columns([b.date for b in bars], rows,
+                               [b.symbol for b in bars], rows, cols)
+
+
+def news_rows(dense: np.ndarray):
+    """(rows, row index) holding every cell of a dense (D, S, d_w) news array
+    as its own row, followed by the zero row, as ``FeatureStore.news`` does."""
+    D, S, d_w = dense.shape
+    rows = np.concatenate([dense.reshape(D * S, d_w), np.zeros((1, d_w))])
+    return rows, np.arange(D * S, dtype=np.int32).reshape(D, S)

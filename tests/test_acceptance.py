@@ -30,7 +30,7 @@ from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence
 from alphagraph.synth import SyntheticSpec, generate
 from alphagraph.word2vec import train_cbow
 
-from helpers import mul_rows, stack_rows, take_row
+from helpers import mul_rows, news_rows, stack_rows, take_row
 
 N_SEEDS = 10
 PRIMITIVE_TOL = 1e-6
@@ -56,9 +56,8 @@ def _tiny_model_world(seed):
                             rng.normal(size=(n, d)), np.zeros(n))
     graph = StockGraph(emb.symbols, 2, [[1, 2], [0, 3], [3, 0], [2, 1]],
                        [[1.0, 1.0]] * 4)
-    store = FeatureStore(tuple(range(D)), emb.symbols,
-                         rng.normal(size=(D, n, l)), np.ones((D, n), bool),
-                         rng.normal(size=(D, n, dw)), np.ones((D, n), bool))
+    store = FeatureStore(tuple(range(D)), emb.symbols, rng.normal(size=(D, n, l)),
+                         news_rows(rng.normal(size=(D, n, dw))))
     params = M.build_params(cfg, rng, emb)
     stock_idx = np.array([0, 1, 2, 3, 0, 1])
     anchor_idx = np.array([3, 4, 5, 6, 7, 8])
@@ -134,10 +133,10 @@ def test_criterion_1_gradient_integrity():
         # BiLSTM
         bi_params = {}
         nn.init_bilstm_params(rng, 2, 3, bi_params, "b")
-        seq = Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
+        seq = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
         def bi():
-            return ad.mean(nn.bilstm(seq, 3, bi_params, "b"))
+            return ad.mean(nn.bilstm(seq, (1, 3), 3, bi_params, "b"))
 
         worst["bilstm"] = max(worst["bilstm"],
                               gradient_check(bi, list(bi_params.values()) + [seq],
@@ -251,9 +250,8 @@ def test_criterion_3_overfit_twenty_samples():
                             rng.normal(size=(n, d)), np.zeros(n))
     graph = StockGraph(emb.symbols, 2, [[1, 2], [0, 3], [3, 0], [2, 1]],
                        [[1.0, 1.0]] * 4)
-    store = FeatureStore(tuple(range(D)), emb.symbols,
-                         rng.normal(size=(D, n, l)), np.ones((D, n), bool),
-                         rng.normal(size=(D, n, dw)), np.ones((D, n), bool))
+    store = FeatureStore(tuple(range(D)), emb.symbols, rng.normal(size=(D, n, l)),
+                         news_rows(rng.normal(size=(D, n, dw))))
     pairs = [(s, a) for s in range(n) for a in range(T, D - 1)]
     chosen = rng.choice(len(pairs), size=20, replace=False)
     stock_idx = np.asarray([pairs[k][0] for k in chosen], dtype=np.intp)
@@ -447,8 +445,7 @@ def test_criterion_8_temporal_attention_recency():
                       batch_size=128, val_fraction=0.1, patience=200, seed=1)
     factors = rng.normal(size=(D, S, L))
     store = FeatureStore(tuple(range(D)), tuple(f"S{i}" for i in range(S)),
-                         factors, np.ones((D, S), bool), None,
-                         np.ones((D, S), bool))
+                         factors, None)
     w_true = np.array([0.5, -0.3, 0.2, 0.1])
     stock_idx, anchor_idx, labels = [], [], []
     for s in range(S):

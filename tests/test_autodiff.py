@@ -430,15 +430,17 @@ def test_bilstm_output_shape_and_t1():
     rng = np.random.default_rng(2)
     params = {}
     nn.init_bilstm_params(rng, 3, 4, params, "b")
-    out = nn.bilstm(Tensor(rng.normal(size=(1, 1, 3))), 4, params, "b")
+    out = nn.bilstm(Tensor(rng.normal(size=(1, 3))), (1, 1), 4, params, "b")
     assert out.shape == (1, 1, 8)
     assert np.all(np.isfinite(out.values))
 
 
-@pytest.mark.parametrize("shape", [(1, 0, 3), (2, 3)], ids=["empty", "2-D"])
-def test_bilstm_empty_sequence_rejected(shape):
+@pytest.mark.parametrize("shape,seq_shape", [((0, 3), (1, 0)), ((1, 2, 3), (1, 2)),
+                                             ((5, 3), (2, 3))],
+                         ids=["empty", "3-D", "rows-not-N*T"])
+def test_bilstm_empty_sequence_rejected(shape, seq_shape):
     with pytest.raises(ShapeError):
-        nn.bilstm(Tensor(np.zeros(shape)), 4, {}, "b")
+        nn.bilstm(Tensor(np.zeros(shape)), seq_shape, 4, {}, "b")
 
 
 def test_bilstm_palindrome_with_mirrored_parameters():
@@ -450,8 +452,8 @@ def test_bilstm_palindrome_with_mirrored_parameters():
         params[f"b.bwd.{piece}"].values = params[f"b.fwd.{piece}"].values.copy()
     seq = [rng.normal(size=3) for _ in range(3)]
     seq = seq + seq[-2::-1]  # palindrome of length 5
-    out = nn.bilstm(Tensor(np.array(seq)[None]), 4, params, "b").values[0]
     T = len(seq)
+    out = nn.bilstm(Tensor(np.array(seq)), (1, T), 4, params, "b").values[0]
     for i in range(T):
         fwd_at_i = out[i, :4]
         bwd_at_mirror = out[T - 1 - i, 4:]
@@ -463,10 +465,10 @@ def test_bilstm_backward_matches_fd(seed):
     rng = np.random.default_rng(seed + 10)
     params = {}
     nn.init_bilstm_params(rng, 2, 3, params, "b")
-    seq = t(rng.normal(size=(1, 3, 2)))
+    seq = t(rng.normal(size=(3, 2)))
 
     def build():
-        return ad.mean(nn.bilstm(seq, 3, params, "b"))
+        return ad.mean(nn.bilstm(seq, (1, 3), 3, params, "b"))
 
     _fd_case(build, list(params.values()) + [seq], seed, tol=1e-5)
 

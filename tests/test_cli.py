@@ -1,8 +1,10 @@
 """CLI pipeline: command wiring, exit codes, manifests, determinism."""
 
+import collections
 import csv
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,6 +488,27 @@ def test_failed_command_removes_what_it_wrote(run_copy, capsys, monkeypatch):
     left = {p.name for p in out.iterdir()}
     assert not left & (INTERPRET_OUTPUTS | {"interpret_manifest.json"})
     assert {"forecasts.csv", "predict_manifest.json", "checkpoint.bin"} <= left
+
+
+@pytest.mark.parametrize("cmd", ["train", "predict", "interpret"])
+def test_model_stages_read_each_panel_once(run_copy, monkeypatch, cmd):
+    """A model stage opens factors.npz and panel.npz at most once each, and
+    writes the manifest it wrote before."""
+    out, cfg_path = run_copy
+    opened = collections.Counter()
+
+    class CountingNpz(cli._NpzArrays):
+        def __init__(self, path):
+            opened[Path(path).name] += 1
+            super().__init__(path)
+
+    monkeypatch.setattr(cli, "_NpzArrays", CountingNpz)
+    manifest = out / f"{cmd}_manifest.json"
+    before = manifest.read_bytes()
+    assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert opened["panel.npz"] == 1
+    assert opened["factors.npz"] == 1
+    assert manifest.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

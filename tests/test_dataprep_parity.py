@@ -28,12 +28,12 @@ from hypothesis import given, settings, strategies as st
 from alphagraph import factors as F
 from alphagraph.errors import DataError
 from alphagraph.factors import FactorPanel, compute_factors
-from alphagraph.market import (Bar, BarPanel, _parse_bar_row, _suspect_bars, build_panel,
+from alphagraph.market import (Bar, BarPanel, _parse_bar_row, _suspect_bars,
                                daily_log_returns, forward_return, load_bars)
 from alphagraph.model import ModelConfig, build_dataset
 from alphagraph.synth import SyntheticSpec, generate, write_market
 
-from helpers import market_bars
+from helpers import build_panel, market_bars
 
 REGISTRY = {"momentum": [5, 21], "reversal": [1], "volatility": [21],
             "volume_z": [21], "amihud": [10], "rsi": [14], "ma_ratio": [10]}

@@ -1,7 +1,10 @@
 """Interpretation reports: distances, factor importance, attention, errors."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphagraph.embfile import read_embeddings, write_embeddings
 from alphagraph.errors import ConfigError, DataError
@@ -147,38 +150,60 @@ def test_aggregate_rejects_empty():
 # ---------------------------------------------------------------------------
 
 def test_error_buckets_uniform_sizes_deterministic():
-    keys = [f"k{i:03d}" for i in range(100)]
     errs = np.ones(100)
-    a = news_error_buckets(keys, errs)
-    b = news_error_buckets(keys, errs)
+    a = news_error_buckets(errs, (np.arange(100)[::-1],))
+    b = news_error_buckets(errs, (np.arange(100)[::-1],))
     assert len(a.low) == len(a.high) == 5  # ceil(0.05 * 100)
-    assert a.low == b.low and a.high == b.high
+    assert np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high)
+    # every error ties: the tie key ranks, and it counts down
+    assert a.low.tolist() == [99, 98, 97, 96, 95]
     assert not a.degenerate
 
 
 def test_error_buckets_outlier_lands_high():
-    keys = list(range(40))
     errs = np.full(40, 0.1)
     errs[17] = 9.9
-    buckets = news_error_buckets(keys, errs)
+    buckets = news_error_buckets(errs, (np.arange(40),))
     assert 17 in buckets.high
 
 
 def test_error_buckets_match_sort_oracle():
     rng = np.random.default_rng(8)
     errs = rng.random(63)
-    keys = [f"s{i}" for i in range(63)]
-    buckets = news_error_buckets(keys, errs)
+    buckets = news_error_buckets(errs, (np.arange(63),))
     order = np.argsort(errs, kind="stable")
     n_tail = int(np.ceil(0.05 * 63))
-    assert set(buckets.low) == {keys[i] for i in order[:n_tail]}
-    assert set(buckets.high) == {keys[i] for i in order[-n_tail:]}
+    assert buckets.low.tolist() == order[:n_tail].tolist()
+    assert buckets.high.tolist() == order[-n_tail:].tolist()
 
 
 def test_error_buckets_degenerate_below_twenty():
-    buckets = news_error_buckets(list(range(5)), np.arange(5.0))
+    buckets = news_error_buckets(np.arange(5.0), (np.arange(5),))
     assert buckets.degenerate
-    assert buckets.low == [0] and buckets.high == [4]
+    assert buckets.low.tolist() == [0] and buckets.high.tolist() == [4]
+
+
+@pytest.mark.parametrize("keys", [(np.arange(3),), (np.arange(4), np.arange(5))])
+def test_error_buckets_reject_misaligned_tie_keys(keys):
+    with pytest.raises(DataError):
+        news_error_buckets(np.ones(4), keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0, 4.0]), st.integers(0, 4),
+                          st.integers(0, 4)), min_size=1, max_size=80),
+       st.sampled_from([0.05, 0.2, 0.5]))
+def test_error_buckets_rank_as_sorted_keys(samples, tail):
+    """Many tied errors: the buckets are the ends of a Python sort on
+    (error, (anchor, symbol rank)), as the CLI ranked its samples."""
+    err = [e for e, _, _ in samples]
+    key = [(a, s) for _, a, s in samples]
+    anchors, ranks = (np.array(col) for col in zip(*key))
+    order = sorted(range(len(err)), key=lambda i: (err[i], key[i]))
+    n_tail = max(1, math.ceil(tail * len(err)))
+    buckets = news_error_buckets(np.array(err), (anchors, ranks), tail)
+    assert buckets.low.tolist() == order[:n_tail]
+    assert buckets.high.tolist() == order[-n_tail:]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from alphagraph.errors import ConfigError, DataError
 from alphagraph.factors import (DEFAULT_REGISTRY, compute_factors,
                                 standardize_cross_section)
-from alphagraph.market import (Bar, build_panel, filter_universe,
-                               forward_return, load_bars, log_return)
+from alphagraph.market import (Bar, filter_universe, forward_return, load_bars,
+                               log_return)
+
+from helpers import build_panel
 
 D0 = dt.date(2020, 1, 6)  # a Monday
 

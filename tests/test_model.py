@@ -14,7 +14,7 @@ from alphagraph.model import (ModelConfig, ablation_config, build_dataset,
                               ridge_fit, ridge_predict, ridge_scan, temporal_pool,
                               train)
 
-from helpers import gate_cols
+from helpers import gate_cols, news_rows
 from test_market import make_bars  # shared panel builder
 
 
@@ -75,7 +75,8 @@ def input_reaches_forecast(perturb, seed, blind_block=None):
 
 
 def bump_news(store):
-    store.news += 1.0
+    rows, _ = store.news
+    rows += 1.0
 
 
 def bump_factors(store):
@@ -234,9 +235,10 @@ def tiny_world(seed=0, n=4, days=30, l=5, with_graph=True, with_news=True,
     news = None
     if with_news:
         from alphagraph.news import DailyNewsPanel
-        news = DailyNewsPanel(panel.calendar, panel.symbols,
-                              rng.normal(size=(days, n, 4)),
-                              np.ones((days, n), dtype=np.int64))
+        vectors, row_index = news_rows(rng.normal(size=(days, n, 4)))
+        counts = np.ones(vectors.shape[0], dtype=np.int64)
+        counts[-1] = 0  # the zero row
+        news = DailyNewsPanel(panel.calendar, panel.symbols, vectors, row_index, counts)
     emb = StockEmbeddingSet(panel.symbols, rng.normal(size=(n, 3)), np.zeros(n))
     graph = StockGraph(panel.symbols, 2,
                        [[(i + 1) % n, (i + 2) % n] for i in range(n)],
@@ -398,7 +400,7 @@ def test_single_sample_layerwise_oracle():
         day = anchor - cfg.lookback + lag
         f = ds.store.factors[day, stock]
         g = np.maximum(f @ p("tech.w") + p("tech.b"), 0.0)
-        o = ds.store.news[day, stock]
+        o = ds.store.news_at(day, stock)
         hs.append(np.concatenate([c, g, o]))
 
     def lstm_dir(seq, prefix):

@@ -20,7 +20,7 @@ from alphagraph.embeddings import StockEmbeddingSet, StockGraph
 from alphagraph.model import (FeatureStore, ModelConfig, ablation_config, build_params,
                               model_forward)
 
-from helpers import gate_block, mul_rows, stack_rows, take_row
+from helpers import gate_block, mul_rows, news_rows, stack_rows, take_row
 
 OUT_RTOL = 1e-12
 GRAD_RTOL = 1e-10
@@ -92,7 +92,7 @@ def ref_forward(params, cfg, store, stock_idx, anchor_idx, graph):
             f = Tensor(store.factors[days, stock_idx])
             parts.append(ad.relu(ad.affine(f, tech_w, params["tech.b"])))
         if cfg.use_news:
-            parts.append(Tensor(store.news[days, stock_idx]))
+            parts.append(Tensor(store.news_at(days, stock_idx)))
         xs.append(parts[0] if len(parts) == 1 else ad.concat(parts, axis=1))
     vs = ref_bilstm(xs, cfg.hidden, params, "lstm")
     beta = ad.softmax(ad.stack([nn.score_net(v, params, "temporal") for v in vs], axis=1))
@@ -119,9 +119,7 @@ def world(ablation="Full", seed=0, ragged=False, nonneg_tech=False):
     symbols = tuple(f"S{i}" for i in range(N_STOCKS))
     store = FeatureStore(tuple(range(N_DAYS)), symbols,
                          rng.normal(size=(N_DAYS, N_STOCKS, 5)),
-                         np.ones((N_DAYS, N_STOCKS), bool),
-                         rng.normal(size=(N_DAYS, N_STOCKS, 7)),
-                         np.ones((N_DAYS, N_STOCKS), bool))
+                         news_rows(rng.normal(size=(N_DAYS, N_STOCKS, 7))))
     if ragged:
         adjacency = [[int(j) for j in rng.choice(np.delete(np.arange(N_STOCKS), i),
                                                  size=1 + i % 4, replace=False)]
@@ -208,5 +206,5 @@ def test_full_batch_tape_is_short():
                                       graph, labels)
     _, _, ref_records = outputs_and_grads(ref_forward, params, cfg, store, stocks, anchors,
                                           graph, labels)
-    assert records <= 54
+    assert records <= 52
     assert ref_records >= 300  # 12 distinct stocks: 9 records each, 21 per LSTM step

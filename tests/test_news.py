@@ -1,6 +1,7 @@
 """Text preprocessing, daily news vectors, and co-mention counting."""
 
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -96,17 +97,17 @@ def test_single_article_previous_day_becomes_next_day_vector():
     emb = emb_of({"x": [2.0, 4.0]})
     articles = [art(0, CAL[0], ["AAA"], ["x"])]
     panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
-    assert np.array_equal(panel.vectors[1, 0], [2.0, 4.0])
-    assert panel.article_count[1, 0] == 1
-    assert panel.article_count[0, 0] == 0
+    assert np.array_equal(panel.vectors[panel.row_index[1, 0]], [2.0, 4.0])
+    assert panel.article_count[panel.row_index[1, 0]] == 1
+    assert panel.article_count[panel.row_index[0, 0]] == 0
 
 
 def test_same_day_article_excluded_from_that_day():
     emb = emb_of({"x": [1.0]})
     articles = [art(0, CAL[2], ["AAA"], ["x"])]
     panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
-    assert panel.article_count[2, 0] == 0
-    assert panel.article_count[3, 0] == 1
+    assert panel.article_count[panel.row_index[2, 0]] == 0
+    assert panel.article_count[panel.row_index[3, 0]] == 1
 
 
 def test_weekend_articles_map_to_monday():
@@ -115,7 +116,7 @@ def test_weekend_articles_map_to_monday():
     articles = [art(0, saturday, ["AAA"], ["x"])]
     panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
     monday_idx = CAL.index(dt.date(2020, 1, 13))
-    assert panel.article_count[monday_idx, 0] == 1
+    assert panel.article_count[panel.row_index[monday_idx, 0]] == 1
 
 
 def test_three_articles_average_matches_bruteforce():
@@ -126,7 +127,7 @@ def test_three_articles_average_matches_bruteforce():
     articles = [art(i, CAL[1], ["AAA"], toks) for i, toks in enumerate(token_sets)]
     panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
     expected = np.mean([news_vector(toks, emb)[0] for toks in token_sets], axis=0)
-    assert np.allclose(panel.vectors[2, 0], expected, atol=1e-12)
+    assert np.allclose(panel.vectors[panel.row_index[2, 0]], expected, atol=1e-12)
 
 
 def test_unknown_symbol_counted_and_ignored():
@@ -134,7 +135,7 @@ def test_unknown_symbol_counted_and_ignored():
     articles = [art(0, CAL[0], ["AAA", "MISSING"], ["x"])]
     panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
     assert panel.n_unknown_symbols == 1
-    assert panel.article_count[1, 0] == 1
+    assert panel.article_count[panel.row_index[1, 0]] == 1
 
 
 def test_temporal_hygiene_deleting_future_articles():
@@ -146,9 +147,82 @@ def test_temporal_hygiene_deleting_future_articles():
     trimmed = daily_stock_news_vectors([a for a in articles if a.date < cutoff],
                                        emb, ["AAA"], CAL)
     cut_idx = CAL.index(cutoff)
-    assert np.array_equal(full.vectors[:cut_idx + 1], trimmed.vectors[:cut_idx + 1])
-    assert np.array_equal(full.article_count[:cut_idx + 1],
-                          trimmed.article_count[:cut_idx + 1])
+    for got, want in zip(dense(full), dense(trimmed)):
+        assert np.array_equal(got[:cut_idx + 1], want[:cut_idx + 1])
+
+
+def dense(panel):
+    """The panel's (D, S, d_w) cell vectors and (D, S) article counts."""
+    return panel.vectors[panel.row_index], panel.article_count[panel.row_index]
+
+
+SYMBOLS = ["AAA", "BBB", "CCC"]
+TOKENS = ["w0", "w1", "w2", "w3", "oov"]
+article_sets = st.lists(
+    st.tuples(st.integers(-2, 12),                                    # days after CAL[0]
+              st.lists(st.sampled_from(SYMBOLS + ["ZZZ"]), max_size=4),  # ZZZ: unknown
+              st.lists(st.sampled_from(TOKENS), max_size=4)),
+    max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(article_sets, st.integers(0, 2 ** 32 - 1))
+def test_ragged_rows_equal_dense_means_bit_for_bit(drawn, seed):
+    rng = np.random.default_rng(seed)
+    emb = emb_of({tok: rng.normal(size=3) for tok in TOKENS[:-1]})
+    articles = [art(i, CAL[0] + dt.timedelta(days=k), syms, toks)
+                for i, (k, syms, toks) in enumerate(drawn)]
+    panel = daily_stock_news_vectors(articles, emb, SYMBOLS, CAL)
+
+    # the dense running sums the ragged rows replace
+    sums = np.zeros((len(CAL), len(SYMBOLS), 3))
+    counts = np.zeros((len(CAL), len(SYMBOLS)), dtype=np.int64)
+    ids = {}
+    for a in articles:
+        later = [d for d, day in enumerate(CAL) if day > a.date]
+        if not later:
+            continue
+        vec = news_vector(a.tokens, emb)[0]
+        for sym in a.symbols:
+            if sym in SYMBOLS:
+                cell = (later[0], SYMBOLS.index(sym))
+                sums[cell] += vec
+                counts[cell] += 1
+                ids.setdefault(cell, []).append(a.id)
+    nz = counts > 0
+    means = np.zeros_like(sums)
+    means[nz] = sums[nz] / counts[nz][:, None]
+
+    vectors, article_count = dense(panel)
+    assert vectors.tobytes() == means.tobytes()
+    assert np.array_equal(article_count, counts)
+    n_cells = int(nz.sum())
+    assert panel.vectors.shape == (n_cells + 1, 3)
+    assert panel.row_index.dtype == np.int32
+    assert np.all(panel.row_index[~nz] == n_cells)
+    assert sorted(panel.row_index[nz].tolist()) == list(range(n_cells))
+    assert not panel.vectors[n_cells].any() and panel.article_count[n_cells] == 0
+    assert all(panel.article_ids[panel.row_index[cell]] == want for cell, want in ids.items())
+    assert panel.article_ids[n_cells] == []
+
+
+def test_news_store_never_allocates_a_dense_panel():
+    D, S, d_w = 2000, 200, 64
+    rng = np.random.default_rng(3)
+    calendar = [dt.date(2000, 1, 1) + dt.timedelta(days=k) for k in range(D)]
+    symbols = [f"S{i:03d}" for i in range(S)]
+    emb = emb_of({f"w{i}": rng.normal(size=d_w) for i in range(5)})
+    articles = [art(i, calendar[int(rng.integers(D))],
+                    [symbols[j] for j in rng.integers(S, size=3)], ["w0", "w3"])
+                for i in range(100)]
+    tracemalloc.start()
+    try:
+        panel = daily_stock_news_vectors(articles, emb, symbols, calendar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.vectors.shape[0] <= 301
+    assert peak < 0.1 * D * S * d_w * 8
 
 
 # ---------------------------------------------------------------------------
