@@ -135,49 +135,6 @@ def _emit(values, op: str, inputs, backward):
 # Elementwise primitives
 # ---------------------------------------------------------------------------
 
-def _check_same_shape(op, a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("add", a, b)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g)
-
-    return _emit(a.values + b.values, "add", (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("mul", a, b)
-    av, bv = a.values, b.values
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * bv)
-        if b.requires_grad:
-            b.accumulate(g * av)
-
-    return _emit(av * bv, "mul", (a, b), backward)
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * c)
-
-    return _emit(a.values * c, "scale", (a,), backward)
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     mask = x.values > 0.0
@@ -200,41 +157,12 @@ def tanh(x) -> Tensor:
     return _emit(y, "tanh", (x,), backward)
 
 
-def _sigmoid_values(v: np.ndarray) -> np.ndarray:
-    # sigmoid(v) = (1 + tanh(v/2)) / 2: one transcendental call and no
-    # overflow for any finite v (tanh saturates to exactly +-1)
-    return 0.5 * (1.0 + np.tanh(0.5 * v))
-
-
-def sigmoid(x) -> Tensor:
+def softmax(x) -> Tensor:
+    """Softmax over the last axis of a 2-D tensor, max-subtracted."""
     x = _as_tensor(x)
-    y = _sigmoid_values(x.values)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(g * y * (1.0 - y))
-
-    return _emit(y, "sigmoid", (x,), backward)
-
-
-def softmax(x, mask=None) -> Tensor:
-    """Softmax over the last axis of a 1-D or 2-D tensor, max-subtracted.
-
-    With a boolean ``mask`` of the same shape, entries where it is False get
-    weight exactly 0 and receive no gradient; every row must keep at least
-    one entry.
-    """
-    x = _as_tensor(x)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"softmax: expected 1-D or 2-D input, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"softmax: expected 2-D input, got shape {x.shape}")
     v = x.values
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != v.shape:
-            raise ShapeError(f"softmax: mask shape {mask.shape} != input shape {v.shape}")
-        if not mask.any(axis=-1).all():
-            raise ShapeError("softmax: a row is masked out entirely")
-        v = np.where(mask, v, -np.inf)
     m = v.max(axis=-1, keepdims=True)
     e = np.exp(v - m)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -252,55 +180,39 @@ def softmax(x, mask=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Matrix/vector product: 2Dx2D, 2Dx1D, 1Dx2D, or 1Dx1D (dot)."""
+    """Matrix product of a 2-D ``a`` with a 2-D or 1-D ``b``."""
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.values, b.values
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+    if a.ndim != 2 or b.ndim not in (1, 2):
         raise ShapeError(f"matmul: unsupported ranks {a.shape} x {b.shape}")
-    if av.shape[-1] != (bv.shape[0] if b.ndim >= 1 else 0):
+    if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} differ")
 
     def backward(g):
-        if a.ndim == 2 and b.ndim == 2:
-            if a.requires_grad:
-                a.accumulate(g @ bv.T)
-            if b.requires_grad:
-                b.accumulate(av.T @ g)
-        elif a.ndim == 2 and b.ndim == 1:
-            if a.requires_grad:
-                a.accumulate(np.outer(g, bv))
-            if b.requires_grad:
-                b.accumulate(av.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            if a.requires_grad:
-                a.accumulate(bv @ g)
-            if b.requires_grad:
-                b.accumulate(np.outer(av, g))
-        else:  # dot product
-            if a.requires_grad:
-                a.accumulate(g * bv)
-            if b.requires_grad:
-                b.accumulate(g * av)
+        if a.requires_grad:
+            a.accumulate(g @ bv.T if b.ndim == 2 else np.outer(g, bv))
+        if b.requires_grad:
+            b.accumulate(av.T @ g)
 
     return _emit(av @ bv, "matmul", (a, b), backward)
 
 
 def affine(x, w, b) -> Tensor:
-    """``x @ w + b`` with ``x`` of shape (N, K) or (K,), ``w`` (K, M), ``b`` (M,)."""
+    """``x @ w + b`` with ``x`` of shape (N, K), ``w`` (K, M) and ``b`` (M,)."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xv, wv, bv = x.values, w.values, b.values
-    if w.ndim != 2 or b.ndim != 1 or x.ndim not in (1, 2):
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
         raise ShapeError(f"affine: bad ranks x{x.shape} w{w.shape} b{b.shape}")
-    if xv.shape[-1] != wv.shape[0] or wv.shape[1] != bv.shape[0]:
+    if xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]:
         raise ShapeError(f"affine: incompatible shapes x{x.shape} w{w.shape} b{b.shape}")
 
     def backward(g):
         if x.requires_grad:
             x.accumulate(g @ wv.T)
         if w.requires_grad:
-            w.accumulate(np.outer(xv, g) if x.ndim == 1 else xv.T @ g)
+            w.accumulate(xv.T @ g)
         if b.requires_grad:
-            b.accumulate(g if x.ndim == 1 else g.sum(axis=0))
+            b.accumulate(g.sum(axis=0))
 
     y = xv @ wv
     y += bv  # in place: a fresh broadcast sum costs a second large allocation
@@ -308,26 +220,19 @@ def affine(x, w, b) -> Tensor:
 
 
 def add_bias(x, b) -> Tensor:
-    """Broadcast add: (N, M) + (M,), (N,) + scalar, or matching shapes."""
+    """``x + b`` for a 1-D ``x`` and a scalar ``b``."""
     x, b = _as_tensor(x), _as_tensor(b)
-    xv, bv = x.values, b.values
-    ok = (x.shape == b.shape) or (x.ndim == 2 and b.ndim == 1 and x.shape[1] == b.shape[0]) \
-        or (x.ndim >= 1 and b.ndim == 0)
-    if not ok:
-        raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape} do not broadcast")
+    if x.ndim != 1 or b.ndim != 0:
+        raise ShapeError(f"add_bias: expected (N,) and scalar shapes, got {x.shape} "
+                         f"and {b.shape}")
 
     def backward(g):
         if x.requires_grad:
             x.accumulate(g)
         if b.requires_grad:
-            if b.shape == x.shape:
-                b.accumulate(g)
-            elif b.ndim == 0:
-                b.accumulate(g.sum())
-            else:
-                b.accumulate(g.sum(axis=0))
+            b.accumulate(g.sum())
 
-    return _emit(xv + bv, "add_bias", (x, b), backward)
+    return _emit(x.values + b.values, "add_bias", (x, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +377,8 @@ def lstm_step(zx, zh, c_prev):
                          f"{None if c_prev is None else c_prev.shape} incompatible")
     act = zx.values.copy() if zh is None else zx.values + zh.values
     # act becomes sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) in place, with
-    # sigmoid = (1 + tanh(z/2)) / 2 as _sigmoid_values evaluates it, so one
-    # tanh call covers all four gates
+    # sigmoid(z) = (1 + tanh(z/2)) / 2, which cannot overflow for any finite
+    # z, so one tanh call covers all four gates
     sig = (act[..., :2 * H], act[..., 3 * H:])
     for block in sig:
         block *= 0.5
@@ -517,19 +422,6 @@ def lstm_step(zx, zh, c_prev):
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
-
-def mean(x) -> Tensor:
-    x = _as_tensor(x)
-    n = x.size
-    if n == 0:
-        raise ShapeError("mean: empty input")
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.full_like(x.values, float(g) / n))
-
-    return _emit(np.asarray(x.values.mean()), "mean", (x,), backward)
-
 
 def sq_error(pred, target) -> Tensor:
     """Mean squared error against a constant target array."""

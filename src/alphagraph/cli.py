@@ -192,10 +192,10 @@ def _load_glove(path) -> StockEmbeddingSet:
 
 
 def _load_graph(path, symbols) -> StockGraph:
+    """The neighbor table of a graph CSV: every stock of ``symbols`` is the
+    source of one row of each rank 1..k, with one k for every stock."""
     index = {s: i for i, s in enumerate(symbols)}
-    adjacency = [[] for _ in symbols]
-    distances = [[] for _ in symbols]
-    k = 0
+    rows = []
     try:
         with open(path, encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -209,15 +209,25 @@ def _load_graph(path, symbols) -> StockGraph:
                 for sym in (source, target):
                     if sym not in index:
                         raise DataError(f"{where}: symbol {sym!r} has no stock embedding")
-                adjacency[index[source]].append(index[target])
-                distances[index[source]].append(distance)
-                k = max(k, rank)
+                rows.append((index[source], rank - 1, index[target], distance))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc}); rerun graph") from exc
-    lonely = [s for s, nbrs in zip(symbols, adjacency) if not nbrs]
-    if lonely:
-        raise DataError(f"{path}: {lonely[0]} has no neighbors; rerun graph")
-    return StockGraph(tuple(symbols), k, adjacency, distances)
+    except csv.Error as exc:  # an unclosed quote can run past the field size limit
+        raise DataError(f"{path}: {exc}; rerun graph") from exc
+    n = len(symbols)
+    k = max(len(rows) // max(n, 1), 1)
+    neighbors = np.full((n, k), -1, dtype=np.intp)
+    distances = np.zeros((n, k))
+    for i, slot, j, distance in rows:
+        if 0 <= slot < k:
+            neighbors[i, slot], distances[i, slot] = j, distance
+    # with k rows per stock, a repeated or out-of-range rank leaves a slot empty
+    per_stock = np.bincount([i for i, *_ in rows], minlength=n)
+    bad = (per_stock != k) | (neighbors < 0).any(axis=1)
+    if bad.any():
+        raise DataError(f"{path}: {symbols[int(np.argmax(bad))]} does not have one "
+                        f"neighbor of each rank 1..{k}; rerun graph")
+    return StockGraph(tuple(symbols), neighbors, distances)
 
 
 def _load_word_embeddings(path) -> WordEmbeddingSet:

@@ -38,15 +38,17 @@ class StockEmbeddingSet:
 
 @dataclass
 class StockGraph:
-    """Directed kNN graph: adjacency[i] lists i's neighbors, nearest first."""
+    """Directed kNN graph as a fixed-width table: row i of ``neighbors``
+    holds the indices of stock i's k neighbors, nearest first, and the same
+    row of ``distances`` their Euclidean distances."""
 
     symbols: tuple
-    k: int
-    adjacency: list        # list of int lists
-    distances: list        # matching distances
+    neighbors: np.ndarray  # (n, k) intp
+    distances: np.ndarray  # (n, k) float64
 
-    def neighbors(self, i: int) -> list[int]:
-        return self.adjacency[i]
+    @property
+    def k(self) -> int:
+        return int(self.neighbors.shape[1])
 
 
 def glove_weight(x: float, x_max: float, alpha: float) -> float:
@@ -119,9 +121,10 @@ def train_glove(x: CooccurrenceMatrix, dim: int = 32, x_max: float = 100.0,
 def build_knn_graph(emb: StockEmbeddingSet, k: int) -> StockGraph:
     """Exact Euclidean k-nearest-neighbor digraph.
 
-    Each node points at its min(k, n-1) nearest distinct stocks; neighbor
-    lists are ordered by ascending distance with ties broken by ascending
-    stock index, so identical embeddings always produce identical graphs.
+    Each node points at its min(k, n-1) nearest distinct stocks; each row
+    of the table is ordered by ascending distance with ties broken by
+    ascending stock index, so identical embeddings always produce identical
+    graphs.
     The relation is directed: j in S(i) does not imply i in S(j).
     """
     if emb.n < 2:
@@ -132,23 +135,20 @@ def build_knn_graph(emb: StockEmbeddingSet, k: int) -> StockGraph:
     sq = np.sum(e * e, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (e @ e.T)
     np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
     kk = min(k, emb.n - 1)
-    adjacency, distances = [], []
-    idx = np.arange(emb.n)
-    for i in range(emb.n):
-        row = d2[i].copy()
-        row[i] = np.inf
-        order = np.lexsort((idx, row))[:kk]
-        adjacency.append([int(j) for j in order])
-        distances.append([float(np.sqrt(d2[i, j])) for j in order])
-    return StockGraph(emb.symbols, kk, adjacency, distances)
+    idx = np.broadcast_to(np.arange(emb.n), d2.shape)
+    neighbors = np.lexsort((idx, d2), axis=-1)[:, :kk]
+    distances = np.sqrt(np.take_along_axis(d2, neighbors, axis=1))
+    return StockGraph(emb.symbols, neighbors, distances)
 
 
 def export_graph_csv(graph: StockGraph, path) -> None:
     """CSV export: ``source,target,rank,distance`` with rank 1 = nearest."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("source,target,rank,distance\n")
-        for i, (nbrs, dists) in enumerate(zip(graph.adjacency, graph.distances)):
+        for i, (nbrs, dists) in enumerate(zip(graph.neighbors.tolist(),
+                                              graph.distances.tolist())):
             for rank, (j, dist) in enumerate(zip(nbrs, dists), start=1):
                 fh.write(f"{graph.symbols[i]},{graph.symbols[j]},{rank},{repr(dist)}\n")
 
@@ -157,35 +157,26 @@ def export_graph_csv(graph: StockGraph, path) -> None:
 # Neighbor attention
 # ---------------------------------------------------------------------------
 
-def attention_representation(e_i, neighbor_rows, w, b, v, mask=None):
-    """Differentiable attention over stocks' neighbors, all stocks at once.
+def attention_representation(e_i, neighbor_rows, w, b, v):
+    """Differentiable attention over U stocks' neighbors, all stocks at once.
 
-    For one stock, ``e_i`` is its own embedding (d,) and ``neighbor_rows``
-    the (K, d) neighbor embeddings. For U stocks, they are (U, d) and
-    (U, K, d), and the optional (U, K) boolean ``mask`` marks the real
-    neighbors when the lists are ragged (padded rows are False and get
-    weight 0). Parameters may be Tensors or arrays. Scores are
+    ``e_i`` holds the stocks' own embeddings (U, d) and ``neighbor_rows``
+    the embeddings of each stock's K neighbors (U, K, d), K >= 1.
+    Parameters may be Tensors or arrays. Scores are
     ``v . tanh(W [e_i; e_j] + b)`` per (stock, neighbor) pair, all U*K
     pairs in one pass, softmaxed over each stock's neighbors into weights;
     the representation is the weight-averaged neighbor embedding. Returns
-    (representation (d,) or (U, d), weights (K,) or (U, K)).
+    (representation (U, d), weights (U, K)).
     """
-    single = neighbor_rows.ndim == 2
-    if single:
-        k, d = neighbor_rows.shape
-        e_i = ad.reshape(e_i, (1, d))
-        neighbor_rows = ad.reshape(neighbor_rows, (1, k, d))
+    if neighbor_rows.ndim != 3 or neighbor_rows.shape[1] == 0:
+        raise ShapeError(f"attention_representation: expected (U, K, d) neighbor rows "
+                         f"with K >= 1, got {neighbor_rows.shape}")
     u, k, d = neighbor_rows.shape
-    if k == 0:
-        raise ShapeError("attention_representation: empty neighbor set")
     tiled = ad.gather_rows(e_i, np.repeat(np.arange(u), k))
     pairs = ad.concat([tiled, ad.reshape(neighbor_rows, (u * k, d))], axis=1)
     scores = ad.matmul(ad.tanh(ad.affine(pairs, w, b)), v)
-    weights = ad.softmax(ad.reshape(scores, (u, k)), mask)
-    rep = ad.weighted_sum(neighbor_rows, weights)
-    if single:
-        return ad.reshape(rep, (d,)), ad.reshape(weights, (k,))
-    return rep, weights
+    weights = ad.softmax(ad.reshape(scores, (u, k)))
+    return ad.weighted_sum(neighbor_rows, weights), weights
 
 
 __all__ = [

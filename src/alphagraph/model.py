@@ -251,20 +251,11 @@ def build_params(cfg: ModelConfig, rng: np.random.Generator,
 
 def _graph_representations(params: dict, graph: StockGraph, stocks: np.ndarray) -> Tensor:
     """Attention representations (U, d) of the U distinct stocks of a batch,
-    in one attention call; ragged neighbor lists are padded and masked."""
-    nbrs = [graph.neighbors(int(i)) for i in stocks]
-    lens = np.fromiter(map(len, nbrs), dtype=np.intp, count=len(nbrs))
-    if not lens.all():
-        raise ShapeError(f"stock index {stocks[np.argmin(lens)]} has no graph neighbors")
-    k = int(lens.max())
-    mask = np.arange(k) < lens[:, None]
-    idx = np.zeros(mask.shape, dtype=np.intp)
-    idx[mask] = np.concatenate(nbrs)
+    in one attention call over their rows of the neighbor table."""
     emb = params["graph.emb"]
     reps, _ = attention_representation(
-        ad.gather_rows(emb, stocks), ad.gather_rows(emb, idx), params["graph.attn.w"],
-        params["graph.attn.b"], params["graph.attn.v"],
-        mask=None if mask.all() else mask)
+        ad.gather_rows(emb, stocks), ad.gather_rows(emb, graph.neighbors[stocks]),
+        params["graph.attn.w"], params["graph.attn.b"], params["graph.attn.v"])
     return reps
 
 
@@ -328,15 +319,23 @@ class TrainedModel:
     trace: list = field(default_factory=list)
 
 
-def _forward_loss_eval(params, cfg, ds: Dataset, graph, idx) -> float:
-    total, count = 0.0, 0
+def _eval_chunks(params, cfg, ds: Dataset, graph, idx, capture: bool = False):
+    """Forecasts of the samples ``idx`` of ``ds``, EVAL_CHUNK samples per
+    forward pass. Yields (the chunk's sample indices, its forecasts, its
+    temporal attention weights when ``capture``, else None)."""
     for s in range(0, idx.size, EVAL_CHUNK):
         sub = idx[s:s + EVAL_CHUNK]
-        yhat = model_forward(params, cfg, ds.store, ds.stock_idx[sub],
-                             ds.anchor_idx[sub], graph)
-        total += float(np.sum((yhat.values - ds.labels[sub]) ** 2))
-        count += sub.size
-    return total / max(count, 1)
+        cap = {} if capture else None
+        out = model_forward(params, cfg, ds.store, ds.stock_idx[sub], ds.anchor_idx[sub],
+                            graph, capture=cap)
+        yield sub, out.values, None if cap is None else cap["temporal_beta"]
+
+
+def _forward_loss_eval(params, cfg, ds: Dataset, graph, idx) -> float:
+    total = 0.0
+    for sub, yhat, _ in _eval_chunks(params, cfg, ds, graph, idx):
+        total += float(np.sum((yhat - ds.labels[sub]) ** 2))
+    return total / max(idx.size, 1)
 
 
 def train(dataset: Dataset, cfg: ModelConfig, init_emb: StockEmbeddingSet | None,
@@ -429,17 +428,12 @@ def predict(model: TrainedModel, dataset: Dataset,
     D, S = len(dataset.store.calendar), len(dataset.store.symbols)
     yhat = np.full((D, S), np.nan)
     y = np.full((D, S), np.nan)
-    betas = [] if capture is not None else None
-    for s in range(0, dataset.n, EVAL_CHUNK):
-        sl = slice(s, s + EVAL_CHUNK)
-        cap = {} if capture is not None else None
-        out = model_forward(model.params, model.cfg, dataset.store,
-                            dataset.stock_idx[sl], dataset.anchor_idx[sl],
-                            model.graph, capture=cap)
-        yhat[dataset.anchor_idx[sl], dataset.stock_idx[sl]] = out.values
-        y[dataset.anchor_idx[sl], dataset.stock_idx[sl]] = dataset.labels[sl]
-        if betas is not None:
-            betas.append(cap["temporal_beta"])
+    betas = []
+    for sub, out, beta in _eval_chunks(model.params, model.cfg, dataset, model.graph,
+                                       np.arange(dataset.n), capture is not None):
+        yhat[dataset.anchor_idx[sub], dataset.stock_idx[sub]] = out
+        y[dataset.anchor_idx[sub], dataset.stock_idx[sub]] = dataset.labels[sub]
+        betas.append(beta)
     if capture is not None:
         capture["temporal_beta"] = np.concatenate(betas, axis=0) if betas else np.zeros((0, model.cfg.lookback))
     return ForecastPanel(dataset.store.calendar, dataset.store.symbols, yhat, y)

@@ -88,7 +88,7 @@ def init_score_net(rng: np.random.Generator, in_dim: int, hidden: int,
 
 
 def score_net(x, params: dict, prefix: str):
-    """Apply the scorer to (K, in_dim) rows -> (K,) scores, or 1-D -> scalar."""
+    """Apply the scorer to (K, in_dim) rows -> (K,) scores."""
     hidden = ad.tanh(ad.affine(x, params[f"{prefix}.w"], params[f"{prefix}.b"]))
     return ad.matmul(hidden, params[f"{prefix}.v"])
 

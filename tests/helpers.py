@@ -1,8 +1,9 @@
 """Test-side helpers shared by several test modules.
 
-* ``take_row``, ``mul_rows``, ``stack_rows`` and ``gate_block``: autodiff
-  primitives that only the gradient checks and the model parity references
-  use; they record on the tape like the package's own primitives.
+* ``add``, ``mul``, ``scale``, ``sigmoid``, ``mean``, ``take_row``,
+  ``mul_rows``, ``stack_rows`` and ``gate_block``: autodiff primitives that
+  only the gradient checks and the model parity references use; they record
+  on the tape like the package's own primitives.
 * ``gate_cols``: the columns of one gate in a fused LSTM parameter.
 * ``market_bars``: a synthetic market's bars as :class:`Bar` objects, and
   ``build_panel``, which assembles such bars into a :class:`BarPanel`.
@@ -15,6 +16,80 @@ from alphagraph.autodiff import Tensor, _as_tensor, _emit, stack
 from alphagraph.errors import DataError, ShapeError
 from alphagraph.market import (Bar, BarPanel, _duplicate_bar, _panel_from_columns,
                                _suspect_bars)
+
+
+def _check_same_shape(op, a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_same_shape("add", a, b)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g)
+        if b.requires_grad:
+            b.accumulate(g)
+
+    return _emit(a.values + b.values, "add", (a, b), backward)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_same_shape("mul", a, b)
+    av, bv = a.values, b.values
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * bv)
+        if b.requires_grad:
+            b.accumulate(g * av)
+
+    return _emit(av * bv, "mul", (a, b), backward)
+
+
+def scale(a, c: float) -> Tensor:
+    a = _as_tensor(a)
+    c = float(c)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * c)
+
+    return _emit(a.values * c, "scale", (a,), backward)
+
+
+def _sigmoid_values(v: np.ndarray) -> np.ndarray:
+    # sigmoid(v) = (1 + tanh(v/2)) / 2: one transcendental call and no
+    # overflow for any finite v (tanh saturates to exactly +-1), the form
+    # ``lstm_step`` evaluates its gates in
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
+
+
+def sigmoid(x) -> Tensor:
+    x = _as_tensor(x)
+    y = _sigmoid_values(x.values)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g * y * (1.0 - y))
+
+    return _emit(y, "sigmoid", (x,), backward)
+
+
+def mean(x) -> Tensor:
+    x = _as_tensor(x)
+    n = x.size
+    if n == 0:
+        raise ShapeError("mean: empty input")
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(np.full_like(x.values, float(g) / n))
+
+    return _emit(np.asarray(x.values.mean()), "mean", (x,), backward)
 
 
 def stack_rows(tensors) -> Tensor:

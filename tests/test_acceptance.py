@@ -30,7 +30,7 @@ from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence
 from alphagraph.synth import SyntheticSpec, generate
 from alphagraph.word2vec import train_cbow
 
-from helpers import mul_rows, news_rows, stack_rows, take_row
+from helpers import add, mean, mul, mul_rows, news_rows, sigmoid, stack_rows, take_row
 
 N_SEEDS = 10
 PRIMITIVE_TOL = 1e-6
@@ -54,8 +54,8 @@ def _tiny_model_world(seed):
                       temporal_hidden=3, horizon=1, seed=seed)
     emb = StockEmbeddingSet(tuple(f"S{i}" for i in range(n)),
                             rng.normal(size=(n, d)), np.zeros(n))
-    graph = StockGraph(emb.symbols, 2, [[1, 2], [0, 3], [3, 0], [2, 1]],
-                       [[1.0, 1.0]] * 4)
+    graph = StockGraph(emb.symbols, np.array([[1, 2], [0, 3], [3, 0], [2, 1]]),
+                       np.ones((4, 2)))
     store = FeatureStore(tuple(range(D)), emb.symbols, rng.normal(size=(D, n, l)),
                          news_rows(rng.normal(size=(D, n, dw))))
     params = M.build_params(cfg, rng, emb)
@@ -83,17 +83,19 @@ def test_criterion_1_gradient_integrity():
         softmax_readout = rng.normal(size=4)
 
         cases = [
-            (lambda: ad.mean(ad.affine(x, w, b)), [x, w, b]),
-            (lambda: ad.mean(ad.relu(v)), [v]),
-            (lambda: ad.mean(ad.tanh(v)), [v]),
-            (lambda: ad.mean(ad.sigmoid(v)), [v]),
-            (lambda: ad.matmul(ad.softmax(take_row(x, 0)), Tensor(softmax_readout)), [x]),
-            (lambda: ad.mean(ad.concat([v, v], axis=0)), [v]),
-            (lambda: ad.mean(ad.add(ad.mul(take_row(x, 1), take_row(x, 2)),
+            (lambda: mean(ad.affine(x, w, b)), [x, w, b]),
+            (lambda: mean(ad.relu(v)), [v]),
+            (lambda: mean(ad.tanh(v)), [v]),
+            (lambda: mean(sigmoid(v)), [v]),
+            (lambda: mean(ad.matmul(ad.softmax(ad.gather_rows(x, [0])),
+                                    Tensor(softmax_readout))), [x]),
+            (lambda: mean(ad.concat([v, v], axis=0)), [v]),
+            (lambda: mean(add(mul(take_row(x, 1), take_row(x, 2)),
                                     take_row(x, 0))), [x]),
-            (lambda: ad.mean(mul_rows(x, s)), [x, s]),
-            (lambda: ad.mean(ad.gather_rows(x, np.array([0, 2, 2]))), [x]),
-            (lambda: ad.sq_error(ad.affine(take_row(x, 0), w, b), probe.values), [x, w, b]),
+            (lambda: mean(mul_rows(x, s)), [x, s]),
+            (lambda: mean(ad.gather_rows(x, np.array([0, 2, 2]))), [x]),
+            (lambda: ad.sq_error(ad.affine(ad.gather_rows(x, [0]), w, b), probe.values[None]),
+             [x, w, b]),
         ]
         for build, params in cases:
             worst["primitives"] = max(worst["primitives"],
@@ -106,10 +108,10 @@ def test_criterion_1_gradient_integrity():
         av = Tensor(rng.normal(scale=0.5, size=4), requires_grad=True)
 
         def attn():
-            rep, _ = attention_representation(take_row(e, 0),
-                                              ad.gather_rows(e, [1, 3, 4]),
+            rep, _ = attention_representation(ad.gather_rows(e, [0]),
+                                              ad.gather_rows(e, [[1, 3, 4]]),
                                               aw, ab, av)
-            return ad.mean(rep)
+            return mean(rep)
 
         worst["attention"] = max(worst["attention"],
                                  gradient_check(attn, [e, aw, ab, av], h=1e-5, seed=seed))
@@ -117,14 +119,14 @@ def test_criterion_1_gradient_integrity():
         # LSTM cell
         lstm_params = {}
         nn.init_lstm_params(rng, 3, 4, lstm_params, "c")
-        xs = Tensor(rng.normal(size=3), requires_grad=True)
-        h0 = Tensor(rng.normal(size=4), requires_grad=True)
-        c0 = Tensor(rng.normal(size=4), requires_grad=True)
+        xs = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        h0 = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        c0 = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
 
         def cell():
             zx = ad.affine(xs, lstm_params["c.w"], lstm_params["c.b"])
             h, c = ad.lstm_step(zx, ad.matmul(h0, lstm_params["c.u"]), c0)
-            return ad.mean(ad.add(h, c))
+            return mean(add(h, c))
 
         worst["lstm"] = max(worst["lstm"],
                             gradient_check(cell, list(lstm_params.values()) + [xs, h0, c0],
@@ -136,7 +138,7 @@ def test_criterion_1_gradient_integrity():
         seq = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
         def bi():
-            return ad.mean(nn.bilstm(seq, (1, 3), 3, bi_params, "b"))
+            return mean(nn.bilstm(seq, (1, 3), 3, bi_params, "b"))
 
         worst["bilstm"] = max(worst["bilstm"],
                               gradient_check(bi, list(bi_params.values()) + [seq],
@@ -149,8 +151,8 @@ def test_criterion_1_gradient_integrity():
 
         def temporal():
             rows = stack_rows(vs)
-            beta = ad.softmax(nn.score_net(rows, tp, "t"))
-            return ad.mean(ad.matmul(beta, rows))
+            beta = ad.softmax(ad.reshape(nn.score_net(rows, tp, "t"), (1, 4)))
+            return mean(ad.matmul(beta, rows))
 
         worst["temporal"] = max(worst["temporal"],
                                 gradient_check(temporal, list(tp.values()) + vs,
@@ -248,8 +250,8 @@ def test_criterion_3_overfit_twenty_samples():
                       batch_size=20, val_fraction=0.0, patience=10 ** 6, seed=0)
     emb = StockEmbeddingSet(tuple(f"S{i}" for i in range(n)),
                             rng.normal(size=(n, d)), np.zeros(n))
-    graph = StockGraph(emb.symbols, 2, [[1, 2], [0, 3], [3, 0], [2, 1]],
-                       [[1.0, 1.0]] * 4)
+    graph = StockGraph(emb.symbols, np.array([[1, 2], [0, 3], [3, 0], [2, 1]]),
+                       np.ones((4, 2)))
     store = FeatureStore(tuple(range(D)), emb.symbols, rng.normal(size=(D, n, l)),
                          news_rows(rng.normal(size=(D, n, dw))))
     pairs = [(s, a) for s in range(n) for a in range(T, D - 1)]
@@ -315,7 +317,7 @@ def test_criterion_4_planted_signal_recovery(recovery_world):
 
     # (c) graph purity
     cluster = np.array([market.cluster_of[s] for s in w["panel"].symbols])
-    per_stock = [np.mean([cluster[j] == cluster[i] for j in w["graph"].adjacency[i]])
+    per_stock = [np.mean([cluster[j] == cluster[i] for j in w["graph"].neighbors[i]])
                  for i in range(len(cluster))]
     assert min(per_stock) >= 0.9
 

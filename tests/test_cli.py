@@ -14,8 +14,9 @@ from alphagraph import cli
 from alphagraph.checkpoint import load_checkpoint
 from alphagraph.cli import main
 from alphagraph.config import sha256_file
+from alphagraph.embeddings import build_knn_graph
 from alphagraph.embfile import embedding_dim, read_embeddings
-from alphagraph.errors import DataError
+from alphagraph.errors import AlphagraphError, DataError
 from alphagraph.model import ModelConfig
 
 
@@ -294,6 +295,29 @@ def test_unknown_graph_symbol_is_data_error(run_copy, capsys):
     assert "'ZZZ' has no stock embedding" in capsys.readouterr().err
 
 
+def test_ragged_graph_is_data_error(run_copy, capsys):
+    """A graph whose last stock lost its farthest neighbor is not a table."""
+    out, cfg_path = run_copy
+    graph = out / "graph.csv"
+    lines = graph.read_text().splitlines()
+    graph.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {graph}: ") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith("rerun graph")
+
+
+def test_graph_csv_reads_back_as_the_built_table(pipeline_run):
+    out, _ = pipeline_run
+    glove = cli._load_glove(out / "glove.npz")
+    built = build_knn_graph(glove, 3)
+    read = cli._load_graph(out / "graph.csv", glove.symbols)
+    assert read.k == built.k == 3
+    assert np.array_equal(read.neighbors, built.neighbors)
+    assert read.neighbors.dtype == np.intp
+    assert np.array_equal(read.distances, built.distances)
+
+
 def test_non_graph_train_runs_without_glove(run_copy, capsys):
     out, cfg_path = run_copy
     base = ["--config", str(cfg_path), "--out", str(out)]
@@ -560,6 +584,10 @@ CORRUPTIONS = {
                                     "hidden must be >= 1, got -1; rerun train"),
     "news not UTF-8": ("news.jsonl", _append_invalid_utf8, "not UTF-8 text"),
     "graph not UTF-8": ("graph.csv", _append_invalid_utf8, "not UTF-8 text"),
+    # a quote opened and not closed makes the rest of the file one field
+    "graph quote left open": ("graph.csv",
+                              lambda path: path.write_text(path.read_text() + '"' + "x" * 140_000),
+                              "field larger than field limit (131072); rerun graph"),
     "panel dates not ISO": (
         "panel.npz", lambda path: _rewrite_npz(path, lambda a: {"calendar": np.array(["x"])}),
         "array 'calendar': Invalid isoformat string: 'x'; rerun ingest"),
@@ -641,3 +669,105 @@ def test_embedding_file_loader_fuzz(tmp_path_factory, data):
     except DataError:
         return
     assert matrix.shape == (len(labels), dim) and matrix.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# fuzzed graph and checkpoint files
+# ---------------------------------------------------------------------------
+
+_GRAPH_TOKENS = ["", "x", "0", "-1", "1", "2", "3", "4", "1.5", "nan", "1e999", "9" * 30,
+                 '"', "source"]
+_U32_VALUES = [0, 1, 2, 3, 255, 2 ** 16, 2 ** 31, 2 ** 32 - 1]
+
+
+@st.composite
+def _line_edits(draw, text: str) -> bytes:
+    """``text`` with one to three lines deleted, repeated or swapped, or one
+    comma-separated field of a line replaced."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["delete", "repeat", "swap", "field"]))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_GRAPH_TOKENS))
+            lines[i] = ",".join(cells)
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@st.composite
+def _byte_edits(draw, data: bytes) -> bytes:
+    """``data`` with one to three edits: a byte or a little-endian u32
+    overwritten, a short span deleted or repeated, or the tail cut. Edits
+    favour the first 64 bytes, where the headers are."""
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        at = draw(st.integers(0, min(63, len(data) - 1)) | st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["byte", "u32", "delete", "repeat", "cut"]))
+        if kind == "byte":
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif kind == "u32":
+            value = draw(st.sampled_from(_U32_VALUES)).to_bytes(4, "little")
+            data = data[:at] + value + data[at + 4:]
+        elif kind == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 8)):]
+        elif kind == "repeat":
+            data = data[:at + draw(st.integers(1, 8))] + data[at:]
+        else:
+            data = data[:at]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory, pipeline_run):
+    """A copy of the pipeline run that the fuzz tests damage and restore."""
+    out, cfg_path = pipeline_run
+    copy = tmp_path_factory.mktemp("fuzz") / "run"
+    shutil.copytree(out, copy)
+    return copy, cfg_path
+
+
+def _load_and_predict(run, name, data, load):
+    """Put ``data`` in place of the run's ``name``; its loader may raise
+    only an AlphagraphError, and predict must exit with a documented code."""
+    out, cfg_path = run
+    path = out / name
+    original = path.read_bytes()
+    path.write_bytes(data)
+    try:
+        try:
+            load(path)
+        except AlphagraphError:
+            pass
+        assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) in (0, 1, 2, 3)
+    finally:
+        path.write_bytes(original)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graph_loader_fuzz(fuzz_run, data):
+    out, _ = fuzz_run
+    symbols = cli._load_glove(out / "glove.npz").symbols
+    original = (out / "graph.csv").read_bytes()
+    damaged = data.draw(_line_edits(original.decode()) | _byte_edits(original))
+    _load_and_predict(fuzz_run, "graph.csv", damaged,
+                      lambda path: cli._load_graph(path, symbols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checkpoint_loader_fuzz(fuzz_run, data):
+    out, _ = fuzz_run
+    damaged = data.draw(_byte_edits((out / "checkpoint.bin").read_bytes()))
+    _load_and_predict(fuzz_run, "checkpoint.bin", damaged, load_checkpoint)

@@ -13,7 +13,7 @@ from alphagraph.embeddings import (StockEmbeddingSet, attention_representation,
 from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
 from alphagraph.news import CooccurrenceMatrix
 
-from helpers import take_row
+from helpers import mean
 
 
 def planted_two_clusters(n_per=2, within=100, cross=1):
@@ -195,15 +195,13 @@ def test_knn_complete_digraph_when_k_exceeds():
     emb = emb_from(np.random.default_rng(0).normal(size=(4, 3)))
     g = build_knn_graph(emb, 3)
     for i in range(4):
-        assert sorted(g.adjacency[i]) == sorted(set(range(4)) - {i})
+        assert sorted(g.neighbors[i].tolist()) == sorted(set(range(4)) - {i})
 
 
 def test_knn_one_dimensional_asymmetry():
     emb = emb_from([[0.0], [1.0], [10.0]])
     g = build_knn_graph(emb, 1)
-    assert g.adjacency[0] == [1]
-    assert g.adjacency[1] == [0]
-    assert g.adjacency[2] == [1]  # C -> B without B -> C
+    assert g.neighbors.tolist() == [[1], [0], [1]]  # C -> B without B -> C
 
 
 def test_knn_matches_bruteforce_search():
@@ -211,18 +209,21 @@ def test_knn_matches_bruteforce_search():
     emb = emb_from(rng.normal(size=(50, 8)))
     k = 5
     g = build_knn_graph(emb, k)
+    assert g.k == k and g.neighbors.shape == g.distances.shape == (50, k)
+    assert g.neighbors.dtype == np.intp and g.distances.dtype == np.float64
     for i in range(50):
         dists = [(np.linalg.norm(emb.vectors[i] - emb.vectors[j]), j)
                  for j in range(50) if j != i]
         dists.sort()
-        assert g.adjacency[i] == [j for _, j in dists[:k]]
+        assert g.neighbors[i].tolist() == [j for _, j in dists[:k]]
+        assert np.allclose(g.distances[i], [d for d, _ in dists[:k]], rtol=0, atol=1e-12)
 
 
 def test_knn_tie_break_by_index():
     emb = emb_from([[0.0], [1.0], [-1.0], [2.0]])
     g = build_knn_graph(emb, 2)
     # distances from S0: S1=1, S2=1, S3=2; tie between 1 and 2 broken by index
-    assert g.adjacency[0] == [1, 2]
+    assert g.neighbors[0].tolist() == [1, 2]
 
 
 def test_knn_determinism_and_export(tmp_path):
@@ -230,7 +231,8 @@ def test_knn_determinism_and_export(tmp_path):
     emb = emb_from(rng.normal(size=(10, 4)))
     g1 = build_knn_graph(emb, 3)
     g2 = build_knn_graph(emb, 3)
-    assert g1.adjacency == g2.adjacency
+    assert np.array_equal(g1.neighbors, g2.neighbors)
+    assert np.array_equal(g1.distances, g2.distances)
     path = tmp_path / "graph.csv"
     export_graph_csv(g1, path)
     lines = path.read_text().strip().splitlines()
@@ -256,9 +258,9 @@ def attention_params(rng, dim, hidden):
 
 def attend(emb, i, nbrs, params):
     rep, weights = attention_representation(
-        Tensor(emb.vectors[i]), Tensor(emb.vectors[nbrs]),
+        Tensor(emb.vectors[[i]]), Tensor(emb.vectors[np.array([nbrs], dtype=np.intp)]),
         params["w"], params["b"], params["v"])
-    return rep.values, weights.values
+    return rep.values[0], weights.values[0]
 
 
 def test_attention_single_neighbor_is_identity():
@@ -333,8 +335,8 @@ def test_attention_gradients_match_fd():
 
     def build():
         rep, weights = attention_representation(
-            take_row(e, 0), ad.gather_rows(e, nbrs), w, b, v)
-        return ad.mean(rep)
+            ad.gather_rows(e, [0]), ad.gather_rows(e, [nbrs]), w, b, v)
+        return mean(rep)
 
     err = ad.gradient_check(build, [e, w, b, v], h=1e-5)
     assert err <= 1e-6

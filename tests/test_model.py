@@ -28,14 +28,14 @@ def tech_layer(f, w, b):
 
 
 def test_tech_embed_zero_weights():
-    out = tech_layer(np.array([1.0, -2.0, 3.0]), np.zeros((3, 4)), np.zeros(4))
-    assert np.array_equal(out, np.zeros(4))
+    out = tech_layer(np.array([[1.0, -2.0, 3.0]]), np.zeros((3, 4)), np.zeros(4))
+    assert np.array_equal(out, np.zeros((1, 4)))
 
 
 def test_tech_embed_relu_clips_negative():
     w = np.eye(3)
-    out = tech_layer(np.array([-1.0, 2.0, -0.5]), w, np.zeros(3))
-    assert np.array_equal(out, [0.0, 2.0, 0.0])
+    out = tech_layer(np.array([[-1.0, 2.0, -0.5]]), w, np.zeros(3))
+    assert np.array_equal(out, [[0.0, 2.0, 0.0]])
 
 
 def test_tech_embed_matches_bruteforce():
@@ -46,7 +46,7 @@ def test_tech_embed_matches_bruteforce():
 
 def test_tech_embed_dimension_mismatch():
     with pytest.raises(ShapeError):
-        tech_layer(np.zeros(4), np.zeros((3, 2)), np.zeros(2))
+        tech_layer(np.zeros((1, 4)), np.zeros((3, 2)), np.zeros(2))
 
 
 def input_reaches_forecast(perturb, seed, blind_block=None):
@@ -240,9 +240,7 @@ def tiny_world(seed=0, n=4, days=30, l=5, with_graph=True, with_news=True,
         counts[-1] = 0  # the zero row
         news = DailyNewsPanel(panel.calendar, panel.symbols, vectors, row_index, counts)
     emb = StockEmbeddingSet(panel.symbols, rng.normal(size=(n, 3)), np.zeros(n))
-    graph = StockGraph(panel.symbols, 2,
-                       [[(i + 1) % n, (i + 2) % n] for i in range(n)],
-                       [[1.0, 1.0] for _ in range(n)])
+    graph = StockGraph(panel.symbols, (np.arange(n)[:, None] + [1, 2]) % n, np.ones((n, 2)))
     ds = build_dataset(panel, factors, news, cfg)
     return panel, cfg, ds, emb, graph
 
@@ -385,7 +383,7 @@ def test_single_sample_layerwise_oracle():
         return params[name].values
 
     # neighbor attention
-    nbrs = graph.neighbors(stock)
+    nbrs = graph.neighbors[stock]
     e = p("graph.emb")
     scores = []
     for j in nbrs:

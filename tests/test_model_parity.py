@@ -20,7 +20,7 @@ from alphagraph.embeddings import StockEmbeddingSet, StockGraph
 from alphagraph.model import (FeatureStore, ModelConfig, ablation_config, build_params,
                               model_forward)
 
-from helpers import gate_block, mul_rows, news_rows, stack_rows, take_row
+from helpers import add, gate_block, mul, mul_rows, news_rows, sigmoid
 
 OUT_RTOL = 1e-12
 GRAD_RTOL = 1e-10
@@ -30,11 +30,13 @@ GRAD_RTOL = 1e-10
 # per-stock / per-gate reference
 # ---------------------------------------------------------------------------
 
-def ref_attention(e_i, rows, w, b, v):
-    k = rows.shape[0]
-    pairs = ad.concat([stack_rows([e_i] * k), rows], axis=1)
-    weights = ad.softmax(ad.matmul(ad.tanh(ad.affine(pairs, w, b)), v))
-    return ad.matmul(weights, rows)
+def ref_attention(emb, i, nbrs, w, b, v):
+    """Stock i's (1, d) representation, attending over its neighbors ``nbrs``."""
+    k = len(nbrs)
+    rows = ad.gather_rows(emb, nbrs)
+    pairs = ad.concat([ad.gather_rows(emb, [i] * k), rows], axis=1)
+    scores = ad.matmul(ad.tanh(ad.affine(pairs, w, b)), v)
+    return ad.matmul(ad.softmax(ad.reshape(scores, (1, k))), rows)
 
 
 def ref_lstm_cell(x, h_prev, c_prev, gates):
@@ -42,14 +44,14 @@ def ref_lstm_cell(x, h_prev, c_prev, gates):
     "ifgo" to its (w, u, b) blocks."""
     def gate(name, activation):
         w, u, b = gates[name]
-        return activation(ad.add(ad.affine(x, w, b), ad.matmul(h_prev, u)))
+        return activation(add(ad.affine(x, w, b), ad.matmul(h_prev, u)))
 
-    i = gate("i", ad.sigmoid)
-    f = gate("f", ad.sigmoid)
+    i = gate("i", sigmoid)
+    f = gate("f", sigmoid)
     g = gate("g", ad.tanh)
-    o = gate("o", ad.sigmoid)
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    return ad.mul(o, ad.tanh(c_t)), c_t
+    o = gate("o", sigmoid)
+    c_t = add(mul(f, c_prev), mul(i, g))
+    return mul(o, ad.tanh(c_t)), c_t
 
 
 def ref_bilstm(xs, hidden, params, prefix):
@@ -75,11 +77,10 @@ def ref_forward(params, cfg, store, stock_idx, anchor_idx, graph):
     if cfg.use_graph:
         emb = params["graph.emb"]
         uniq = sorted(set(int(i) for i in stock_idx))
-        reps = [ref_attention(take_row(emb, i), ad.gather_rows(emb, graph.neighbors(i)),
-                              params["graph.attn.w"], params["graph.attn.b"],
-                              params["graph.attn.v"]) for i in uniq]
+        reps = [ref_attention(emb, i, graph.neighbors[i], params["graph.attn.w"],
+                              params["graph.attn.b"], params["graph.attn.v"]) for i in uniq]
         pos = {i: r for r, i in enumerate(uniq)}
-        parts_static = ad.gather_rows(stack_rows(reps), [pos[int(i)] for i in stock_idx])
+        parts_static = ad.gather_rows(ad.concat(reps, axis=0), [pos[int(i)] for i in stock_idx])
     tech_w = None
     if cfg.use_tech:
         tech_w = ad.relu(params["tech.w"]) if cfg.nonneg_tech else params["tech.w"]
@@ -99,7 +100,7 @@ def ref_forward(params, cfg, store, stock_idx, anchor_idx, graph):
     cols = ad.unstack(beta, axis=1)
     pooled = mul_rows(vs[0], cols[0])
     for v, col in zip(vs[1:], cols[1:]):
-        pooled = ad.add(pooled, mul_rows(v, col))
+        pooled = add(pooled, mul_rows(v, col))
     return ad.add_bias(ad.matmul(pooled, params["head.w"]), params["head.b"])
 
 
@@ -110,7 +111,7 @@ def ref_forward(params, cfg, store, stock_idx, anchor_idx, graph):
 N_STOCKS, N_DAYS = 12, 40
 
 
-def world(ablation="Full", seed=0, ragged=False, nonneg_tech=False):
+def world(ablation="Full", seed=0, nonneg_tech=False):
     rng = np.random.default_rng(seed)
     base = ModelConfig(lookback=5, embed_dim=4, n_factors=5, tech_dim=6, news_dim=7,
                        hidden=5, attn_hidden=3, temporal_hidden=4, seed=seed,
@@ -120,14 +121,8 @@ def world(ablation="Full", seed=0, ragged=False, nonneg_tech=False):
     store = FeatureStore(tuple(range(N_DAYS)), symbols,
                          rng.normal(size=(N_DAYS, N_STOCKS, 5)),
                          news_rows(rng.normal(size=(N_DAYS, N_STOCKS, 7))))
-    if ragged:
-        adjacency = [[int(j) for j in rng.choice(np.delete(np.arange(N_STOCKS), i),
-                                                 size=1 + i % 4, replace=False)]
-                     for i in range(N_STOCKS)]
-    else:
-        adjacency = [[(i + d) % N_STOCKS for d in (1, 2, 3)] for i in range(N_STOCKS)]
-    graph = StockGraph(symbols, max(map(len, adjacency)), adjacency,
-                       [[1.0] * len(a) for a in adjacency])
+    neighbors = (np.arange(N_STOCKS)[:, None] + [1, 2, 3]) % N_STOCKS
+    graph = StockGraph(symbols, neighbors, np.ones(neighbors.shape))
     emb = StockEmbeddingSet(symbols, rng.normal(size=(N_STOCKS, 4)), np.zeros(N_STOCKS))
     params = build_params(cfg, rng, emb)
     for t in params.values():  # every parameter away from its initial zeros
@@ -174,13 +169,6 @@ def test_forward_and_gradients_match_reference(ablation, seed):
     cfg, store, graph, params, rng = world(ablation, seed)
     stocks, anchors = batch(rng, 32)
     assert_parity(cfg, store, graph, params, stocks, anchors, rng.normal(size=32))
-
-
-def test_ragged_neighbor_lists_match_reference():
-    cfg, store, graph, params, rng = world("Full", seed=2, ragged=True)
-    assert len(set(map(len, graph.adjacency))) > 1
-    stocks, anchors = batch(rng, 40)
-    assert_parity(cfg, store, graph, params, stocks, anchors, rng.normal(size=40))
 
 
 def test_repeated_stocks_and_nonneg_tech_match_reference():
