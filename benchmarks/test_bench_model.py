@@ -60,7 +60,7 @@ def test_bench_full_training_batch(benchmark):
         adam.step()
         return len(tape)
 
-    assert benchmark(step) <= 120
+    assert benchmark(step) <= 32
 
 
 def test_bench_tech_predict_chunk(benchmark):

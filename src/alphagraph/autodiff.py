@@ -4,10 +4,8 @@ A :class:`Tape` records every primitive applied while it is active, in
 forward order, together with a closure that propagates the output gradient
 back to the inputs. ``Tape.backward`` walks the records in exact reverse
 order, accumulating gradients additively into each tensor's ``grad`` buffer.
-A primitive with several outputs (``unstack``, ``lstm_step``) is one record
-whose closure receives the gradient of every output, ``None`` for an output
-nothing consumed. Outside a tape, primitives are plain numpy forward
-computations.
+Every record has one output tensor; a record whose output nothing consumed
+is skipped. Outside a tape, primitives are plain numpy forward computations.
 
 Every primitive checks its output for NaN/Inf and raises
 :class:`NumericalFault` on the first non-finite value.
@@ -71,7 +69,7 @@ class Tape:
     """Ordered record of primitive applications for one forward pass."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor | tuple, object]] = []
+        self._records: list[tuple[Tensor, object]] = []
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -92,11 +90,7 @@ class Tape:
         loss.ensure_grad()
         loss.grad += 1.0
         for out, backward_fn in reversed(self._records):
-            if type(out) is tuple:
-                grads = [t.grad for t in out]
-                if any(g is not None for g in grads):
-                    backward_fn(grads)
-            elif out.grad is not None:
+            if out.grad is not None:
                 backward_fn(out.grad)
 
 
@@ -110,25 +104,15 @@ def _as_tensor(x) -> Tensor:
 
 def _emit(values, op: str, inputs, backward):
     """Build the output tensor, validate finiteness, and record it on the tape
-    with its ``backward`` closure.
-
-    A primitive with several outputs passes a tuple of arrays and gets a list
-    of tensors back. They form one record, whose ``backward`` receives the
-    list of their gradients.
-    """
-    many = type(values) is tuple
-    for v in values if many else (values,):
-        if not np.isfinite(v).all():
-            raise NumericalFault(f"non-finite values produced by '{op}'")
+    with its ``backward`` closure."""
+    if not np.isfinite(values).all():
+        raise NumericalFault(f"non-finite values produced by '{op}'")
     tape = _active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
-    if many:
-        out = tuple(Tensor(v, requires_grad=needs) for v in values)
-    else:
-        out = Tensor(values, requires_grad=needs)
+    out = Tensor(values, requires_grad=needs)
     if needs:
         tape._records.append((out, backward))
-    return list(out) if many else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,44 +245,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
                  "concat", tensors, backward)
 
 
-def _index(ndim: int, axis: int, i) -> tuple:
-    return (slice(None),) * axis + (i,) + (slice(None),) * (ndim - axis - 1)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack K same-shape tensors along a new ``axis``."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
-        raise ShapeError("stack: expects a non-empty list of same-shape tensors")
-    nd = tensors[0].ndim + 1
-    ax = axis % nd
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate(g[_index(nd, ax, i)])
-
-    return _emit(np.stack([t.values for t in tensors], axis=ax), "stack", tensors, backward)
-
-
-def unstack(x, axis: int = 0) -> list[Tensor]:
-    """Split ``x`` along ``axis`` into views without that axis; one record."""
-    x = _as_tensor(x)
-    if x.ndim < 1:
-        raise ShapeError("unstack: expected at least a 1-D input")
-    ax = axis % x.ndim
-    parts = [x.values[_index(x.ndim, ax, i)] for i in range(x.shape[ax])]
-
-    def backward(grads):
-        if x.requires_grad:
-            x.ensure_grad()
-            for i, g in enumerate(grads):
-                if g is not None:
-                    x.grad[_index(x.ndim, ax, i)] += g
-
-    return _emit(tuple(parts), "unstack", (x,), backward)
-
-
 def reshape(x, shape) -> Tensor:
     """Same values in a new shape (a view where numpy allows one)."""
     x = _as_tensor(x)
@@ -355,68 +301,80 @@ def weighted_sum(seq, w) -> Tensor:
     return _emit(y, "weighted_sum", (seq, w), backward)
 
 
-def lstm_step(zx, zh, c_prev):
-    """Pointwise LSTM update from fused gate pre-activations; returns (h, c).
+def lstm(zx, u, reverse: bool = False) -> Tensor:
+    """One LSTM direction over N sequences of T steps, from the zero state.
 
-    ``zx + zh`` holds the i, f, g, o pre-activations as four blocks of width
-    H along the last axis, so ``zx`` is (..., 4H); ``c_prev`` is (..., H).
-    ``zh`` and ``c_prev`` may be None for a zero initial state. The gates
-    are ``i, f, o = sigmoid(.)`` and ``g = tanh(.)``, then
-    ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``. One record with an
-    analytic backward.
+    ``zx`` (N, T, 4H) holds each step's input pre-activations and ``u``
+    (H, 4H) is the recurrent matrix; their last axis holds the i, f, g, o
+    gates as four blocks of width H. Step t adds ``h_prev @ u`` to
+    ``zx[:, t]``, then ``i, f, o = sigmoid(.)``, ``g = tanh(.)``,
+    ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``. The steps run
+    t = 0, 1, ..., T-1, or T-1 down to 0 with ``reverse``. Returns the
+    (N, T, H) hidden states in step order as one record, whose backward runs
+    backpropagation through time.
     """
-    zx = _as_tensor(zx)
-    zh = None if zh is None else _as_tensor(zh)
-    c_prev = None if c_prev is None else _as_tensor(c_prev)
-    width = zx.shape[-1] if zx.ndim else 0
-    H = width // 4
-    if zx.ndim == 0 or width != 4 * H or (zh is not None and zh.shape != zx.shape) \
-            or (c_prev is not None and c_prev.shape != zx.shape[:-1] + (H,)):
-        raise ShapeError(f"lstm_step: shapes {zx.shape}, "
-                         f"{None if zh is None else zh.shape}, "
-                         f"{None if c_prev is None else c_prev.shape} incompatible")
-    act = zx.values.copy() if zh is None else zx.values + zh.values
-    # act becomes sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) in place, with
-    # sigmoid(z) = (1 + tanh(z/2)) / 2, which cannot overflow for any finite
-    # z, so one tanh call covers all four gates
-    sig = (act[..., :2 * H], act[..., 3 * H:])
-    for block in sig:
-        block *= 0.5
-    np.tanh(act, out=act)
-    for block in sig:
-        block += 1.0
-        block *= 0.5
-    i, f, g, o = (act[..., k * H:(k + 1) * H] for k in range(4))
-    if c_prev is None:
-        c = i * g
-    else:  # f * c_prev + i * g
-        c = f * c_prev.values
-        c += i * g
-    tc = np.tanh(c)
-    h = o * tc
-    inputs = (zx,) + tuple(t for t in (zh, c_prev) if t is not None)
+    zx, u = _as_tensor(zx), _as_tensor(u)
+    H = u.shape[0] if u.ndim == 2 else 0
+    if zx.ndim != 3 or zx.shape[1] == 0 or u.shape != (H, 4 * H) or zx.shape[2] != 4 * H:
+        raise ShapeError(f"lstm: shapes {zx.shape} and {u.shape} incompatible; expected "
+                         f"(N, T >= 1, 4H) pre-activations and an (H, 4H) matrix")
+    zv, uv = zx.values, u.values
+    N, T, _ = zv.shape
+    hs = np.empty((N, T, H))
+    # (t, act, c_prev, tc, h_prev) of each step, in step order; kept only for
+    # a backward, so that a forward-only pass holds one step at a time
+    steps = []
+    keep = _active_tape() is not None and (zx.requires_grad or u.requires_grad)
+    h = c = None  # zero initial state
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        # h is o * tanh(c), a fresh array: a matmul on a strided view of hs
+        # can round differently
+        act = zv[:, t].copy() if h is None else zv[:, t] + h @ uv
+        # act becomes sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) in place,
+        # with sigmoid(z) = (1 + tanh(z/2)) / 2, which cannot overflow for
+        # any finite z, so one tanh call covers all four gates
+        sig = (act[:, :2 * H], act[:, 3 * H:])
+        for block in sig:
+            block *= 0.5
+        np.tanh(act, out=act)
+        for block in sig:
+            block += 1.0
+            block *= 0.5
+        i, f, g, o = (act[:, k * H:(k + 1) * H] for k in range(4))
+        c_prev = c
+        if c_prev is None:
+            c = i * g
+        else:  # f * c_prev + i * g
+            c = f * c_prev
+            c += i * g
+        if not np.isfinite(c).all():  # _emit checks every h in hs
+            raise NumericalFault("non-finite values produced by 'lstm'")
+        tc = np.tanh(c)
+        if keep:
+            steps.append((t, act, c_prev, tc, h))
+        h = o * tc
+        hs[:, t] = h
 
-    def backward(grads):
-        gh, gc = grads
-        dc = np.zeros_like(c) if gc is None else gc
-        if gh is not None:
-            dc = dc + gh * o * (1.0 - tc * tc)
-        dz = np.zeros_like(act)
-        dz[..., :H] = dc * g * i * (1.0 - i)
-        if c_prev is not None:
-            dz[..., H:2 * H] = dc * c_prev.values * f * (1.0 - f)
-        dz[..., 2 * H:3 * H] = dc * i * (1.0 - g * g)
-        if gh is not None:
-            dz[..., 3 * H:] = gh * tc * o * (1.0 - o)
-        if zx.requires_grad:
-            zx.accumulate(dz)
-        if zh is not None and zh.requires_grad:
-            zh.accumulate(dz)
-        if c_prev is not None and c_prev.requires_grad:
-            c_prev.accumulate(dc * f)
+    def backward(gout):
+        dzx = zx.ensure_grad() if zx.requires_grad else None
+        dz = gc = None  # gradients from the step after the current one
+        for t, act, c_prev, tc, h_prev in reversed(steps):
+            i, f, g, o = (act[:, k * H:(k + 1) * H] for k in range(4))
+            gh = gout[:, t] if dz is None else gout[:, t] + dz @ uv.T
+            dc = (np.zeros_like(tc) if gc is None else gc) + gh * o * (1.0 - tc * tc)
+            dz = np.zeros_like(act)
+            dz[:, :H] = dc * g * i * (1.0 - i)
+            if c_prev is not None:
+                dz[:, H:2 * H] = dc * c_prev * f * (1.0 - f)
+            dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            dz[:, 3 * H:] = gh * tc * o * (1.0 - o)
+            if dzx is not None:
+                dzx[:, t] += dz
+            if h_prev is not None and u.requires_grad:
+                u.accumulate(h_prev.T @ dz)
+            gc = dc * f
 
-    h_t, c_t = _emit((h, c), "lstm_step", inputs, backward)
-    return h_t, c_t
+    return _emit(hs, "lstm", (zx, u), backward)
 
 
 # ---------------------------------------------------------------------------

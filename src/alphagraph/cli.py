@@ -172,15 +172,26 @@ def _load_factors(path) -> FactorPanel:
 
 
 def _load_cooccur(path) -> CooccurrenceMatrix:
+    """The co-mention counts of a cooccur file: each pair (i, j) of distinct
+    indices in [0, n) appears once in each order, with the same positive
+    integer count."""
     z = _NpzArrays(path)
     symbols = z.strings("symbols")
     rows = z.shaped("rows", None)
     cols, vals = z.shaped("cols", rows.size), z.shaped("vals", rows.size)
-    counts = {}
-    for i, j, v in zip(rows, cols, vals):
-        if i < j:
-            counts[(int(i), int(j))] = int(v)
-    return CooccurrenceMatrix(tuple(symbols), counts)
+    for name, index in (("rows", rows), ("cols", cols)):
+        if index.dtype.kind not in "iu" or np.any((index < 0) | (index >= len(symbols))):
+            raise z.error(f"array {name!r} holds an entry that is not an index in "
+                          f"[0, {len(symbols)})")
+    if np.any(rows == cols):
+        raise z.error("a pair (i, i) of a stock with itself")
+    if vals.dtype.kind not in "iuf" or not np.all(np.isfinite(vals) & (vals > 0)
+                                                  & (vals == np.round(vals))):
+        raise z.error("a count that is not a positive integer")
+    pairs = {(i, j): int(v) for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())}
+    if len(pairs) != rows.size or any(pairs.get((j, i)) != v for (i, j), v in pairs.items()):
+        raise z.error("a pair not present once in each order with one count")
+    return CooccurrenceMatrix(tuple(symbols), {k: v for k, v in pairs.items() if k[0] < k[1]})
 
 
 def _load_glove(path) -> StockEmbeddingSet:

@@ -175,25 +175,27 @@ def load_bars(path) -> BarPanel:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != BAR_HEADER:
-            raise DataError(f"{path}: header {header!r} does not match {BAR_HEADER!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(BAR_HEADER):
-                stop = (row, line_no)
-                break
-            try:
-                extend(map(float, row[2:7]))
-            except ValueError:
-                stop = (row, line_no)
-                break
-            add_line(line_no)
-            add_date(date_of(row[0], len(date_codes)))
-            add_name(name_of(row[1], len(name_codes)))
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if [h.strip() for h in header] != BAR_HEADER:
+                raise DataError(f"{path}: header {header!r} does not match {BAR_HEADER!r}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < len(BAR_HEADER):
+                    stop = (row, line_no)
+                    break
+                try:
+                    extend(map(float, row[2:7]))
+                except ValueError:
+                    stop = (row, line_no)
+                    break
+                add_line(line_no)
+                add_date(date_of(row[0], len(date_codes)))
+                add_name(name_of(row[1], len(name_codes)))
+        except csv.Error as exc:  # an unclosed quote can run past the field size limit
+            raise DataError(f"{path}: {exc}") from exc
 
     date_text, names = list(date_codes), list(name_codes)
     dates = []

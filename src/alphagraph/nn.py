@@ -30,7 +30,7 @@ def init_lstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
                      params: dict, prefix: str) -> None:
     """Fused LSTM parameters ``{prefix}.w`` (in_dim, 4H), ``{prefix}.u``
     (H, 4H) and ``{prefix}.b`` (4H,), one column block per gate in the
-    ``i, f, g, o`` order of ``autodiff.lstm_step``.
+    ``i, f, g, o`` order of ``autodiff.lstm``.
 
     Gate by gate, the ``w`` block and then the ``u`` block are drawn, each
     with its own Glorot scale (fan_out H); the forget-gate bias starts at 1.
@@ -57,25 +57,17 @@ def bilstm(x: Tensor, seq_shape: tuple, hidden: int, params: dict, prefix: str) 
     step t of sequence n, and ``seq_shape`` is (N, T). Output t is the
     forward state at t next to the backward state at t, both from a zero
     initial state. Each direction projects all N*T rows through its ``w``
-    in one affine, so a recurrent step is one (hidden, 4*hidden) matmul and
-    one ``lstm_step``.
+    in one affine and runs its whole recurrence as one ``autodiff.lstm``.
     """
     N, T = seq_shape
     if x.ndim != 2 or T < 1 or x.shape[0] != N * T:
         raise ShapeError(f"bilstm: expected (N*T, in_dim) rows for (N, T) = {seq_shape} "
                          f"with T >= 1, got {x.shape}")
     halves = []
-    for sub, steps in (("fwd", range(T)), ("bwd", range(T - 1, -1, -1))):
+    for sub, reverse in (("fwd", False), ("bwd", True)):
         p = f"{prefix}.{sub}"
         zx = ad.affine(x, params[f"{p}.w"], params[f"{p}.b"])
-        zx = ad.unstack(ad.reshape(zx, (N, T, 4 * hidden)), axis=1)
-        u = params[f"{p}.u"]
-        h = c = None  # zero initial state
-        hs = [None] * T
-        for t in steps:
-            h, c = ad.lstm_step(zx[t], None if h is None else ad.matmul(h, u), c)
-            hs[t] = h
-        halves.append(ad.stack(hs, axis=1))
+        halves.append(ad.lstm(ad.reshape(zx, (N, T, 4 * hidden)), params[f"{p}.u"], reverse))
     return ad.concat(halves, axis=-1)
 
 

@@ -1,9 +1,10 @@
 """Test-side helpers shared by several test modules.
 
-* ``add``, ``mul``, ``scale``, ``sigmoid``, ``mean``, ``take_row``,
-  ``mul_rows``, ``stack_rows`` and ``gate_block``: autodiff primitives that
-  only the gradient checks and the model parity references use; they record
-  on the tape like the package's own primitives.
+* ``add``, ``mul``, ``scale``, ``sigmoid``, ``mean``, ``stack``,
+  ``take_row``, ``take_col``, ``mul_rows``, ``stack_rows`` and
+  ``gate_block``: autodiff primitives that only the gradient checks and the
+  model parity references use; they record on the tape like the package's
+  own primitives.
 * ``gate_cols``: the columns of one gate in a fused LSTM parameter.
 * ``market_bars``: a synthetic market's bars as :class:`Bar` objects, and
   ``build_panel``, which assembles such bars into a :class:`BarPanel`.
@@ -12,7 +13,7 @@
 
 import numpy as np
 
-from alphagraph.autodiff import Tensor, _as_tensor, _emit, stack
+from alphagraph.autodiff import Tensor, _as_tensor, _emit
 from alphagraph.errors import DataError, ShapeError
 from alphagraph.market import (Bar, BarPanel, _duplicate_bar, _panel_from_columns,
                                _suspect_bars)
@@ -64,7 +65,7 @@ def scale(a, c: float) -> Tensor:
 def _sigmoid_values(v: np.ndarray) -> np.ndarray:
     # sigmoid(v) = (1 + tanh(v/2)) / 2: one transcendental call and no
     # overflow for any finite v (tanh saturates to exactly +-1), the form
-    # ``lstm_step`` evaluates its gates in
+    # ``autodiff.lstm`` evaluates its gates in
     return 0.5 * (1.0 + np.tanh(0.5 * v))
 
 
@@ -92,6 +93,21 @@ def mean(x) -> Tensor:
     return _emit(np.asarray(x.values.mean()), "mean", (x,), backward)
 
 
+def stack(tensors, axis: int = 0) -> Tensor:
+    """Stack K same-shape tensors along a new ``axis``."""
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
+        raise ShapeError("stack: expects a non-empty list of same-shape tensors")
+    ax = axis % (tensors[0].ndim + 1)
+
+    def backward(g):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.accumulate(np.take(g, i, axis=ax))
+
+    return _emit(np.stack([t.values for t in tensors], axis=ax), "stack", tensors, backward)
+
+
 def stack_rows(tensors) -> Tensor:
     """Stack K same-length 1-D tensors into a (K, M) matrix."""
     if not tensors or any(_as_tensor(t).ndim != 1 for t in tensors):
@@ -110,6 +126,19 @@ def take_row(m, i: int) -> Tensor:
             m.grad[i] += g
 
     return _emit(m.values[i].copy(), "take_row", (m,), backward)
+
+
+def take_col(m, j: int) -> Tensor:
+    m = _as_tensor(m)
+    if m.ndim != 2:
+        raise ShapeError(f"take_col: expected 2-D input, got {m.shape}")
+
+    def backward(g):
+        if m.requires_grad:
+            m.ensure_grad()
+            m.grad[:, j] += g
+
+    return _emit(m.values[:, j].copy(), "take_col", (m,), backward)
 
 
 def mul_rows(m, s) -> Tensor:

@@ -116,20 +116,19 @@ def test_criterion_1_gradient_integrity():
         worst["attention"] = max(worst["attention"],
                                  gradient_check(attn, [e, aw, ab, av], h=1e-5, seed=seed))
 
-        # LSTM cell
+        # LSTM recurrence over three steps, both directions, so that the
+        # forget gate and the recurrent matrix get non-zero gradients
         lstm_params = {}
         nn.init_lstm_params(rng, 3, 4, lstm_params, "c")
-        xs = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-        h0 = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
-        c0 = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        xs = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 
-        def cell():
-            zx = ad.affine(xs, lstm_params["c.w"], lstm_params["c.b"])
-            h, c = ad.lstm_step(zx, ad.matmul(h0, lstm_params["c.u"]), c0)
-            return mean(add(h, c))
+        def recurrence():
+            zx = ad.reshape(ad.affine(xs, lstm_params["c.w"], lstm_params["c.b"]), (1, 3, 16))
+            return mean(add(ad.lstm(zx, lstm_params["c.u"]),
+                            ad.lstm(zx, lstm_params["c.u"], reverse=True)))
 
         worst["lstm"] = max(worst["lstm"],
-                            gradient_check(cell, list(lstm_params.values()) + [xs, h0, c0],
+                            gradient_check(recurrence, list(lstm_params.values()) + [xs],
                                            h=1e-5, seed=seed))
 
         # BiLSTM

@@ -143,7 +143,10 @@ def test_matmul_backward_matches_fd(shapes):
 @pytest.mark.parametrize("op, args", [
     ("softmax", [(4,)]), ("softmax", [(2, 3, 4)]), ("matmul", [(4,), (4, 5)]),
     ("matmul", [(4,), (4,)]), ("affine", [(4,), (4, 5), (5,)]),
-    ("add_bias", [(3, 5), (5,)]), ("add_bias", [(3,), (3,)])])
+    ("add_bias", [(3, 5), (5,)]), ("add_bias", [(3,), (3,)]),
+    ("lstm", [(3, 8), (2, 8)]), ("lstm", [(3, 0, 8), (2, 8)]), ("lstm", [(3, 2, 7), (2, 8)]),
+    ("lstm", [(3, 2, 8), (2, 7)]), ("lstm", [(3, 2, 8), (8,)]),
+    ("lstm", [(3, 2, 12), (2, 8)])])
 def test_layer_primitives_take_only_the_ranks_the_model_uses(op, args):
     with pytest.raises(ShapeError):
         getattr(ad, op)(*(t(np.ones(shape)) for shape in args))
@@ -164,16 +167,6 @@ def test_structural_primitives_backward_matches_fd():
         return add(mean(g), add(mean(c), mean(st_)))
 
     _fd_case(build, [m, s, v1, v2], 0)
-
-
-def test_stack_and_unstack_backward():
-    rng = np.random.default_rng(5)
-    m = t(rng.normal(size=(4, 3)))
-    for axis in (0, 1):
-        _fd_case(lambda: mean(ad.stack([ad.tanh(c) for c in ad.unstack(m, axis)],
-                                          axis=axis)), [m], 0)
-    # an unconsumed part contributes no gradient
-    _fd_case(lambda: mean(ad.tanh(ad.unstack(m, 1)[2])), [m], 0)
 
 
 def test_reshape_backward_matches_fd():
@@ -204,41 +197,43 @@ def test_weighted_sum_matches_loop_and_fd():
 
 
 def _lstm_step_by_gates(z, c_prev):
-    """lstm_step spelled out with one primitive per gate."""
+    """One LSTM step spelled out with one primitive per gate."""
     H = z.shape[-1] // 4
     i, f, g, o = (z.values[..., k * H:(k + 1) * H] for k in range(4))
     c = add(mul(sigmoid(t(f)), c_prev), mul(sigmoid(t(i)), ad.tanh(t(g))))
     return mul(sigmoid(t(o)), ad.tanh(c)), c
 
 
-def test_lstm_step_equals_per_gate_formula():
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_equals_per_gate_steps(reverse):
     rng = np.random.default_rng(10)
-    zx, zh, c0 = rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), rng.normal(size=(3, 2))
-    h, c = ad.lstm_step(t(zx), t(zh), t(c0))
-    h_ref, c_ref = _lstm_step_by_gates(t(zx + zh), t(c0))
-    assert np.array_equal(h.values, h_ref.values) and np.array_equal(c.values, c_ref.values)
-    h, c = ad.lstm_step(t(zx), None, None)  # zero initial state
-    h_ref, c_ref = _lstm_step_by_gates(t(zx), t(np.zeros((3, 2))))
-    assert np.array_equal(h.values, h_ref.values) and np.array_equal(c.values, c_ref.values)
-    with pytest.raises(ShapeError):
-        ad.lstm_step(t(np.ones((3, 7))), None, None)
+    N, T, H = 3, 4, 2
+    zx, u = rng.normal(size=(N, T, 4 * H)), rng.normal(size=(H, 4 * H))
+    out = ad.lstm(t(zx), t(u), reverse).values
+    h, c = None, t(np.zeros((N, H)))  # zero initial state
+    for step in range(T - 1, -1, -1) if reverse else range(T):
+        z = zx[:, step].copy() if h is None else zx[:, step] + h.values @ u
+        h, c = _lstm_step_by_gates(t(z), c)
+        assert np.array_equal(out[:, step], h.values)
 
 
-@pytest.mark.parametrize("with_state", [True, False])
-@pytest.mark.parametrize("consume", ["both", "h", "c"])
-def test_lstm_step_backward_matches_fd(with_state, consume):
+@pytest.mark.parametrize("gate,step", [("i", 0), ("g", 0), ("o", 0), ("i", 2), ("f", 2),
+                                       ("g", 2), ("o", 2)])
+def test_lstm_non_finite_state_raises_fault(gate, step):
+    """A NaN in a gate that a step uses makes c or h non-finite (an o gate
+    alone leaves c finite); the first step has no forget gate to use."""
+    zx = np.random.default_rng(12).normal(size=(2, 3, 8))
+    zx[1, step, gate_cols(gate, 2)] = np.nan
+    with pytest.raises(NumericalFault):
+        ad.lstm(t(zx), t(np.zeros((2, 8))))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_backward_matches_fd(reverse):
     rng = np.random.default_rng(11)
-    zx, zh, c0 = t(rng.normal(size=(3, 8))), t(rng.normal(size=(3, 8))), t(rng.normal(size=(3, 2)))
-    ph, pc = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
-
-    def build():
-        h, c = ad.lstm_step(zx, zh if with_state else None, c0 if with_state else None)
-        terms = {"h": mul(h, ph), "c": mul(c, pc)}
-        if consume == "both":
-            return mean(add(terms["h"], terms["c"]))
-        return mean(terms[consume])
-
-    _fd_case(build, [zx, zh, c0] if with_state else [zx], 0)
+    zx, u = t(rng.normal(size=(2, 3, 8))), t(rng.normal(scale=0.5, size=(2, 8)))
+    probe = Tensor(rng.normal(size=(2, 3, 2)))
+    _fd_case(lambda: mean(mul(ad.lstm(zx, u, reverse), probe)), [zx, u], 0)
 
 
 def test_batched_attention_matches_per_stock_and_fd():
@@ -349,46 +344,51 @@ def _lstm_params(rng, in_dim, hidden, prefix="cell"):
     return params
 
 
-def _lstm_cell(x, h_prev, c_prev, params, prefix="cell"):
-    """One LSTM step on the fused ``{prefix}.{w,u,b}`` parameters."""
-    zx = ad.affine(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
-    return ad.lstm_step(zx, ad.matmul(h_prev, params[f"{prefix}.u"]), c_prev)
+def _lstm_seq(x, params, reverse=False, prefix="cell"):
+    """One LSTM direction over (N, T, in_dim) inputs on the fused
+    ``{prefix}.{w,u,b}`` parameters, from the zero state."""
+    N, T, in_dim = x.shape
+    zx = ad.affine(ad.reshape(x, (N * T, in_dim)), params[f"{prefix}.w"],
+                   params[f"{prefix}.b"])
+    return ad.lstm(ad.reshape(zx, (N, T, -1)), params[f"{prefix}.u"], reverse)
 
 
-def test_lstm_zero_weights_zero_state_gives_zero_output():
+def test_lstm_zero_weights_give_zero_output():
     params = _lstm_params(np.random.default_rng(0), 3, 4)
     for p in params.values():
         p.values[:] = 0.0
-    h, c = _lstm_cell(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))),
-                      Tensor(np.zeros((1, 4))), params)
-    assert np.allclose(h.values, 0.0)
-    assert np.allclose(c.values, 0.0)
+    h = _lstm_seq(Tensor(np.random.default_rng(1).normal(size=(2, 3, 3))), params)
+    assert np.array_equal(h.values, np.zeros((2, 3, 4)))
 
 
-def test_lstm_saturated_gates_copy_cell_state():
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_saturated_gates_copy_cell_state(reverse):
+    """Open output gates, then forget ~ 1 and input ~ 0 on the second step:
+    its cell state, and so its hidden state, is the first step's."""
     rng = np.random.default_rng(1)
-    params = _lstm_params(rng, 3, 4)
-    params["cell.b"].values[gate_cols("f", 4)] = 20.0   # forget ~ 1
-    params["cell.b"].values[gate_cols("i", 4)] = -20.0  # input ~ 0
-    c_prev = rng.normal(size=(1, 4))
-    _, c = _lstm_cell(Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(1, 4))),
-                      Tensor(c_prev), params)
-    assert np.allclose(c.values, c_prev, atol=1e-6)
+    u = _lstm_params(rng, 3, 4)["cell.u"]
+    zx = rng.normal(size=(2, 2, 16))
+    first, second = (1, 0) if reverse else (0, 1)
+    zx[:, :, gate_cols("o", 4)] = 20.0
+    zx[:, second, gate_cols("f", 4)] = 20.0
+    zx[:, second, gate_cols("i", 4)] = -20.0
+    h = ad.lstm(Tensor(zx), u, reverse).values
+    assert np.max(np.abs(h[:, first])) > 0.1
+    assert np.allclose(h[:, second], h[:, first], atol=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_lstm_cell_backward_matches_fd(seed):
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_backward_matches_fd(seed, reverse):
     rng = np.random.default_rng(seed)
     params = _lstm_params(rng, 3, 4)
-    x = t(rng.normal(size=(1, 3)))
-    h0 = t(rng.normal(size=(1, 4)))
-    c0 = t(rng.normal(size=(1, 4)))
+    x = t(rng.normal(size=(2, 3, 3)))
+    probe = Tensor(rng.normal(size=(2, 3, 4)))
 
     def build():
-        h, c = _lstm_cell(x, h0, c0, params)
-        return mean(add(h, c))
+        return mean(mul(_lstm_seq(x, params, reverse), probe))
 
-    _fd_case(build, list(params.values()) + [x, h0, c0], seed)
+    _fd_case(build, list(params.values()) + [x], seed, tol=1e-5)
 
 
 def test_init_lstm_params_concatenates_per_gate_draws():

@@ -560,6 +560,22 @@ def _append_invalid_utf8(path):
     path.write_bytes(path.read_bytes() + b"\xff")
 
 
+def _set_first(name, value):
+    """Damage: entry 0 of cooccur array ``name`` becomes ``value(arrays)``."""
+    def damage(path):
+        def change(arrays):
+            a = arrays[name].copy()
+            a[0] = value(arrays)
+            return {name: a}
+        _rewrite_npz(path, change)
+    return damage
+
+
+def _quote_left_open(path):
+    # a quote opened and not closed makes the rest of the file one field
+    path.write_text(path.read_text() + '"' + "x" * 140_000)
+
+
 # artifact -> the first command of the pipeline that reads it
 FIRST_READER = {
     "bars.csv": "ingest", "news.jsonl": "cooccur", "panel.npz": "cooccur",
@@ -584,10 +600,10 @@ CORRUPTIONS = {
                                     "hidden must be >= 1, got -1; rerun train"),
     "news not UTF-8": ("news.jsonl", _append_invalid_utf8, "not UTF-8 text"),
     "graph not UTF-8": ("graph.csv", _append_invalid_utf8, "not UTF-8 text"),
-    # a quote opened and not closed makes the rest of the file one field
-    "graph quote left open": ("graph.csv",
-                              lambda path: path.write_text(path.read_text() + '"' + "x" * 140_000),
+    "graph quote left open": ("graph.csv", _quote_left_open,
                               "field larger than field limit (131072); rerun graph"),
+    "bars quote left open": ("bars.csv", _quote_left_open,
+                             "bars.csv: field larger than field limit (131072)"),
     "panel dates not ISO": (
         "panel.npz", lambda path: _rewrite_npz(path, lambda a: {"calendar": np.array(["x"])}),
         "array 'calendar': Invalid isoformat string: 'x'; rerun ingest"),
@@ -597,6 +613,34 @@ CORRUPTIONS = {
     "cooccur lengths differ": (
         "cooccur.npz", lambda path: _rewrite_npz(path, lambda a: {"vals": a["vals"][:-1]}),
         "array 'vals' has shape (89,), expected 90; rerun cooccur"),
+    "cooccur column past the symbols": (
+        "cooccur.npz", _set_first("cols", lambda a: a["symbols"].size),
+        "array 'cols' holds an entry that is not an index in [0, 10); rerun cooccur"),
+    "cooccur row past the symbols": (
+        "cooccur.npz", _set_first("rows", lambda a: a["symbols"].size),
+        "array 'rows' holds an entry that is not an index in [0, 10); rerun cooccur"),
+    "cooccur negative row": (
+        "cooccur.npz", _set_first("rows", lambda a: -1),
+        "array 'rows' holds an entry that is not an index in [0, 10); rerun cooccur"),
+    "cooccur stock paired with itself": (
+        "cooccur.npz", _set_first("cols", lambda a: a["rows"][0]),
+        "a pair (i, i) of a stock with itself; rerun cooccur"),
+    "cooccur pair in one order only": (
+        "cooccur.npz", lambda path: _rewrite_npz(path, lambda a: {
+            k: a[k][1:] for k in ("rows", "cols", "vals")}),
+        "a pair not present once in each order with one count; rerun cooccur"),
+    "cooccur counts differ by order": (
+        "cooccur.npz", _set_first("vals", lambda a: a["vals"][0] + 1),
+        "a pair not present once in each order with one count; rerun cooccur"),
+    "cooccur negative counts": (
+        "cooccur.npz", lambda path: _rewrite_npz(path, lambda a: {"vals": -a["vals"]}),
+        "a count that is not a positive integer; rerun cooccur"),
+    "cooccur zero counts": (
+        "cooccur.npz", lambda path: _rewrite_npz(path, lambda a: {"vals": 0 * a["vals"]}),
+        "a count that is not a positive integer; rerun cooccur"),
+    "cooccur fractional count": (
+        "cooccur.npz", _set_first("vals", lambda a: 0.5),
+        "a count that is not a positive integer; rerun cooccur"),
     "factor values narrower than names": (
         "factors.npz",
         lambda path: _rewrite_npz(path, lambda a: {"values": a["values"][..., :-1]}),
