@@ -260,6 +260,28 @@ def reshape(x, shape) -> Tensor:
     return _emit(y, "reshape", (x,), backward)
 
 
+def scatter_rows(index, rows, n: int) -> np.ndarray:
+    """(n, M) sums of the (K, M) ``rows`` by their target row ``index`` (K,).
+
+    One flat ``np.bincount``: each sum adds its rows in ``index`` order from
+    zero, exactly as ``np.add.at`` into a zero array does.
+    """
+    index = np.asarray(index, dtype=np.intp).reshape(-1)
+    width = rows.shape[-1]
+    flat = (index[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1),
+                       minlength=n * width).reshape(n, width)
+
+
+def _scatter_grad(m: Tensor, index, g) -> None:
+    """Scatter-add the rows of ``g`` into ``m``'s gradient by ``index``."""
+    s = scatter_rows(index, g, m.shape[0])
+    if m.grad is None:
+        m.grad = s
+    else:
+        m.grad += s
+
+
 def gather_rows(m, index) -> Tensor:
     """Select rows ``index`` (an int array of any shape) from a 2-D tensor.
 
@@ -272,8 +294,7 @@ def gather_rows(m, index) -> Tensor:
 
     def backward(g):
         if m.requires_grad:
-            m.ensure_grad()
-            np.add.at(m.grad, idx, g)
+            _scatter_grad(m, idx, g)
 
     return _emit(m.values[idx], "gather_rows", (m,), backward)
 
@@ -301,25 +322,32 @@ def weighted_sum(seq, w) -> Tensor:
     return _emit(y, "weighted_sum", (seq, w), backward)
 
 
-def lstm(zx, u, reverse: bool = False) -> Tensor:
+def lstm(zx, windows, u, reverse: bool = False) -> Tensor:
     """One LSTM direction over N sequences of T steps, from the zero state.
 
-    ``zx`` (N, T, 4H) holds each step's input pre-activations and ``u``
-    (H, 4H) is the recurrent matrix; their last axis holds the i, f, g, o
+    ``zx`` (U, 4H) holds the input pre-activations of U cells, ``windows``
+    (N, T) the cell of each step of each sequence, and ``u`` (H, 4H) is the
+    recurrent matrix; the last axis of ``zx`` and ``u`` holds the i, f, g, o
     gates as four blocks of width H. Step t adds ``h_prev @ u`` to
-    ``zx[:, t]``, then ``i, f, o = sigmoid(.)``, ``g = tanh(.)``,
+    ``zx[windows[:, t]]``, then ``i, f, o = sigmoid(.)``, ``g = tanh(.)``,
     ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``. The steps run
     t = 0, 1, ..., T-1, or T-1 down to 0 with ``reverse``. Returns the
     (N, T, H) hidden states in step order as one record, whose backward runs
-    backpropagation through time.
+    backpropagation through time and scatters the steps' input gradients
+    into ``zx``'s rows in one pass.
     """
     zx, u = _as_tensor(zx), _as_tensor(u)
+    windows = np.asarray(windows, dtype=np.intp)
     H = u.shape[0] if u.ndim == 2 else 0
-    if zx.ndim != 3 or zx.shape[1] == 0 or u.shape != (H, 4 * H) or zx.shape[2] != 4 * H:
-        raise ShapeError(f"lstm: shapes {zx.shape} and {u.shape} incompatible; expected "
-                         f"(N, T >= 1, 4H) pre-activations and an (H, 4H) matrix")
+    if (zx.ndim != 2 or windows.ndim != 2 or windows.shape[1] == 0
+            or u.shape != (H, 4 * H) or zx.shape[1] != 4 * H):
+        raise ShapeError(f"lstm: shapes {zx.shape}, windows {windows.shape} and {u.shape} "
+                         f"incompatible; expected (U, 4H) pre-activations, (N, T >= 1) "
+                         f"cell indices and an (H, 4H) matrix")
+    if windows.size and not (0 <= windows.min() and windows.max() < zx.shape[0]):
+        raise ShapeError(f"lstm: window indices outside the {zx.shape[0]} cells")
     zv, uv = zx.values, u.values
-    N, T, _ = zv.shape
+    N, T = windows.shape
     hs = np.empty((N, T, H))
     # (t, act, c_prev, tc, h_prev) of each step, in step order; kept only for
     # a backward, so that a forward-only pass holds one step at a time
@@ -327,9 +355,11 @@ def lstm(zx, u, reverse: bool = False) -> Tensor:
     keep = _active_tape() is not None and (zx.requires_grad or u.requires_grad)
     h = c = None  # zero initial state
     for t in range(T - 1, -1, -1) if reverse else range(T):
-        # h is o * tanh(c), a fresh array: a matmul on a strided view of hs
-        # can round differently
-        act = zv[:, t].copy() if h is None else zv[:, t] + h @ uv
+        act = zv[windows[:, t]]  # a fresh (N, 4H) array
+        if h is not None:
+            # h is o * tanh(c), a fresh array: a matmul on a strided view of
+            # hs can round differently
+            act += h @ uv
         # act becomes sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) in place,
         # with sigmoid(z) = (1 + tanh(z/2)) / 2, which cannot overflow for
         # any finite z, so one tanh call covers all four gates
@@ -356,7 +386,8 @@ def lstm(zx, u, reverse: bool = False) -> Tensor:
         hs[:, t] = h
 
     def backward(gout):
-        dzx = zx.ensure_grad() if zx.requires_grad else None
+        # each step's dz, scattered into zx's rows once all steps are done
+        dzs = np.empty((N, T, 4 * H)) if zx.requires_grad else None
         dz = gc = None  # gradients from the step after the current one
         for t, act, c_prev, tc, h_prev in reversed(steps):
             i, f, g, o = (act[:, k * H:(k + 1) * H] for k in range(4))
@@ -368,11 +399,13 @@ def lstm(zx, u, reverse: bool = False) -> Tensor:
                 dz[:, H:2 * H] = dc * c_prev * f * (1.0 - f)
             dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
             dz[:, 3 * H:] = gh * tc * o * (1.0 - o)
-            if dzx is not None:
-                dzx[:, t] += dz
+            if dzs is not None:
+                dzs[:, t] = dz
             if h_prev is not None and u.requires_grad:
                 u.accumulate(h_prev.T @ dz)
             gc = dc * f
+        if dzs is not None:
+            _scatter_grad(zx, windows, dzs)
 
     return _emit(hs, "lstm", (zx, u), backward)
 

@@ -568,8 +568,7 @@ def _load_trained(cfg, out: OutDir):
     model_cfg = _read_model_config(out.read(MODELCFG_FILE))
     glove = _load_glove(out.read(GLOVE_FILE)) if model_cfg.use_graph else None
     graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
-    rng = np.random.default_rng(model_cfg.seed)
-    params = mdl.build_params(model_cfg, rng, glove)
+    params = mdl.build_params(model_cfg, None, glove)  # the layout; draws nothing
     stored_values = load_checkpoint(out.read(CHECKPOINT_FILE))
     if set(stored_values) != set(params):
         raise DataError("checkpoint parameter names do not match the model config")

@@ -69,12 +69,12 @@ def glove_loss_and_grads(emb, bias, rows, cols, logx, wgt):
     resid = np.einsum("ij,ij->i", emb[rows], emb[cols]) + bias[rows] + bias[cols] - logx
     loss = float(np.sum(wgt * resid * resid))
     coef = 2.0 * wgt * resid
-    g_emb = np.zeros_like(emb)
-    np.add.at(g_emb, rows, coef[:, None] * emb[cols])
-    np.add.at(g_emb, cols, coef[:, None] * emb[rows])
-    g_bias = np.zeros_like(bias)
-    np.add.at(g_bias, rows, coef)
-    np.add.at(g_bias, cols, coef)
+    # every pair's terms, by row then by column: each stock's sum adds them
+    # in this order, as np.add.at over rows and then over cols would
+    ends = np.concatenate([rows, cols])
+    g_emb = ad.scatter_rows(ends, np.concatenate([coef[:, None] * emb[cols],
+                                                  coef[:, None] * emb[rows]]), emb.shape[0])
+    g_bias = np.bincount(ends, weights=np.concatenate([coef, coef]), minlength=bias.size)
     return loss, g_emb, g_bias
 
 

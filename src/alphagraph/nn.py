@@ -11,13 +11,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
+def glorot_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int,
                    shape=None) -> np.ndarray:
+    """Glorot-uniform draws of ``shape`` (default (fan_in, fan_out)); zeros,
+    drawing nothing, when ``rng`` is None."""
+    shape = shape if shape is not None else (fan_in, fan_out)
+    if rng is None:
+        return np.zeros(shape)
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-s, s, size=shape)
 
 
 def param(values, params: dict, name: str) -> Tensor:
@@ -50,24 +55,21 @@ def init_bilstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
     init_lstm_params(rng, in_dim, hidden, params, f"{prefix}.bwd")
 
 
-def bilstm(x: Tensor, seq_shape: tuple, hidden: int, params: dict, prefix: str) -> Tensor:
+def bilstm(x: Tensor, windows, hidden: int, params: dict, prefix: str) -> Tensor:
     """BiLSTM over N sequences of T steps -> (N, T, 2*hidden).
 
-    ``x`` holds the inputs as (N*T, in_dim) rows, row ``n * T + t`` being
-    step t of sequence n, and ``seq_shape`` is (N, T). Output t is the
-    forward state at t next to the backward state at t, both from a zero
-    initial state. Each direction projects all N*T rows through its ``w``
-    in one affine and runs its whole recurrence as one ``autodiff.lstm``.
+    ``x`` holds the inputs of U distinct cells as (U, in_dim) rows and
+    ``windows`` (N, T) the cell of each step of each sequence, so a cell
+    shared by several sequences is projected once. Output t is the forward
+    state at t next to the backward state at t, both from a zero initial
+    state. Each direction projects the U rows through its ``w`` in one
+    affine and runs its whole recurrence as one ``autodiff.lstm``.
     """
-    N, T = seq_shape
-    if x.ndim != 2 or T < 1 or x.shape[0] != N * T:
-        raise ShapeError(f"bilstm: expected (N*T, in_dim) rows for (N, T) = {seq_shape} "
-                         f"with T >= 1, got {x.shape}")
     halves = []
     for sub, reverse in (("fwd", False), ("bwd", True)):
         p = f"{prefix}.{sub}"
         zx = ad.affine(x, params[f"{p}.w"], params[f"{p}.b"])
-        halves.append(ad.lstm(ad.reshape(zx, (N, T, 4 * hidden)), params[f"{p}.u"], reverse))
+        halves.append(ad.lstm(zx, windows, params[f"{p}.u"], reverse))
     return ad.concat(halves, axis=-1)
 
 

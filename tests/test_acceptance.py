@@ -121,11 +121,12 @@ def test_criterion_1_gradient_integrity():
         lstm_params = {}
         nn.init_lstm_params(rng, 3, 4, lstm_params, "c")
         xs = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        windows = np.array([[0, 1, 2]])  # one sequence of the three rows
 
         def recurrence():
-            zx = ad.reshape(ad.affine(xs, lstm_params["c.w"], lstm_params["c.b"]), (1, 3, 16))
-            return mean(add(ad.lstm(zx, lstm_params["c.u"]),
-                            ad.lstm(zx, lstm_params["c.u"], reverse=True)))
+            zx = ad.affine(xs, lstm_params["c.w"], lstm_params["c.b"])
+            return mean(add(ad.lstm(zx, windows, lstm_params["c.u"]),
+                            ad.lstm(zx, windows, lstm_params["c.u"], reverse=True)))
 
         worst["lstm"] = max(worst["lstm"],
                             gradient_check(recurrence, list(lstm_params.values()) + [xs],
@@ -137,7 +138,7 @@ def test_criterion_1_gradient_integrity():
         seq = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
         def bi():
-            return mean(nn.bilstm(seq, (1, 3), 3, bi_params, "b"))
+            return mean(nn.bilstm(seq, windows, 3, bi_params, "b"))
 
         worst["bilstm"] = max(worst["bilstm"],
                               gradient_check(bi, list(bi_params.values()) + [seq],

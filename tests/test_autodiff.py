@@ -143,13 +143,22 @@ def test_matmul_backward_matches_fd(shapes):
 @pytest.mark.parametrize("op, args", [
     ("softmax", [(4,)]), ("softmax", [(2, 3, 4)]), ("matmul", [(4,), (4, 5)]),
     ("matmul", [(4,), (4,)]), ("affine", [(4,), (4, 5), (5,)]),
-    ("add_bias", [(3, 5), (5,)]), ("add_bias", [(3,), (3,)]),
-    ("lstm", [(3, 8), (2, 8)]), ("lstm", [(3, 0, 8), (2, 8)]), ("lstm", [(3, 2, 7), (2, 8)]),
-    ("lstm", [(3, 2, 8), (2, 7)]), ("lstm", [(3, 2, 8), (8,)]),
-    ("lstm", [(3, 2, 12), (2, 8)])])
+    ("add_bias", [(3, 5), (5,)]), ("add_bias", [(3,), (3,)])])
 def test_layer_primitives_take_only_the_ranks_the_model_uses(op, args):
     with pytest.raises(ShapeError):
         getattr(ad, op)(*(t(np.ones(shape)) for shape in args))
+
+
+@pytest.mark.parametrize("zx, windows, u", [
+    ((3, 2, 8), [[0, 1]], (2, 8)), ((3, 8), np.zeros((3, 0)), (2, 8)),
+    ((3, 8), [0, 1, 2], (2, 8)), ((3, 7), [[0, 1]], (2, 8)), ((3, 8), [[0, 1]], (2, 7)),
+    ((3, 8), [[0, 1]], (8,)), ((3, 12), [[0, 1]], (2, 8)), ((3, 8), [[0, 3]], (2, 8)),
+    ((3, 8), [[-1, 0]], (2, 8))],
+    ids=["3-D rows", "T=0", "1-D windows", "rows not 4H", "u not (H, 4H)", "1-D u",
+         "rows wider than 4H", "cell past the rows", "negative cell"])
+def test_lstm_rejects_bad_shapes_and_cells(zx, windows, u):
+    with pytest.raises(ShapeError):
+        ad.lstm(t(np.ones(zx)), np.asarray(windows), t(np.ones(u)))
 
 
 def test_structural_primitives_backward_matches_fd():
@@ -186,6 +195,35 @@ def test_gather_rows_with_2d_index_backward_matches_fd():
     _fd_case(lambda: mean(ad.tanh(ad.gather_rows(m, idx))), [m], 0)
 
 
+def test_gathers_with_repeated_rows_accumulate_matches_fd():
+    """Two gathers of one matrix, each reading some rows several times: the
+    second scatter adds into the gradient the first left."""
+    rng = np.random.default_rng(14)
+    m = t(rng.normal(size=(4, 3)))
+    probe = Tensor(rng.normal(size=(2, 3, 3)))
+
+    def build():
+        a = ad.gather_rows(m, np.array([[3, 0, 3], [0, 0, 1]]))
+        b = ad.gather_rows(m, np.array([[1, 1, 3], [3, 2, 1]]))
+        return mean(ad.tanh(add(mul(a, probe), b)))
+
+    _fd_case(build, [m], 0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scatter_rows_equals_add_at_into_zeros(seed):
+    rng = np.random.default_rng(seed)
+    n, width, k = 6, 4, 40
+    index = rng.integers(0, n - 1, size=k)  # repeats, and one row never hit
+    rows = rng.normal(size=(k, width)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
+    expected = np.zeros((n, width))
+    np.add.at(expected, index, rows)
+    assert np.array_equal(ad.scatter_rows(index, rows, n), expected)
+    # an index of any shape with its rows in the same order
+    assert np.array_equal(ad.scatter_rows(index.reshape(5, 8), rows.reshape(5, 8, width), n),
+                          expected)
+
+
 def test_weighted_sum_matches_loop_and_fd():
     rng = np.random.default_rng(9)
     seq, w = t(rng.normal(size=(3, 4, 5))), t(rng.normal(size=(3, 4)))
@@ -204,15 +242,22 @@ def _lstm_step_by_gates(z, c_prev):
     return mul(sigmoid(t(o)), ad.tanh(c)), c
 
 
+def _sequence_rows(zx):
+    """(N, T, 4H) pre-activations as N*T cell rows and their (N, T) windows."""
+    N, T, width = zx.shape
+    return zx.reshape(N * T, width), np.arange(N * T).reshape(N, T)
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_equals_per_gate_steps(reverse):
     rng = np.random.default_rng(10)
-    N, T, H = 3, 4, 2
-    zx, u = rng.normal(size=(N, T, 4 * H)), rng.normal(size=(H, 4 * H))
-    out = ad.lstm(t(zx), t(u), reverse).values
+    N, T, H, U = 3, 4, 2, 5
+    zx, u = rng.normal(size=(U, 4 * H)), rng.normal(size=(H, 4 * H))
+    windows = rng.integers(0, U, size=(N, T))
+    out = ad.lstm(t(zx), windows, t(u), reverse).values
     h, c = None, t(np.zeros((N, H)))  # zero initial state
     for step in range(T - 1, -1, -1) if reverse else range(T):
-        z = zx[:, step].copy() if h is None else zx[:, step] + h.values @ u
+        z = zx[windows[:, step]] if h is None else zx[windows[:, step]] + h.values @ u
         h, c = _lstm_step_by_gates(t(z), c)
         assert np.array_equal(out[:, step], h.values)
 
@@ -225,15 +270,27 @@ def test_lstm_non_finite_state_raises_fault(gate, step):
     zx = np.random.default_rng(12).normal(size=(2, 3, 8))
     zx[1, step, gate_cols(gate, 2)] = np.nan
     with pytest.raises(NumericalFault):
-        ad.lstm(t(zx), t(np.zeros((2, 8))))
+        ad.lstm(t(_sequence_rows(zx)[0]), _sequence_rows(zx)[1], t(np.zeros((2, 8))))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_backward_matches_fd(reverse):
     rng = np.random.default_rng(11)
-    zx, u = t(rng.normal(size=(2, 3, 8))), t(rng.normal(scale=0.5, size=(2, 8)))
+    zx, u = t(rng.normal(size=(6, 8))), t(rng.normal(scale=0.5, size=(2, 8)))
+    windows = np.arange(6).reshape(2, 3)
     probe = Tensor(rng.normal(size=(2, 3, 2)))
-    _fd_case(lambda: mean(mul(ad.lstm(zx, u, reverse), probe)), [zx, u], 0)
+    _fd_case(lambda: mean(mul(ad.lstm(zx, windows, u, reverse), probe)), [zx, u], 0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_backward_with_repeated_cells_matches_fd(reverse):
+    """Overlapping windows, as consecutive anchors of one stock give, and a
+    cell read twice by one sequence: every read adds into the cell's row."""
+    rng = np.random.default_rng(15)
+    zx, u = t(rng.normal(size=(5, 8))), t(rng.normal(scale=0.5, size=(2, 8)))
+    windows = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [4, 0, 4]])
+    probe = Tensor(rng.normal(size=(4, 3, 2)))
+    _fd_case(lambda: mean(mul(ad.lstm(zx, windows, u, reverse), probe)), [zx, u], 0)
 
 
 def test_batched_attention_matches_per_stock_and_fd():
@@ -350,7 +407,7 @@ def _lstm_seq(x, params, reverse=False, prefix="cell"):
     N, T, in_dim = x.shape
     zx = ad.affine(ad.reshape(x, (N * T, in_dim)), params[f"{prefix}.w"],
                    params[f"{prefix}.b"])
-    return ad.lstm(ad.reshape(zx, (N, T, -1)), params[f"{prefix}.u"], reverse)
+    return ad.lstm(zx, np.arange(N * T).reshape(N, T), params[f"{prefix}.u"], reverse)
 
 
 def test_lstm_zero_weights_give_zero_output():
@@ -372,7 +429,7 @@ def test_lstm_saturated_gates_copy_cell_state(reverse):
     zx[:, :, gate_cols("o", 4)] = 20.0
     zx[:, second, gate_cols("f", 4)] = 20.0
     zx[:, second, gate_cols("i", 4)] = -20.0
-    h = ad.lstm(Tensor(zx), u, reverse).values
+    h = ad.lstm(Tensor(_sequence_rows(zx)[0]), _sequence_rows(zx)[1], u, reverse).values
     assert np.max(np.abs(h[:, first])) > 0.1
     assert np.allclose(h[:, second], h[:, first], atol=1e-6)
 
@@ -418,17 +475,19 @@ def test_bilstm_output_shape_and_t1():
     rng = np.random.default_rng(2)
     params = {}
     nn.init_bilstm_params(rng, 3, 4, params, "b")
-    out = nn.bilstm(Tensor(rng.normal(size=(1, 3))), (1, 1), 4, params, "b")
+    out = nn.bilstm(Tensor(rng.normal(size=(1, 3))), [[0]], 4, params, "b")
     assert out.shape == (1, 1, 8)
     assert np.all(np.isfinite(out.values))
 
 
-@pytest.mark.parametrize("shape,seq_shape", [((0, 3), (1, 0)), ((1, 2, 3), (1, 2)),
-                                             ((5, 3), (2, 3))],
-                         ids=["empty", "3-D", "rows-not-N*T"])
-def test_bilstm_empty_sequence_rejected(shape, seq_shape):
+@pytest.mark.parametrize("shape,windows", [((2, 3), np.zeros((1, 0))), ((1, 2, 3), [[0, 1]]),
+                                           ((2, 3), [0, 1]), ((2, 3), [[0, 2]])],
+                         ids=["empty", "3-D", "1-D windows", "cell past the rows"])
+def test_bilstm_bad_input_rejected(shape, windows):
+    params = {}
+    nn.init_bilstm_params(np.random.default_rng(0), 3, 4, params, "b")
     with pytest.raises(ShapeError):
-        nn.bilstm(Tensor(np.zeros(shape)), seq_shape, 4, {}, "b")
+        nn.bilstm(Tensor(np.zeros(shape)), np.asarray(windows), 4, params, "b")
 
 
 def test_bilstm_palindrome_with_mirrored_parameters():
@@ -438,10 +497,10 @@ def test_bilstm_palindrome_with_mirrored_parameters():
     # mirror: backward direction shares the forward parameters
     for piece in ("w", "u", "b"):
         params[f"b.bwd.{piece}"].values = params[f"b.fwd.{piece}"].values.copy()
-    seq = [rng.normal(size=3) for _ in range(3)]
-    seq = seq + seq[-2::-1]  # palindrome of length 5
-    T = len(seq)
-    out = nn.bilstm(Tensor(np.array(seq)), (1, T), 4, params, "b").values[0]
+    cells = rng.normal(size=(3, 3))
+    windows = np.array([[0, 1, 2, 1, 0]])  # palindrome of length 5
+    T = windows.shape[1]
+    out = nn.bilstm(Tensor(cells), windows, 4, params, "b").values[0]
     for i in range(T):
         fwd_at_i = out[i, :4]
         bwd_at_mirror = out[T - 1 - i, 4:]
@@ -454,9 +513,10 @@ def test_bilstm_backward_matches_fd(seed):
     params = {}
     nn.init_bilstm_params(rng, 2, 3, params, "b")
     seq = t(rng.normal(size=(3, 2)))
+    windows = np.array([[0, 1, 2], [1, 2, 0], [2, 2, 1]])
 
     def build():
-        return mean(nn.bilstm(seq, (1, 3), 3, params, "b"))
+        return mean(nn.bilstm(seq, windows, 3, params, "b"))
 
     _fd_case(build, list(params.values()) + [seq], seed, tol=1e-5)
 

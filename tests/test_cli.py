@@ -3,7 +3,10 @@
 import collections
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphagraph import cli
-from alphagraph.checkpoint import load_checkpoint
+from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.cli import main
 from alphagraph.config import sha256_file
 from alphagraph.embeddings import build_knn_graph
@@ -241,6 +244,43 @@ def test_truncated_checkpoint_is_data_error(run_copy, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:-20])
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "truncated or corrupt checkpoint" in capsys.readouterr().err
+
+
+def _drop_head_bias(values: dict) -> dict:
+    return {k: v for k, v in values.items() if k != "head.b"}
+
+
+def _widen_head_weights(values: dict) -> dict:
+    return dict(values, **{"head.w": np.zeros(values["head.w"].size + 1)})
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (_drop_head_bias, "checkpoint parameter names do not match the model config"),
+    (_widen_head_weights, "checkpoint shape mismatch for head.w")])
+def test_checkpoint_not_matching_the_model_config_is_data_error(run_copy, capsys, edit,
+                                                                detail):
+    out, cfg_path = run_copy
+    ckpt = out / "checkpoint.bin"
+    save_checkpoint(ckpt, edit(load_checkpoint(ckpt)))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: data: {detail}\n"
+
+
+@pytest.mark.parametrize("command", ["predict", "interpret"])
+def test_model_stages_do_not_import_numpy_random(run_copy, command):
+    """A checkpoint is loaded into the parameter layout without drawing
+    initial values, so these stages leave numpy.random (about 6 MB in a
+    fresh process) unimported."""
+    out, cfg_path = run_copy
+    script = ("import sys\nfrom alphagraph.cli import main\n"
+              f"code = main([{command!r}, '--config', {str(cfg_path)!r}, '--out', {str(out)!r}])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.stdout.splitlines()[-1:] == ["0 False"], proc.stderr
 
 
 def _truncate(data: bytes) -> bytes:

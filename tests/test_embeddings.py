@@ -158,6 +158,27 @@ def test_epoch_kernel_matches_vectorized_reference():
     assert out.loss_trace[1:] == [after]
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_gradient_scatter_equals_add_at(seed):
+    """The per-stock sums are bit for bit those of np.add.at over the rows,
+    then over the cols, of every pair."""
+    x = random_cooccurrence(9, seed=seed)
+    rows, cols, vals = x.to_coo()
+    rng = np.random.default_rng(seed)
+    emb, bias = rng.normal(size=(9, 4)), rng.normal(size=9)
+    logx, wgt = np.log(vals), rng.uniform(0.1, 1.0, size=vals.size)
+    _, g_emb, g_bias = glove_loss_and_grads(emb, bias, rows, cols, logx, wgt)
+    coef = 2.0 * wgt * (np.einsum("ij,ij->i", emb[rows], emb[cols]) + bias[rows]
+                        + bias[cols] - logx)
+    ref_emb, ref_bias = np.zeros_like(emb), np.zeros_like(bias)
+    np.add.at(ref_emb, rows, coef[:, None] * emb[cols])
+    np.add.at(ref_emb, cols, coef[:, None] * emb[rows])
+    np.add.at(ref_bias, rows, coef)
+    np.add.at(ref_bias, cols, coef)
+    assert np.array_equal(g_emb, ref_emb)
+    assert np.array_equal(g_bias, ref_bias)
+
+
 def test_divergent_step_raises_numerical_fault():
     x = planted_two_clusters()
     with pytest.raises(NumericalFault) as exc:

@@ -267,28 +267,51 @@ def test_standardization_idempotence():
     assert np.max(np.abs(twice - once)) <= 1e-9
 
 
+def _check_standardized(col, bound):
+    out = standardize_cross_section(col, np.ones(col.size, dtype=bool))
+    sd = np.std(col)
+    if sd > 1e-12:
+        assert abs(out.mean()) <= 1e-9
+        assert out.min() >= -bound - 1e-12 and out.max() <= bound + 1e-12
+    elif sd > 1e-15:
+        # z-scored, not zeroed; the mean is off by the rounding of the
+        # column mean over sd
+        rounding = col.size * np.finfo(float).eps * np.abs(col).max() / sd
+        assert abs(out.mean()) <= 1e-9 + rounding
+        assert out.min() >= -bound - 1e-12 and out.max() <= bound + 1e-12
+    else:
+        assert np.allclose(out, 0.0)
+
+
+# At most 10 values: no z-score of n values exceeds sqrt(n - 1), so these
+# columns meet the [-3, 3] bound whether or not the clipping settles.
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=4, max_size=60))
+@given(st.lists(st.floats(-100, 100), min_size=4, max_size=10))
 @example([0.0, 0.0, 0.0, 1e-12])             # std 4e-13: z-scored, not zeroed
 # std 1.3e-12 but mean 0.0027: the zero threshold is absolute, not relative to
 # the column's magnitude (a known defect of standardize_cross_section)
 @example([100.0, 100.0, 100.0, 100.000000000003]).xfail(raises=AssertionError)
 def test_standardization_postconditions_property(values):
+    _check_standardized(np.asarray(values), 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-100, 100), min_size=11, max_size=60))
+def test_standardization_of_long_columns_is_bounded_by_sqrt_n_minus_1(values):
+    """Longer columns whose clipping does not settle in its 100 rounds can
+    end outside [-3, 3], but never beyond sqrt(n - 1)."""
     col = np.asarray(values)
-    mask = np.ones(col.size, dtype=bool)
-    out = standardize_cross_section(col, mask)
-    sd = np.std(col)
-    if sd > 1e-12:
-        assert abs(out[mask].mean()) <= 1e-9
-        assert out.min() >= -3.0 - 1e-12 and out.max() <= 3.0 + 1e-12
-    elif sd > 1e-15:
-        # z-scored, not zeroed; the mean is off by the rounding of the
-        # column mean over sd
-        rounding = col.size * np.finfo(float).eps * np.abs(col).max() / sd
-        assert abs(out[mask].mean()) <= 1e-9 + rounding
-        assert out.min() >= -3.0 - 1e-12 and out.max() <= 3.0 + 1e-12
-    else:
-        assert np.allclose(out, 0.0)
+    _check_standardized(col, np.sqrt(col.size - 1) * (1.0 + 1e-12))
+
+
+def test_standardization_of_a_lone_outlier():
+    """The lone outlier keeps z = sqrt(n - 1) through every clip round; with
+    21 values the rounds pull it in until the column has no dispersion."""
+    out = standardize_cross_section(np.array([0.0] * 10 + [1.0]), np.ones(11, dtype=bool))
+    assert np.isclose(out[-1], np.sqrt(10.0), rtol=1e-12, atol=0.0)
+    assert np.allclose(out[:-1], -1.0 / np.sqrt(10.0), rtol=1e-12, atol=0.0)
+    out = standardize_cross_section(np.array([0.0] * 20 + [1.0]), np.ones(21, dtype=bool))
+    assert np.array_equal(out, np.zeros(21))
 
 
 def test_factor_calendar_alignment(trending_panel):
