@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from alphagraph.backtest import quantile_analysis
-from alphagraph.cli import _read_forecasts, _write_forecasts
-from alphagraph.model import ForecastPanel
+from alphagraph.forecasts import ForecastPanel, read_forecasts, write_forecasts
 
 D, S = 409, 120
 
@@ -37,8 +36,8 @@ def test_bench_forecasts_round_trip(benchmark, panel, tmp_path):
     path = tmp_path / "forecasts.csv"
 
     def round_trip():
-        _write_forecasts(path, panel)
-        return _read_forecasts(path)
+        write_forecasts(path, panel)
+        return read_forecasts(path)
 
     back = benchmark(round_trip)
     assert np.array_equal(back.yhat, panel.yhat, equal_nan=True)

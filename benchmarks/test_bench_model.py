@@ -16,9 +16,9 @@ import pytest
 from alphagraph import autodiff as ad
 from alphagraph import nn
 from alphagraph.autodiff import Tape
+from alphagraph.config import ModelConfig, ablation_config
 from alphagraph.embeddings import StockEmbeddingSet, build_knn_graph
-from alphagraph.model import (EVAL_CHUNK, FeatureStore, ModelConfig, ablation_config,
-                              build_params, model_forward)
+from alphagraph.model import EVAL_CHUNK, FeatureStore, build_params, model_forward
 
 # the model settings of perfbench's workloads
 BASE = ModelConfig(lookback=5, embed_dim=8, n_factors=9, tech_dim=16, news_dim=8,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
-import itertools
 import json
 import sys
 import zipfile
@@ -19,21 +18,23 @@ from pathlib import Path
 
 import numpy as np
 
+# alphagraph.model, and with it nn, is imported only by the stages that
+# train or predict, so that the other stages load without it
 from . import backtest as bt
 from . import interpret as itp
-from . import model as mdl
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (load_config, manifest_outputs, manifest_path, sha256_file,
-                     write_manifest)
+from .config import (ModelConfig, ablation_config, load_config, manifest_outputs,
+                     manifest_path, sha256_file, write_manifest)
 from .embeddings import (StockEmbeddingSet, StockGraph, build_knn_graph,
                          export_graph_csv, train_glove)
 from .embfile import embedding_dim, read_embeddings, write_embeddings
 from .errors import (AlphagraphError, ConfigError, DataError, NumericalFault,
                      UsageError)
 from .factors import FactorPanel, compute_factors
+from .forecasts import read_forecasts, write_forecasts
 from .market import (BarPanel, daily_simple_returns, filter_universe, load_bars)
-from .news import (CooccurrenceMatrix, build_cooccurrence,
-                   build_vocabulary, daily_stock_news_vectors, load_articles)
+from .news import (CooccurrenceMatrix, build_cooccurrence, build_vocabulary,
+                   daily_stock_news_vectors, load_articles, news_cells)
 from .synth import SyntheticSpec, generate, write_market
 from .word2vec import WordEmbeddingSet, train_cbow
 
@@ -49,16 +50,14 @@ GRAPH_FILE = "graph.csv"
 CHECKPOINT_FILE = "checkpoint.bin"
 MODELCFG_FILE = "model_config.json"
 FORECASTS_FILE = "forecasts.csv"
-FORECASTS_HEADER = "date,symbol,yhat,y"
-# forecast rows formatted or parsed at a time: text temporaries stay at ~1 MB
-FORECAST_CHUNK = 8192
+ATTENTION_FILE = "temporal_attention.csv"
 
 # the command that writes each file a command reads, named by the errors
 # about a missing or malformed input
 WRITTEN_BY = {BARS_FILE: "synth", NEWS_FILE: "synth", PANEL_FILE: "ingest",
               FACTORS_FILE: "ingest", COOCCUR_FILE: "cooccur", WORDVEC_FILE: "train-word2vec",
               GLOVE_FILE: "train-glove", GRAPH_FILE: "graph", CHECKPOINT_FILE: "train",
-              MODELCFG_FILE: "train", FORECASTS_FILE: "predict"}
+              MODELCFG_FILE: "train", FORECASTS_FILE: "predict", ATTENTION_FILE: "predict"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,19 +100,20 @@ class OutDir:
 # ---------------------------------------------------------------------------
 
 class _NpzArrays:
-    """Every array of one ``.npz`` artifact, read at once. A truncated or
-    corrupt file (no zip directory, a member failing its CRC check), a
-    missing array or one of the wrong shape is a DataError naming the file
-    and the command that writes it."""
+    """Every array of one ``.npz`` artifact, or only those ``names``, read
+    at once. A truncated or corrupt file (no zip directory, a member read
+    failing its CRC check), a missing array or one of the wrong shape is a
+    DataError naming the file and the command that writes it."""
 
-    def __init__(self, path):
+    def __init__(self, path, *names):
         self.path = Path(path)
         try:
             z = np.load(self.path, allow_pickle=False)
             if not isinstance(z, np.lib.npyio.NpzFile):
                 raise ValueError("a single array, not an archive")
             with z:
-                self.arrays = {name: z[name] for name in z.files}
+                self.arrays = {name: z[name] for name in z.files
+                               if not names or name in names}
         except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
             raise self.error(f"truncated or corrupt .npz file ({exc})") from exc
 
@@ -246,127 +246,6 @@ def _load_word_embeddings(path) -> WordEmbeddingSet:
     return WordEmbeddingSet({t: i for i, t in enumerate(labels)}, matrix)
 
 
-def _write_forecasts(path, panel: mdl.ForecastPanel) -> None:
-    """One ``date,symbol,yhat,y`` row per forecast, in date order and then
-    in the panel's (sorted) symbol order; floats are their ``repr``, y is
-    empty where not finite."""
-    t_idx, s_idx = np.nonzero(panel.mask())
-    dates = [d.isoformat() for d in panel.calendar]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(FORECASTS_HEADER + "\n")
-        for start in range(0, t_idx.size, FORECAST_CHUNK):
-            t = t_idx[start:start + FORECAST_CHUNK]
-            s = s_idx[start:start + FORECAST_CHUNK]
-            y = panel.y[t, s]
-            labels = [repr(v) if ok else ""
-                      for v, ok in zip(y.tolist(), np.isfinite(y).tolist())]
-            rows = zip(t.tolist(), s.tolist(), panel.yhat[t, s].tolist(), labels)
-            fh.write("".join([f"{dates[d]},{panel.symbols[n]},{yhat!r},{label}\n"
-                              for d, n, yhat, label in rows]))
-
-
-def _float_column(path, name: str, texts: list, first_line: int) -> np.ndarray:
-    """float64 of each text as ``float`` parses it; a text it rejects is a
-    DataError naming its line (``texts[i]`` is on line first_line + i)."""
-    try:
-        return np.array(texts, dtype=np.float64)
-    except ValueError as exc:
-        for line, text in enumerate(texts, start=first_line):
-            try:
-                float(text)
-            except ValueError:
-                raise DataError(f"{path} line {line}: {name} {text!r} is not a number; "
-                                f"rerun predict") from None
-        raise DataError(f"{path}: {name}: {exc}; rerun predict") from exc
-
-
-def _sorted_codes(codes: dict, code: np.ndarray):
-    """The sorted keys of ``codes`` (key -> code, numbered 0, 1, ... in
-    insertion order) and the position of each entry of ``code`` among them."""
-    keys = sorted(codes)
-    rank = {key: i for i, key in enumerate(keys)}
-    return keys, np.array([rank[key] for key in codes], dtype=np.intp)[code]
-
-
-def _read_forecasts(path) -> mdl.ForecastPanel:
-    """``forecasts.csv`` as (D, S) panels over its sorted dates and symbols.
-
-    The header must be ``date,symbol,yhat,y``. Each row has four fields: a
-    YYYY-MM-DD date, a non-empty symbol, a finite yhat and an empty (NaN) or
-    numeric y, and no (date, symbol) pair repeats. Anything else is a
-    DataError naming the line.
-
-    Rows are read FORECAST_CHUNK at a time: a chunk is split into its four
-    columns, dates and symbols become integer codes in order of first
-    appearance, and each float column is parsed in one numpy call.
-    """
-    date_codes: dict[str, int] = {}
-    name_codes: dict[str, int] = {}
-    date_of, name_of = date_codes.setdefault, name_codes.setdefault
-    d_code, s_code, yhat_v, y_v = [], [], [], []  # one array per chunk
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != FORECASTS_HEADER:
-                raise DataError(f"{path} line 1: header {header!r}, expected "
-                                f"{FORECASTS_HEADER!r}; rerun predict")
-            for first in itertools.count(2, FORECAST_CHUNK):
-                lines = list(itertools.islice(fh, FORECAST_CHUNK))
-                if not lines:
-                    break
-                for line, text in enumerate(lines, start=first):
-                    if text.count(",") != 3:
-                        raise DataError(f"{path} line {line}: {text.count(',') + 1} "
-                                        f"fields, expected 4; rerun predict")
-                # four cells per line; a final newline leaves one empty cell past them
-                cells = "".join(lines).replace("\n", ",").split(",")[:4 * len(lines)]
-                d_code.append(np.array([date_of(t, len(date_codes)) for t in cells[0::4]]))
-                s_code.append(np.array([name_of(t, len(name_codes)) for t in cells[1::4]]))
-                yhat_v.append(_float_column(path, "yhat", cells[2::4], first))
-                y_v.append(_float_column(path, "y", [t or "nan" for t in cells[3::4]], first))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc}); rerun predict") from exc
-    if not d_code:
-        raise DataError(f"{path}: no forecasts")
-    d_code, s_code = np.concatenate(d_code), np.concatenate(s_code)
-    yhat_v, y_v = np.concatenate(yhat_v), np.concatenate(y_v)
-
-    def line_of(rows) -> str:
-        return f"{path} line {int(np.argmax(rows)) + 2}"
-
-    for k, text in enumerate(date_codes):
-        try:
-            day = dt.date.fromisoformat(text)
-        except ValueError as exc:
-            raise DataError(f"{line_of(d_code == k)}: bad date {text!r} ({exc}); "
-                            f"rerun predict") from None
-        if day.isoformat() != text:
-            raise DataError(f"{line_of(d_code == k)}: date {text!r} is not "
-                            f"YYYY-MM-DD; rerun predict")
-    if "" in name_codes:
-        raise DataError(f"{line_of(s_code == name_codes[''])}: empty symbol; "
-                        f"rerun predict")
-    bad = ~np.isfinite(yhat_v)
-    if bad.any():
-        raise DataError(f"{line_of(bad)}: yhat {float(yhat_v[bad][0])} is not finite; "
-                        f"rerun predict")
-    dates, d_idx = _sorted_codes(date_codes, d_code)
-    symbols, s_idx = _sorted_codes(name_codes, s_code)
-    cell = d_idx * len(symbols) + s_idx
-    order = np.argsort(cell, kind="stable")
-    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
-    if repeats.size:
-        i = int(repeats.min())
-        raise DataError(f"{path} line {i + 2}: second forecast for {symbols[s_idx[i]]} on "
-                        f"{dates[d_idx[i]]}; rerun predict")
-    yhat = np.full((len(dates), len(symbols)), np.nan)
-    y = np.full_like(yhat, np.nan)
-    yhat[d_idx, s_idx] = yhat_v
-    y[d_idx, s_idx] = y_v
-    return mdl.ForecastPanel(tuple(map(dt.date.fromisoformat, dates)), tuple(symbols),
-                             yhat, y)
-
-
 # ---------------------------------------------------------------------------
 # Shared pipeline assembly
 # ---------------------------------------------------------------------------
@@ -388,22 +267,23 @@ def _train_end(cfg) -> dt.date:
 
 
 def _model_config(cfg, ablation: str | None, glove_dim: int, n_factors: int,
-                  news_dim: int) -> mdl.ModelConfig:
+                  news_dim: int) -> ModelConfig:
     # every key of the model section is a ModelConfig field
-    base = mdl.ModelConfig(**cfg["model"], embed_dim=glove_dim, n_factors=n_factors,
-                           news_dim=news_dim, seed=cfg["seed"])
+    base = ModelConfig(**cfg["model"], embed_dim=glove_dim, n_factors=n_factors,
+                       news_dim=news_dim, seed=cfg["seed"])
     if ablation:
-        base = mdl.ablation_config(ablation, base)
+        base = ablation_config(ablation, base)
     return base
 
 
-def _assemble_dataset(cfg, out: OutDir, model_cfg: mdl.ModelConfig,
+def _assemble_dataset(cfg, out: OutDir, model_cfg: ModelConfig,
                       require_labels: bool = True, bars: BarPanel | None = None,
                       factors: FactorPanel | None = None):
     """(bars, dataset, news panel) of every sample the model config can use.
 
     The bar and factor panels are read from ``out`` unless the caller passes
     the ones it already holds, so a stage reads each file once."""
+    from . import model as mdl
     if not isinstance(out, OutDir):   # the directory itself (perfbench's tests pass it)
         out = OutDir(Path(out), cfg)
     if bars is None:
@@ -542,6 +422,7 @@ def cmd_train(cfg, out: OutDir, args):
     glove = _load_glove(out.read(GLOVE_FILE)) if out.has(GLOVE_FILE) else None
     model_cfg, train_ds = _training_set(cfg, out, args.ablation, glove)
     graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
+    from . import model as mdl
     trained = mdl.train(train_ds, model_cfg, glove if model_cfg.use_graph else None,
                         graph)
     save_checkpoint(out.write(CHECKPOINT_FILE), trained.params)
@@ -552,19 +433,18 @@ def cmd_train(cfg, out: OutDir, args):
             "trace": trained.trace}
 
 
-def _read_model_config(path) -> mdl.ModelConfig:
+def _read_model_config(path) -> ModelConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            model_cfg = mdl.ModelConfig.from_dict(json.load(fh))
+            model_cfg = ModelConfig.from_dict(json.load(fh))
         model_cfg.validate()
     except (TypeError, ValueError, ConfigError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise DataError(f"{path}: {exc}; rerun train") from exc
     return model_cfg
 
 
-def _load_trained(cfg, out: OutDir):
-    """The trained model, its config and the bar panel, on which the caller
-    builds its dataset rather than read the panel again."""
+def cmd_predict(cfg, out: OutDir, args):
+    from . import model as mdl
     model_cfg = _read_model_config(out.read(MODELCFG_FILE))
     glove = _load_glove(out.read(GLOVE_FILE)) if model_cfg.use_graph else None
     graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
@@ -577,12 +457,6 @@ def _load_trained(cfg, out: OutDir):
             raise DataError(f"checkpoint shape mismatch for {name}")
         params[name].values = values.astype(np.float64)
     bars = _load_panel(out.read(PANEL_FILE))
-    model = mdl.TrainedModel(params, model_cfg, graph, bars.symbols)
-    return model, model_cfg, bars
-
-
-def cmd_predict(cfg, out: OutDir, args):
-    model, model_cfg, bars = _load_trained(cfg, out)
     _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False, bars=bars)
     train_end = _train_end(cfg)
     spec = bt.split(bars.calendar, train_end, cfg["split"]["gap_days"])
@@ -593,25 +467,38 @@ def cmd_predict(cfg, out: OutDir, args):
     sub = ds.split_by_anchor(lo, hi)
     if sub.n == 0:
         raise DataError("no samples in the requested prediction window")
-    panel = mdl.predict(model, sub)
-    _write_forecasts(out.write(FORECASTS_FILE), panel)
+    model = mdl.TrainedModel(params, model_cfg, graph, bars.symbols)
+    panel, attention = mdl.predict(model, sub)
+    write_forecasts(out.write(FORECASTS_FILE), panel)
+    if attention is not None:  # the mean over the forecasts that have a label
+        with open(out.write(ATTENTION_FILE), "w", encoding="utf-8") as fh:
+            fh.write("lag,mean_weight\n")
+            for idx, wgt in enumerate(attention):
+                fh.write(f"-{model_cfg.lookback - idx}day,{repr(float(wgt))}\n")
     return {"window": args.window, "n_forecasts": sub.n,
             "test_start": spec.test_start.isoformat()}
 
 
-def cmd_backtest(cfg, out: OutDir, args):
-    fc = _read_forecasts(out.read(FORECASTS_FILE))
-    bars = _load_panel(out.read(PANEL_FILE))
-    unknown = ([d.isoformat() for d in fc.calendar if d not in bars.date_index]
-               + [s for s in fc.symbols if s not in bars.symbol_index])
+def _panel_positions(out: OutDir, fc, calendar, symbols):
+    """The panel row of each forecast date and the panel column of each
+    forecast symbol; a DataError if the forecasts name one the panel lacks."""
+    date_index = {d: i for i, d in enumerate(calendar)}
+    symbol_index = {s: i for i, s in enumerate(symbols)}
+    unknown = ([d.isoformat() for d in fc.calendar if d not in date_index]
+               + [s for s in fc.symbols if s not in symbol_index])
     if unknown:
         raise DataError(f"{out.path / FORECASTS_FILE}: {unknown[0]} is not in "
                         f"{out.path / PANEL_FILE}; the forecasts do not match the panel, "
                         f"rerun predict")
-    rets_full = daily_simple_returns(bars)
-    rows = [bars.date_index[d] for d in fc.calendar]
-    cols = [bars.symbol_index[s] for s in fc.symbols]
-    rets = rets_full[np.ix_(rows, cols)]
+    return ([date_index[d] for d in fc.calendar],
+            [symbol_index[s] for s in fc.symbols])
+
+
+def cmd_backtest(cfg, out: OutDir, args):
+    fc = read_forecasts(out.read(FORECASTS_FILE))
+    bars = _load_panel(out.read(PANEL_FILE))
+    rows, cols = _panel_positions(out, fc, bars.calendar, bars.symbols)
+    rets = daily_simple_returns(bars)[np.ix_(rows, cols)]
     sim = cfg["simulator"]
     if args.simulator == "longshort":
         ledger = bt.simulate_longshort(fc.yhat, rets, fc.calendar, fc.symbols,
@@ -643,7 +530,7 @@ def cmd_backtest(cfg, out: OutDir, args):
 
 
 def cmd_quantiles(cfg, out: OutDir, args):
-    fc = _read_forecasts(out.read(FORECASTS_FILE))
+    fc = read_forecasts(out.read(FORECASTS_FILE))
     reports = bt.quantile_analysis(fc.yhat, fc.y)
     bt.write_quantiles_csv(out.write("quantiles.csv"), reports)
     extra = {}
@@ -653,75 +540,87 @@ def cmd_quantiles(cfg, out: OutDir, args):
     return extra
 
 
+def _stored_param(stored: dict, name: str, shape: tuple) -> np.ndarray:
+    """Checkpoint parameter ``name``, which must have ``shape``."""
+    values = stored.get(name)
+    if values is None or values.shape != shape:
+        raise DataError(f"checkpoint parameter {name} is not of shape {shape}; rerun train")
+    return values
+
+
 def cmd_interpret(cfg, out: OutDir, args):
-    model, model_cfg, bars = _load_trained(cfg, out)
+    """Reports on the trained parameters and on the forecasts of the test
+    window, read from what train and predict wrote; runs no model."""
+    model_cfg = _read_model_config(out.read(MODELCFG_FILE))
     icfg = cfg["interpret"]
+    panel = _NpzArrays(out.read(PANEL_FILE), "calendar", "symbols")
+    calendar, symbols = panel.dates("calendar"), panel.strings("symbols")
+    fc = read_forecasts(out.read(FORECASTS_FILE))
+    rows, cols = _panel_positions(out, fc, calendar, symbols)
+    spec = bt.split(calendar, _train_end(cfg), cfg["split"]["gap_days"])
+    if fc.calendar[0] < spec.test_start or fc.calendar[-1] > spec.test_end:
+        raise DataError(f"{out.path / FORECASTS_FILE}: forecasts from {fc.calendar[0]} to "
+                        f"{fc.calendar[-1]}, not the test window {spec.test_start} to "
+                        f"{spec.test_end}; rerun predict --window test")
+    labelled = fc.aligned()
+    if labelled.any():
+        out.read(ATTENTION_FILE)
+    stored = load_checkpoint(out.read(CHECKPOINT_FILE))
 
     if model_cfg.use_graph:
-        emb = model.params["graph.emb"].values
-        symbols = model.symbols
+        emb = _stored_param(stored, "graph.emb", (len(symbols), model_cfg.embed_dim))
+        emb_symbols = symbols
     else:  # a non-graph model has no embeddings of its own: read train-glove's
         glove = _load_glove(out.read(GLOVE_FILE))
-        emb, symbols = glove.vectors, glove.symbols
+        emb, emb_symbols = glove.vectors, glove.symbols
     report = itp.pairwise_distance_report(emb)
     low, high = itp.extreme_distance_pairs(report, icfg["distance_band"])
     extreme_pairs = {
-        "closest": [[symbols[p.i], symbols[p.j]] for p in low],
-        "farthest": [[symbols[p.i], symbols[p.j]] for p in high],
+        "closest": [[emb_symbols[p.i], emb_symbols[p.j]] for p in low],
+        "farthest": [[emb_symbols[p.i], emb_symbols[p.j]] for p in high],
     }
     with open(out.write("pair_distances.csv"), "w", encoding="utf-8") as fh:
         fh.write("pair_a,pair_b,distance,percentile\n")
         for p in report:
-            fh.write(f"{symbols[p.i]},{symbols[p.j]},{repr(p.distance)},"
+            fh.write(f"{emb_symbols[p.i]},{emb_symbols[p.j]},{repr(p.distance)},"
                      f"{p.percentile:.4f}\n")
-    write_embeddings(out.write("final_stock_embeddings.txt"), symbols, emb)
+    write_embeddings(out.write("final_stock_embeddings.txt"), emb_symbols, emb)
 
-    factors = None
     if model_cfg.use_tech:
-        factors = _load_factors(out.read(FACTORS_FILE))
-        w = np.maximum(model.params["tech.w"].values, 0.0).T  # (m, l)
+        names = _NpzArrays(out.read(FACTORS_FILE), "names").strings("names")
+        tech_w = _stored_param(stored, "tech.w", (len(names), model_cfg.tech_dim))
+        w = np.maximum(tech_w, 0.0).T  # (m, l)
         k_emb = min(icfg["k_emb"], w.shape[1])
         freq = itp.factor_frequency(w, k_emb)
         with open(out.write("factor_importance.csv"), "w", encoding="utf-8") as fh:
             fh.write("rank,factor_index,factor_name,top_k_appearances\n")
             for rank, (j, count) in enumerate(freq, start=1):
-                fh.write(f"{rank},{j},{factors.factor_names[j]},{count}\n")
+                fh.write(f"{rank},{j},{names[j]},{count}\n")
 
-    _, ds, news_panel = _assemble_dataset(cfg, out, model_cfg, bars=bars, factors=factors)
-    spec = bt.split(bars.calendar, _train_end(cfg), cfg["split"]["gap_days"])
-    lo, hi = _window_indices(bars.calendar, spec.test_start, spec.test_end)
-    test_ds = ds.split_by_anchor(lo, hi)
-    if test_ds.n > 0:
-        capture: dict = {}
-        fc = mdl.predict(model, test_ds, capture=capture)
-        beta_mean = itp.aggregate_temporal_attention(capture["temporal_beta"])
+    if labelled.any():
+        row_index = None
+        if model_cfg.use_news:
+            row_index, article_ids, _, _ = news_cells(load_articles(out.read(NEWS_FILE)),
+                                                      symbols, calendar)
+        # forecasts in date order, then symbol order: equal errors rank by
+        # date, then by symbol (sorted order)
+        d_idx, s_idx = np.nonzero(labelled)
+        errors = (fc.yhat[d_idx, s_idx] - fc.y[d_idx, s_idx]) ** 2
+        buckets = itp.news_error_buckets(errors, (d_idx, s_idx), icfg["error_tail"])
         T = model_cfg.lookback
-        with open(out.write("temporal_attention.csv"), "w", encoding="utf-8") as fh:
-            fh.write("lag,mean_weight\n")
-            for idx, wgt in enumerate(beta_mean):
-                fh.write(f"-{T - idx}day,{repr(float(wgt))}\n")
-
-        anchors, stocks = test_ds.anchor_idx, test_ds.stock_idx
-        errors = (fc.yhat[anchors, stocks] - test_ds.labels) ** 2
-        # equal errors rank by date, then by symbol (sorted order)
-        S = bars.n_symbols
-        symbol_rank = np.empty(S, dtype=np.intp)
-        symbol_rank[sorted(range(S), key=bars.symbols.__getitem__)] = np.arange(S)
-        buckets = itp.news_error_buckets(errors, (anchors, symbol_rank[stocks]),
-                                         icfg["error_tail"])
         with open(out.write("news_error_buckets.csv"), "w", encoding="utf-8") as fh:
             fh.write("bucket,date,symbol,sq_error,article_ids\n")
             for name, bucket in (("low_error", buckets.low), ("high_error", buckets.high)):
                 for i in bucket:
-                    a, s = int(anchors[i]), int(stocks[i])
+                    a, s = rows[d_idx[i]], cols[s_idx[i]]
                     ids = []
-                    if news_panel is not None:
-                        for row in news_panel.row_index[a - T:a, s]:
-                            ids.extend(news_panel.article_ids[row])
-                    fh.write(f"{name},{bars.calendar[a].isoformat()},{bars.symbols[s]},"
+                    if row_index is not None:
+                        for row in row_index[a - T:a, s]:
+                            ids.extend(article_ids[row])
+                    fh.write(f"{name},{calendar[a].isoformat()},{symbols[s]},"
                              f"{repr(float(errors[i]))},{';'.join(ids)}\n")
 
-    return {"n_test_samples": test_ds.n, "extreme_pairs": extreme_pairs}
+    return {"n_test_samples": int(labelled.sum()), "extreme_pairs": extreme_pairs}
 
 
 COMMANDS = {

@@ -10,6 +10,10 @@ Every command writes a manifest JSON recording the effective configuration,
 the seed, and SHA-256 hashes of input and output files (keyed by basename,
 so manifests from different working directories compare equal). All
 randomness in a run flows from the single manifest seed.
+
+``ModelConfig`` is the model's own configuration: the ``model`` section plus
+the widths read from upstream artifacts, stored by ``train`` as
+``model_config.json``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import copy
 import hashlib
 import json
 import os
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -227,3 +232,83 @@ def write_manifest(outdir, command: str, cfg: dict, inputs, outputs,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+# ---------------------------------------------------------------------------
+# Model configuration
+# ---------------------------------------------------------------------------
+
+MAX_TECH_DIM = 1024
+
+ABLATIONS = {
+    "news": (False, False, True),
+    "tech": (False, True, False),
+    "tech+news": (False, True, True),
+    "graph+tech": (True, True, False),
+    "graph+news": (True, False, True),
+    "full": (True, True, True),
+}
+
+
+@dataclass
+class ModelConfig:
+    lookback: int = 5          # days of history per sample
+    embed_dim: int = 32        # stock embedding width
+    n_factors: int = 0         # technical factor count (set from the panel)
+    tech_dim: int = 200        # technical embedding width
+    news_dim: int = 400        # word/news vector width
+    hidden: int = 32           # LSTM width per direction
+    attn_hidden: int = 16      # neighbor-attention scorer width
+    temporal_hidden: int = 16  # temporal-attention scorer width
+    use_graph: bool = True
+    use_tech: bool = True
+    use_news: bool = True
+    horizon: int = 5
+    epochs: int = 30
+    lr: float = 1e-3
+    batch_size: int = 256
+    val_fraction: float = 0.2
+    patience: int = 10
+    nonneg_tech: bool = False  # interpretability mode: use relu(W) in the tech layer
+    seed: int = 0
+
+    def validate(self) -> None:
+        if self.lookback < 1:
+            raise ConfigError("lookback must be >= 1")
+        if self.horizon < 0:
+            raise ConfigError("horizon must be >= 0")
+        if not (self.use_graph or self.use_tech or self.use_news):
+            raise ConfigError("at least one input module must be enabled")
+        if self.tech_dim > MAX_TECH_DIM:
+            raise ConfigError(f"tech_dim {self.tech_dim} exceeds maximum {MAX_TECH_DIM}")
+        for name in ("embed_dim", "tech_dim", "news_dim", "hidden", "attn_hidden",
+                     "temporal_hidden", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+    @classmethod
+    def from_dict(cls, stored) -> "ModelConfig":
+        """The config whose ``vars`` are ``stored``. A TypeError names an
+        unknown field, or a value whose type is not its default's (an int
+        may stand for a float)."""
+        if not isinstance(stored, dict):
+            raise TypeError(f"expected an object of config fields, got {type(stored).__name__}")
+        cfg = cls(**stored)
+        for f in fields(cls):
+            value, kind = getattr(cfg, f.name), type(f.default)
+            if type(value) not in ((int, float) if kind is float else (kind,)):
+                raise TypeError(f"{f.name} is {value!r}, expected {kind.__name__}")
+        return cfg
+
+    def input_dim(self) -> int:
+        return (self.embed_dim * self.use_graph + self.tech_dim * self.use_tech
+                + self.news_dim * self.use_news)
+
+
+def ablation_config(name: str, base: ModelConfig) -> ModelConfig:
+    """Module flags for the named baseline; everything else matches ``base``."""
+    key = name.strip().lower().replace(" ", "")
+    if key not in ABLATIONS:
+        raise ConfigError(f"unknown ablation {name!r}; choose from {sorted(ABLATIONS)}")
+    graph, tech, news = ABLATIONS[key]
+    return replace(base, use_graph=graph, use_tech=tech, use_news=news)

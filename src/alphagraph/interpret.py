@@ -80,14 +80,6 @@ def factor_frequency(w_nonneg: np.ndarray, k_emb: int = 50) -> list[tuple[int, i
     return [(int(j), int(counts[j])) for j in order]
 
 
-def aggregate_temporal_attention(beta: np.ndarray) -> np.ndarray:
-    """Mean attention weight per lag over a sample set; sums to 1."""
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 2 or beta.shape[0] == 0:
-        raise DataError("aggregate_temporal_attention: need (n_samples, T) weights")
-    return beta.mean(axis=0)
-
-
 @dataclass
 class ErrorBuckets:
     low: np.ndarray   # positions of the samples with the smallest errors, in rank order

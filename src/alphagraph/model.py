@@ -1,4 +1,4 @@
-"""The end-to-end forecasting model and its baselines.
+"""The end-to-end forecasting model.
 
 Per sample (stock i, anchor day t): each of the T lookback days contributes
 the concatenation of the stock's graph-attention representation, its
@@ -12,7 +12,7 @@ Adam; the stock embedding matrix is fine-tuned through the attention path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,102 +20,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tape, Tensor
+from .config import ModelConfig
 from .embeddings import StockEmbeddingSet, StockGraph, attention_representation
-from .errors import ConfigError, DataError, NumericalFault, ShapeError
+from .errors import ConfigError, DataError, NumericalFault
 from .factors import FactorPanel
+from .forecasts import ForecastPanel
 from .market import BarPanel, log_return
 from .news import DailyNewsPanel
 
-MAX_TECH_DIM = 1024
 # samples per forward pass in prediction and validation; it bounds the cell
 # rows and (N, T, .) states a forward holds at once. At 256 the training
 # batches, not validation, set train's peak RSS on the perfbench news-text
 # workload: 44.5 MB, against 45.6 MB at 512 and 48.3 MB at 1,024
 EVAL_CHUNK = 256
-
-ABLATIONS = {
-    "news": (False, False, True),
-    "tech": (False, True, False),
-    "tech+news": (False, True, True),
-    "graph+tech": (True, True, False),
-    "graph+news": (True, False, True),
-    "full": (True, True, True),
-}
-
-
-@dataclass
-class ModelConfig:
-    lookback: int = 5          # days of history per sample
-    embed_dim: int = 32        # stock embedding width
-    n_factors: int = 0         # technical factor count (set from the panel)
-    tech_dim: int = 200        # technical embedding width
-    news_dim: int = 400        # word/news vector width
-    hidden: int = 32           # LSTM width per direction
-    attn_hidden: int = 16      # neighbor-attention scorer width
-    temporal_hidden: int = 16  # temporal-attention scorer width
-    use_graph: bool = True
-    use_tech: bool = True
-    use_news: bool = True
-    horizon: int = 5
-    epochs: int = 30
-    lr: float = 1e-3
-    batch_size: int = 256
-    val_fraction: float = 0.2
-    patience: int = 10
-    nonneg_tech: bool = False  # interpretability mode: use relu(W) in the tech layer
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.lookback < 1:
-            raise ConfigError("lookback must be >= 1")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be >= 0")
-        if not (self.use_graph or self.use_tech or self.use_news):
-            raise ConfigError("at least one input module must be enabled")
-        if self.tech_dim > MAX_TECH_DIM:
-            raise ConfigError(f"tech_dim {self.tech_dim} exceeds maximum {MAX_TECH_DIM}")
-        for name in ("embed_dim", "tech_dim", "news_dim", "hidden", "attn_hidden",
-                     "temporal_hidden", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    @classmethod
-    def from_dict(cls, stored) -> "ModelConfig":
-        """The config whose ``vars`` are ``stored``. A TypeError names an
-        unknown field, or a value whose type is not its default's (an int
-        may stand for a float)."""
-        if not isinstance(stored, dict):
-            raise TypeError(f"expected an object of config fields, got {type(stored).__name__}")
-        cfg = cls(**stored)
-        for f in fields(cls):
-            value, kind = getattr(cfg, f.name), type(f.default)
-            if type(value) not in ((int, float) if kind is float else (kind,)):
-                raise TypeError(f"{f.name} is {value!r}, expected {kind.__name__}")
-        return cfg
-
-    def input_dim(self) -> int:
-        return (self.embed_dim * self.use_graph + self.tech_dim * self.use_tech
-                + self.news_dim * self.use_news)
-
-
-def ablation_config(name: str, base: ModelConfig) -> ModelConfig:
-    """Module flags for the named baseline; everything else matches ``base``."""
-    key = name.strip().lower().replace(" ", "")
-    if key not in ABLATIONS:
-        raise ConfigError(f"unknown ablation {name!r}; choose from {sorted(ABLATIONS)}")
-    graph, tech, news = ABLATIONS[key]
-    return replace(base, use_graph=graph, use_tech=tech, use_news=news)
-
-
-def mse_loss(y: np.ndarray, yhat: np.ndarray) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise ShapeError(f"mse_loss: shapes {y.shape} and {yhat.shape} differ")
-    if y.size == 0:
-        raise DataError("mse_loss: empty batch")
-    d = y - yhat
-    return float(np.mean(d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +210,15 @@ def _distinct(keys: np.ndarray):
 
 def model_forward(params: dict, cfg: ModelConfig, store: FeatureStore,
                   stock_idx: np.ndarray, anchor_idx: np.ndarray,
-                  graph: StockGraph | None, capture: dict | None = None) -> Tensor:
-    """Forecasts for a batch of samples; (N,) tensor.
+                  graph: StockGraph | None) -> Tensor:
+    """Forecasts for a batch of samples; (N,) tensor. See ``_forward``."""
+    return _forward(params, cfg, store, stock_idx, anchor_idx, graph)[0]
+
+
+def _forward(params: dict, cfg: ModelConfig, store: FeatureStore, stock_idx: np.ndarray,
+             anchor_idx: np.ndarray, graph: StockGraph | None) -> tuple[Tensor, Tensor]:
+    """Forecasts (N,) and temporal attention weights (N, T) for a batch of
+    samples.
 
     Each layer runs once per batch. The per-day layers run once per distinct
     (day, stock) cell of the batch's lookback windows, since consecutive
@@ -322,11 +246,9 @@ def model_forward(params: dict, cfg: ModelConfig, store: FeatureStore,
         parts.append(Tensor(store.news_at(cell_day, cell_stock)))
     x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
 
-    vs = nn.bilstm(x, windows, cfg.hidden, params, "lstm")
+    vs = nn.bilstm(x, windows, params, "lstm")
     pooled, beta = temporal_pool(vs, params, "temporal")
-    if capture is not None:
-        capture["temporal_beta"] = beta.values.copy()
-    return ad.add_bias(ad.matmul(pooled, params["head.w"]), params["head.b"])
+    return ad.add_bias(ad.matmul(pooled, params["head.w"]), params["head.b"]), beta
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +264,15 @@ class TrainedModel:
     trace: list = field(default_factory=list)
 
 
-def _eval_chunks(params, cfg, ds: Dataset, graph, idx, capture: bool = False):
+def _eval_chunks(params, cfg, ds: Dataset, graph, idx):
     """Forecasts of the samples ``idx`` of ``ds``, EVAL_CHUNK samples per
     forward pass. Yields (the chunk's sample indices, its forecasts, its
-    temporal attention weights when ``capture``, else None)."""
+    temporal attention weights)."""
     for s in range(0, idx.size, EVAL_CHUNK):
         sub = idx[s:s + EVAL_CHUNK]
-        cap = {} if capture else None
-        out = model_forward(params, cfg, ds.store, ds.stock_idx[sub], ds.anchor_idx[sub],
-                            graph, capture=cap)
-        yield sub, out.values, None if cap is None else cap["temporal_beta"]
+        out, beta = _forward(params, cfg, ds.store, ds.stock_idx[sub], ds.anchor_idx[sub],
+                             graph)
+        yield sub, out.values, beta.values
 
 
 def _forward_loss_eval(params, cfg, ds: Dataset, graph, idx) -> float:
@@ -431,105 +352,24 @@ def train(dataset: Dataset, cfg: ModelConfig, init_emb: StockEmbeddingSet | None
 # Prediction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ForecastPanel:
-    calendar: tuple
-    symbols: tuple
-    yhat: np.ndarray  # (D, S), NaN where no forecast
-    y: np.ndarray     # (D, S), NaN where unknown
+def predict(model: TrainedModel, dataset: Dataset) -> tuple[ForecastPanel, np.ndarray | None]:
+    """Pure forward evaluation over a dataset, keyed by (entry day, stock).
 
-    def mask(self) -> np.ndarray:
-        return np.isfinite(self.yhat)
-
-    def aligned(self) -> np.ndarray:
-        return np.isfinite(self.yhat) & np.isfinite(self.y)
-
-
-def predict(model: TrainedModel, dataset: Dataset,
-            capture: dict | None = None) -> ForecastPanel:
-    """Pure forward evaluation over a dataset, keyed by (entry day, stock)."""
+    Returns the forecasts and the mean temporal attention weight per lag
+    over the samples that have a label (None if none has). The weights are
+    summed chunk by chunk, row by row in dataset order after the running
+    total, which are the additions of ``weights.mean(axis=0)`` over all of
+    them at once: the same bits, without holding an (n, T) array."""
     D, S = len(dataset.store.calendar), len(dataset.store.symbols)
     yhat = np.full((D, S), np.nan)
     y = np.full((D, S), np.nan)
-    betas = []
+    total, n_labelled = np.zeros(model.cfg.lookback), 0
     for sub, out, beta in _eval_chunks(model.params, model.cfg, dataset, model.graph,
-                                       np.arange(dataset.n), capture is not None):
+                                       np.arange(dataset.n)):
         yhat[dataset.anchor_idx[sub], dataset.stock_idx[sub]] = out
         y[dataset.anchor_idx[sub], dataset.stock_idx[sub]] = dataset.labels[sub]
-        betas.append(beta)
-    if capture is not None:
-        capture["temporal_beta"] = np.concatenate(betas, axis=0) if betas else np.zeros((0, model.cfg.lookback))
-    return ForecastPanel(dataset.store.calendar, dataset.store.symbols, yhat, y)
-
-
-# ---------------------------------------------------------------------------
-# Ridge baseline
-# ---------------------------------------------------------------------------
-
-def ridge_fit(x: np.ndarray, y: np.ndarray, lam: float):
-    """Ridge coefficients via the centered normal equations.
-
-    The intercept is fitted on the centered data and left unpenalized.
-    Returns (beta, intercept). Raises on a singular system at lam = 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if lam < 0:
-        raise ConfigError(f"ridge penalty must be >= 0, got {lam}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DataError("ridge_fit: non-finite inputs")
-    x_mean = x.mean(axis=0)
-    y_mean = y.mean()
-    xc = x - x_mean
-    yc = y - y_mean
-    gram = xc.T @ xc + lam * np.eye(x.shape[1])
-    if lam == 0 and np.linalg.matrix_rank(gram) < x.shape[1]:
-        raise NumericalFault("singular system at lambda = 0; use a positive penalty")
-    beta = np.linalg.solve(gram, xc.T @ yc)
-    return beta, float(y_mean - x_mean @ beta)
-
-
-def ridge_predict(x: np.ndarray, beta: np.ndarray, intercept: float) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64) @ beta + intercept
-
-
-def build_ridge_features(dataset: Dataset, cfg: ModelConfig,
-                         init_emb: StockEmbeddingSet | None) -> np.ndarray:
-    """Flat per-sample features: the per-day (news, factors, embedding)
-    triples over the lookback window, concatenated oldest first."""
-    if cfg.use_graph and init_emb is None:
-        raise ConfigError("graph features requested but no embeddings given")
-    blocks = []
-    T = cfg.lookback
-    st = dataset.store
-    for lag in range(T):
-        days = dataset.anchor_idx - T + lag
-        if cfg.use_news:
-            blocks.append(st.news_at(days, dataset.stock_idx))
-        if cfg.use_tech:
-            blocks.append(st.factors[days, dataset.stock_idx])
-        if cfg.use_graph:
-            blocks.append(init_emb.vectors[dataset.stock_idx])
-    return np.concatenate(blocks, axis=1)
-
-
-def ridge_scan(x: np.ndarray, y: np.ndarray, lambdas, val_fraction: float = 0.2,
-               seed: int = 0):
-    """Pick the penalty with the best held-out MSE, then refit on all rows.
-
-    Returns (beta, intercept, best_lambda).
-    """
-    rng = np.random.default_rng(seed)
-    n = x.shape[0]
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(val_fraction * n)))
-    val, tr = perm[:n_val], perm[n_val:]
-    best = (np.inf, None)
-    for lam in lambdas:
-        beta, icpt = ridge_fit(x[tr], y[tr], lam)
-        err = mse_loss(y[val], ridge_predict(x[val], beta, icpt))
-        if err < best[0]:
-            best = (err, lam)
-    lam = best[1]
-    beta, icpt = ridge_fit(x, y, lam)
-    return beta, icpt, lam
+        labelled = beta[np.isfinite(dataset.labels[sub])]
+        total = np.add.reduce(np.concatenate([total[None], labelled]), axis=0)
+        n_labelled += labelled.shape[0]
+    panel = ForecastPanel(dataset.store.calendar, dataset.store.symbols, yhat, y)
+    return panel, total / n_labelled if n_labelled else None

@@ -72,8 +72,11 @@ class NewsArticle:
 
 def load_articles(path, tokenizer=whitespace_tokenizer,
                   stopwords=DEFAULT_STOPWORDS) -> list[NewsArticle]:
-    """Read a JSONL news file and preprocess every article's text. A file
-    without articles, or not UTF-8, is a DataError."""
+    """Read a JSONL news file and preprocess every article's text. A line
+    that is not a JSON object with an ``id``, a YYYY-MM-DD ``date``, a
+    ``text`` string and (optionally) ``symbols``, a list of non-empty
+    strings, is a DataError naming the line; so is a file without
+    articles, or not UTF-8."""
     articles = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -83,10 +86,17 @@ def load_articles(path, tokenizer=whitespace_tokenizer,
                     continue
                 try:
                     rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise ValueError(f"{rec!r} is not a JSON object")
+                    symbols = rec.get("symbols", [])
+                    if not (isinstance(symbols, list)
+                            and all(isinstance(s, str) and s for s in symbols)):
+                        raise ValueError(f"symbols {symbols!r} is not a list of "
+                                         f"non-empty strings")
                     art = NewsArticle(
                         id=str(rec["id"]),
                         date=dt.date.fromisoformat(rec["date"]),
-                        symbols=list(rec.get("symbols", [])),
+                        symbols=symbols,
                         tokens=clean_tokens(rec["text"], tokenizer, stopwords),
                     )
                 except (KeyError, ValueError, TypeError) as exc:
@@ -151,26 +161,22 @@ def _next_trading_day_index(calendar, date: dt.date) -> int | None:
     return i if i < len(calendar) else None
 
 
-def daily_stock_news_vectors(articles, emb, universe, calendar) -> DailyNewsPanel:
-    """Average article vectors per stock per forecast day with no look-ahead.
+def news_cells(articles, universe, calendar):
+    """Place each article on the first trading day strictly after its
+    publication date, in the cell of each of its symbols; day-t cells
+    therefore hold only articles dated t-1 or earlier. Symbols outside
+    ``universe`` are counted and skipped.
 
-    Each article is mapped to the first trading day strictly after its
-    publication date; day-t vectors therefore use only articles dated t-1 or
-    earlier. Days without articles carry the zero vector and a count of 0.
-    Articles tagged with symbols outside ``universe`` are counted and skipped.
-
-    Two passes build the ragged rows without a (D, S, d_w) array. The first
-    gives each cell a row and counts its articles; the second adds each
-    article's vector to its rows in article order and divides by the
-    counts, so every mean is the one a dense running sum would give.
+    Each cell with an article gets a row, in order of its first article.
+    Returns the (D, S) int32 row of each cell, empty cells pointing at a
+    last row without articles; the ids of each row's articles; (article,
+    its rows) for each article inside the calendar; and the count of
+    skipped symbols.
     """
-    calendar = tuple(calendar)
-    symbols = tuple(universe)
-    sym_index = {s: i for i, s in enumerate(symbols)}
-    row_index = np.full((len(calendar), len(symbols)), -1, dtype=np.int32)
-    counts: list[int] = []
+    sym_index = {s: i for i, s in enumerate(universe)}
+    row_index = np.full((len(calendar), len(sym_index)), -1, dtype=np.int32)
     ids: list[list[str]] = []
-    placed = []  # (article, the rows it feeds) for each article inside the calendar
+    placed = []
     n_unknown = 0
     for art in articles:
         d = _next_trading_day_index(calendar, art.date)
@@ -184,16 +190,30 @@ def daily_stock_news_vectors(articles, emb, universe, calendar) -> DailyNewsPane
                 continue
             r = int(row_index[d, s])
             if r < 0:
-                r = len(counts)
+                r = len(ids)
                 row_index[d, s] = r
-                counts.append(0)
                 ids.append([])
-            counts[r] += 1
             ids[r].append(art.id)
             rows.append(r)
         placed.append((art, rows))
-    n_cells = len(counts)
-    row_index[row_index < 0] = n_cells
+    row_index[row_index < 0] = len(ids)
+    ids.append([])
+    return row_index, ids, placed, n_unknown
+
+
+def daily_stock_news_vectors(articles, emb, universe, calendar) -> DailyNewsPanel:
+    """Average article vectors per stock per forecast day with no look-ahead.
+
+    Articles are placed in their (day, stock) cells by ``news_cells``. Days
+    without articles carry the zero vector and a count of 0. Each article's
+    vector is added to its rows in article order and the sums divided by
+    the counts, so every mean is the one a dense running sum would give,
+    without a (D, S, d_w) array.
+    """
+    calendar = tuple(calendar)
+    symbols = tuple(universe)
+    row_index, ids, placed, n_unknown = news_cells(articles, symbols, calendar)
+    n_cells = len(ids) - 1
     vectors = np.zeros((n_cells + 1, emb.dim))
     n_all_oov = 0
     for art, rows in placed:
@@ -202,9 +222,8 @@ def daily_stock_news_vectors(articles, emb, universe, calendar) -> DailyNewsPane
             n_all_oov += 1
         for r in rows:
             vectors[r] += vec
-    article_count = np.array(counts + [0], dtype=np.int64)
+    article_count = np.array([len(row) for row in ids], dtype=np.int64)
     vectors[:n_cells] /= article_count[:n_cells, None]
-    ids.append([])
     return DailyNewsPanel(calendar, symbols, vectors, row_index, article_count, ids,
                           n_unknown, n_all_oov)
 

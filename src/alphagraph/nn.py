@@ -55,8 +55,9 @@ def init_bilstm_params(rng: np.random.Generator, in_dim: int, hidden: int,
     init_lstm_params(rng, in_dim, hidden, params, f"{prefix}.bwd")
 
 
-def bilstm(x: Tensor, windows, hidden: int, params: dict, prefix: str) -> Tensor:
-    """BiLSTM over N sequences of T steps -> (N, T, 2*hidden).
+def bilstm(x: Tensor, windows, params: dict, prefix: str) -> Tensor:
+    """BiLSTM over N sequences of T steps -> (N, T, 2*H), H the width of
+    ``{prefix}.fwd.u`` and ``{prefix}.bwd.u``.
 
     ``x`` holds the inputs of U distinct cells as (U, in_dim) rows and
     ``windows`` (N, T) the cell of each step of each sequence, so a cell

@@ -9,12 +9,15 @@
 * ``market_bars``: a synthetic market's bars as :class:`Bar` objects, and
   ``build_panel``, which assembles such bars into a :class:`BarPanel`.
 * ``news_rows``: a dense (D, S, d_w) news array as ragged cell rows.
+* ``mse_loss``, ``ridge_fit``, ``ridge_predict``, ``build_ridge_features``
+  and ``ridge_scan``: the ridge baseline of acceptance criterion 4 and its
+  unit tests; no stage runs it.
 """
 
 import numpy as np
 
 from alphagraph.autodiff import Tensor, _as_tensor, _emit
-from alphagraph.errors import DataError, ShapeError
+from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
 from alphagraph.market import (Bar, BarPanel, _duplicate_bar, _panel_from_columns,
                                _suspect_bars)
 
@@ -217,3 +220,87 @@ def news_rows(dense: np.ndarray):
     D, S, d_w = dense.shape
     rows = np.concatenate([dense.reshape(D * S, d_w), np.zeros((1, d_w))])
     return rows, np.arange(D * S, dtype=np.int32).reshape(D, S)
+
+
+# ---------------------------------------------------------------------------
+# Ridge baseline
+# ---------------------------------------------------------------------------
+
+def mse_loss(y: np.ndarray, yhat: np.ndarray) -> float:
+    """Mean squared error of two equal-shape, non-empty arrays."""
+    y = np.asarray(y, dtype=np.float64)
+    yhat = np.asarray(yhat, dtype=np.float64)
+    if y.shape != yhat.shape:
+        raise ShapeError(f"mse_loss: shapes {y.shape} and {yhat.shape} differ")
+    if y.size == 0:
+        raise DataError("mse_loss: empty batch")
+    d = y - yhat
+    return float(np.mean(d * d))
+
+
+def ridge_fit(x: np.ndarray, y: np.ndarray, lam: float):
+    """Ridge coefficients via the centered normal equations.
+
+    The intercept is fitted on the centered data and left unpenalized.
+    Returns (beta, intercept). Raises on a singular system at lam = 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if lam < 0:
+        raise ConfigError(f"ridge penalty must be >= 0, got {lam}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DataError("ridge_fit: non-finite inputs")
+    x_mean = x.mean(axis=0)
+    y_mean = y.mean()
+    xc = x - x_mean
+    yc = y - y_mean
+    gram = xc.T @ xc + lam * np.eye(x.shape[1])
+    if lam == 0 and np.linalg.matrix_rank(gram) < x.shape[1]:
+        raise NumericalFault("singular system at lambda = 0; use a positive penalty")
+    beta = np.linalg.solve(gram, xc.T @ yc)
+    return beta, float(y_mean - x_mean @ beta)
+
+
+def ridge_predict(x: np.ndarray, beta: np.ndarray, intercept: float) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64) @ beta + intercept
+
+
+def build_ridge_features(dataset, cfg, init_emb) -> np.ndarray:
+    """Flat per-sample features: the per-day (news, factors, embedding)
+    triples over the lookback window, concatenated oldest first."""
+    if cfg.use_graph and init_emb is None:
+        raise ConfigError("graph features requested but no embeddings given")
+    blocks = []
+    T = cfg.lookback
+    st = dataset.store
+    for lag in range(T):
+        days = dataset.anchor_idx - T + lag
+        if cfg.use_news:
+            blocks.append(st.news_at(days, dataset.stock_idx))
+        if cfg.use_tech:
+            blocks.append(st.factors[days, dataset.stock_idx])
+        if cfg.use_graph:
+            blocks.append(init_emb.vectors[dataset.stock_idx])
+    return np.concatenate(blocks, axis=1)
+
+
+def ridge_scan(x: np.ndarray, y: np.ndarray, lambdas, val_fraction: float = 0.2,
+               seed: int = 0):
+    """Pick the penalty with the best held-out MSE, then refit on all rows.
+
+    Returns (beta, intercept, best_lambda).
+    """
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    perm = rng.permutation(n)
+    n_val = max(1, int(round(val_fraction * n)))
+    val, tr = perm[:n_val], perm[n_val:]
+    best = (np.inf, None)
+    for lam in lambdas:
+        beta, icpt = ridge_fit(x[tr], y[tr], lam)
+        err = mse_loss(y[val], ridge_predict(x[val], beta, icpt))
+        if err < best[0]:
+            best = (err, lam)
+    lam = best[1]
+    beta, icpt = ridge_fit(x, y, lam)
+    return beta, icpt, lam

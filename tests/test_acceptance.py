@@ -22,7 +22,6 @@ from alphagraph.embeddings import (StockEmbeddingSet, StockGraph,
                                    glove_loss_and_grads, glove_weight,
                                    train_glove)
 from alphagraph.factors import compute_factors
-from alphagraph.interpret import aggregate_temporal_attention
 from alphagraph.model import Dataset, FeatureStore, ModelConfig
 from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence,
                              build_vocabulary, clean_tokens,
@@ -30,7 +29,8 @@ from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence
 from alphagraph.synth import SyntheticSpec, generate
 from alphagraph.word2vec import train_cbow
 
-from helpers import add, mean, mul, mul_rows, news_rows, sigmoid, stack_rows, take_row
+from helpers import (add, build_ridge_features, mean, mul, mul_rows, news_rows, ridge_predict,
+                     ridge_scan, sigmoid, stack_rows, take_row)
 
 N_SEEDS = 10
 PRIMITIVE_TOL = 1e-6
@@ -138,7 +138,7 @@ def test_criterion_1_gradient_integrity():
         seq = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
         def bi():
-            return mean(nn.bilstm(seq, windows, 3, bi_params, "b"))
+            return mean(nn.bilstm(seq, windows, bi_params, "b"))
 
         worst["bilstm"] = max(worst["bilstm"],
                               gradient_check(bi, list(bi_params.values()) + [seq],
@@ -327,17 +327,17 @@ def test_criterion_4_planted_signal_recovery(recovery_world):
     r2_oracle = bt.r_squared(test_ds.labels, signal)
 
     # (a) ridge baseline with the published penalty range
-    x_train = M.build_ridge_features(train_ds, cfg, w["stockvecs"])
-    x_test = M.build_ridge_features(test_ds, cfg, w["stockvecs"])
-    beta, icpt, lam = M.ridge_scan(x_train, train_ds.labels,
+    x_train = build_ridge_features(train_ds, cfg, w["stockvecs"])
+    x_test = build_ridge_features(test_ds, cfg, w["stockvecs"])
+    beta, icpt, lam = ridge_scan(x_train, train_ds.labels,
                                    [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0],
                                    seed=0)
-    r2_ridge = bt.r_squared(test_ds.labels, M.ridge_predict(x_test, beta, icpt))
+    r2_ridge = bt.r_squared(test_ds.labels, ridge_predict(x_test, beta, icpt))
     assert r2_ridge >= 0.5 * r2_oracle
 
     # (b) full model within 0.02 of ridge
     model = M.train(train_ds, cfg, w["stockvecs"], w["graph"])
-    forecast = M.predict(model, test_ds)
+    forecast, _ = M.predict(model, test_ds)
     aligned = forecast.aligned()
     r2_model = bt.r_squared(forecast.y[aligned], forecast.yhat[aligned])
     assert r2_model >= r2_ridge - 0.02
@@ -459,9 +459,7 @@ def test_criterion_8_temporal_attention_recency():
     ds = Dataset(store, np.asarray(stock_idx, dtype=np.intp),
                  np.asarray(anchor_idx, dtype=np.intp), np.asarray(labels))
     model = M.train(ds, cfg, None, None)
-    capture = {}
-    M.predict(model, ds, capture=capture)
-    beta = aggregate_temporal_attention(capture["temporal_beta"])
+    _, beta = M.predict(model, ds)
     assert beta.sum() == pytest.approx(1.0, abs=1e-9)
     # diagnostic shape: newest lag outweighs the oldest
     assert beta[-1] > beta[0]

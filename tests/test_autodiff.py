@@ -475,7 +475,7 @@ def test_bilstm_output_shape_and_t1():
     rng = np.random.default_rng(2)
     params = {}
     nn.init_bilstm_params(rng, 3, 4, params, "b")
-    out = nn.bilstm(Tensor(rng.normal(size=(1, 3))), [[0]], 4, params, "b")
+    out = nn.bilstm(Tensor(rng.normal(size=(1, 3))), [[0]], params, "b")
     assert out.shape == (1, 1, 8)
     assert np.all(np.isfinite(out.values))
 
@@ -487,7 +487,7 @@ def test_bilstm_bad_input_rejected(shape, windows):
     params = {}
     nn.init_bilstm_params(np.random.default_rng(0), 3, 4, params, "b")
     with pytest.raises(ShapeError):
-        nn.bilstm(Tensor(np.zeros(shape)), np.asarray(windows), 4, params, "b")
+        nn.bilstm(Tensor(np.zeros(shape)), np.asarray(windows), params, "b")
 
 
 def test_bilstm_palindrome_with_mirrored_parameters():
@@ -500,7 +500,7 @@ def test_bilstm_palindrome_with_mirrored_parameters():
     cells = rng.normal(size=(3, 3))
     windows = np.array([[0, 1, 2, 1, 0]])  # palindrome of length 5
     T = windows.shape[1]
-    out = nn.bilstm(Tensor(cells), windows, 4, params, "b").values[0]
+    out = nn.bilstm(Tensor(cells), windows, params, "b").values[0]
     for i in range(T):
         fwd_at_i = out[i, :4]
         bwd_at_mirror = out[T - 1 - i, 4:]
@@ -516,7 +516,7 @@ def test_bilstm_backward_matches_fd(seed):
     windows = np.array([[0, 1, 2], [1, 2, 0], [2, 2, 1]])
 
     def build():
-        return mean(nn.bilstm(seq, windows, 3, params, "b"))
+        return mean(nn.bilstm(seq, windows, params, "b"))
 
     _fd_case(build, list(params.values()) + [seq], seed, tol=1e-5)
 

@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 from alphagraph import cli
 from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.cli import main
-from alphagraph.config import sha256_file
+from alphagraph.config import ModelConfig, sha256_file
 from alphagraph.embeddings import build_knn_graph
 from alphagraph.embfile import embedding_dim, read_embeddings
 from alphagraph.errors import AlphagraphError, DataError
-from alphagraph.model import ModelConfig
+from alphagraph.news import load_articles
 
 
 def small_config(tmp_path, train_end):
@@ -77,10 +77,10 @@ def test_pipeline_produces_expected_artifacts(pipeline_run):
     for name in ("bars.csv", "news.jsonl", "panel.npz", "factors.npz",
                  "cooccur.npz", "word_embeddings.txt", "glove.npz",
                  "stock_embeddings.txt", "graph.csv", "checkpoint.bin",
-                 "model_config.json", "forecasts.csv", "pnl_daily.csv",
-                 "metrics.csv", "quantiles.csv", "pair_distances.csv",
-                 "factor_importance.csv", "temporal_attention.csv",
-                 "news_error_buckets.csv", "final_stock_embeddings.txt"):
+                 "model_config.json", "forecasts.csv", "temporal_attention.csv",
+                 "pnl_daily.csv", "metrics.csv", "quantiles.csv", "pair_distances.csv",
+                 "factor_importance.csv", "news_error_buckets.csv",
+                 "final_stock_embeddings.txt"):
         assert (out / name).exists(), name
 
 
@@ -266,21 +266,36 @@ def test_checkpoint_not_matching_the_model_config_is_data_error(run_copy, capsys
     assert capsys.readouterr().err == f"error: data: {detail}\n"
 
 
-@pytest.mark.parametrize("command", ["predict", "interpret"])
-def test_model_stages_do_not_import_numpy_random(run_copy, command):
-    """A checkpoint is loaded into the parameter layout without drawing
-    initial values, so these stages leave numpy.random (about 6 MB in a
-    fresh process) unimported."""
-    out, cfg_path = run_copy
+def _modules_left_loaded(run, command, modules) -> list[str]:
+    """Run ``command`` on ``run`` in a fresh interpreter; the last line it
+    prints: the exit code and those of ``modules`` left in sys.modules."""
+    out, cfg_path = run
     script = ("import sys\nfrom alphagraph.cli import main\n"
               f"code = main([{command!r}, '--config', {str(cfg_path)!r}, '--out', {str(out)!r}])\n"
-              "print(code, 'numpy.random' in sys.modules)\n")
+              f"print(code, [m for m in {modules!r} if m in sys.modules])\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=False)
-    assert proc.stdout.splitlines()[-1:] == ["0 False"], proc.stderr
+    assert proc.stdout, proc.stderr
+    return proc.stdout.splitlines()[-1:]
+
+
+@pytest.mark.parametrize("command", ["predict", "interpret"])
+def test_model_stages_do_not_import_numpy_random(run_copy, command):
+    """A checkpoint is loaded into the parameter layout without drawing
+    initial values, so these stages leave numpy.random (about 6 MB in a
+    fresh process) unimported."""
+    assert _modules_left_loaded(run_copy, command, ["numpy.random"]) == ["0 []"]
+
+
+@pytest.mark.parametrize("command", ["interpret", "backtest", "quantiles"])
+def test_report_stages_do_not_import_the_model(run_copy, command):
+    """The stages that read forecasts.csv run no model, and load neither
+    alphagraph.model nor alphagraph.nn."""
+    modules = ["alphagraph.model", "alphagraph.nn"]
+    assert _modules_left_loaded(run_copy, command, modules) == ["0 []"]
 
 
 def _truncate(data: bytes) -> bytes:
@@ -498,6 +513,44 @@ def test_forecasts_not_matching_the_panel_are_data_errors(run_copy, capsys, fiel
     assert main(["quantiles"] + base) == 0    # quantiles reads no panel
 
 
+def test_interpret_without_temporal_attention_is_data_error(run_copy, capsys):
+    out, cfg_path = run_copy
+    (out / "temporal_attention.csv").unlink()
+    assert main(["interpret", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ") and len(err.splitlines()) == 1
+    assert "temporal_attention.csv not found; run predict first" in err
+
+
+def test_interpret_after_a_train_window_predict_is_data_error(run_copy, capsys):
+    """interpret reports on the test window: forecasts of the training
+    window ask for predict to run again."""
+    out, cfg_path = run_copy
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["predict"] + base + ["--window", "train"]) == 0
+    capsys.readouterr()
+    assert main(["interpret"] + base) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {out / 'forecasts.csv'}: forecasts from ")
+    assert len(err.splitlines()) == 1 and err.endswith("; rerun predict --window test\n")
+
+
+@pytest.mark.parametrize("symbols", [[["S00"]], "S00", ["S00", ""]],
+                         ids=["nested list", "string", "empty symbol"])
+def test_news_symbols_not_a_list_of_names_is_data_error(run_copy, capsys, symbols):
+    """A string is not split into one-letter symbols, and a nested list
+    does not reach the co-mention count."""
+    out, cfg_path = run_copy
+    path = out / "news.jsonl"
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), symbols=symbols))
+    path.write_text("".join(line + "\n" for line in lines))
+    assert main(["cooccur", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {path} line 1: malformed news record: symbols ")
+    assert len(err.splitlines()) == 1 and "is not a list of non-empty strings" in err
+
+
 # ---------------------------------------------------------------------------
 # manifests list what each stage read and wrote; a failed command leaves
 # none of its outputs
@@ -506,8 +559,7 @@ def test_forecasts_not_matching_the_panel_are_data_errors(run_copy, capsys, fiel
 TRAINED = {"model_config.json", "checkpoint.bin", "panel.npz", "factors.npz", "news.jsonl",
            "word_embeddings.txt", "glove.npz", "graph.csv"}
 INTERPRET_OUTPUTS = {"pair_distances.csv", "final_stock_embeddings.txt",
-                     "factor_importance.csv", "temporal_attention.csv",
-                     "news_error_buckets.csv"}
+                     "factor_importance.csv", "news_error_buckets.csv"}
 READS_AND_WRITES = {
     "synth": (set(), {"bars.csv", "news.jsonl", "truth.json", "truth_signals.csv"}),
     "ingest": ({"bars.csv"}, {"panel.npz", "factors.npz"}),
@@ -517,10 +569,12 @@ READS_AND_WRITES = {
     "graph": ({"glove.npz"}, {"graph.csv"}),
     "train": (TRAINED - {"model_config.json", "checkpoint.bin"},
               {"checkpoint.bin", "model_config.json"}),
-    "predict": (TRAINED, {"forecasts.csv"}),
+    "predict": (TRAINED, {"forecasts.csv", "temporal_attention.csv"}),
     "backtest": ({"forecasts.csv", "panel.npz"}, {"pnl_daily.csv", "metrics.csv"}),
     "quantiles": ({"forecasts.csv"}, {"quantiles.csv"}),
-    "interpret": (TRAINED, INTERPRET_OUTPUTS),
+    "interpret": ({"model_config.json", "checkpoint.bin", "panel.npz", "factors.npz",
+                   "news.jsonl", "forecasts.csv", "temporal_attention.csv"},
+                  INTERPRET_OUTPUTS),
 }
 
 
@@ -562,9 +616,9 @@ def test_model_stages_read_each_panel_once(run_copy, monkeypatch, cmd):
     opened = collections.Counter()
 
     class CountingNpz(cli._NpzArrays):
-        def __init__(self, path):
+        def __init__(self, path, *names):
             opened[Path(path).name] += 1
-            super().__init__(path)
+            super().__init__(path, *names)
 
     monkeypatch.setattr(cli, "_NpzArrays", CountingNpz)
     manifest = out / f"{cmd}_manifest.json"
@@ -855,3 +909,56 @@ def test_checkpoint_loader_fuzz(fuzz_run, data):
     out, _ = fuzz_run
     damaged = data.draw(_byte_edits((out / "checkpoint.bin").read_bytes()))
     _load_and_predict(fuzz_run, "checkpoint.bin", damaged, load_checkpoint)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed news records
+# ---------------------------------------------------------------------------
+
+_NEWS_FIELDS = ["id", "date", "symbols", "text", ""]
+_NEWS_VALUES = [["S00"], [["S00"]], "S00", [""], ["S00", 1], "2015-13-01", "2015-02-03",
+                "20150203", "", " ", "http://x.y/z", {"a": 1}]
+
+
+@st.composite
+def _record_edits(draw, text: str) -> bytes:
+    """``text``, one JSON object per line, with one to three records edited:
+    a field set to another JSON value or deleted, the symbols set to a list
+    of JSON values, or the whole record replaced by a JSON value."""
+    lines = text.splitlines()
+    values = _json_values | st.sampled_from(_NEWS_VALUES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[i])
+        kind = draw(st.sampled_from(["set", "delete", "symbols", "replace"]))
+        if kind == "replace" or not isinstance(record, dict):
+            record = draw(values)
+        elif kind == "delete":
+            record.pop(draw(st.sampled_from(_NEWS_FIELDS)), None)
+        elif kind == "symbols":
+            record["symbols"] = draw(st.lists(values | st.sampled_from(["S00", "S01"]),
+                                              max_size=3))
+        else:
+            record[draw(st.sampled_from(_NEWS_FIELDS))] = draw(values)
+        lines[i] = json.dumps(record)
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_news_loader_fuzz(fuzz_run, data):
+    """Any such news file loads, or raises an AlphagraphError; cooccur
+    exits 0 or 2."""
+    out, cfg_path = fuzz_run
+    path = out / "news.jsonl"
+    original = path.read_bytes()
+    damaged = data.draw(_record_edits(original.decode()) | _byte_edits(original))
+    path.write_bytes(damaged)
+    try:
+        try:
+            load_articles(path)
+        except AlphagraphError:
+            pass
+        assert main(["cooccur", "--config", str(cfg_path), "--out", str(out)]) in (0, 2)
+    finally:
+        path.write_bytes(original)

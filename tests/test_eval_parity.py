@@ -19,10 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphagraph import backtest as bt
-from alphagraph import cli
-from alphagraph.cli import _read_forecasts, _write_forecasts
+from alphagraph import forecasts
 from alphagraph.errors import DataError
-from alphagraph.model import ForecastPanel
+from alphagraph.forecasts import ForecastPanel, read_forecasts, write_forecasts
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
            0.1, -0.1, 1.0, np.nan, np.inf, -np.inf]
@@ -32,7 +31,7 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e30
 # per-row references
 # ---------------------------------------------------------------------------
 
-def ref_write_forecasts(path, panel):
+def refwrite_forecasts(path, panel):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,symbol,yhat,y\n")
         mask = panel.mask()
@@ -46,7 +45,7 @@ def ref_write_forecasts(path, panel):
                          f"{repr(float(panel.yhat[t, s]))},{y_txt}\n")
 
 
-def ref_read_forecasts(path):
+def refread_forecasts(path):
     rows = []
     with open(path, encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
@@ -133,10 +132,10 @@ def panel_of(yhat, y, symbols=None):
 
 def check_round_trip(tmp_path, panel):
     got, expected = tmp_path / "new.csv", tmp_path / "ref.csv"
-    _write_forecasts(got, panel)
-    ref_write_forecasts(expected, panel)
+    write_forecasts(got, panel)
+    refwrite_forecasts(expected, panel)
     assert got.read_bytes() == expected.read_bytes()
-    a, b = _read_forecasts(got), ref_read_forecasts(expected)
+    a, b = read_forecasts(got), refread_forecasts(expected)
     assert a.calendar == b.calendar and a.symbols == b.symbols
     assert all(type(s) is str for s in a.symbols)
     assert same(a.yhat, b.yhat) and same(a.y, b.y)
@@ -176,7 +175,7 @@ def test_forecasts_round_trip_bit_equal_with_special_values(tmp_path):
 def test_forecast_rows_follow_the_panel_order(tmp_path):
     yhat, y = special_panel(D=5, S=4, seed=3)
     symbols = ("ZZ", "AB", "aa", "M1")     # not in sorted order in the panel
-    _write_forecasts(tmp_path / "f.csv", panel_of(yhat, y, symbols))
+    write_forecasts(tmp_path / "f.csv", panel_of(yhat, y, symbols))
     keys = [tuple(line.split(",")[:2])
             for line in (tmp_path / "f.csv").read_text().splitlines()[1:]]
     by_cell = [(d, s) for d in sorted({k[0] for k in keys}) for s in symbols
@@ -187,13 +186,13 @@ def test_forecast_rows_follow_the_panel_order(tmp_path):
 
 @pytest.mark.parametrize("chunk", [1, 3, 8192])
 def test_forecasts_round_trip_across_chunks(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(cli, "FORECAST_CHUNK", chunk)
+    monkeypatch.setattr(forecasts, "FORECAST_CHUNK", chunk)
     yhat, y = special_panel(D=12, S=9, seed=5)
     panel = check_round_trip(tmp_path, panel_of(yhat, y))
     # a last row without its newline reads the same
     path = tmp_path / "new.csv"
     path.write_bytes(path.read_bytes()[:-1])
-    back = _read_forecasts(path)
+    back = read_forecasts(path)
     assert back.calendar == panel.calendar and back.symbols == panel.symbols
     assert same(back.yhat, panel.yhat) and same(back.y, panel.y)
 
@@ -211,10 +210,10 @@ DAMAGE = [  # (line, field, text, message after "line N: ")
 @pytest.mark.parametrize("line, field, text, message", DAMAGE)
 def test_forecast_errors_name_the_line_across_chunks(tmp_path, monkeypatch, chunk, line,
                                                      field, text, message):
-    monkeypatch.setattr(cli, "FORECAST_CHUNK", chunk)
+    monkeypatch.setattr(forecasts, "FORECAST_CHUNK", chunk)
     rng = np.random.default_rng(6)
     path = tmp_path / "f.csv"
-    _write_forecasts(path, panel_of(rng.normal(size=(4, 4)), rng.normal(size=(4, 4))))
+    write_forecasts(path, panel_of(rng.normal(size=(4, 4)), rng.normal(size=(4, 4))))
     lines = path.read_text().splitlines()
     cells = lines[line - 1].split(",")
     if text is None:
@@ -224,12 +223,12 @@ def test_forecast_errors_name_the_line_across_chunks(tmp_path, monkeypatch, chun
     lines[line - 1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError) as exc:
-        _read_forecasts(path)
+        read_forecasts(path)
     assert str(exc.value).startswith(f"{path} line {line}: {message}")
     # a repeated row is reported at its second occurrence
     path.write_text("\n".join(lines[:line - 1] + [lines[2]] + lines[line:]) + "\n")
     with pytest.raises(DataError, match=f"line {line}: second forecast for S00"):
-        _read_forecasts(path)
+        read_forecasts(path)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,4 @@
-"""Interpretation reports: distances, factor importance, attention, errors."""
+"""Interpretation reports: distances, factor importance, error buckets."""
 
 import math
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from alphagraph.embfile import read_embeddings, write_embeddings
 from alphagraph.errors import ConfigError, DataError
-from alphagraph.interpret import (aggregate_temporal_attention, extreme_distance_pairs,
-                                  factor_frequency, factor_importance,
-                                  news_error_buckets, pairwise_distance_report)
+from alphagraph.interpret import (extreme_distance_pairs, factor_frequency,
+                                  factor_importance, news_error_buckets,
+                                  pairwise_distance_report)
 
 
 # ---------------------------------------------------------------------------
@@ -112,37 +112,6 @@ def test_factor_frequency_top_is_planted():
     freq = factor_frequency(w, k_emb=2)
     assert freq[0][0] == 3
     assert freq[0][1] == 10
-
-
-# ---------------------------------------------------------------------------
-# temporal attention aggregation
-# ---------------------------------------------------------------------------
-
-def test_aggregate_temporal_attention_sums_to_one():
-    rng = np.random.default_rng(6)
-    raw = rng.random((50, 5))
-    beta = raw / raw.sum(axis=1, keepdims=True)
-    mean = aggregate_temporal_attention(beta)
-    assert mean.shape == (5,)
-    assert mean.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(mean >= 0)
-
-
-def test_aggregate_temporal_attention_uniform_for_identical_inputs():
-    from alphagraph.autodiff import Tensor
-    from alphagraph.model import temporal_pool
-    rng = np.random.default_rng(7)
-    params = {"t.w": Tensor(rng.normal(size=(6, 3))), "t.b": Tensor(np.zeros(3)),
-              "t.v": Tensor(rng.normal(size=3))}
-    rows = rng.normal(size=(10, 6))  # ten samples, each the same vector on all five days
-    _, beta = temporal_pool(Tensor(np.stack([rows] * 5, axis=1)), params, "t")
-    mean = aggregate_temporal_attention(beta.values)
-    assert np.allclose(mean, 0.2, atol=1e-12)
-
-
-def test_aggregate_rejects_empty():
-    with pytest.raises(DataError):
-        aggregate_temporal_attention(np.zeros((0, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Model assembly, training behavior, prediction purity, ridge baseline."""
+"""Model assembly, training behavior, prediction purity, and the ridge
+baseline of the tests (``helpers``)."""
 
 from dataclasses import replace
 
@@ -6,15 +7,16 @@ import numpy as np
 import pytest
 
 from alphagraph import autodiff as ad
+from alphagraph import model as mdl
 from alphagraph.autodiff import Tensor
+from alphagraph.config import ModelConfig, ablation_config
 from alphagraph.embeddings import StockEmbeddingSet, StockGraph
 from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
-from alphagraph.model import (ModelConfig, ablation_config, build_dataset,
-                              build_params, mse_loss, model_forward, predict,
-                              ridge_fit, ridge_predict, ridge_scan, temporal_pool,
-                              train)
+from alphagraph.model import (Dataset, build_dataset, build_params, model_forward, predict,
+                              temporal_pool, train)
 
-from helpers import gate_cols, news_rows
+from helpers import (gate_cols, mse_loss, news_rows, ridge_fit, ridge_predict,
+                     ridge_scan)
 from test_market import make_bars  # shared panel builder
 
 
@@ -358,14 +360,37 @@ def test_predict_pure_and_order_invariant():
     _, cfg, ds, emb, graph = tiny_world(seed=8)
     cfg.epochs = 3
     model = train(ds, cfg, emb, graph)
-    fc1 = predict(model, ds)
-    fc2 = predict(model, ds)
+    fc1, att1 = predict(model, ds)
+    fc2, att2 = predict(model, ds)
     assert np.array_equal(fc1.yhat, fc2.yhat, equal_nan=True)
+    assert np.array_equal(att1, att2)
     perm = np.random.default_rng(0).permutation(ds.n)
-    fc3 = predict(model, ds.subset(perm))
+    fc3, att3 = predict(model, ds.subset(perm))
     finite = np.isfinite(fc1.yhat)
     assert np.array_equal(finite, np.isfinite(fc3.yhat))
     assert np.allclose(fc1.yhat[finite], fc3.yhat[finite], atol=1e-12)
+    assert np.allclose(att1, att3, atol=1e-12)
+
+
+def test_predict_attention_is_the_mean_over_labelled_samples(monkeypatch):
+    """Summed chunk by chunk, the mean attention per lag has the bits of
+    one mean over the labelled samples' weights, held at once; samples
+    without a label are left out, and without any the mean is None."""
+    _, cfg, ds, emb, graph = tiny_world(seed=8)
+    cfg.epochs = 1
+    model = train(ds, cfg, emb, graph)
+    labels = ds.labels.copy()
+    labels[::3] = np.nan
+    unlabelled = Dataset(ds.store, ds.stock_idx, ds.anchor_idx, labels)
+    monkeypatch.setattr(mdl, "EVAL_CHUNK", 7)
+    idx = np.arange(ds.n)
+    weights = np.concatenate([beta for _, _, beta in mdl._eval_chunks(
+        model.params, cfg, ds, graph, idx)])
+    _, attention = predict(model, unlabelled)
+    assert np.array_equal(attention, weights[np.isfinite(labels)].mean(axis=0))
+    assert attention.sum() == pytest.approx(1.0)
+    labels[:] = np.nan
+    assert predict(model, Dataset(ds.store, ds.stock_idx, ds.anchor_idx, labels))[1] is None
 
 
 def test_single_sample_layerwise_oracle():

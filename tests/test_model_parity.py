@@ -16,9 +16,9 @@ import pytest
 from alphagraph import autodiff as ad
 from alphagraph import nn
 from alphagraph.autodiff import Tape, Tensor
+from alphagraph.config import ModelConfig, ablation_config
 from alphagraph.embeddings import StockEmbeddingSet, StockGraph
-from alphagraph.model import (FeatureStore, ModelConfig, ablation_config, build_params,
-                              model_forward)
+from alphagraph.model import FeatureStore, build_params, model_forward
 
 from helpers import add, gate_block, mul, mul_rows, news_rows, sigmoid, stack, take_col
 

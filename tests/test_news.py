@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from alphagraph.news import (NewsArticle, build_cooccurrence, build_vocabulary,
-                             clean_tokens, daily_stock_news_vectors,
+                             clean_tokens, daily_stock_news_vectors, news_cells,
                              news_vector, whitespace_tokenizer)
 from alphagraph.word2vec import WordEmbeddingSet
 
@@ -136,6 +136,20 @@ def test_unknown_symbol_counted_and_ignored():
     panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
     assert panel.n_unknown_symbols == 1
     assert panel.article_count[panel.row_index[1, 0]] == 1
+
+
+def test_news_cells_place_articles_as_the_panel_does():
+    """The cell of each article and the ids of each cell, without any word
+    vectors, are those of the news panel."""
+    articles = [art(0, CAL[0], ["AAA", "BBB"], ["x"]), art(1, CAL[0], ["BBB"], []),
+                art(2, CAL[3], ["CCC", "AAA"], ["x"]), art(3, CAL[-1], ["AAA"], ["x"])]
+    row_index, ids, placed, n_unknown = news_cells(articles, ["AAA", "BBB"], CAL)
+    panel = daily_stock_news_vectors(articles, emb_of({"x": [1.0]}), ["AAA", "BBB"], CAL)
+    assert np.array_equal(row_index, panel.row_index)
+    assert ids == panel.article_ids == [["A0"], ["A0", "A1"], ["A2"], []]
+    assert [ids[r] for r in row_index[1]] == [["A0"], ["A0", "A1"]]
+    assert [(a.id, rows) for a, rows in placed] == [("A0", [0, 1]), ("A1", [1]), ("A2", [2])]
+    assert n_unknown == panel.n_unknown_symbols == 1
 
 
 def test_temporal_hygiene_deleting_future_articles():
