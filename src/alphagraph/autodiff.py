@@ -431,51 +431,3 @@ def sq_error(pred, target) -> Tensor:
 
     return _emit(np.asarray(np.mean(diff * diff)), "sq_error", (pred,), backward)
 
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-def gradient_check(f, params, h: float = 1e-5, max_coords_per_param: int | None = None,
-                   seed: int = 0) -> float:
-    """Compare analytic gradients of a scalar function against central differences.
-
-    ``f`` must be a zero-argument callable that rebuilds the forward pass from
-    the current parameter values and returns a scalar :class:`Tensor`. The
-    analytic gradient is taken from one taped backward pass; each sampled
-    coordinate is then probed with ``(f(x+h) - f(x-h)) / 2h`` evaluated
-    outside any tape. Returns the maximum relative error, where the relative
-    error uses ``max(|analytic|, |numeric|, 1e-8)`` as the denominator.
-    """
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    with Tape() as tape:
-        loss = f()
-        tape.backward(loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
-                for p in params]
-    for p in params:
-        p.zero_grad()
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, ag in zip(params, analytic):
-        flat = p.values.reshape(-1)
-        n = flat.size
-        if max_coords_per_param is not None and n > max_coords_per_param:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
-        else:
-            coords = range(n)
-        ag_flat = ag.reshape(-1)
-        for k in coords:
-            orig = flat[k]
-            flat[k] = orig + h
-            fp = float(f().values)
-            flat[k] = orig - h
-            fm = float(f().values)
-            flat[k] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            denom = max(abs(ag_flat[k]), abs(numeric), 1e-8)
-            worst = max(worst, abs(ag_flat[k] - numeric) / denom)
-    return worst

@@ -264,12 +264,6 @@ def simulate_markowitz(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
                        costs=costs, hedge=hedge)
 
 
-def markowitz_closed_form(yhat_row: np.ndarray, cov: np.ndarray,
-                          risk_aversion: float) -> np.ndarray:
-    """Single-day unconstrained solve, exposed for verification."""
-    return np.linalg.solve(2.0 * risk_aversion * cov, yhat_row)
-
-
 # ---------------------------------------------------------------------------
 # Quantile analysis
 # ---------------------------------------------------------------------------
@@ -351,32 +345,6 @@ def quantile_analysis(yhat: np.ndarray, y: np.ndarray, thresholds=(1, 2, 3, 4),
         out[qr] = QuantileReport(qr, QUANTILE_FRACTIONS[qr], ppd, sr, int(trades.size),
                                  pnl_curve, skipped, bucket)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Forecast statistics
-# ---------------------------------------------------------------------------
-
-def forecast_stats(yhat: np.ndarray, y: np.ndarray):
-    """Per-day cross-sectional dispersion and forecast-realized correlation.
-
-    Returns (std series, corr series, degenerate flags); days with fewer
-    than 2 joint observations or zero variance are NaN and flagged.
-    """
-    D, _ = yhat.shape
-    stds = np.full(D, np.nan)
-    corrs = np.full(D, np.nan)
-    flags = np.zeros(D, dtype=bool)
-    for t in range(D):
-        valid = np.isfinite(yhat[t])
-        if valid.sum() >= 2:
-            stds[t] = float(yhat[t][valid].std())
-        joint = valid & np.isfinite(y[t])
-        if joint.sum() < 2 or yhat[t][joint].std() == 0 or y[t][joint].std() == 0:
-            flags[t] = True
-            continue
-        corrs[t] = float(np.corrcoef(yhat[t][joint], y[t][joint])[0, 1])
-    return stds, corrs, flags
 
 
 # ---------------------------------------------------------------------------

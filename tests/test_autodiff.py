@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from alphagraph import autodiff as ad
 from alphagraph import nn
-from alphagraph.autodiff import Tape, Tensor, gradient_check
+from alphagraph.autodiff import Tape, Tensor
 from alphagraph.embeddings import attention_representation
 from alphagraph.errors import ConfigError, NumericalFault, ShapeError
 
-from helpers import (add, gate_cols, mean, mul, mul_rows, scale, sigmoid, stack_rows,
-                     take_row)
+from helpers import (add, gate_cols, gradient_check, mean, mul, mul_rows, scale, sigmoid,
+                     stack_rows, take_row)
 
 
 def t(values, grad=True):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from alphagraph import backtest as bt
 from alphagraph.errors import ConfigError, DataError
 
+from helpers import forecast_stats, markowitz_closed_form
 from test_market import weekday_calendar
 
 
@@ -180,7 +181,7 @@ def test_longshort_scale_invariance_of_weights():
 def test_markowitz_closed_form_identity_covariance():
     rng = np.random.default_rng(6)
     yhat = rng.normal(size=5)
-    w = bt.markowitz_closed_form(yhat, np.eye(5), 0.5)
+    w = markowitz_closed_form(yhat, np.eye(5), 0.5)
     assert np.allclose(w, yhat, atol=1e-9)
 
 
@@ -339,9 +340,9 @@ def test_quantile_empty_day_skipped():
 def test_forecast_stats_perfect_and_inverse():
     rng = np.random.default_rng(14)
     y = rng.normal(size=(6, 12))
-    stds, corrs, flags = bt.forecast_stats(y, y)
+    stds, corrs, flags = forecast_stats(y, y)
     assert np.allclose(corrs, 1.0, atol=1e-12)
-    _, corrs_neg, _ = bt.forecast_stats(-y, y)
+    _, corrs_neg, _ = forecast_stats(-y, y)
     assert np.allclose(corrs_neg, -1.0, atol=1e-12)
     assert not flags.any()
     assert np.allclose(stds, y.std(axis=1), atol=1e-12)
@@ -351,7 +352,7 @@ def test_forecast_stats_matches_bruteforce():
     rng = np.random.default_rng(15)
     yhat = rng.normal(size=(10, 15))
     y = rng.normal(size=(10, 15))
-    _, corrs, _ = bt.forecast_stats(yhat, y)
+    _, corrs, _ = forecast_stats(yhat, y)
     for t in range(10):
         manual = np.corrcoef(yhat[t], y[t])[0, 1]
         assert corrs[t] == pytest.approx(manual, abs=1e-10)

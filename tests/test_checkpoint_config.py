@@ -7,9 +7,10 @@ import pytest
 
 from alphagraph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from alphagraph.cli import main
-from alphagraph.config import (DEFAULTS, dump_config, load_config,
-                               sha256_file, write_manifest)
+from alphagraph.config import DEFAULTS, load_config, sha256_file, write_manifest
 from alphagraph.errors import ConfigError, DataError
+
+from helpers import dump_config
 
 
 # ---------------------------------------------------------------------------

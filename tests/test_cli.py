@@ -551,6 +551,23 @@ def test_news_symbols_not_a_list_of_names_is_data_error(run_copy, capsys, symbol
     assert len(err.splitlines()) == 1 and "is not a list of non-empty strings" in err
 
 
+@pytest.mark.parametrize("field", ["id", "text", "symbols"])
+def test_news_lone_surrogate_is_data_error(run_copy, capsys, field):
+    """A lone surrogate (the JSON escape \\ud800) cannot be written as
+    UTF-8: the news loader rejects it, before the word vectors are written."""
+    out, cfg_path = run_copy
+    path = out / "news.jsonl"
+    lines = path.read_text().splitlines()
+    lone = {"id": "x\ud800", "text": " ".join(["x\ud800"] * 50),
+            "symbols": ["S00", "x\ud800"]}
+    lines[1] = json.dumps(dict(json.loads(lines[1]), **{field: lone[field]}))
+    path.write_text("".join(line + "\n" for line in lines))
+    assert main(["train-word2vec", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {path} line 2: malformed news record: ")
+    assert len(err.splitlines()) == 1 and "lone surrogate" in err
+
+
 # ---------------------------------------------------------------------------
 # manifests list what each stage read and wrote; a failed command leaves
 # none of its outputs
@@ -918,6 +935,9 @@ def test_checkpoint_loader_fuzz(fuzz_run, data):
 _NEWS_FIELDS = ["id", "date", "symbols", "text", ""]
 _NEWS_VALUES = [["S00"], [["S00"]], "S00", [""], ["S00", 1], "2015-13-01", "2015-02-03",
                 "20150203", "", " ", "http://x.y/z", {"a": 1}]
+# text that may hold lone surrogates, which json.dumps writes as \udXXX escapes
+_surrogate_text = st.text(st.characters(exclude_categories=()) | st.sampled_from("\ud800\udfff"),
+                          max_size=6)
 
 
 @st.composite
@@ -926,7 +946,7 @@ def _record_edits(draw, text: str) -> bytes:
     a field set to another JSON value or deleted, the symbols set to a list
     of JSON values, or the whole record replaced by a JSON value."""
     lines = text.splitlines()
-    values = _json_values | st.sampled_from(_NEWS_VALUES)
+    values = _json_values | _surrogate_text | st.sampled_from(_NEWS_VALUES)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         record = json.loads(lines[i])

@@ -12,8 +12,8 @@ and identical error text, never a tolerance):
 * ``ref_standardize`` / ``ref_compute_factors``: one 1-D winsorize-and-z-score
   per (date, factor) column;
 * ``ref_build_dataset``: one ``forward_return`` call per (stock, anchor);
-* ``ref_load_bars``: one ``_parse_bar_row`` per CSV row, then a sorted scan
-  for duplicate keys.
+* ``ref_load_bars``: one ``parse_bar_row`` (``tests/helpers.py``) per CSV
+  row, then a sorted scan for duplicate keys.
 """
 
 import csv
@@ -28,12 +28,12 @@ from hypothesis import given, settings, strategies as st
 from alphagraph import factors as F
 from alphagraph.errors import DataError
 from alphagraph.factors import FactorPanel, compute_factors
-from alphagraph.market import (Bar, BarPanel, _parse_bar_row, _suspect_bars,
-                               daily_log_returns, forward_return, load_bars)
+from alphagraph.market import _BAR_RULES, BarPanel, daily_log_returns, load_bars
 from alphagraph.model import ModelConfig, build_dataset
 from alphagraph.synth import SyntheticSpec, generate, write_market
 
-from helpers import build_panel, market_bars
+from helpers import (build_panel, forward_return, market_bars, parse_bar_row,
+                     standardize_cross_section)
 
 REGISTRY = {"momentum": [5, 21], "reversal": [1], "volatility": [21],
             "volume_z": [21], "amihud": [10], "rsi": [14], "ma_ratio": [10]}
@@ -146,7 +146,7 @@ def ref_load_bars(path):
         next(reader)
         for line_no, row in enumerate(reader, start=2):
             if row:
-                bars.append(_parse_bar_row(row, line_no))
+                bars.append(parse_bar_row(row, line_no))
     if not bars:
         raise DataError(f"{path}: no data rows")
     bars.sort(key=lambda b: (b.date, b.symbol))
@@ -284,7 +284,7 @@ def test_heavy_tail_needs_several_clip_rounds():
             break
         x, rounds = clipped, rounds + 1
     assert rounds >= 3
-    assert same(F.standardize_cross_section(col, mask), ref_standardize(col, mask))
+    assert same(standardize_cross_section(col, mask), ref_standardize(col, mask))
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,7 +299,7 @@ def test_batched_standardisation_matches_scalar_property(case):
     out = F._standardize_rows(values, mask)
     for r in range(values.shape[0]):
         assert same(out[r], ref_standardize(values[r], mask[r]))
-        assert same(F.standardize_cross_section(values[r], mask[r]), out[r])
+        assert same(standardize_cross_section(values[r], mask[r]), out[r])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -482,14 +482,74 @@ def test_build_panel_error_precedence_matches_sorted_scan():
             assert str(exc.value) == expected, name
 
 
-def test_suspect_bars_flags_every_row_the_per_row_check_rejects():
-    # load_bars and build_panel run Bar.validate and _parse_bar_row only on
-    # the rows _suspect_bars flags (load_bars adds bad dates and symbols), so
-    # every unflagged row of this exhaustive grid must pass both
+def test_bar_rules_give_every_grid_row_the_error_of_the_row_by_row_parse():
+    # every row of this exhaustive grid gets the error of the first rule it
+    # breaks, worded as the row-by-row parse words it, or none when the
+    # parse accepts the row
     grid = [-1.0, 0.0, 1.0, 2.0, 3.0, math.inf, -math.inf, math.nan]
     rows = list(itertools.product(grid, repeat=5))
-    flagged = _suspect_bars(np.array(rows).T)
-    assert 0 < (~flagged).sum() < len(rows)
-    for fields in itertools.compress(rows, ~flagged):
-        Bar("AAA", dt.date(2020, 1, 6), *fields).validate()
-        _parse_bar_row(["2020-01-06", "AAA", *map(repr, fields)], 2)
+    n = len(rows)
+    cols, none = np.array(rows).T, np.zeros(n, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        flags = [breaks(cols, none, none) for _, breaks in _BAR_RULES]
+    first = np.array(flags + [np.ones(n, dtype=bool)]).argmax(axis=0)
+    date = dt.date(2020, 1, 6)
+    accepted = 0
+    for fields, k in zip(rows, first.tolist()):
+        try:
+            parse_bar_row([date.isoformat(), "AAA", *map(repr, fields)], 2)
+        except DataError as exc:
+            assert k < len(_BAR_RULES), fields
+            assert "line 2: " + _BAR_RULES[k][0].format(symbol="AAA", date=date) == str(exc)
+        else:
+            assert k == len(_BAR_RULES), fields
+            accepted += 1
+    assert 0 < accepted < n
+
+
+# drawn text, and float spellings that reach each rule
+FIELD_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["nan", "inf", "-inf", "-0.0", "0", "1e308", "-1", " 10 ", "1_0", "abc"])
+DATE_TEXT = st.sampled_from(["20200107", "2020-02-30", "2020-01-07", "2020-01-08", "2020-1-7"])
+
+
+@st.composite
+def edited_bar_rows(draw):
+    """The lines of ``GOOD`` with one to four edits, made on their field
+    lists; a blank line is ``[""]``."""
+    rows = [line.split(",") for line in GOOD]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["field", "drop", "add", "date", "symbol", "repeat",
+                                     "blank"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[i])
+        j = draw(st.integers(0, len(row) - 1))
+        if kind == "field":
+            row[j] = draw(FIELD_TEXT)
+        elif kind == "drop":
+            del row[j]
+        elif kind == "add":
+            row.insert(j, draw(FIELD_TEXT))
+        elif kind == "date":
+            row[0] = draw(DATE_TEXT)
+        elif kind == "symbol" and len(row) > 1:
+            row[1] = ""
+        elif kind in ("repeat", "blank"):
+            rows.insert(i, row if kind == "repeat" else [""])
+            continue
+        rows[i] = row or [""]
+    return [",".join(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_bar_rows())
+def test_load_bars_matches_row_by_row_parse_on_edited_files(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("bars") / "bars.csv"
+    path.write_text("date,symbol,open,high,low,close,volume\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    try:
+        expected = ref_load_bars(path)
+    except DataError as exc:
+        assert error_text(load_bars, path) == str(exc)
+    else:
+        assert same_panel(load_bars(path), expected)

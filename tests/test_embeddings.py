@@ -13,7 +13,7 @@ from alphagraph.embeddings import (StockEmbeddingSet, attention_representation,
 from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
 from alphagraph.news import CooccurrenceMatrix
 
-from helpers import mean
+from helpers import gradient_check, mean
 
 
 def planted_two_clusters(n_per=2, within=100, cross=1):
@@ -359,7 +359,7 @@ def test_attention_gradients_match_fd():
             ad.gather_rows(e, [0]), ad.gather_rows(e, [nbrs]), w, b, v)
         return mean(rep)
 
-    err = ad.gradient_check(build, [e, w, b, v], h=1e-5)
+    err = gradient_check(build, [e, w, b, v], h=1e-5)
     assert err <= 1e-6
 
 

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from alphagraph.errors import ConfigError, DataError
-from alphagraph.factors import (DEFAULT_REGISTRY, compute_factors,
-                                standardize_cross_section)
-from alphagraph.market import (Bar, filter_universe, forward_return, load_bars,
-                               log_return)
+from alphagraph.factors import DEFAULT_REGISTRY, compute_factors
+from alphagraph.market import filter_universe, load_bars, log_return
 
-from helpers import build_panel
+from helpers import Bar, build_panel, forward_return, standardize_cross_section
 
 D0 = dt.date(2020, 1, 6)  # a Monday
 

@@ -15,8 +15,8 @@ from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
 from alphagraph.model import (Dataset, build_dataset, build_params, model_forward, predict,
                               temporal_pool, train)
 
-from helpers import (gate_cols, mse_loss, news_rows, ridge_fit, ridge_predict,
-                     ridge_scan)
+from helpers import (gate_cols, gradient_check, mse_loss, news_rows, ridge_fit,
+                     ridge_predict, ridge_scan)
 from test_market import make_bars  # shared panel builder
 
 
@@ -238,9 +238,7 @@ def tiny_world(seed=0, n=4, days=30, l=5, with_graph=True, with_news=True,
     if with_news:
         from alphagraph.news import DailyNewsPanel
         vectors, row_index = news_rows(rng.normal(size=(days, n, 4)))
-        counts = np.ones(vectors.shape[0], dtype=np.int64)
-        counts[-1] = 0  # the zero row
-        news = DailyNewsPanel(panel.calendar, panel.symbols, vectors, row_index, counts)
+        news = DailyNewsPanel(panel.calendar, panel.symbols, vectors, row_index)
     emb = StockEmbeddingSet(panel.symbols, rng.normal(size=(n, 3)), np.zeros(n))
     graph = StockGraph(panel.symbols, (np.arange(n)[:, None] + [1, 2]) % n, np.ones((n, 2)))
     ds = build_dataset(panel, factors, news, cfg)
@@ -335,7 +333,7 @@ def test_full_model_gradient_check_tiny_config():
                              ds.anchor_idx[idx], graph)
         return ad.sq_error(yhat, ds.labels[idx])
 
-    err = ad.gradient_check(f, list(params.values()), h=1e-5,
+    err = gradient_check(f, list(params.values()), h=1e-5,
                             max_coords_per_param=40, seed=0)
     assert err <= 1e-4
 

@@ -11,6 +11,8 @@ from alphagraph.news import (NewsArticle, build_cooccurrence, build_vocabulary,
                              news_vector, whitespace_tokenizer)
 from alphagraph.word2vec import WordEmbeddingSet
 
+from helpers import cooccurrence_dense, cooccurrence_value
+
 CAL = [dt.date(2020, 1, 6) + dt.timedelta(days=k) for k in (0, 1, 2, 3, 4, 7, 8)]
 
 
@@ -98,25 +100,20 @@ def test_single_article_previous_day_becomes_next_day_vector():
     articles = [art(0, CAL[0], ["AAA"], ["x"])]
     panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
     assert np.array_equal(panel.vectors[panel.row_index[1, 0]], [2.0, 4.0])
-    assert panel.article_count[panel.row_index[1, 0]] == 1
-    assert panel.article_count[panel.row_index[0, 0]] == 0
+    assert not panel.vectors[panel.row_index[0, 0]].any()
+    assert article_counts(articles, ["AAA"])[:2, 0].tolist() == [0, 1]
 
 
 def test_same_day_article_excluded_from_that_day():
-    emb = emb_of({"x": [1.0]})
     articles = [art(0, CAL[2], ["AAA"], ["x"])]
-    panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
-    assert panel.article_count[panel.row_index[2, 0]] == 0
-    assert panel.article_count[panel.row_index[3, 0]] == 1
+    assert article_counts(articles, ["AAA"])[2:4, 0].tolist() == [0, 1]
 
 
 def test_weekend_articles_map_to_monday():
-    emb = emb_of({"x": [1.0]})
     saturday = CAL[4] + dt.timedelta(days=1)
     articles = [art(0, saturday, ["AAA"], ["x"])]
-    panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
     monday_idx = CAL.index(dt.date(2020, 1, 13))
-    assert panel.article_count[panel.row_index[monday_idx, 0]] == 1
+    assert article_counts(articles, ["AAA"])[monday_idx, 0] == 1
 
 
 def test_three_articles_average_matches_bruteforce():
@@ -131,11 +128,10 @@ def test_three_articles_average_matches_bruteforce():
 
 
 def test_unknown_symbol_counted_and_ignored():
-    emb = emb_of({"x": [1.0]})
     articles = [art(0, CAL[0], ["AAA", "MISSING"], ["x"])]
-    panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
-    assert panel.n_unknown_symbols == 1
-    assert panel.article_count[panel.row_index[1, 0]] == 1
+    row_index, ids, _, n_unknown = news_cells(articles, ["AAA"], CAL)
+    assert n_unknown == 1
+    assert ids[row_index[1, 0]] == ["A0"]
 
 
 def test_news_cells_place_articles_as_the_panel_does():
@@ -146,10 +142,10 @@ def test_news_cells_place_articles_as_the_panel_does():
     row_index, ids, placed, n_unknown = news_cells(articles, ["AAA", "BBB"], CAL)
     panel = daily_stock_news_vectors(articles, emb_of({"x": [1.0]}), ["AAA", "BBB"], CAL)
     assert np.array_equal(row_index, panel.row_index)
-    assert ids == panel.article_ids == [["A0"], ["A0", "A1"], ["A2"], []]
+    assert ids == [["A0"], ["A0", "A1"], ["A2"], []]
     assert [ids[r] for r in row_index[1]] == [["A0"], ["A0", "A1"]]
     assert [(a.id, rows) for a, rows in placed] == [("A0", [0, 1]), ("A1", [1]), ("A2", [2])]
-    assert n_unknown == panel.n_unknown_symbols == 1
+    assert n_unknown == 1
 
 
 def test_temporal_hygiene_deleting_future_articles():
@@ -161,13 +157,22 @@ def test_temporal_hygiene_deleting_future_articles():
     trimmed = daily_stock_news_vectors([a for a in articles if a.date < cutoff],
                                        emb, ["AAA"], CAL)
     cut_idx = CAL.index(cutoff)
-    for got, want in zip(dense(full), dense(trimmed)):
-        assert np.array_equal(got[:cut_idx + 1], want[:cut_idx + 1])
+    assert np.array_equal(dense(full)[:cut_idx + 1], dense(trimmed)[:cut_idx + 1])
+    kept = [a for a in articles if a.date < cutoff]
+    assert np.array_equal(article_counts(articles, ["AAA"])[:cut_idx + 1],
+                          article_counts(kept, ["AAA"])[:cut_idx + 1])
 
 
 def dense(panel):
-    """The panel's (D, S, d_w) cell vectors and (D, S) article counts."""
-    return panel.vectors[panel.row_index], panel.article_count[panel.row_index]
+    """The panel's (D, S, d_w) cell vectors."""
+    return panel.vectors[panel.row_index]
+
+
+def article_counts(articles, symbols):
+    """The (D, S) article counts of the cells ``news_cells`` places the
+    articles in."""
+    row_index, ids, _, _ = news_cells(articles, symbols, CAL)
+    return np.array([len(row) for row in ids])[row_index]
 
 
 SYMBOLS = ["AAA", "BBB", "CCC"]
@@ -207,17 +212,18 @@ def test_ragged_rows_equal_dense_means_bit_for_bit(drawn, seed):
     means = np.zeros_like(sums)
     means[nz] = sums[nz] / counts[nz][:, None]
 
-    vectors, article_count = dense(panel)
-    assert vectors.tobytes() == means.tobytes()
-    assert np.array_equal(article_count, counts)
+    row_index, cell_ids, _, _ = news_cells(articles, SYMBOLS, CAL)
+    assert dense(panel).tobytes() == means.tobytes()
+    assert np.array_equal(row_index, panel.row_index)
+    assert np.array_equal(article_counts(articles, SYMBOLS), counts)
     n_cells = int(nz.sum())
     assert panel.vectors.shape == (n_cells + 1, 3)
     assert panel.row_index.dtype == np.int32
     assert np.all(panel.row_index[~nz] == n_cells)
     assert sorted(panel.row_index[nz].tolist()) == list(range(n_cells))
-    assert not panel.vectors[n_cells].any() and panel.article_count[n_cells] == 0
-    assert all(panel.article_ids[panel.row_index[cell]] == want for cell, want in ids.items())
-    assert panel.article_ids[n_cells] == []
+    assert not panel.vectors[n_cells].any()
+    assert all(cell_ids[row_index[cell]] == want for cell, want in ids.items())
+    assert cell_ids[n_cells] == []
 
 
 def test_news_store_never_allocates_a_dense_panel():
@@ -245,8 +251,8 @@ def test_news_store_never_allocates_a_dense_panel():
 
 def test_cooccurrence_triple_article():
     x = build_cooccurrence([art(0, CAL[0], ["A", "B", "C"], [])], ["A", "B", "C"])
-    assert x.value(0, 1) == 1 and x.value(0, 2) == 1 and x.value(1, 2) == 1
-    assert x.value(0, 0) == 0
+    assert all(cooccurrence_value(x, i, j) == 1 for i, j in ((0, 1), (0, 2), (1, 2)))
+    assert cooccurrence_value(x, 0, 0) == 0
 
 
 def test_cooccurrence_single_symbol_no_increment():
@@ -263,7 +269,7 @@ def test_cooccurrence_matches_bruteforce_pair_loop():
         syms = list(rng.choice(universe, size=k, replace=False))
         articles.append(art(i, CAL[0], syms, []))
     x = build_cooccurrence(articles, universe)
-    dense = x.to_dense()
+    dense = cooccurrence_dense(x)
 
     index = {s: i for i, s in enumerate(universe)}
     expected = np.zeros((6, 6))
@@ -282,7 +288,7 @@ def test_cooccurrence_matches_bruteforce_pair_loop():
 def test_cooccurrence_symmetry_property(symbol_lists):
     articles = [art(i, CAL[0], syms, []) for i, syms in enumerate(symbol_lists)]
     x = build_cooccurrence(articles, ["A", "B", "C", "D"])
-    dense = x.to_dense()
+    dense = cooccurrence_dense(x)
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diag(dense) == 0)
 
@@ -294,4 +300,4 @@ def test_coo_export_round_trip():
     assert len(rows) == 2 * len(x.counts)
     dense = np.zeros((3, 3))
     dense[rows, cols] = vals
-    assert np.array_equal(dense, x.to_dense())
+    assert np.array_equal(dense, cooccurrence_dense(x))

@@ -9,7 +9,9 @@ from alphagraph.factors import compute_factors
 from alphagraph.market import BarPanel
 from alphagraph.news import build_cooccurrence, load_articles
 from alphagraph.synth import (SyntheticSpec, cluster_reversal_slopes, generate,
-                              read_truth_signals, write_market)
+                              write_market)
+
+from helpers import cooccurrence_dense, read_truth_signals
 
 SMALL = SyntheticSpec(n_stocks=10, days=60, n_clusters=2, news_rate=4.0, seed=11)
 
@@ -48,7 +50,7 @@ def test_full_comention_fidelity_block_diagonal():
     arts = [type("A", (), {"symbols": a["symbols"], "date": None})
             for a in market.articles]
     x = build_cooccurrence(arts, panel.symbols)
-    dense = x.to_dense()
+    dense = cooccurrence_dense(x)
     cluster = np.array([market.cluster_of[s] for s in panel.symbols])
     off_block = dense[cluster[:, None] != cluster[None, :]]
     assert off_block.sum() == 0

@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from alphagraph.market import Bar, BarPanel, load_bars
+from alphagraph.market import BarPanel, load_bars
 from alphagraph.synth import (SyntheticSpec, _label_signal, cluster_reversal_slopes,
                               generate, round6, trading_calendar, write_market)
+
+from helpers import Bar
 
 # the synth specs of the benchmark workloads (perfbench/workloads.py)
 _SIGNAL = dict(n_clusters=5, horizon=1, b_volume=0.036, b_reversal=0.30,
