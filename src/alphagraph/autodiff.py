@@ -70,6 +70,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, object]] = []
+        self._n_records = 0
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -81,15 +82,30 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        """The number of records the forward pass made, also once
+        ``backward`` has run and dropped them."""
+        return self._n_records
+
+    def record(self, out: Tensor, backward) -> None:
+        """Append a primitive's output and the closure that propagates its
+        gradient to the primitive's inputs."""
+        self._records.append((out, backward))
+        self._n_records += 1
 
     def backward(self, loss: Tensor):
-        """Seed ``loss`` with gradient 1 and run all records in reverse."""
+        """Seed ``loss`` with gradient 1 and run all records in reverse.
+
+        Each record is dropped as soon as it has run: every consumer of its
+        output ran before it, so its closure, its output tensor and that
+        tensor's gradient are freed then, unless the caller holds the
+        output."""
         if loss.ndim != 0:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
         loss.ensure_grad()
         loss.grad += 1.0
-        for out, backward_fn in reversed(self._records):
+        records = self._records
+        while records:
+            out, backward_fn = records.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
 
@@ -111,7 +127,7 @@ def _emit(values, op: str, inputs, backward):
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(values, requires_grad=needs)
     if needs:
-        tape._records.append((out, backward))
+        tape.record(out, backward)
     return out
 
 

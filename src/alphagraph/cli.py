@@ -140,27 +140,46 @@ class _NpzArrays:
             raise self.error(f"array {name!r}: {exc}") from None
 
 
+def _save_npz(path, **arrays) -> None:
+    """Write ``arrays`` as ``np.savez`` does, byte for byte, each straight
+    from its own buffer: ``np.savez`` copies every array it writes into a
+    bytes object (16 MiB at a time). An F-ordered array is written as its
+    C-ordered transpose, under the header that says so."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, a in arrays.items():
+            a = np.asanyarray(a)
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(a))
+                if a.flags.f_contiguous and not a.flags.c_contiguous:
+                    a = a.T
+                fh.write(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
+
+
 def _save_panel(path, panel: BarPanel) -> None:
-    np.savez(path,
-             calendar=np.array([d.isoformat() for d in panel.calendar]),
-             symbols=np.array(panel.symbols),
-             mask=panel.mask,
-             **{f: panel.arrays[f] for f in BarPanel.FIELDS})
+    _save_npz(path,
+              calendar=np.array([d.isoformat() for d in panel.calendar]),
+              symbols=np.array(panel.symbols),
+              mask=panel.mask,
+              **{f: panel.arrays[f] for f in BarPanel.FIELDS})
 
 
 def _load_panel(path) -> BarPanel:
-    z = _NpzArrays(path)
+    """The panel's calendar, symbols, mask and opens: the stages after
+    ingest read no other bar field (labels, returns and the universe all
+    price at the open)."""
+    z = _NpzArrays(path, "calendar", "symbols", "mask", "open")
     calendar, symbols = z.dates("calendar"), z.strings("symbols")
     shape = (len(calendar), len(symbols))
-    arrays = {f: z.shaped(f, *shape) for f in BarPanel.FIELDS}
-    return BarPanel(calendar, symbols, arrays, z.shaped("mask", *shape))
+    return BarPanel(calendar, symbols, {"open": z.shaped("open", *shape)},
+                    z.shaped("mask", *shape))
 
 
 def _save_factors(path, fp: FactorPanel) -> None:
-    np.savez(path, names=np.array(fp.factor_names), values=fp.values,
-             mask=fp.mask,
-             calendar=np.array([d.isoformat() for d in fp.calendar]),
-             symbols=np.array(fp.symbols))
+    _save_npz(path, names=np.array(fp.factor_names), values=fp.values,
+              mask=fp.mask,
+              calendar=np.array([d.isoformat() for d in fp.calendar]),
+              symbols=np.array(fp.symbols))
 
 
 def _load_factors(path) -> FactorPanel:
@@ -331,17 +350,18 @@ def cmd_synth(cfg, out: OutDir, args):
 def cmd_ingest(cfg, out: OutDir, args):
     panel = load_bars(out.read(BARS_FILE))
     u = cfg["universe"]
-    window = panel
-    if cfg["split"]["train_end"]:
-        window = panel.restrict_dates(end=_train_end(cfg))
-    universe = filter_universe(window, u["min_median_dollar_volume"],
-                               u["min_price"], u["min_history"])
+    window = panel.restrict_dates(end=_train_end(cfg)) if cfg["split"]["train_end"] else panel
+    universe = filter_universe(window, u["min_median_dollar_volume"], u["min_price"],
+                               u["min_history"])
+    del window
     if not universe:
         raise DataError("universe filter removed every symbol")
     panel = panel.restrict_symbols(universe)
-    registry = cfg["factors"] or None
-    fp = compute_factors(panel, registry)
     _save_panel(out.write(PANEL_FILE), panel)
+    # the factors read only the opens and volumes
+    panel = BarPanel(panel.calendar, panel.symbols,
+                     {f: panel.arrays[f] for f in ("open", "volume")}, panel.mask)
+    fp = compute_factors(panel, cfg["factors"] or None)
     _save_factors(out.write(FACTORS_FILE), fp)
     return {"n_symbols": panel.n_symbols, "n_dates": panel.n_dates,
             "factors": fp.factor_names}
@@ -354,8 +374,8 @@ def cmd_cooccur(cfg, out: OutDir, args):
     articles = [a for a in load_articles(news_path) if a.date <= train_end]
     x = build_cooccurrence(articles, panel.symbols)
     rows, cols, vals = x.to_coo()
-    np.savez(out.write(COOCCUR_FILE), rows=rows, cols=cols, vals=vals,
-             symbols=np.array(panel.symbols))
+    _save_npz(out.write(COOCCUR_FILE), rows=rows, cols=cols, vals=vals,
+              symbols=np.array(panel.symbols))
     return {"n_articles": len(articles), "n_pairs": len(x.counts)}
 
 
@@ -379,8 +399,8 @@ def cmd_train_glove(cfg, out: OutDir, args):
     g = cfg["glove"]
     emb = train_glove(x, dim=g["dim"], x_max=g["x_max"], alpha=g["alpha"],
                       epochs=g["epochs"], lr=g["lr"], seed=cfg["seed"])
-    np.savez(out.write(GLOVE_FILE), vectors=emb.vectors, biases=emb.biases,
-             symbols=np.array(emb.symbols), trace=np.array(emb.loss_trace))
+    _save_npz(out.write(GLOVE_FILE), vectors=emb.vectors, biases=emb.biases,
+              symbols=np.array(emb.symbols), trace=np.array(emb.loss_trace))
     write_embeddings(out.write(STOCKVEC_FILE), list(emb.symbols), emb.vectors)
     return {"loss_first": emb.loss_trace[0], "loss_last": emb.loss_trace[-1]}
 
@@ -469,13 +489,15 @@ def cmd_predict(cfg, out: OutDir, args):
         raise DataError("no samples in the requested prediction window")
     model = mdl.TrainedModel(params, model_cfg, graph, bars.symbols)
     panel, attention = mdl.predict(model, sub)
+    n_forecasts = sub.n
+    del bars, ds, sub  # the forecasts are written without the factor panel
     write_forecasts(out.write(FORECASTS_FILE), panel)
     if attention is not None:  # the mean over the forecasts that have a label
         with open(out.write(ATTENTION_FILE), "w", encoding="utf-8") as fh:
             fh.write("lag,mean_weight\n")
             for idx, wgt in enumerate(attention):
                 fh.write(f"-{model_cfg.lookback - idx}day,{repr(float(wgt))}\n")
-    return {"window": args.window, "n_forecasts": sub.n,
+    return {"window": args.window, "n_forecasts": n_forecasts,
             "test_start": spec.test_start.isoformat()}
 
 
@@ -600,8 +622,8 @@ def cmd_interpret(cfg, out: OutDir, args):
     if labelled.any():
         row_index = None
         if model_cfg.use_news:
-            row_index, article_ids, _, _ = news_cells(load_articles(out.read(NEWS_FILE)),
-                                                      symbols, calendar)
+            row_index, article_ids, _ = news_cells(load_articles(out.read(NEWS_FILE)),
+                                                   symbols, calendar)
         # forecasts in date order, then symbol order: equal errors rank by
         # date, then by symbol (sorted order)
         d_idx, s_idx = np.nonzero(labelled)

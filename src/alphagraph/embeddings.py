@@ -70,11 +70,15 @@ def glove_loss_and_grads(emb, bias, rows, cols, logx, wgt):
     loss = float(np.sum(wgt * resid * resid))
     coef = 2.0 * wgt * resid
     # every pair's terms, by row then by column: each stock's sum adds them
-    # in this order, as np.add.at over rows and then over cols would
-    ends = np.concatenate([rows, cols])
-    g_emb = ad.scatter_rows(ends, np.concatenate([coef[:, None] * emb[cols],
-                                                  coef[:, None] * emb[rows]]), emb.shape[0])
-    g_bias = np.bincount(ends, weights=np.concatenate([coef, coef]), minlength=bias.size)
+    # in this order, as np.add.at over rows and then over cols would. One
+    # embedding column is summed at a time, so neither the (2 pairs, dim)
+    # terms nor a flat index into them is ever held
+    ends, partners = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    coef = np.concatenate([coef, coef])
+    g_emb = np.empty_like(emb)
+    for m in range(emb.shape[1]):
+        g_emb[:, m] = np.bincount(ends, weights=coef * emb[partners, m], minlength=emb.shape[0])
+    g_bias = np.bincount(ends, weights=coef, minlength=bias.size)
     return loss, g_emb, g_bias
 
 

@@ -64,10 +64,12 @@ class FactorPanel:
         return len(self.factor_names)
 
 
-def _window_blocks(x: np.ndarray, w: int):
-    """Yield ``(rows, block)`` over the trailing windows of x: ``block[i, s]``
-    is a C-contiguous copy of the w rows of column s ending at row
-    ``rows.start + i``. A block spans about BLOCK_ROWS // w dates.
+def _trailing(x: np.ndarray, w: int, reduce) -> np.ndarray:
+    """``reduce(block)`` of the trailing windows of x: row t >= w - 1 of
+    the result holds, for each column s, the reduction of the w rows of x
+    ending at row t (NaN before). ``block[i, s]`` is a C-contiguous copy
+    of window (t, s), one block of about BLOCK_ROWS // w dates at a time,
+    which ``reduce`` takes along its last axis.
 
     numpy reduces the contiguous last axis of the copy with the same pairwise
     sum as a 1-D window, so ``block.mean(axis=-1)`` and ``block.std(axis=-1,
@@ -76,68 +78,71 @@ def _window_blocks(x: np.ndarray, w: int):
     C-ordered x it adds the window's rows one after another and rounds
     differently.
     """
-    if x.shape[0] < w:
-        return
-    windows = sliding_window_view(x, w, axis=0)
-    step = max(1, BLOCK_ROWS // w)
-    for t in range(0, windows.shape[0], step):
-        block = np.ascontiguousarray(windows[t:t + step])
-        yield slice(w - 1 + t, w - 1 + t + block.shape[0]), block
-
-
-def _trailing_mean(x: np.ndarray, w: int) -> np.ndarray:
-    """The mean of each column over the w rows ending at row t, for every
-    t >= w - 1 (NaN before): numpy's mean of a contiguous copy of each window
-    (see ``_window_blocks``), so ``np.mean`` of that 1-D window, bit for bit."""
     out = np.full_like(x, np.nan)
-    for rows, block in _window_blocks(x, w):
-        out[rows] = block.mean(axis=-1)
+    if x.shape[0] >= w:
+        windows = sliding_window_view(x, w, axis=0)
+        step = max(1, BLOCK_ROWS // w)
+        for t in range(0, windows.shape[0], step):
+            out[w - 1 + t:w - 1 + t + step] = reduce(np.ascontiguousarray(windows[t:t + step]))
     return out
 
 
-def _trailing_moments(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_trailing_mean`` and the ddof=1 standard deviation over the same
-    windows: numpy's std of the same contiguous copies, so ``np.std(...,
-    ddof=1)`` of each 1-D window, bit for bit. ``compute_factors`` never asks
-    for w = 1, where that std is NaN."""
-    mean = np.full_like(x, np.nan)
-    std = np.full_like(x, np.nan)
-    for rows, block in _window_blocks(x, w):
-        mean[rows] = block.mean(axis=-1)
-        std[rows] = block.std(axis=-1, ddof=1)
-    return mean, std
+def _trailing_mean(x: np.ndarray, w: int) -> np.ndarray:
+    """``np.mean`` of each trailing window of w rows, bit for bit (see
+    ``_trailing``)."""
+    return _trailing(x, w, lambda block: block.mean(axis=-1))
+
+
+def _trailing_std(x: np.ndarray, w: int) -> np.ndarray:
+    """``np.std(..., ddof=1)`` of each trailing window of w rows, bit for
+    bit (see ``_trailing``). ``compute_factors`` never asks for w = 1,
+    where that std is NaN."""
+    return _trailing(x, w, lambda block: block.std(axis=-1, ddof=1))
 
 
 def _raw_factor(family: str, w: int, opens: np.ndarray, volume: np.ndarray,
                 rets: np.ndarray) -> np.ndarray:
-    D = opens.shape[0]
-    out = np.full_like(opens, np.nan)
+    """Factor ``family_w`` of every (date, symbol), NaN where its window is
+    not covered. Each family works in place on the one array it returns, so
+    a factor holds at most two (D, S) temporaries besides its result."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        if family == "momentum":
-            if D > w:
-                out[w:] = np.log(opens[w:] / opens[:-w])
-        elif family == "reversal":
-            if D > w:
-                out[w:] = -np.log(opens[w:] / opens[:-w])
+        if family in ("momentum", "reversal"):
+            out = np.full_like(opens, np.nan)
+            if opens.shape[0] > w:
+                ratio = out[w:]
+                np.divide(opens[w:], opens[:-w], out=ratio)
+                np.log(ratio, out=ratio)
+                if family == "reversal":
+                    np.negative(ratio, out=ratio)
         elif family == "volatility":
-            out[w:] = _trailing_moments(rets, w)[1][w:]
+            out = _trailing_std(rets, w)
+            out[:w] = np.nan
         elif family == "volume_z":
-            mu, sd = _trailing_moments(volume, w)
-            out[w - 1:] = np.where(sd > 0, (volume - mu) / sd, 0.0)[w - 1:]
+            out = _trailing_mean(volume, w)
+            np.subtract(volume, out, out=out)
+            sd = _trailing_std(volume, w)
+            out /= sd
+            out[~(sd > 0)] = 0.0
+            out[:w - 1] = np.nan
         elif family == "amihud":
-            dollar = opens * volume
-            ratio = np.abs(rets) / dollar
-            out[w:] = _trailing_mean(ratio, w)[w:]
+            ratio = opens * volume
+            np.divide(np.abs(rets), ratio, out=ratio)
+            out = _trailing_mean(ratio, w)
+            out[:w] = np.nan
         elif family == "rsi":
-            gains = np.where(rets > 0, rets, 0.0)
-            losses = np.where(rets < 0, -rets, 0.0)
-            ag = _trailing_mean(gains, w)
-            al = _trailing_mean(losses, w)
-            denom = ag + al
-            out[w:] = np.where(denom > 0, 100.0 * ag / denom, 50.0)[w:]
+            out = _trailing_mean(np.where(rets > 0, rets, 0.0), w)
+            losses = _trailing_mean(np.where(rets < 0, -rets, 0.0), w)
+            losses += out  # the denominator: gains plus losses
+            out *= 100.0
+            out /= losses
+            out[~(losses > 0)] = 50.0
+            out[:w] = np.nan
         elif family == "ma_ratio":
             out = _trailing_mean(opens, w)
-            out = np.where(np.isfinite(out), opens / out - 1.0, np.nan)
+            unset = ~np.isfinite(out)
+            np.divide(opens, out, out=out)
+            out -= 1.0
+            out[unset] = np.nan
         else:
             raise ConfigError(f"unknown factor family {family!r}")
     return out
@@ -149,30 +154,30 @@ def _standardize_block(x: np.ndarray) -> np.ndarray:
     Row by row this is the same arithmetic as a 1-D cross-section: mean, std,
     clip and the equality test all reduce along contiguous rows, so each row
     sees the same pairwise sums. Rows clip in lockstep; a row leaves the loop
-    when a clip changes nothing or its dispersion vanishes.
+    when a clip changes nothing or its dispersion vanishes. Works in place:
+    the result is x.
     """
-    x = x.copy()
     flat = np.zeros(x.shape[0], dtype=bool)
-    active = np.arange(x.shape[0])
+    active, xa = np.arange(x.shape[0]), x  # the rows still clipping, and their values
     for _ in range(100):
         if active.size == 0:
             break
-        xa = x[active]
         mu = xa.mean(axis=1, keepdims=True)
         sd = xa.std(axis=1, keepdims=True)
         dead = sd[:, 0] <= 1e-15
         flat[active[dead]] = True
         clipped = np.clip(xa, mu - STANDARDIZE_CLIP * sd, mu + STANDARDIZE_CLIP * sd)
         moved = (clipped != xa).any(axis=1) & ~dead
-        x[active[moved]] = clipped[moved]
-        active = active[moved]
+        active, xa = active[moved], clipped[moved]
+        x[active] = xa
     mu = x.mean(axis=1, keepdims=True)
     sd = x.std(axis=1, keepdims=True)
     flat |= sd[:, 0] <= 1e-15
-    out = np.zeros_like(x)
-    live = ~flat
-    out[live] = (x[live] - mu[live]) / sd[live]
-    return out
+    x -= mu
+    with np.errstate(divide="ignore", invalid="ignore"):  # the flat rows, zeroed next
+        x /= sd
+    x[flat] = 0.0
+    return x
 
 
 def _standardize_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -202,9 +207,10 @@ def _standardize_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         for start in range(0, group.size, BLOCK_ROWS):
             rows = group[start:start + BLOCK_ROWS]
             sub_mask = mask[rows]
-            block = values[rows][sub_mask].astype(np.float64, copy=False)
-            sub = np.zeros((rows.size, values.shape[1]), dtype=out.dtype)
-            sub[sub_mask] = _standardize_block(block.reshape(rows.size, n)).ravel()
+            sub = values[rows].astype(np.float64, copy=False)
+            block = _standardize_block(sub[sub_mask].reshape(rows.size, n))
+            sub[~sub_mask] = 0.0
+            sub[sub_mask] = block.ravel()
             out[rows] = sub
     return out
 
@@ -215,7 +221,9 @@ def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPane
     Raw factors use trailing windows only; entries whose window exceeds the
     available history (or covers a missing bar) are masked, never imputed.
     Each valid (date, factor) column is then winsorized and z-scored across
-    symbols, all (date, factor) columns in one batched pass.
+    symbols. One factor at a time is computed, standardized in one batched
+    pass over its dates and stored into the (D, S, L) output, so besides
+    the output only that factor's arrays are held.
     """
     if panel.n_dates == 0 or panel.n_symbols == 0:
         raise DataError("compute_factors: empty panel")
@@ -233,12 +241,12 @@ def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPane
                               "least 2")
     names = [f"{family}_{w}" for family, w in windows]
     D, S, L = panel.n_dates, panel.n_symbols, len(names)
-    raw = np.empty((L, D, S))
+    values = np.empty((D, S, L))
+    mask = np.empty((D, S, L), dtype=bool)
     for k, (family, w) in enumerate(windows):
-        raw[k] = _raw_factor(family, w, opens, volume, rets)
-    valid = np.isfinite(raw) & panel.mask
-    std = _standardize_rows(raw.reshape(L * D, S), valid.reshape(L * D, S))
-    del raw
-    values = np.ascontiguousarray(std.reshape(L, D, S).transpose(1, 2, 0))
-    mask = np.ascontiguousarray(valid.transpose(1, 2, 0))
+        raw = _raw_factor(family, w, opens, volume, rets)
+        valid = np.isfinite(raw)
+        valid &= panel.mask
+        mask[:, :, k] = valid
+        values[:, :, k] = _standardize_rows(raw, valid)
     return FactorPanel(names, values, mask, panel.calendar, panel.symbols)

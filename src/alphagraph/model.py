@@ -31,7 +31,7 @@ from .news import DailyNewsPanel
 # samples per forward pass in prediction and validation; it bounds the cell
 # rows and (N, T, .) states a forward holds at once. At 256 the training
 # batches, not validation, set train's peak RSS on the perfbench news-text
-# workload: 44.5 MB, against 45.6 MB at 512 and 48.3 MB at 1,024
+# workload: 43.4 MB, against 43.8 MB at 512 and 46.8 MB at 1,024
 EVAL_CHUNK = 256
 
 

@@ -120,15 +120,13 @@ def load_articles(path, tokenizer=whitespace_tokenizer,
 # Daily news vectors
 # ---------------------------------------------------------------------------
 
-def news_vector(tokens, emb) -> tuple[np.ndarray, int]:
-    """Arithmetic mean of in-vocabulary token vectors.
-
-    Returns (vector, n_in_vocab); the zero vector when no token is known.
-    """
+def news_vector(tokens, emb) -> np.ndarray:
+    """Arithmetic mean of in-vocabulary token vectors; the zero vector when
+    no token is known."""
     rows = [emb.vocabulary[t] for t in tokens if t in emb.vocabulary]
     if not rows:
-        return np.zeros(emb.dim), 0
-    return emb.vectors[rows].mean(axis=0), len(rows)
+        return np.zeros(emb.dim)
+    return emb.vectors[rows].mean(axis=0)
 
 
 @dataclass
@@ -165,19 +163,17 @@ def news_cells(articles, universe, calendar):
     """Place each article on the first trading day strictly after its
     publication date, in the cell of each of its symbols; day-t cells
     therefore hold only articles dated t-1 or earlier. Symbols outside
-    ``universe`` are counted and skipped.
+    ``universe`` are skipped.
 
     Each cell with an article gets a row, in order of its first article.
     Returns the (D, S) int32 row of each cell, empty cells pointing at a
-    last row without articles; the ids of each row's articles; (article,
-    its rows) for each article inside the calendar; and the count of
-    skipped symbols.
+    last row without articles; the ids of each row's articles; and
+    (article, its rows) for each article inside the calendar.
     """
     sym_index = {s: i for i, s in enumerate(universe)}
     row_index = np.full((len(calendar), len(sym_index)), -1, dtype=np.int32)
     ids: list[list[str]] = []
     placed = []
-    n_unknown = 0
     for art in articles:
         d = _next_trading_day_index(calendar, art.date)
         if d is None:
@@ -186,7 +182,6 @@ def news_cells(articles, universe, calendar):
         for sym in art.symbols:
             s = sym_index.get(sym)
             if s is None:
-                n_unknown += 1
                 continue
             r = int(row_index[d, s])
             if r < 0:
@@ -198,7 +193,7 @@ def news_cells(articles, universe, calendar):
         placed.append((art, rows))
     row_index[row_index < 0] = len(ids)
     ids.append([])
-    return row_index, ids, placed, n_unknown
+    return row_index, ids, placed
 
 
 def daily_stock_news_vectors(articles, emb, universe, calendar) -> DailyNewsPanel:
@@ -212,11 +207,11 @@ def daily_stock_news_vectors(articles, emb, universe, calendar) -> DailyNewsPane
     """
     calendar = tuple(calendar)
     symbols = tuple(universe)
-    row_index, ids, placed, _ = news_cells(articles, symbols, calendar)
+    row_index, ids, placed = news_cells(articles, symbols, calendar)
     n_cells = len(ids) - 1
     vectors = np.zeros((n_cells + 1, emb.dim))
     for art, rows in placed:
-        vec, _ = news_vector(art.tokens, emb)
+        vec = news_vector(art.tokens, emb)
         for r in rows:
             vectors[r] += vec
     counts = np.array([len(row) for row in ids[:n_cells]], dtype=np.int64)

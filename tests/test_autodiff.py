@@ -1,6 +1,7 @@
 """Gradient and contract tests for the reverse-mode engine."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -368,6 +369,42 @@ def test_backward_requires_scalar_loss():
         y = ad.tanh(x)
         with pytest.raises(ShapeError):
             tape.backward(y)
+
+
+def _backward_keeping_every_record(tape, loss):
+    """``Tape.backward`` without dropping anything: every record, and so
+    every intermediate output and its gradient, stays on the tape."""
+    loss.ensure_grad()
+    loss.grad += 1.0
+    for out, backward_fn in reversed(tape._records):
+        if out.grad is not None:
+            backward_fn(out.grad)
+
+
+def test_backward_drops_each_record_once_run():
+    """An intermediate output is freed by the time backward returns, len(tape)
+    still counts the forward's records, and the gradients are those of a
+    backward that keeps every record, bit for bit."""
+    x, labels = np.random.default_rng(11).normal(size=(3, 2, 3)), np.array([0.5, -1.0, 2.0])
+
+    def run(backward):
+        params = _lstm_params(np.random.default_rng(5), 3, 4)
+        params["head"] = t(np.random.default_rng(6).normal(size=8))
+        with Tape() as tape:
+            h = _lstm_seq(Tensor(x), params)  # (3, 2, 4)
+            loss = ad.sq_error(ad.matmul(ad.reshape(h, (3, 8)), params["head"]), labels)
+            h, n_records = weakref.ref(h.values), len(tape)  # a Tensor takes no weakref
+            backward(tape, loss)
+        return h() is None, n_records, len(tape), {k: p.grad for k, p in params.items()}
+
+    freed, n_records, after, grads = run(Tape.backward)
+    assert freed
+    assert after == n_records == 5  # affine, lstm, reshape, matmul, sq_error
+    kept_freed, _, _, kept = run(_backward_keeping_every_record)
+    assert not kept_freed
+    assert grads.keys() == kept.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == kept[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

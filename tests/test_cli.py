@@ -2,16 +2,19 @@
 
 import collections
 import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from alphagraph import cli
 from alphagraph.checkpoint import load_checkpoint, save_checkpoint
@@ -337,6 +340,58 @@ def test_npz_without_a_member_is_data_error(run_copy, capsys):
     assert main(["train", "--config", str(cfg_path), "--out", str(out),
                  "--ablation", "Tech"]) == 2
     assert f"{panel}: no array 'mask'; rerun ingest" in capsys.readouterr().err
+
+
+def test_stages_after_ingest_read_only_calendar_symbols_mask_and_open(run_copy):
+    """cooccur, train, predict and backtest run on a panel.npz without its
+    high, low, close and volume, and write what they wrote on the full one."""
+    out, cfg_path = run_copy
+    panel = out / "panel.npz"
+    with np.load(panel) as z:
+        assert set(z.files) == {"calendar", "symbols", "mask", "open", "high", "low", "close",
+                                "volume"}
+        np.savez(panel, **{name: z[name] for name in ("calendar", "symbols", "mask", "open")})
+    written = ("cooccur.npz", "checkpoint.bin", "forecasts.csv", "pnl_daily.csv", "metrics.csv")
+    before = {name: (out / name).read_bytes() for name in written}
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    for argv in (["cooccur"], ["train"], ["predict"], ["backtest", "--simulator", "longshort"]):
+        assert main(argv + base) == 0
+    assert {name: (out / name).read_bytes() for name in written} == before
+
+
+npz_arrays = hnp.arrays(
+    st.sampled_from([np.dtype(d) for d in ("?", "i1", "<i8", ">u2", "<f4", "<f8", "<U1", "<U5")]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(npz_arrays, st.sampled_from(["C", "F", "strided"])),
+                min_size=1, max_size=3))
+def test_npz_writer_writes_the_bytes_of_np_savez(drawn):
+    arrays = {}
+    for k, (a, layout) in enumerate(drawn):
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "strided" and a.ndim:
+            a = a[..., ::2]
+        arrays[f"a{k}"] = a
+    ours, numpys = io.BytesIO(), io.BytesIO()
+    cli._save_npz(ours, **arrays)
+    np.savez(numpys, **arrays)
+    assert ours.getvalue() == numpys.getvalue()
+
+
+def test_npz_writer_holds_no_copy_of_an_array(tmp_path):
+    """np.savez copies each array it writes; the npz writer writes the
+    array's own buffer, in either order."""
+    for a in (np.ones((300, 200)), np.asfortranarray(np.ones((300, 200)))):
+        tracemalloc.start()
+        try:
+            cli._save_npz(tmp_path / "a.npz", values=a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
 
 
 def test_unknown_graph_symbol_is_data_error(run_copy, capsys):

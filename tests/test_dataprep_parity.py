@@ -262,7 +262,7 @@ def test_window_moments_equal_1d_numpy_per_column():
     x[17, 1], x[40, 2], x[90:100, 3] = np.inf, -np.inf, -0.0
     for w in (1, 3, 8, 16, 63, 128, 129, 136, 255, 300):
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean, std = F._trailing_moments(x, w)
+            mean, std = F._trailing_mean(x, w), F._trailing_std(x, w)
         for t in range(w - 1, x.shape[0]):
             for s in range(x.shape[1]):
                 window = x[t - w + 1:t + 1, s]

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from alphagraph.errors import ConfigError, DataError
 from alphagraph.factors import DEFAULT_REGISTRY, compute_factors
 from alphagraph.market import filter_universe, load_bars, log_return
+from alphagraph.synth import SyntheticSpec, generate
 
 from helpers import Bar, build_panel, forward_return, standardize_cross_section
 
@@ -254,6 +256,28 @@ def test_no_look_ahead_truncation(trending_panel):
     fp_cut = compute_factors(truncated, SMALL_REGISTRY)
     assert np.array_equal(fp_full.mask[:cut + 1], fp_cut.mask)
     assert np.allclose(fp_full.values[:cut + 1], fp_cut.values, atol=0, rtol=0)
+
+
+def test_compute_factors_holds_one_factor_at_a_time():
+    """On a 600 x 120 panel with nine factors, compute_factors holds its
+    (D, S, L) output and, besides, at most nine (D, S) float arrays: the
+    returns, one factor's raw values, its standardized values and their
+    temporaries, whatever the number of factors. A raw, a standardized and
+    a transposed copy of every factor would be 27 more."""
+    registry = {"momentum": [5, 10, 21], "reversal": [1], "volatility": [21],
+                "volume_z": [63], "rsi": [14], "ma_ratio": [21], "amihud": [21]}
+    panel = generate(SyntheticSpec(n_stocks=120, days=600, seed=3)).panel()
+    compute_factors(panel, {"momentum": [5]})  # numpy's lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        fp = compute_factors(panel, registry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    D, S, L = fp.values.shape
+    assert (D, S, L) == (600, 120, 9)
+    extra = (peak - fp.values.nbytes - fp.mask.nbytes) / (D * S * 8)
+    assert extra < 9
 
 
 def test_standardization_idempotence():

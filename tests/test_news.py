@@ -65,20 +65,23 @@ def test_vocabulary_deterministic_ordering():
 
 def test_news_vector_single_token_is_that_vector():
     emb = emb_of({"x": [1.0, 2.0], "y": [3.0, 4.0]})
-    vec, n = news_vector(["x"], emb)
-    assert n == 1 and np.array_equal(vec, [1.0, 2.0])
+    assert np.array_equal(news_vector(["x"], emb), [1.0, 2.0])
 
 
 def test_news_vector_two_tokens_midpoint():
     emb = emb_of({"x": [1.0, 2.0], "y": [3.0, 4.0]})
-    vec, _ = news_vector(["x", "y"], emb)
-    assert np.allclose(vec, [2.0, 3.0])
+    assert np.allclose(news_vector(["x", "y"], emb), [2.0, 3.0])
+
+
+def test_news_vector_is_the_mean_of_the_in_vocabulary_tokens():
+    emb = emb_of({"x": [1.0, 2.0], "y": [3.0, 4.0]})
+    vec = news_vector(["zz", "x", "ww", "y", "x"], emb)
+    assert np.array_equal(vec, emb.vectors[[0, 1, 0]].mean(axis=0))
 
 
 def test_news_vector_all_out_of_vocabulary_is_zero():
     emb = emb_of({"x": [1.0, 2.0]})
-    vec, n = news_vector(["zz", "ww"], emb)
-    assert n == 0 and np.array_equal(vec, [0.0, 0.0])
+    assert np.array_equal(news_vector(["zz", "ww"], emb), [0.0, 0.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,7 +89,7 @@ def test_news_vector_all_out_of_vocabulary_is_zero():
 def test_mean_vector_norm_bounded_by_max_token_norm(tokens):
     rng = np.random.default_rng(0)
     emb = emb_of({tok: rng.normal(size=3) for tok in "abcd"})
-    vec, _ = news_vector(tokens, emb)
+    vec = news_vector(tokens, emb)
     max_norm = max(np.linalg.norm(emb.vectors[i]) for i in range(4))
     assert np.linalg.norm(vec) <= max_norm + 1e-12
 
@@ -123,15 +126,16 @@ def test_three_articles_average_matches_bruteforce():
     token_sets = [["w0", "w1"], ["w2"], ["w3", "w4", "w5"]]
     articles = [art(i, CAL[1], ["AAA"], toks) for i, toks in enumerate(token_sets)]
     panel = daily_stock_news_vectors(articles, emb, ["AAA"], CAL)
-    expected = np.mean([news_vector(toks, emb)[0] for toks in token_sets], axis=0)
+    expected = np.mean([news_vector(toks, emb) for toks in token_sets], axis=0)
     assert np.allclose(panel.vectors[panel.row_index[2, 0]], expected, atol=1e-12)
 
 
-def test_unknown_symbol_counted_and_ignored():
+def test_unknown_symbol_gets_no_cell():
     articles = [art(0, CAL[0], ["AAA", "MISSING"], ["x"])]
-    row_index, ids, _, n_unknown = news_cells(articles, ["AAA"], CAL)
-    assert n_unknown == 1
+    row_index, ids, placed = news_cells(articles, ["AAA"], CAL)
+    assert ids == [["A0"], []]  # AAA's cell and the empty row
     assert ids[row_index[1, 0]] == ["A0"]
+    assert [(a.id, rows) for a, rows in placed] == [("A0", [0])]
 
 
 def test_news_cells_place_articles_as_the_panel_does():
@@ -139,13 +143,12 @@ def test_news_cells_place_articles_as_the_panel_does():
     vectors, are those of the news panel."""
     articles = [art(0, CAL[0], ["AAA", "BBB"], ["x"]), art(1, CAL[0], ["BBB"], []),
                 art(2, CAL[3], ["CCC", "AAA"], ["x"]), art(3, CAL[-1], ["AAA"], ["x"])]
-    row_index, ids, placed, n_unknown = news_cells(articles, ["AAA", "BBB"], CAL)
+    row_index, ids, placed = news_cells(articles, ["AAA", "BBB"], CAL)
     panel = daily_stock_news_vectors(articles, emb_of({"x": [1.0]}), ["AAA", "BBB"], CAL)
     assert np.array_equal(row_index, panel.row_index)
     assert ids == [["A0"], ["A0", "A1"], ["A2"], []]
     assert [ids[r] for r in row_index[1]] == [["A0"], ["A0", "A1"]]
     assert [(a.id, rows) for a, rows in placed] == [("A0", [0, 1]), ("A1", [1]), ("A2", [2])]
-    assert n_unknown == 1
 
 
 def test_temporal_hygiene_deleting_future_articles():
@@ -171,7 +174,7 @@ def dense(panel):
 def article_counts(articles, symbols):
     """The (D, S) article counts of the cells ``news_cells`` places the
     articles in."""
-    row_index, ids, _, _ = news_cells(articles, symbols, CAL)
+    row_index, ids, _ = news_cells(articles, symbols, CAL)
     return np.array([len(row) for row in ids])[row_index]
 
 
@@ -201,7 +204,7 @@ def test_ragged_rows_equal_dense_means_bit_for_bit(drawn, seed):
         later = [d for d, day in enumerate(CAL) if day > a.date]
         if not later:
             continue
-        vec = news_vector(a.tokens, emb)[0]
+        vec = news_vector(a.tokens, emb)
         for sym in a.symbols:
             if sym in SYMBOLS:
                 cell = (later[0], SYMBOLS.index(sym))
@@ -212,7 +215,7 @@ def test_ragged_rows_equal_dense_means_bit_for_bit(drawn, seed):
     means = np.zeros_like(sums)
     means[nz] = sums[nz] / counts[nz][:, None]
 
-    row_index, cell_ids, _, _ = news_cells(articles, SYMBOLS, CAL)
+    row_index, cell_ids, _ = news_cells(articles, SYMBOLS, CAL)
     assert dense(panel).tobytes() == means.tobytes()
     assert np.array_equal(row_index, panel.row_index)
     assert np.array_equal(article_counts(articles, SYMBOLS), counts)
