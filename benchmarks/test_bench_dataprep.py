@@ -28,7 +28,8 @@ REGISTRY = {"momentum": [5, 10, 21], "reversal": [1], "volatility": [21],
             "volume_z": [63], "rsi": [14], "ma_ratio": [21], "amihud": [21]}
 
 
-SPEC = SyntheticSpec(n_stocks=120, days=600, news_rate=1.0, seed=1)
+SPEC = SyntheticSpec(n_stocks=120, days=600, news_rate=1.0, b_volume=0.01, b_reversal=0.25,
+                     noise_std=0.01, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,8 @@ def test_bench_build_dataset(benchmark, market):
 def news(tmp_path_factory):
     """The articles in the first half of a 40 x 400 market, 2.5 a day, as the
     news-text workload of perfbench trains on them, and the market's symbols."""
-    spec = SyntheticSpec(n_stocks=40, days=400, news_rate=2.5, seed=1)
+    spec = SyntheticSpec(n_stocks=40, days=400, news_rate=2.5, b_volume=0.01, b_reversal=0.25,
+                         noise_std=0.01, seed=1)
     market = generate(spec)
     path = write_market(market, tmp_path_factory.mktemp("bench"))["news"]
     train_end = market.calendar[len(market.calendar) // 2]

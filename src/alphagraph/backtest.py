@@ -19,6 +19,7 @@ from .errors import ConfigError, DataError
 
 TRADING_DAYS_PER_YEAR = 252
 QUANTILE_FRACTIONS = {1: 1.00, 2: 0.75, 3: 0.50, 4: 0.25}
+BETA_WINDOW = 60   # trading days of the book's beta estimate against the market
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +41,8 @@ def split(calendar, train_end: dt.date, gap_days: int) -> SplitSpec:
     ``train_end`` (gap 0 means the next trading day) and runs to the end of
     the calendar.
     """
+    if gap_days < 0:  # the test window would start inside the training window
+        raise ConfigError(f"split.gap_days must be >= 0, got {gap_days}")
     calendar = list(calendar)
     if train_end not in calendar:
         raise DataError(f"train_end {train_end} not in calendar")
@@ -149,6 +152,8 @@ def simulate_longshort(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
     D, S = yhat.shape
     if returns.shape != yhat.shape:
         raise DataError(f"simulate_longshort: shapes {yhat.shape} vs {returns.shape}")
+    if horizon < 1:
+        raise ConfigError(f"simulator.horizon must be >= 1, got {horizon}")
     rets = _clean_returns(returns)
     tranches = np.zeros((horizon, S))
     book_prev = np.zeros(S)
@@ -200,7 +205,7 @@ def simulate_markowitz(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
                        gross_cap: float | None = None,
                        cost_linear: float = 5e-4, cost_quadratic: float = 0.0,
                        market: np.ndarray | None = None,
-                       beta_window: int = 60, capital: float = 1.0) -> TradeLedger:
+                       capital: float = 1.0) -> TradeLedger:
     """Mean-variance positions with caps, costs, and an optional market hedge.
 
     Each day with at least ``cov_window`` days of history solves
@@ -244,12 +249,12 @@ def simulate_markowitz(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
                     w = w * (gross_cap / g)
             w = w * capital
         h = 0.0
-        if mkt is not None and t >= beta_window:
-            m = mkt[t - beta_window:t]
+        if mkt is not None and t >= BETA_WINDOW:
+            m = mkt[t - BETA_WINDOW:t]
             var_m = float(m.var())
             if var_m > 0:
-                betas = (rets[t - beta_window:t] - rets[t - beta_window:t].mean(axis=0)) \
-                    .T @ (m - m.mean()) / (beta_window * var_m)
+                betas = (rets[t - BETA_WINDOW:t] - rets[t - BETA_WINDOW:t].mean(axis=0)) \
+                    .T @ (m - m.mean()) / (BETA_WINDOW * var_m)
                 h = -float(w @ betas)
         delta = np.abs(w - book_prev).sum()
         day_cost = cost_linear * delta + cost_quadratic * float(((w - book_prev) ** 2).sum())

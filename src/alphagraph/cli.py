@@ -23,8 +23,8 @@ import numpy as np
 from . import backtest as bt
 from . import interpret as itp
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (ModelConfig, ablation_config, load_config, manifest_outputs,
-                     manifest_path, sha256_file, write_manifest)
+from .config import (ModelConfig, SyntheticSpec, ablation_config, load_config,
+                     manifest_outputs, manifest_path, sha256_file, write_manifest)
 from .embeddings import (StockEmbeddingSet, StockGraph, build_knn_graph,
                          export_graph_csv, train_glove)
 from .embfile import embedding_dim, read_embeddings, write_embeddings
@@ -35,7 +35,7 @@ from .forecasts import read_forecasts, write_forecasts
 from .market import (BarPanel, daily_simple_returns, filter_universe, load_bars)
 from .news import (CooccurrenceMatrix, build_cooccurrence, build_vocabulary,
                    daily_stock_news_vectors, load_articles, news_cells)
-from .synth import SyntheticSpec, generate, write_market
+from .synth import generate, write_market
 from .word2vec import WordEmbeddingSet, train_cbow
 
 BARS_FILE = "bars.csv"
@@ -269,18 +269,13 @@ def _load_word_embeddings(path) -> WordEmbeddingSet:
 # Shared pipeline assembly
 # ---------------------------------------------------------------------------
 
-def _require(cfg, section, key):
-    value = cfg[section][key]
-    if value is None:
-        raise ConfigError(f"config value {section}.{key} is required for this command")
-    return value
-
-
 def _train_end(cfg) -> dt.date:
-    value = _require(cfg, "split", "train_end")
+    value = cfg["split"]["train_end"]
+    if value is None:
+        raise ConfigError("config value split.train_end is required for this command")
     try:
         return dt.date.fromisoformat(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"split.train_end {value!r} is not a YYYY-MM-DD date "
                           f"({exc})") from None
 

@@ -92,6 +92,8 @@ def train_glove(x: CooccurrenceMatrix, dim: int = 32, x_max: float = 100.0,
     (full-batch descent on a smooth objective). Raises ``NumericalFault``,
     naming the epoch, once the loss or the parameters stop being finite.
     """
+    if dim < 1 or epochs < 0:
+        raise ConfigError(f"glove.dim must be >= 1 and glove.epochs >= 0, got {dim} and {epochs}")
     rows, cols, vals = x.to_coo()
     if rows.size == 0:
         raise DataError("no co-occurrence signal: all counts are zero")

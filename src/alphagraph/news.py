@@ -73,8 +73,7 @@ class NewsArticle:
     tokens: list[str]
 
 
-def load_articles(path, tokenizer=whitespace_tokenizer,
-                  stopwords=DEFAULT_STOPWORDS) -> list[NewsArticle]:
+def load_articles(path) -> list[NewsArticle]:
     """Read a JSONL news file and preprocess every article's text. A line
     that is not a JSON object with an ``id``, a YYYY-MM-DD ``date``, a
     ``text`` string and (optionally) ``symbols``, a list of non-empty
@@ -101,7 +100,7 @@ def load_articles(path, tokenizer=whitespace_tokenizer,
                         id=str(rec["id"]),
                         date=dt.date.fromisoformat(rec["date"]),
                         symbols=symbols,
-                        tokens=clean_tokens(rec["text"], tokenizer, stopwords),
+                        tokens=clean_tokens(rec["text"]),
                     )
                     if any(map(_LONE_SURROGATE.search, (art.id, rec["text"], *symbols))):
                         raise ValueError("the id, text or a symbol holds a lone surrogate")

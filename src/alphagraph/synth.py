@@ -29,61 +29,16 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .config import SyntheticSpec
+from .errors import DataError
 from .market import BarPanel
 
-# accepted value types of each SyntheticSpec annotation; bool is refused apart
-_FIELD_TYPES = {"int": (int,), "float": (int, float),
-                "float | None": (int, float, type(None)), "str": (str,)}
 WRITE_BLOCK_DATES = 64   # dates write_market formats at once; bounds its memory
-
-
-@dataclass
-class SyntheticSpec:
-    n_stocks: int = 50
-    days: int = 750
-    n_clusters: int = 5
-    b_volume: float = 0.01       # next-day return per unit of activity state
-    b_reversal: float = 0.25     # mean next-day reversal of today's return
-    reversal_spread: float = 0.6  # per-cluster reversal slope dispersion
-    phi: float = 0.7             # activity state AR(1) persistence
-    factor_innovation: float = 0.5
-    factor_init_scale: float | None = None  # std of the day-0 state; default = innovation scale
-    cluster_vol: float = 0.004
-    noise_std: float = 0.01
-    news_rate: float = 6.0       # expected articles per day, whole universe
-    co_mention_fidelity: float = 0.9
-    tone_fidelity: float = 0.8
-    horizon: int = 5             # label horizon the sidecar signals target
-    start: str = "2015-01-05"
-    seed: int = 0
-
-    def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ConfigError(f"synth.{f.name} must be {f.type}, got {value!r}")
-        if self.days < 1 or self.horizon < 1:
-            raise ConfigError(f"synth.days and synth.horizon must be >= 1, "
-                              f"got {self.days} and {self.horizon}")
-        if not (math.isfinite(self.news_rate) and self.news_rate >= 0):
-            raise ConfigError(f"synth.news_rate must be finite and >= 0, got {self.news_rate}")
-        try:
-            dt.date.fromisoformat(self.start)
-        except ValueError:
-            raise ConfigError(f"synth.start must be a YYYY-MM-DD date, "
-                              f"got {self.start!r}") from None
-        if not 1 <= self.n_clusters <= self.n_stocks:
-            raise ConfigError(f"synth.n_clusters must be in [1, n_stocks={self.n_stocks}], "
-                              f"got {self.n_clusters}")
-        if self.noise_std < 0 or self.cluster_vol < 0:
-            raise ConfigError("synth.noise_std and synth.cluster_vol must be >= 0")
 
 
 @dataclass

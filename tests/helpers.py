@@ -24,6 +24,8 @@ runs, kept as the references and checks the tests use.
   correlation (acceptance criterion 5).
 * ``read_truth_signals``: the synthetic market's signal sidecar.
 * ``dump_config``: a config dict as the JSON text ``load_config`` reads.
+* ``TEST_SIGNAL``: the planted-signal strength of the unit tests' synthetic
+  markets, stronger and less noisy than the ``synth`` defaults.
 * ``mse_loss``, ``ridge_fit``, ``ridge_predict``, ``build_ridge_features``
   and ``ridge_scan``: the ridge baseline of acceptance criterion 4 and its
   unit tests; no stage runs it.
@@ -41,6 +43,10 @@ from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
 from alphagraph.factors import _standardize_rows
 from alphagraph.market import (BAR_HEADER, BarPanel, _duplicate_bar, _panel_from_columns,
                                log_return)
+
+# the synth signal settings that the unit tests' markets and thresholds are
+# calibrated on
+TEST_SIGNAL = {"b_volume": 0.01, "b_reversal": 0.25, "noise_std": 0.01}
 
 
 def _check_same_shape(op, a, b):

@@ -282,7 +282,7 @@ RECOVERY_REGISTRY = {"momentum": [5, 10, 21], "reversal": [1], "volatility": [21
 @pytest.fixture(scope="session")
 def recovery_world():
     start = time.monotonic()
-    spec = SyntheticSpec(horizon=1, b_volume=0.012, b_reversal=0.30, seed=42)
+    spec = SyntheticSpec(horizon=1, b_volume=0.012, b_reversal=0.30, noise_std=0.01, seed=42)
     market = generate(spec)
     panel = market.panel()
     factors = compute_factors(panel, RECOVERY_REGISTRY)

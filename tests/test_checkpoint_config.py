@@ -1,12 +1,13 @@
 """Checkpoint container format and configuration handling."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alphagraph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from alphagraph.cli import main
 from alphagraph.config import DEFAULTS, load_config, sha256_file, write_manifest
 from alphagraph.errors import ConfigError, DataError
 
@@ -80,14 +81,14 @@ def test_checkpoint_accepts_tensors(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_defaults_load_without_sources():
-    cfg = load_config(env={})
+    cfg = load_config()
     assert cfg == DEFAULTS
     assert cfg is not DEFAULTS
 
 
 def test_default_values_contract():
     """The shipped defaults other components are calibrated around."""
-    cfg = load_config(env={})
+    cfg = load_config()
     assert cfg["word2vec"]["dim"] == 400
     assert cfg["word2vec"]["min_count"] == 10
     assert cfg["glove"]["dim"] == 32
@@ -106,7 +107,7 @@ def test_default_values_contract():
 def test_file_values_merge(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"model": {"epochs": 3}, "seed": 9}))
-    cfg = load_config(p, env={})
+    cfg = load_config(p)
     assert cfg["model"]["epochs"] == 3
     assert cfg["seed"] == 9
     assert cfg["model"]["hidden"] == DEFAULTS["model"]["hidden"]
@@ -116,39 +117,66 @@ def test_unknown_keys_rejected(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"modell": {"epochs": 3}}))
     with pytest.raises(ConfigError):
-        load_config(p, env={})
+        load_config(p)
     p.write_text(json.dumps({"model": {"epocsh": 3}}))
     with pytest.raises(ConfigError):
-        load_config(p, env={})
+        load_config(p)
 
 
-def test_env_overrides_file(tmp_path):
+@pytest.mark.parametrize("setting, value", [
+    ("model.lr=1", 1),  # an int stands for a float, and is recorded as given
+    ("simulator.per_name_cap=null", None),  # no cap
+    ("simulator.gross_cap=null", None),
+    ("paths.bars=null", None),
+    ("split.train_end=2015-04-06", "2015-04-06"),
+    ('factors={"momentum": [5]}', {"momentum": [5]}),
+])
+def test_type_rule_accepts(setting, value):
+    cfg = load_config(overrides=[setting])
+    for key in setting.split("=")[0].split("."):
+        cfg = cfg[key]
+    assert cfg == value and type(cfg) is type(value)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("model.lr", True),  # a bool never stands for a number
+    ("model.epochs", 2.5),
+    ("model.nonneg_tech", 1),
+    ("simulator.hedge", "abc"),
+    ("simulator.horizon", None),
+    ("seed", "abc"),
+    ("paths.news", 1),
+    ("factors", [1]),
+    ("factors.momentum", 5),
+])
+def test_type_rule_refuses(tmp_path, where, value):
+    node = value
+    for key in reversed(where.split(".")):
+        node = {key: node}
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"model": {"epochs": 3}}))
-    cfg = load_config(p, env={"ALPHAGRAPH_MODEL_EPOCHS": "7"})
-    assert cfg["model"]["epochs"] == 7
+    p.write_text(json.dumps(node))
+    for source in ({"path": p}, {"overrides": [f"{where}={json.dumps(value)}"]}):
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be "):
+            load_config(**source)
 
 
-def test_flags_override_env():
-    cfg = load_config(env={"ALPHAGRAPH_SEED": "5"}, overrides=["seed=8"])
-    assert cfg["seed"] == 8
-
-
-def test_numba_env_flag_not_a_config_key(tmp_path, monkeypatch, capsys):
-    """ALPHAGRAPH_NUMBA selected a kernel path that no longer exists; it is
-    now an unknown key like any other."""
-    with pytest.raises(ConfigError, match="unknown config key"):
-        load_config(env={"ALPHAGRAPH_NUMBA": "0"})
-    monkeypatch.setenv("ALPHAGRAPH_NUMBA", "0")
-    assert main(["synth", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: config: unknown config key")
+def test_readme_example_config_loads(tmp_path):
+    """The example config of README.md obeys the type rule."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("A minimal config for a synthetic run:")[1].split("```json\n")[1]
+    p = tmp_path / "cfg.json"
+    p.write_text(text.split("```")[0])
+    cfg, given = load_config(p), json.loads(p.read_text())
+    for section, value in given.items():
+        assert cfg[section] == (dict(DEFAULTS[section], **value)
+                                if isinstance(value, dict) and section != "factors" else value)
 
 
 def test_config_round_trip(tmp_path):
-    cfg = load_config(env={}, overrides=["model.epochs=2", "split.gap_days=4"])
+    cfg = load_config(overrides=["model.epochs=2", "split.gap_days=4"])
     p = tmp_path / "dump.json"
     p.write_text(dump_config(cfg))
-    reloaded = load_config(p, env={})
+    reloaded = load_config(p)
     assert reloaded == cfg
 
 
@@ -158,7 +186,7 @@ def test_manifest_location_independent(tmp_path):
         d.mkdir()
         (d / "input.txt").write_text("payload")
         (d / "output.txt").write_text("result")
-    cfg = load_config(env={})
+    cfg = load_config()
     cfg["paths"]["bars"] = str(a_dir / "input.txt")
     ma = write_manifest(a_dir, "demo", cfg, [a_dir / "input.txt"], [a_dir / "output.txt"])
     cfg["paths"]["bars"] = str(b_dir / "input.txt")

@@ -19,11 +19,12 @@ from hypothesis.extra import numpy as hnp
 from alphagraph import cli
 from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.cli import main
-from alphagraph.config import ModelConfig, sha256_file
+from alphagraph.config import DEFAULTS, ModelConfig, sha256_file
 from alphagraph.embeddings import build_knn_graph
 from alphagraph.embfile import embedding_dim, read_embeddings
 from alphagraph.errors import AlphagraphError, DataError
 from alphagraph.news import load_articles
+from alphagraph.synth import SyntheticSpec, generate, write_market
 
 
 def small_config(tmp_path, train_end):
@@ -224,12 +225,69 @@ def test_invalid_synth_spec_is_config_error(tmp_path, capsys, setting):
 
 @pytest.mark.parametrize("command, setting", [("cooccur", "split.train_end=2015-13-01"),
                                               ("train", "model.hidden=0"),
-                                              ("train", "model.batch_size=0")])
+                                              ("train", "model.batch_size=0"),
+                                              ("train", "model.val_fraction=1.5"),
+                                              ("predict", "split.gap_days=-5"),
+                                              ("train-glove", "glove.epochs=-1"),
+                                              ("train-glove", "glove.dim=0"),
+                                              ("train-word2vec", "word2vec.dim=0"),
+                                              ("backtest", "simulator.horizon=0")])
 def test_invalid_setting_is_config_error(run_copy, capsys, command, setting):
     out, cfg_path = run_copy
     assert main([command, "--config", str(cfg_path), "--out", str(out), "--set", setting]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and len(err.splitlines()) == 1, err
+
+
+def _leaves(node=DEFAULTS, path=""):
+    for key, default in node.items():
+        if isinstance(default, dict) and key != "factors":
+            yield from _leaves(default, f"{path}{key}.")
+        else:
+            yield path + key, default
+
+
+def _wrong_values(default) -> list[str]:
+    """Values, as ``--set`` writes them, whose type is not ``default``'s."""
+    if isinstance(default, bool):
+        return ["1", "abc"]
+    if isinstance(default, int):
+        return ["true", "abc", "2.5"]
+    if isinstance(default, float):
+        return ["true", "abc"]
+    return ["true", "[1]"]  # a string, None (paths.*, split.train_end) or factors
+
+
+@pytest.mark.parametrize("key, raw", [(key, raw) for key, default in _leaves()
+                                      for raw in _wrong_values(default)])
+def test_wrong_type_of_any_setting_is_config_error(tmp_path, capsys, key, raw):
+    """Every setting is type-checked when the config loads, before any stage
+    runs, whatever stage reads it."""
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--set", f"{key}={raw}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {key} must be ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+def test_mistyped_model_setting_is_refused_before_train(run_copy, capsys):
+    """A flag that train would store in model_config.json, where predict
+    refuses it, is refused at load; the stored config stays."""
+    out, cfg_path = run_copy
+    stored = (out / cli.MODELCFG_FILE).read_bytes()
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--set", "model.nonneg_tech=1"]) == 1
+    assert capsys.readouterr().err.startswith("error: config: model.nonneg_tech must be ")
+    assert (out / cli.MODELCFG_FILE).read_bytes() == stored
+
+
+def test_synth_defaults_are_the_generator_defaults(tmp_path):
+    """`alphagraph synth` with no settings writes the market of SyntheticSpec()."""
+    assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+    (tmp_path / "lib").mkdir()
+    paths = write_market(generate(SyntheticSpec()), tmp_path / "lib")
+    for path in paths.values():
+        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_one_day_window_without_signal_is_config_error(run_copy, capsys):
@@ -760,7 +818,7 @@ CORRUPTIONS = {
                               "rerun train"),
     "model config string width": ("model_config.json",
                                   lambda path: _edit_json(path, hidden="8"),
-                                  "hidden is '8', expected int; rerun train"),
+                                  "hidden must be an integer, got '8'; rerun train"),
     "model config negative width": ("model_config.json",
                                     lambda path: _edit_json(path, hidden=-1),
                                     "hidden must be >= 1, got -1; rerun train"),

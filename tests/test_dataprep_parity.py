@@ -32,7 +32,7 @@ from alphagraph.market import _BAR_RULES, BarPanel, daily_log_returns, load_bars
 from alphagraph.model import ModelConfig, build_dataset
 from alphagraph.synth import SyntheticSpec, generate, write_market
 
-from helpers import (build_panel, forward_return, market_bars, parse_bar_row,
+from helpers import (TEST_SIGNAL, build_panel, forward_return, market_bars, parse_bar_row,
                      standardize_cross_section)
 
 REGISTRY = {"momentum": [5, 21], "reversal": [1], "volatility": [21],
@@ -199,7 +199,7 @@ def same_panel(p, q):
 def holey_panel():
     """Synthetic market with late listings, delistings, holes, a constant
     stock and heavy-tailed shocks, so dates differ in their valid count."""
-    market = generate(SyntheticSpec(n_stocks=14, days=160, n_clusters=3, seed=5))
+    market = generate(SyntheticSpec(n_stocks=14, days=160, n_clusters=3, seed=5, **TEST_SIGNAL))
     rng = np.random.default_rng(5)
     bars = []
     for b in market_bars(market):
@@ -320,7 +320,7 @@ def test_batched_standardisation_matches_scalar_above_128_valid(seed):
 
 
 def test_factors_bit_equal_to_reference_above_128_stocks():
-    market = generate(SyntheticSpec(n_stocks=150, days=45, n_clusters=4, seed=11))
+    market = generate(SyntheticSpec(n_stocks=150, days=45, n_clusters=4, seed=11, **TEST_SIGNAL))
     rng = np.random.default_rng(11)
     bars = [b for b in market_bars(market)
             if not (int(b.symbol[1:]) < 12 and market.calendar.index(b.date) < 25)
@@ -431,7 +431,7 @@ def test_load_bars_errors_match_row_by_row_parse(tmp_path, kind):
 
 
 def test_load_bars_panel_bit_equal_to_reference(tmp_path):
-    market = generate(SyntheticSpec(n_stocks=6, days=40, n_clusters=2, seed=3))
+    market = generate(SyntheticSpec(n_stocks=6, days=40, n_clusters=2, seed=3, **TEST_SIGNAL))
     path = write_market(market, tmp_path)["bars"]
     text = path.read_text().splitlines()
     # blank lines, shuffled row order and extra trailing fields are accepted
@@ -443,7 +443,7 @@ def test_load_bars_panel_bit_equal_to_reference(tmp_path):
 
 
 def test_build_panel_reports_first_invalid_bar_in_key_order():
-    market = generate(SyntheticSpec(n_stocks=3, days=5, n_clusters=1, seed=0))
+    market = generate(SyntheticSpec(n_stocks=3, days=5, n_clusters=1, seed=0, **TEST_SIGNAL))
     bars = market_bars(market)
     b = bars[7]
     bars[7] = type(b)(b.symbol, b.date, b.open, b.open * 0.5, b.low, b.close, b.volume)
@@ -460,7 +460,7 @@ def test_build_panel_reports_first_invalid_bar_in_key_order():
 
 
 def test_build_panel_error_precedence_matches_sorted_scan():
-    market = generate(SyntheticSpec(n_stocks=3, days=5, n_clusters=1, seed=0))
+    market = generate(SyntheticSpec(n_stocks=3, days=5, n_clusters=1, seed=0, **TEST_SIGNAL))
     bars = sorted(market_bars(market), key=lambda b: (b.date, b.symbol))
 
     def invalid(b):

@@ -13,7 +13,7 @@ from alphagraph.factors import DEFAULT_REGISTRY, compute_factors
 from alphagraph.market import filter_universe, load_bars, log_return
 from alphagraph.synth import SyntheticSpec, generate
 
-from helpers import Bar, build_panel, forward_return, standardize_cross_section
+from helpers import TEST_SIGNAL, Bar, build_panel, forward_return, standardize_cross_section
 
 D0 = dt.date(2020, 1, 6)  # a Monday
 
@@ -266,7 +266,7 @@ def test_compute_factors_holds_one_factor_at_a_time():
     a transposed copy of every factor would be 27 more."""
     registry = {"momentum": [5, 10, 21], "reversal": [1], "volatility": [21],
                 "volume_z": [63], "rsi": [14], "ma_ratio": [21], "amihud": [21]}
-    panel = generate(SyntheticSpec(n_stocks=120, days=600, seed=3)).panel()
+    panel = generate(SyntheticSpec(n_stocks=120, days=600, seed=3, **TEST_SIGNAL)).panel()
     compute_factors(panel, {"momentum": [5]})  # numpy's lazy imports, outside the trace
     tracemalloc.start()
     try:

@@ -11,9 +11,10 @@ from alphagraph.news import build_cooccurrence, load_articles
 from alphagraph.synth import (SyntheticSpec, cluster_reversal_slopes, generate,
                               write_market)
 
-from helpers import cooccurrence_dense, read_truth_signals
+from helpers import TEST_SIGNAL, cooccurrence_dense, read_truth_signals
 
-SMALL = SyntheticSpec(n_stocks=10, days=60, n_clusters=2, news_rate=4.0, seed=11)
+SMALL = SyntheticSpec(n_stocks=10, days=60, n_clusters=2, news_rate=4.0, seed=11,
+                      **TEST_SIGNAL)
 
 
 def test_same_seed_identical_files(tmp_path):
@@ -44,7 +45,7 @@ def test_generated_bars_satisfy_invariants():
 
 def test_full_comention_fidelity_block_diagonal():
     spec = SyntheticSpec(n_stocks=12, days=40, n_clusters=3,
-                         co_mention_fidelity=1.0, news_rate=8.0, seed=3)
+                         co_mention_fidelity=1.0, news_rate=8.0, seed=3, **TEST_SIGNAL)
     market = generate(spec)
     panel = market.panel()
     arts = [type("A", (), {"symbols": a["symbols"], "date": None})
@@ -59,6 +60,7 @@ def test_full_comention_fidelity_block_diagonal():
 
 def test_noiseless_oracle_r2_is_one():
     spec = SyntheticSpec(n_stocks=8, days=80, n_clusters=2, noise_std=0.0,
+                         b_volume=TEST_SIGNAL["b_volume"], b_reversal=TEST_SIGNAL["b_reversal"],
                          cluster_vol=0.0, factor_innovation=0.0,
                          factor_init_scale=1.0, phi=0.995, horizon=3,
                          news_rate=2.0, seed=5)
@@ -79,8 +81,8 @@ def test_noiseless_oracle_r2_is_one():
 
 def test_truth_signal_matches_pipeline_labels_statistically():
     """The sidecar signal must be an unbiased conditional mean: regressing
-    realized labels on it gives slope ~ 1 at default noise levels."""
-    spec = SyntheticSpec(n_stocks=20, days=300, n_clusters=4, seed=7)
+    realized labels on it gives slope ~ 1 at the tests' noise levels."""
+    spec = SyntheticSpec(n_stocks=20, days=300, n_clusters=4, seed=7, **TEST_SIGNAL)
     market = generate(spec)
     panel = market.panel()
     cfg = mdl.ModelConfig(lookback=2, n_factors=1, use_graph=False,
@@ -124,7 +126,7 @@ def test_cluster_reversal_slopes_mean_preserved():
 def test_factors_recover_planted_volume_signal():
     """The volume z-score factor must correlate with the latent activity
     state that drives it."""
-    spec = SyntheticSpec(n_stocks=6, days=200, n_clusters=2, seed=9)
+    spec = SyntheticSpec(n_stocks=6, days=200, n_clusters=2, seed=9, **TEST_SIGNAL)
     market = generate(spec)
     panel = market.panel()
     fp = compute_factors(panel, {"volume_z": [63]})

@@ -22,23 +22,24 @@ from alphagraph.market import BarPanel, load_bars
 from alphagraph.synth import (SyntheticSpec, _label_signal, cluster_reversal_slopes,
                               generate, round6, trading_calendar, write_market)
 
-from helpers import Bar
+from helpers import TEST_SIGNAL, Bar
 
 # the synth specs of the benchmark workloads (perfbench/workloads.py)
 _SIGNAL = dict(n_clusters=5, horizon=1, b_volume=0.036, b_reversal=0.30,
                noise_std=0.0045, cluster_vol=0.003)
 NEWS_TEXT = SyntheticSpec(**_SIGNAL, n_stocks=40, days=400, news_rate=2.5)
 WIDE_PANEL = SyntheticSpec(**_SIGNAL, n_stocks=120, days=600, news_rate=1.0)
-SMALL = SyntheticSpec(n_stocks=12, days=80, n_clusters=3, news_rate=4.0, seed=2)
+SMALL = SyntheticSpec(n_stocks=12, days=80, n_clusters=3, news_rate=4.0, seed=2, **TEST_SIGNAL)
 
 SPECS = {
     **{f"news-text-{s}": dataclasses.replace(NEWS_TEXT, seed=s) for s in (0, 1, 7)},
     **{f"wide-panel-{s}": dataclasses.replace(WIDE_PANEL, seed=s) for s in (0, 1, 7)},
-    "acceptance": SyntheticSpec(horizon=1, b_volume=0.012, b_reversal=0.30, seed=42),
+    "acceptance": SyntheticSpec(horizon=1, b_volume=0.012, b_reversal=0.30, noise_std=0.01,
+                                seed=42),
     "one-cluster": dataclasses.replace(SMALL, n_clusters=1),
     "horizon-1": dataclasses.replace(SMALL, horizon=1),
     "horizon-5": dataclasses.replace(SMALL, horizon=5),
-    "150-stocks": SyntheticSpec(n_stocks=150, days=40, n_clusters=4, seed=3),
+    "150-stocks": SyntheticSpec(n_stocks=150, days=40, n_clusters=4, seed=3, **TEST_SIGNAL),
     "full-fidelity": dataclasses.replace(SMALL, co_mention_fidelity=1.0),
 }
 
