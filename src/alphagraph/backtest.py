@@ -41,8 +41,6 @@ def split(calendar, train_end: dt.date, gap_days: int) -> SplitSpec:
     ``train_end`` (gap 0 means the next trading day) and runs to the end of
     the calendar.
     """
-    if gap_days < 0:  # the test window would start inside the training window
-        raise ConfigError(f"split.gap_days must be >= 0, got {gap_days}")
     calendar = list(calendar)
     if train_end not in calendar:
         raise DataError(f"train_end {train_end} not in calendar")
@@ -152,8 +150,6 @@ def simulate_longshort(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
     D, S = yhat.shape
     if returns.shape != yhat.shape:
         raise DataError(f"simulate_longshort: shapes {yhat.shape} vs {returns.shape}")
-    if horizon < 1:
-        raise ConfigError(f"simulator.horizon must be >= 1, got {horizon}")
     rets = _clean_returns(returns)
     tranches = np.zeros((horizon, S))
     book_prev = np.zeros(S)
@@ -220,8 +216,6 @@ def simulate_markowitz(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
     D, S = yhat.shape
     if returns.shape != yhat.shape:
         raise DataError(f"simulate_markowitz: shapes {yhat.shape} vs {returns.shape}")
-    if risk_aversion <= 0:
-        raise ConfigError("risk_aversion must be positive")
     rets = _clean_returns(returns)
     mkt = _clean_returns(market) if market is not None else None
     positions = np.zeros((D, S))

@@ -5,7 +5,9 @@ with precedence defaults < file < repeated ``--set section.key=value``
 flags; no environment variable is read. Each setting is declared once: the
 ``model`` and ``synth`` sections are the defaults of ``ModelConfig`` and
 ``SyntheticSpec`` fields. Unknown keys are rejected, and ``load_config``
-checks every merged value with the one type rule, ``check_setting``.
+checks every merged value with the one rule of ``check_setting``: its
+type, and its range in ``RANGES``, the one table of the values each
+bounded setting accepts.
 
 Every command writes a manifest JSON recording the effective configuration,
 the seed, and SHA-256 hashes of input and output files (keyed by basename,
@@ -34,8 +36,6 @@ from .errors import ConfigError
 # ---------------------------------------------------------------------------
 # Model and synthetic-market configuration
 # ---------------------------------------------------------------------------
-
-MAX_TECH_DIM = 1024
 
 ABLATIONS = {
     "news": (False, False, True),
@@ -69,32 +69,23 @@ class ModelConfig:
     nonneg_tech: bool = False  # interpretability mode: use relu(W) in the tech layer
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.lookback < 1:
-            raise ConfigError("lookback must be >= 1")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be >= 0")
-        if not 0 <= self.val_fraction < 1:
-            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if not (self.use_graph or self.use_tech or self.use_news):
-            raise ConfigError("at least one input module must be enabled")
-        if self.tech_dim > MAX_TECH_DIM:
-            raise ConfigError(f"tech_dim {self.tech_dim} exceeds maximum {MAX_TECH_DIM}")
-        for name in ("embed_dim", "tech_dim", "news_dim", "hidden", "attn_hidden",
-                     "temporal_hidden", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-
     @classmethod
     def from_dict(cls, stored) -> "ModelConfig":
         """The config whose ``vars`` are ``stored``. A TypeError names an
-        unknown field, a ConfigError a value that breaks the type rule of
-        ``check_setting``."""
+        unknown field, a ConfigError a value that breaks the rule of
+        ``check_setting`` or enables no usable input module."""
         if not isinstance(stored, dict):
             raise TypeError(f"expected an object of config fields, got {type(stored).__name__}")
         cfg = cls(**stored)
         for f in fields(cls):
-            check_setting(f.name, getattr(cfg, f.name), f.default)
+            # the model's seed is the run's top-level seed
+            where = f.name if f.name == "seed" else f"model.{f.name}"
+            check_setting(where, getattr(cfg, f.name), f.default)
+        if not (cfg.use_graph or cfg.use_tech or cfg.use_news):
+            raise ConfigError("at least one input module must be enabled")
+        if cfg.use_tech and cfg.n_factors < 1:
+            raise ConfigError(f"the technical module needs model.n_factors >= 1, "
+                              f"got {cfg.n_factors}")
         return cfg
 
     def input_dim(self) -> int:
@@ -130,23 +121,6 @@ class SyntheticSpec:
     horizon: int = 5             # label horizon the sidecar signals target
     start: str = "2015-01-05"
     seed: int = 0
-
-    def validate(self):
-        if self.days < 1 or self.horizon < 1:
-            raise ConfigError(f"synth.days and synth.horizon must be >= 1, "
-                              f"got {self.days} and {self.horizon}")
-        if not (math.isfinite(self.news_rate) and self.news_rate >= 0):
-            raise ConfigError(f"synth.news_rate must be finite and >= 0, got {self.news_rate}")
-        try:
-            dt.date.fromisoformat(self.start)
-        except ValueError:
-            raise ConfigError(f"synth.start must be a YYYY-MM-DD date, "
-                              f"got {self.start!r}") from None
-        if not 1 <= self.n_clusters <= self.n_stocks:
-            raise ConfigError(f"synth.n_clusters must be in [1, n_stocks={self.n_stocks}], "
-                              f"got {self.n_clusters}")
-        if self.noise_std < 0 or self.cluster_vol < 0:
-            raise ConfigError("synth.noise_std and synth.cluster_vol must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +195,115 @@ NULLABLE = ("simulator.per_name_cap", "simulator.gross_cap")
 _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
           list: "a list", dict: "an object"}
 
+# The values each bounded setting accepts: ">= a" and "> a" bound it below,
+# "[a, b]", "(a, b]" and so on are intervals. A key names a DEFAULTS leaf or
+# a ModelConfig field; the three fields train reads from upstream artifacts
+# (model.embed_dim, model.n_factors, model.news_dim) are not settings.
+RANGES = {
+    "seed": ">= 0",
+    "universe.min_median_dollar_volume": ">= 0",
+    "universe.min_price": ">= 0",
+    "universe.min_history": ">= 0",
+    "word2vec.dim": ">= 1",
+    "word2vec.window": ">= 1",
+    "word2vec.negatives": ">= 1",
+    "word2vec.epochs": ">= 1",
+    "word2vec.lr": "> 0",
+    "word2vec.min_count": ">= 1",
+    "glove.dim": ">= 1",
+    "glove.x_max": "> 0",
+    "glove.alpha": "(0, 1]",
+    "glove.epochs": ">= 1",
+    "glove.lr": "> 0",
+    "graph.k": ">= 1",
+    "model.lookback": ">= 1",
+    "model.embed_dim": ">= 1",
+    "model.n_factors": ">= 0",
+    "model.tech_dim": "[1, 1024]",
+    "model.news_dim": ">= 1",
+    "model.hidden": ">= 1",
+    "model.attn_hidden": ">= 1",
+    "model.temporal_hidden": ">= 1",
+    "model.horizon": ">= 0",
+    "model.epochs": ">= 1",
+    "model.lr": "> 0",
+    "model.batch_size": ">= 1",
+    "model.val_fraction": "[0, 1)",
+    "model.patience": ">= 0",
+    "split.gap_days": ">= 0",  # below 0 the test window starts inside the training window
+    "simulator.horizon": ">= 1",
+    "simulator.risk_aversion": "> 0",
+    "simulator.cov_window": ">= 1",
+    "simulator.halflife": "> 0",
+    "simulator.shrinkage": "[0, 1]",
+    "simulator.per_name_cap": "> 0",
+    "simulator.gross_cap": "> 0",
+    "simulator.cost_linear": ">= 0",
+    "simulator.cost_quadratic": ">= 0",
+    "simulator.initial_capital": "> 0",
+    "synth.n_stocks": ">= 1",
+    "synth.days": ">= 1",
+    "synth.n_clusters": ">= 1",
+    "synth.phi": "(-1, 1)",
+    "synth.factor_innovation": ">= 0",
+    "synth.cluster_vol": ">= 0",
+    "synth.noise_std": ">= 0",
+    "synth.news_rate": ">= 0",
+    "synth.co_mention_fidelity": "[0, 1]",
+    "synth.tone_fidelity": "[0, 1]",
+    "synth.horizon": ">= 1",
+    "interpret.k_emb": ">= 1",
+    "interpret.distance_band": "(0, 100]",
+    "interpret.error_tail": "(0, 1]",
+}
+
+
+def _in_range(value, rule: str) -> bool:
+    """Whether ``value`` lies in the range ``rule`` of ``RANGES``."""
+    if rule.startswith(">"):
+        bound = float(rule.lstrip(">="))
+        return value >= bound if rule.startswith(">=") else value > bound
+    lo, hi = (float(end) for end in rule[1:-1].split(","))
+    return ((lo <= value) if rule[0] == "[" else (lo < value)) and \
+        ((value <= hi) if rule[-1] == "]" else (value < hi))
+
 
 def check_setting(where: str, value, default) -> None:
-    """The type rule of every setting: ``value`` has the type of
-    ``default``, where an int may stand for a float and a bool never stands
-    for a number. A setting whose default is None, or one of ``NULLABLE``,
-    may also be null; the first takes a string otherwise. Raises a one-line
-    ConfigError that starts with ``where``; converts nothing."""
+    """The rule of every setting. ``value`` has the type of ``default``,
+    where an int may stand for a float and a bool never stands for a
+    number; a float is finite; and the setting ``where`` names in
+    ``RANGES`` lies in its range. A setting whose default is None, or one
+    of ``NULLABLE``, may also be null; the first takes a string otherwise.
+    Raises a one-line ConfigError that starts with ``where``; converts
+    nothing."""
     if value is None and (default is None or where in NULLABLE):
         return
     kind = str if default is None else type(default)
     if type(value) not in ((int, float) if kind is float else (kind,)):
         raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    rule = RANGES.get(where)
+    if rule is not None and not _in_range(value, rule):
+        raise ConfigError(f"{where} must be {'' if rule[0] == '>' else 'in '}{rule}, "
+                          f"got {value!r}")
+
+
+def _check_joint(cfg: dict) -> None:
+    """The rules ``RANGES`` cannot state: a bound set by another setting,
+    and the dates."""
+    synth = cfg["synth"]
+    if synth["n_clusters"] > synth["n_stocks"]:
+        raise ConfigError(f"synth.n_clusters must be <= synth.n_stocks ({synth['n_stocks']}), "
+                          f"got {synth['n_clusters']}")
+    for where, value in (("synth.start", synth["start"]),
+                         ("split.train_end", cfg["split"]["train_end"])):
+        if value is None:  # split.train_end is unset
+            continue
+        try:
+            dt.date.fromisoformat(value)
+        except ValueError:
+            raise ConfigError(f"{where} must be a YYYY-MM-DD date, got {value!r}") from None
 
 
 def _check_all(cfg: dict, defaults: dict, path: str = "") -> None:
@@ -266,7 +337,7 @@ def _merge(base: dict, override: dict, path: str = "") -> None:
 def load_config(path=None, overrides=None) -> dict:
     """Resolve the effective configuration from the defaults, the file at
     ``path`` and the ``section.key=value`` strings of ``overrides``, and
-    check every value's type."""
+    check every value's type and range."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -292,6 +363,7 @@ def load_config(path=None, overrides=None) -> dict:
     _check_all(cfg, DEFAULTS)
     for family, windows in cfg["factors"].items():
         check_setting(f"factors.{family}", windows, [])
+    _check_joint(cfg)
     return cfg
 
 

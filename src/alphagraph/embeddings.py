@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, NumericalFault, ShapeError
+from .errors import DataError, NumericalFault, ShapeError
 from .news import CooccurrenceMatrix
 
 
@@ -53,12 +53,6 @@ class StockGraph:
 
 def glove_weight(x: float, x_max: float, alpha: float) -> float:
     """Co-occurrence weighting: (x / x_max)^alpha below x_max, else 1."""
-    if x_max <= 0:
-        raise ConfigError(f"x_max must be positive, got {x_max}")
-    if not 0 < alpha <= 1:
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-    if x < 0:
-        raise ConfigError(f"count must be non-negative, got {x}")
     if x >= x_max:
         return 1.0
     return (x / x_max) ** alpha
@@ -92,8 +86,6 @@ def train_glove(x: CooccurrenceMatrix, dim: int = 32, x_max: float = 100.0,
     (full-batch descent on a smooth objective). Raises ``NumericalFault``,
     naming the epoch, once the loss or the parameters stop being finite.
     """
-    if dim < 1 or epochs < 0:
-        raise ConfigError(f"glove.dim must be >= 1 and glove.epochs >= 0, got {dim} and {epochs}")
     rows, cols, vals = x.to_coo()
     if rows.size == 0:
         raise DataError("no co-occurrence signal: all counts are zero")
@@ -135,8 +127,6 @@ def build_knn_graph(emb: StockEmbeddingSet, k: int) -> StockGraph:
     """
     if emb.n < 2:
         raise DataError(f"build_knn_graph: need at least 2 stocks, got {emb.n}")
-    if k < 1:
-        raise ConfigError(f"build_knn_graph: k must be >= 1, got {k}")
     e = emb.vectors
     sq = np.sum(e * e, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (e @ e.T)

@@ -57,8 +57,6 @@ def factor_importance(w_nonneg: np.ndarray, coordinate: int, k_emb: int = 50) ->
     Sorted by descending weight, ties by ascending factor index.
     """
     m, l = w_nonneg.shape
-    if not 1 <= k_emb <= l:
-        raise ConfigError(f"k_emb must be in [1, {l}], got {k_emb}")
     if not 0 <= coordinate < m:
         raise ConfigError(f"coordinate must be in [0, {m}), got {coordinate}")
     row = w_nonneg[coordinate]

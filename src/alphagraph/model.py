@@ -86,7 +86,6 @@ def build_dataset(bars: BarPanel, factors: FactorPanel | None,
     samples whose label window runs off the calendar are kept with a NaN
     label (prediction at the live edge).
     """
-    cfg.validate()
     D, S = bars.n_dates, bars.n_symbols
     if cfg.use_tech:
         if factors is None:
@@ -157,8 +156,6 @@ def build_params(cfg: ModelConfig, rng: np.random.Generator | None,
         nn.param(init_emb.vectors.copy(), params, "graph.emb")
         nn.init_score_net(rng, 2 * cfg.embed_dim, cfg.attn_hidden, params, "graph.attn")
     if cfg.use_tech:
-        if cfg.n_factors < 1:
-            raise ConfigError("technical module enabled but n_factors is not set")
         nn.param(nn.glorot_uniform(rng, cfg.n_factors, cfg.tech_dim), params, "tech.w")
         nn.param(np.zeros(cfg.tech_dim), params, "tech.b")
     nn.init_bilstm_params(rng, cfg.input_dim(), cfg.hidden, params, "lstm")
@@ -291,7 +288,6 @@ def train(dataset: Dataset, cfg: ModelConfig, init_emb: StockEmbeddingSet | None
     a per-epoch loss trace; on early stop the best-validation parameters are
     restored.
     """
-    cfg.validate()
     if dataset.n == 0:
         raise DataError("train: empty dataset")
     if not np.all(np.isfinite(dataset.labels)):

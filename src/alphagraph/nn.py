@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
 
 
 def glorot_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int,
@@ -93,8 +92,6 @@ class Adam:
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ConfigError(f"Adam lr must be positive, got {lr}")
         self.params = params
         self.lr = lr
         self.beta1 = beta1

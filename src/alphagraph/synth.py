@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import SyntheticSpec
-from .errors import DataError
 from .market import BarPanel
 
 WRITE_BLOCK_DATES = 64   # dates write_market formats at once; bounds its memory
@@ -104,7 +103,6 @@ def _label_signal(f_state, r_state, b_rev, spec: SyntheticSpec) -> np.ndarray:
 
 def generate(spec: SyntheticSpec) -> SyntheticMarket:
     """Build the market in memory. Deterministic per seed."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n, D, C = spec.n_stocks, spec.days, spec.n_clusters
     symbols = [f"S{i:02d}" for i in range(n)]

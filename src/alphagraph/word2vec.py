@@ -137,8 +137,6 @@ def train_cbow(token_lists, vocabulary, dim: int = 400, window: int = 5,
     sequence reproducible. Per-epoch averaged negative-sampling losses are
     recorded on the result for inspection.
     """
-    if dim < 1:
-        raise ConfigError(f"word2vec.dim must be >= 1, got {dim}")
     if not vocabulary:
         raise DataError("train_cbow: empty vocabulary")
     if len(vocabulary) < negatives + 1:

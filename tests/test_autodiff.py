@@ -11,7 +11,7 @@ from alphagraph import autodiff as ad
 from alphagraph import nn
 from alphagraph.autodiff import Tape, Tensor
 from alphagraph.embeddings import attention_representation
-from alphagraph.errors import ConfigError, NumericalFault, ShapeError
+from alphagraph.errors import NumericalFault, ShapeError
 
 from helpers import (add, gate_cols, gradient_check, mean, mul, mul_rows, scale, sigmoid,
                      stack_rows, take_row)
@@ -593,8 +593,3 @@ def test_adam_two_runs_bitwise_identical():
         return p["w"].values.copy()
 
     assert np.array_equal(run(), run())
-
-
-def test_adam_rejects_nonpositive_lr():
-    with pytest.raises(ConfigError):
-        nn.Adam({"w": t(np.zeros(1))}, lr=0.0)

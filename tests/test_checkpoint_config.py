@@ -1,14 +1,17 @@
 """Checkpoint container format and configuration handling."""
 
 import json
+import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alphagraph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from alphagraph.config import DEFAULTS, load_config, sha256_file, write_manifest
+from alphagraph.config import (DEFAULTS, RANGES, ModelConfig, check_setting, load_config,
+                               sha256_file, write_manifest)
 from alphagraph.errors import ConfigError, DataError
 
 from helpers import dump_config
@@ -148,6 +151,9 @@ def test_type_rule_accepts(setting, value):
     ("paths.news", 1),
     ("factors", [1]),
     ("factors.momentum", 5),
+    ("model.lr", math.inf),  # a number is finite
+    ("synth.b_volume", -math.inf),
+    ("simulator.per_name_cap", math.nan),
 ])
 def test_type_rule_refuses(tmp_path, where, value):
     node = value
@@ -170,6 +176,98 @@ def test_readme_example_config_loads(tmp_path):
     for section, value in given.items():
         assert cfg[section] == (dict(DEFAULTS[section], **value)
                                 if isinstance(value, dict) and section != "factors" else value)
+
+
+# the table key of each ModelConfig field: the model's seed is the run's
+MODEL_KEYS = {("seed" if f.name == "seed" else f"model.{f.name}"): f for f in fields(ModelConfig)}
+# a valid stored model config, whose n_factors may be 0
+MODEL_BASE = vars(ModelConfig(n_factors=3, use_tech=False))
+# lets synth.n_stocks reach its bound of 1 without breaking n_clusters <= n_stocks
+BASE_SETTINGS = {"synth.n_clusters": 1}
+
+
+def _leaf(key):
+    node = DEFAULTS
+    for part in key.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return None
+        node = node[part]
+    return node
+
+
+def _edges(rule: str, integer: bool):
+    """(inside, outside) at each finite end of ``rule``: the value nearest
+    the end that lies in the range, and the nearest that does not."""
+    if rule.startswith(">"):
+        ends = [(float(rule.lstrip(">=")), rule.startswith(">="), -1)]
+    else:
+        lo, hi = (float(end) for end in rule[1:-1].split(","))
+        ends = [(lo, rule[0] == "[", -1), (hi, rule[-1] == "]", 1)]
+    for end, closed, outward in ends:
+        if integer:
+            end = int(end)
+            yield (end if closed else end - outward), (end + outward if closed else end)
+        else:
+            within = math.nextafter(end, -outward * math.inf)
+            beyond = math.nextafter(end, outward * math.inf)
+            yield (end if closed else within), (beyond if closed else end)
+
+
+def _sources(key, value):
+    """load_config's arguments that set ``key`` to ``value`` by file and by flag."""
+    settings = dict(BASE_SETTINGS, **{key: value})
+    node: dict = {}
+    for dotted, v in settings.items():
+        *parents, last = dotted.split(".")
+        leaf = node
+        for part in parents:
+            leaf = leaf.setdefault(part, {})
+        leaf[last] = v
+    return node, [f"{dotted}={json.dumps(v)}" for dotted, v in settings.items()]
+
+
+@pytest.mark.parametrize("key", sorted(RANGES))
+def test_range_table(tmp_path, key):
+    """Each bounded setting loads at its bound and is refused just past it,
+    from a file, a --set flag and a stored model config alike."""
+    default, field = _leaf(key), MODEL_KEYS.get(key)
+    kind = type(field.default if default is None else default)
+    for inside, outside in _edges(RANGES[key], kind is int):
+        for value, ok in ((inside, True), (outside, False)):
+            checks = []
+            if default is not None:
+                node, flags = _sources(key, value)
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(node))
+                checks += [lambda: load_config(path), lambda: load_config(overrides=flags)]
+            if field is not None:
+                stored = dict(MODEL_BASE, **{field.name: value})
+                checks.append(lambda: ModelConfig.from_dict(stored))
+            for check in checks:
+                if ok:
+                    check()
+                else:
+                    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+                        check()
+
+
+def test_range_table_names_settings_and_holds_their_defaults():
+    """Every row names a DEFAULTS leaf or a ModelConfig field, and that
+    setting's default lies in its range."""
+    for key in RANGES:
+        defaults = [d for d in (_leaf(key), getattr(MODEL_KEYS.get(key), "default", None))
+                    if d is not None]
+        assert defaults, key
+        for default in defaults:
+            check_setting(key, default, default)
+
+
+def test_readme_lists_the_range_table():
+    """README.md states the range of every bounded setting, as the table does."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Bounded settings and the values they accept")[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `([\w.]+)` \| `([^`]+)` \|$", section, re.MULTILINE)
+    assert dict(rows) == RANGES and len(rows) == len(RANGES)
 
 
 def test_config_round_trip(tmp_path):

@@ -211,16 +211,26 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def _assert_config_error(capsys, setting):
+    """One stderr line naming the setting, and no traceback."""
+    err = capsys.readouterr().err
+    key = setting.split("=")[0]
+    assert err.startswith(f"error: config: {key} must be ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("setting", ["synth.n_clusters=0", "synth.noise_std=-1",
                                      "synth.days=0", "synth.days=2.5", "synth.days=abc",
                                      "synth.news_rate=-1", "synth.news_rate=NaN",
                                      "synth.start=notadate", "synth.start=20150105",
-                                     "synth.horizon=0", "synth.horizon=-3"])
+                                     "synth.horizon=0", "synth.horizon=-3",
+                                     "synth.n_clusters=51", "synth.phi=1.5", "synth.phi=-1",
+                                     "synth.co_mention_fidelity=2", "synth.tone_fidelity=-0.5",
+                                     "synth.factor_innovation=-1", "synth.b_volume=NaN",
+                                     "seed=-1"])
 def test_invalid_synth_spec_is_config_error(tmp_path, capsys, setting):
     assert main(["synth", "--out", str(tmp_path / "o"), "--set", setting]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config: synth.") and err.count("\n") == 1
-    assert "Traceback" not in err
+    _assert_config_error(capsys, setting)
 
 
 @pytest.mark.parametrize("command, setting", [("cooccur", "split.train_end=2015-13-01"),
@@ -231,12 +241,56 @@ def test_invalid_synth_spec_is_config_error(tmp_path, capsys, setting):
                                               ("train-glove", "glove.epochs=-1"),
                                               ("train-glove", "glove.dim=0"),
                                               ("train-word2vec", "word2vec.dim=0"),
-                                              ("backtest", "simulator.horizon=0")])
+                                              ("backtest", "simulator.horizon=0"),
+                                              ("train-word2vec", "seed=-1"),
+                                              ("train-glove", "seed=-1"),
+                                              ("train", "seed=-1"),
+                                              ("train", "model.epochs=0"),
+                                              ("train", "model.patience=-1"),
+                                              ("train", "model.lr=Infinity"),
+                                              ("train", "model.lr=0"),
+                                              ("train", "model.tech_dim=1025"),
+                                              ("train-word2vec", "word2vec.window=0"),
+                                              ("train-word2vec", "word2vec.negatives=0"),
+                                              ("train-word2vec", "word2vec.epochs=0"),
+                                              ("train-word2vec", "word2vec.lr=0"),
+                                              ("train-glove", "glove.epochs=0"),
+                                              ("train-glove", "glove.lr=0"),
+                                              ("train-glove", "glove.x_max=0"),
+                                              ("train-glove", "glove.alpha=1.5"),
+                                              ("graph", "graph.k=0"),
+                                              ("ingest", "universe.min_price=-1"),
+                                              ("interpret", "interpret.error_tail=2"),
+                                              ("interpret", "interpret.distance_band=-5"),
+                                              ("interpret", "interpret.k_emb=0"),
+                                              ("backtest", "simulator.per_name_cap=-1"),
+                                              ("backtest", "simulator.cost_linear=-1"),
+                                              ("backtest", "simulator.cov_window=0"),
+                                              ("backtest", "simulator.halflife=0"),
+                                              ("backtest", "simulator.shrinkage=1.5"),
+                                              ("backtest", "simulator.risk_aversion=0"),
+                                              ("backtest", "simulator.initial_capital=0")])
 def test_invalid_setting_is_config_error(run_copy, capsys, command, setting):
+    """Refused when the config loads: by the stage that uses the value, and
+    by synth, which does not."""
     out, cfg_path = run_copy
-    assert main([command, "--config", str(cfg_path), "--out", str(out), "--set", setting]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config: ") and len(err.splitlines()) == 1, err
+    manifests = {p.name: p.read_bytes() for p in out.glob("*_manifest.json")}
+    for stage in (command, "synth"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(out),
+                     "--set", setting]) == 1
+        _assert_config_error(capsys, setting)
+    assert {p.name: p.read_bytes() for p in out.glob("*_manifest.json")} == manifests
+
+
+def test_bars_and_news_flags_are_paths(run_copy, tmp_path, monkeypatch):
+    """--bars and --news name files as given, even a name that reads as JSON."""
+    out, cfg_path = run_copy
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(out / "bars.csv", tmp_path / "123")
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--bars", "123", "--news", "true"]) == 0
+    manifest = json.loads((tmp_path / "o" / "ingest_manifest.json").read_text())
+    assert manifest["config"]["paths"] == {"bars": "123", "news": "true"}
 
 
 def _leaves(node=DEFAULTS, path=""):
@@ -822,6 +876,14 @@ CORRUPTIONS = {
     "model config negative width": ("model_config.json",
                                     lambda path: _edit_json(path, hidden=-1),
                                     "hidden must be >= 1, got -1; rerun train"),
+    "model config no module": ("model_config.json",
+                               lambda path: _edit_json(path, use_graph=False, use_tech=False,
+                                                       use_news=False),
+                               "at least one input module must be enabled; rerun train"),
+    "model config tech without factors": ("model_config.json",
+                                          lambda path: _edit_json(path, n_factors=0),
+                                          "the technical module needs model.n_factors >= 1, "
+                                          "got 0; rerun train"),
     "news not UTF-8": ("news.jsonl", _append_invalid_utf8, "not UTF-8 text"),
     "graph not UTF-8": ("graph.csv", _append_invalid_utf8, "not UTF-8 text"),
     "graph quote left open": ("graph.csv", _quote_left_open,
@@ -897,7 +959,7 @@ def test_model_config_loader_fuzz(tmp_path_factory, changes, cut):
     """Any edit of a stored model config, or a cut of its text, loads as a
     config of the right types or raises a DataError."""
     path = tmp_path_factory.mktemp("mc") / "model_config.json"
-    text = json.dumps(dict(vars(ModelConfig()), **changes))
+    text = json.dumps(dict(vars(ModelConfig(n_factors=3)), **changes))
     path.write_text(text[:len(text) - cut])
     try:
         cfg = cli._read_model_config(path)

@@ -10,7 +10,7 @@ from alphagraph.embeddings import (StockEmbeddingSet, attention_representation,
                                    build_knn_graph, export_graph_csv,
                                    glove_loss_and_grads, glove_weight,
                                    train_glove)
-from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
+from alphagraph.errors import DataError, NumericalFault, ShapeError
 from alphagraph.news import CooccurrenceMatrix
 
 from helpers import gradient_check, mean
@@ -58,13 +58,6 @@ def test_glove_weight_monotone():
     xs = np.linspace(0, 150, 40)
     ws = [glove_weight(x, 100.0, 0.75) for x in xs]
     assert all(b >= a for a, b in zip(ws, ws[1:]))
-
-
-def test_glove_weight_config_errors():
-    with pytest.raises(ConfigError):
-        glove_weight(1.0, 0.0, 0.75)
-    with pytest.raises(ConfigError):
-        glove_weight(1.0, 100.0, 1.5)
 
 
 # ---------------------------------------------------------------------------

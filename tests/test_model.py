@@ -1,8 +1,6 @@
 """Model assembly, training behavior, prediction purity, and the ridge
 baseline of the tests (``helpers``)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -110,16 +108,6 @@ def test_assemble_input_round_trip_slices():
     assert not input_reaches_forecast(bump_factors, 12, "tech")
 
 
-def test_assemble_input_empty_rejected():
-    """An empty per-day input is refused where datasets and models are built."""
-    panel, cfg, ds, emb, graph = tiny_world(seed=13)
-    off = replace(cfg, use_graph=False, use_tech=False, use_news=False)
-    with pytest.raises(ConfigError, match="at least one input module"):
-        build_dataset(panel, None, None, off)
-    with pytest.raises(ConfigError, match="at least one input module"):
-        train(ds, off, emb, graph)
-
-
 def pool(vs, w, b, u):
     """temporal_pool over T single vectors (a batch of one row)."""
     params = {"t.w": Tensor(w), "t.b": Tensor(b), "t.v": Tensor(u)}
@@ -208,10 +196,19 @@ def test_ablation_unknown_name():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ModelConfig(lookback=0).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(use_graph=False, use_tech=False, use_news=False).validate()
+    """A stored model config is checked field by field against the ranges
+    of the config table, and must enable a module it can use."""
+    stored = vars(ModelConfig(n_factors=3))
+    assert ModelConfig.from_dict(stored) == ModelConfig(n_factors=3)
+    with pytest.raises(ConfigError, match="^model.lookback must be >= 1, got 0$"):
+        ModelConfig.from_dict(dict(stored, lookback=0))
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        ModelConfig.from_dict(dict(stored, seed=-1))
+    with pytest.raises(ConfigError, match="at least one input module"):
+        ModelConfig.from_dict(dict(stored, use_graph=False, use_tech=False, use_news=False))
+    with pytest.raises(ConfigError, match="needs model.n_factors >= 1, got 0"):
+        ModelConfig.from_dict(dict(stored, n_factors=0))
+    assert ModelConfig.from_dict(dict(stored, n_factors=0, use_tech=False)).n_factors == 0
 
 
 # ---------------------------------------------------------------------------

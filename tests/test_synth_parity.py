@@ -49,7 +49,6 @@ SPECS = {
 # ---------------------------------------------------------------------------
 
 def ref_generate(spec):
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n, D, C = spec.n_stocks, spec.days, spec.n_clusters
     symbols = [f"S{i:02d}" for i in range(n)]
