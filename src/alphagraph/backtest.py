@@ -1,4 +1,4 @@
-"""Forecast evaluation: splits, metric suite, trading simulators, quantiles.
+"""Forecast evaluation: metric suite, trading simulators, quantiles.
 
 Conventions: a forecast at (day t, stock i) is enterable at the open of day
 t. The daily returns matrix passed to the simulators has row t equal to the
@@ -9,7 +9,6 @@ anything after t.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass, field
 
@@ -20,35 +19,6 @@ from .errors import ConfigError, DataError
 TRADING_DAYS_PER_YEAR = 252
 QUANTILE_FRACTIONS = {1: 1.00, 2: 0.75, 3: 0.50, 4: 0.25}
 BETA_WINDOW = 60   # trading days of the book's beta estimate against the market
-
-
-# ---------------------------------------------------------------------------
-# Splitting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_end: dt.date
-    gap_days: int
-    test_start: dt.date
-    test_end: dt.date
-
-
-def split(calendar, train_end: dt.date, gap_days: int) -> SplitSpec:
-    """Train/test split with a gap measured in trading days.
-
-    The test window starts exactly ``gap_days`` trading days after
-    ``train_end`` (gap 0 means the next trading day) and runs to the end of
-    the calendar.
-    """
-    calendar = list(calendar)
-    if train_end not in calendar:
-        raise DataError(f"train_end {train_end} not in calendar")
-    i = calendar.index(train_end)
-    j = i + gap_days + 1
-    if j >= len(calendar):
-        raise DataError(f"calendar too short for a {gap_days}-day gap after {train_end}")
-    return SplitSpec(train_end, gap_days, calendar[j], calendar[-1])
 
 
 # ---------------------------------------------------------------------------

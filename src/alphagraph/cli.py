@@ -327,6 +327,25 @@ def _window_indices(calendar, start: dt.date | None, end: dt.date | None):
     return lo, hi
 
 
+def _sample_windows(cfg, calendar):
+    """The (first, last) anchor indices into ``calendar`` of the run's
+    training and test samples. Training runs from the first day through
+    split.train_end; the test window from split.gap_days + 1 trading days
+    after it through the last day, so the gap days are in neither. A
+    train_end that is not a trading day, or a gap that leaves no test day,
+    is a DataError."""
+    train_end, gap_days = _train_end(cfg), cfg["split"]["gap_days"]
+    if train_end not in calendar:
+        raise DataError(f"split.train_end {train_end} is not a trading day in the panel")
+    _, last_train = _window_indices(calendar, None, train_end)
+    first_test = last_train + gap_days + 1
+    if first_test >= len(calendar):
+        raise DataError(f"split.gap_days {gap_days} leaves no test day: the panel ends "
+                        f"{len(calendar) - 1 - last_train} trading days after "
+                        f"split.train_end {train_end}")
+    return (0, last_train), (first_test, len(calendar) - 1)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -341,7 +360,10 @@ def cmd_synth(cfg, out: OutDir, args):
 def cmd_ingest(cfg, out: OutDir, args):
     panel = load_bars(out.read(BARS_FILE))
     u = cfg["universe"]
-    window = panel.restrict_dates(end=_train_end(cfg)) if cfg["split"]["train_end"] else panel
+    window = panel
+    if cfg["split"]["train_end"]:
+        _sample_windows(cfg, panel.calendar)  # a split that cannot work fails before any output
+        window = panel.restrict_dates(end=_train_end(cfg))
     universe = filter_universe(window, u["min_median_dollar_volume"], u["min_price"],
                                u["min_history"])
     del window
@@ -410,6 +432,8 @@ def _training_set(cfg, out: OutDir, ablation: str | None, glove: StockEmbeddingS
     the call: the bar prices, the factor mask and the samples of the whole
     calendar are not held while the model trains."""
     factors = _load_factors(out.read(FACTORS_FILE))
+    bars = _load_panel(out.read(PANEL_FILE))
+    (lo, hi), _ = _sample_windows(cfg, bars.calendar)
     wordvec_dim = embedding_dim(out.read(WORDVEC_FILE)) if out.has(WORDVEC_FILE) else None
     model_cfg = _model_config(cfg, ablation,
                               cfg["glove"]["dim"] if glove is None else glove.dim,
@@ -418,12 +442,7 @@ def _training_set(cfg, out: OutDir, ablation: str | None, glove: StockEmbeddingS
     if model_cfg.use_graph and glove is None:
         raise DataError(f"{out.path / GLOVE_FILE} not found; the graph module needs "
                         f"train-glove to run first")
-    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, factors=factors)
-    calendar = ds.store.calendar
-    train_end = _train_end(cfg)
-    if train_end not in calendar:
-        raise DataError(f"split.train_end {train_end} is not a trading day in the panel")
-    lo, hi = _window_indices(calendar, None, train_end)
+    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, bars=bars, factors=factors)
     return model_cfg, ds.split_by_anchor(lo, hi)
 
 
@@ -467,19 +486,14 @@ def cmd_predict(cfg, out: OutDir, args):
             raise DataError(f"checkpoint shape mismatch for {name}")
         params[name].values = values.astype(np.float64)
     bars = _load_panel(out.read(PANEL_FILE))
+    _, (lo, hi) = _sample_windows(cfg, bars.calendar)
     _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False, bars=bars)
-    train_end = _train_end(cfg)
-    spec = bt.split(bars.calendar, train_end, cfg["split"]["gap_days"])
-    if args.window == "test":
-        lo, hi = _window_indices(bars.calendar, spec.test_start, spec.test_end)
-    else:
-        lo, hi = _window_indices(bars.calendar, None, train_end)
     sub = ds.split_by_anchor(lo, hi)
     if sub.n == 0:
-        raise DataError("no samples in the requested prediction window")
+        raise DataError("no samples in the test window")
     model = mdl.TrainedModel(params, model_cfg, graph, bars.symbols)
     panel, attention = mdl.predict(model, sub)
-    n_forecasts = sub.n
+    n_forecasts, test_start = sub.n, bars.calendar[lo]
     del bars, ds, sub  # the forecasts are written without the factor panel
     write_forecasts(out.write(FORECASTS_FILE), panel)
     if attention is not None:  # the mean over the forecasts that have a label
@@ -487,8 +501,7 @@ def cmd_predict(cfg, out: OutDir, args):
             fh.write("lag,mean_weight\n")
             for idx, wgt in enumerate(attention):
                 fh.write(f"-{model_cfg.lookback - idx}day,{repr(float(wgt))}\n")
-    return {"window": args.window, "n_forecasts": n_forecasts,
-            "test_start": spec.test_start.isoformat()}
+    return {"n_forecasts": n_forecasts, "test_start": test_start.isoformat()}
 
 
 def _panel_positions(out: OutDir, fc, calendar, symbols):
@@ -569,11 +582,11 @@ def cmd_interpret(cfg, out: OutDir, args):
     calendar, symbols = panel.dates("calendar"), panel.strings("symbols")
     fc = read_forecasts(out.read(FORECASTS_FILE))
     rows, cols = _panel_positions(out, fc, calendar, symbols)
-    spec = bt.split(calendar, _train_end(cfg), cfg["split"]["gap_days"])
-    if fc.calendar[0] < spec.test_start or fc.calendar[-1] > spec.test_end:
+    _, (lo, hi) = _sample_windows(cfg, calendar)
+    if fc.calendar[0] < calendar[lo]:  # its dates are panel dates, so none is past hi
         raise DataError(f"{out.path / FORECASTS_FILE}: forecasts from {fc.calendar[0]} to "
-                        f"{fc.calendar[-1]}, not the test window {spec.test_start} to "
-                        f"{spec.test_end}; rerun predict --window test")
+                        f"{fc.calendar[-1]}, not the test window {calendar[lo]} to "
+                        f"{calendar[hi]}; rerun predict")
     labelled = fc.aligned()
     if labelled.any():
         out.read(ATTENTION_FILE)
@@ -665,8 +678,6 @@ def build_parser() -> _Parser:
         if name == "train":
             p.add_argument("--ablation", default=None,
                            help="News | Tech | Tech+News | Graph+Tech | Graph+News | Full")
-        if name == "predict":
-            p.add_argument("--window", choices=("test", "train"), default="test")
         if name == "backtest":
             p.add_argument("--simulator", choices=("longshort", "markowitz"),
                            default="longshort")

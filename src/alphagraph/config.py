@@ -224,7 +224,7 @@ RANGES = {
     "model.hidden": ">= 1",
     "model.attn_hidden": ">= 1",
     "model.temporal_hidden": ">= 1",
-    "model.horizon": ">= 0",
+    "model.horizon": ">= 1",  # at 0 every label is log(open[a] / open[a]) = 0
     "model.epochs": ">= 1",
     "model.lr": "> 0",
     "model.batch_size": ">= 1",
@@ -248,7 +248,10 @@ RANGES = {
     "synth.factor_innovation": ">= 0",
     "synth.cluster_vol": ">= 0",
     "synth.noise_std": ">= 0",
-    "synth.news_rate": ">= 0",
+    # synth holds every article, about 0.6 KB each (0.44 MB of peak RSS per
+    # unit of rate over 750 days, measured at rates 25 to 200): 1,000 a day
+    # over 2,500 days needs about 1.5 GB
+    "synth.news_rate": "[0, 1000]",
     "synth.co_mention_fidelity": "[0, 1]",
     "synth.tone_fidelity": "[0, 1]",
     "synth.horizon": ">= 1",
@@ -304,6 +307,14 @@ def _check_joint(cfg: dict) -> None:
             dt.date.fromisoformat(value)
         except ValueError:
             raise ConfigError(f"{where} must be a YYYY-MM-DD date, got {value!r}") from None
+    # synth's calendar is the synth.days weekdays from synth.start on; k is
+    # the position of the last one, counted in weekdays from the Monday of
+    # synth.start's week (a weekend start begins on the next Monday)
+    start, days = dt.date.fromisoformat(synth["start"]), synth["days"]
+    k = days - 1 + min(start.weekday(), 5)
+    if start.toordinal() - start.weekday() + k // 5 * 7 + k % 5 > dt.date.max.toordinal():
+        raise ConfigError(f"synth.start must be early enough for synth.days ({days}) weekdays "
+                          f"to end by {dt.date.max}, got {synth['start']!r}")
 
 
 def _check_all(cfg: dict, defaults: dict, path: str = "") -> None:

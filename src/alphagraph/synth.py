@@ -60,12 +60,13 @@ class SyntheticMarket:
 
 
 def trading_calendar(start: dt.date, days: int) -> list:
-    out = []
-    d = start
+    # by ordinal, so that a calendar ending on date.max does not step past it
+    out, day = [], start.toordinal()
     while len(out) < days:
+        d = dt.date.fromordinal(day)
         if d.weekday() < 5:
             out.append(d)
-        d += dt.timedelta(days=1)
+        day += 1
     return out
 
 

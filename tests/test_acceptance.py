@@ -15,7 +15,7 @@ from alphagraph import backtest as bt
 from alphagraph import model as M
 from alphagraph import nn
 from alphagraph.autodiff import Tensor
-from alphagraph.cli import main as cli_main
+from alphagraph.cli import _sample_windows, main as cli_main
 from alphagraph.config import sha256_file
 from alphagraph.embeddings import (StockEmbeddingSet, StockGraph,
                                    attention_representation, build_knn_graph,
@@ -291,7 +291,8 @@ def recovery_world():
                 for a in market.articles]
     cal = panel.calendar
     train_end = cal[599]
-    split = bt.split(cal, train_end, 10)
+    (_, last_train), (first_test, last_test) = _sample_windows(
+        {"split": {"train_end": train_end.isoformat(), "gap_days": 10}}, cal)
     train_articles = [a for a in articles if a.date <= train_end]
     corpus = [a.tokens for a in train_articles]
     wordvecs = train_cbow(corpus, build_vocabulary(corpus, 10), dim=16,
@@ -305,8 +306,8 @@ def recovery_world():
                       hidden=10, attn_hidden=4, temporal_hidden=8, horizon=1,
                       epochs=220, lr=2e-3, batch_size=256, patience=30, seed=7)
     ds = M.build_dataset(panel, factors, news_panel, cfg)
-    train_ds = ds.split_by_anchor(0, cal.index(train_end))
-    test_ds = ds.split_by_anchor(cal.index(split.test_start), len(cal) - 1)
+    train_ds = ds.split_by_anchor(0, last_train)
+    test_ds = ds.split_by_anchor(first_test, last_test)
     return dict(market=market, panel=panel, cfg=cfg, stockvecs=stockvecs,
                 graph=graph, train_ds=train_ds, test_ds=test_ds, start=start)
 

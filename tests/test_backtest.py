@@ -1,4 +1,4 @@
-"""Splits, metrics, simulators, and quantile analysis."""
+"""Sample windows, metrics, simulators, and quantile analysis."""
 
 import datetime as dt
 import math
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphagraph import backtest as bt
+from alphagraph.cli import _sample_windows
 from alphagraph.errors import ConfigError, DataError
 
 from helpers import forecast_stats, markowitz_closed_form
@@ -15,37 +16,44 @@ from test_market import weekday_calendar
 
 
 # ---------------------------------------------------------------------------
-# split
+# sample windows (cli._sample_windows; the property test is in test_cli.py)
 # ---------------------------------------------------------------------------
+
+def windows(cal, train_end, gap_days):
+    """The (train_end, test_start, test_end) dates of the run's windows."""
+    cfg = {"split": {"train_end": train_end.isoformat(), "gap_days": gap_days}}
+    (_, last_train), (first_test, last_test) = _sample_windows(cfg, cal)
+    return cal[last_train], cal[first_test], cal[last_test]
+
 
 def test_split_gap_zero_next_trading_day():
     cal = weekday_calendar(20)
-    spec = bt.split(cal, cal[5], 0)
-    assert spec.test_start == cal[6]
-    assert spec.test_end == cal[-1]
+    _, test_start, test_end = windows(cal, cal[5], 0)
+    assert test_start == cal[6]
+    assert test_end == cal[-1]
 
 
 def test_split_gap_ten_skips_exactly_ten_trading_days():
     cal = weekday_calendar(40)
-    spec = bt.split(cal, cal[5], 10)
-    skipped = [d for d in cal if spec.train_end < d < spec.test_start]
+    train_end, test_start, _ = windows(cal, cal[5], 10)
+    skipped = [d for d in cal if train_end < d < test_start]
     assert len(skipped) == 10
-    assert spec.test_start == cal[16]
+    assert test_start == cal[16]
 
 
 def test_split_counts_trading_days_not_calendar_days():
     cal = weekday_calendar(15)  # spans weekends
-    spec = bt.split(cal, cal[2], 5)
-    assert spec.test_start == cal[8]
-    assert (spec.test_start - spec.train_end).days > 5  # crossed a weekend
+    train_end, test_start, _ = windows(cal, cal[2], 5)
+    assert test_start == cal[8]
+    assert (test_start - train_end).days > 5  # crossed a weekend
 
 
 def test_split_insufficient_calendar():
     cal = weekday_calendar(5)
-    with pytest.raises(DataError):
-        bt.split(cal, cal[2], 10)
-    with pytest.raises(DataError):
-        bt.split(cal, dt.date(1999, 1, 1), 0)
+    with pytest.raises(DataError, match="leaves no test day"):
+        windows(cal, cal[2], 10)
+    with pytest.raises(DataError, match="is not a trading day"):
+        windows(cal, dt.date(1999, 1, 1), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import datetime as dt
 import io
 import json
 import os
@@ -25,6 +26,8 @@ from alphagraph.embfile import embedding_dim, read_embeddings
 from alphagraph.errors import AlphagraphError, DataError
 from alphagraph.news import load_articles
 from alphagraph.synth import SyntheticSpec, generate, write_market
+
+from test_market import weekday_calendar
 
 
 def small_config(tmp_path, train_end):
@@ -162,17 +165,66 @@ def test_config_error_exit_code_1(tmp_path, capsys):
 
 
 def test_train_end_outside_calendar_is_data_error(tmp_path, capsys):
+    """A split that cannot work fails at ingest, before it writes anything:
+    a train_end that is not a trading day, and a gap that leaves no test
+    day (the panel ends 54 trading days after 2015-04-06)."""
     cfg_path = small_config(tmp_path, train_end="2030-01-06")
     out = tmp_path / "badsplit"
     base = ["--config", str(cfg_path), "--out", str(out)]
     assert main(["synth"] + base) == 0
-    assert main(["ingest"] + base) == 0
-    assert main(["cooccur"] + base) == 0
-    assert main(["train-word2vec"] + base) == 0
-    assert main(["train-glove"] + base) == 0
-    assert main(["graph"] + base) == 0
-    assert main(["train"] + base) == 2
-    assert capsys.readouterr().err.startswith("error: data:")
+    capsys.readouterr()
+    for flags, message in (
+            ([], "split.train_end 2030-01-06 is not a trading day in the panel"),
+            (["--set", "split.train_end=2015-04-06", "--set", "split.gap_days=54"],
+             "split.gap_days 54 leaves no test day: the panel ends 54 trading days "
+             "after split.train_end 2015-04-06")):
+        assert main(["ingest"] + base + flags) == 2
+        assert capsys.readouterr().err == f"error: data: {message}\n"
+        assert not (out / "panel.npz").exists() and not (out / "ingest_manifest.json").exists()
+    assert main(["ingest"] + base + ["--set", "split.train_end=2015-04-06",
+                                     "--set", "split.gap_days=53"]) == 0
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("split.train_end=2015-04-04", "split.train_end 2015-04-04 is not a trading day in the panel"),
+    ("split.gap_days=500", "split.gap_days 500 leaves no test day: the panel ends 54 trading "
+                           "days after split.train_end 2015-04-06")],
+    ids=["saturday", "long gap"])
+def test_broken_split_has_one_message_at_every_stage(run_copy, capsys, setting, message):
+    """Each stage that reads the split refuses a broken one with the same
+    line. A failed stage deletes its previous outputs, so each runs before
+    the stages whose outputs it reads."""
+    out, cfg_path = run_copy
+    for command in ("interpret", "predict", "train", "ingest"):
+        argv = [command, "--config", str(cfg_path), "--out", str(out), "--set", setting]
+        assert main(argv) == 2, command
+        assert capsys.readouterr().err == f"error: data: {message}\n", command
+
+
+@given(n_days=st.integers(1, 40), offset=st.integers(-3, 60), gap_days=st.integers(0, 45))
+def test_sample_windows(n_days, offset, gap_days):
+    """Training runs from the first day through split.train_end; the test
+    window from exactly gap_days + 1 trading days later through the last
+    day; the gap days are in neither. A train_end that is not a trading day,
+    or a calendar too short for the gap, is a DataError."""
+    cal = weekday_calendar(n_days)  # from a Monday
+    train_end = cal[0] + dt.timedelta(days=offset)
+    cfg = {"split": {"train_end": train_end.isoformat(), "gap_days": gap_days}}
+    if train_end not in cal:
+        with pytest.raises(DataError, match=f"^split.train_end {train_end} is not a trading day"):
+            cli._sample_windows(cfg, cal)
+        return
+    i = cal.index(train_end)
+    if i + gap_days + 1 >= n_days:
+        with pytest.raises(DataError, match=f"^split.gap_days {gap_days} leaves no test day"):
+            cli._sample_windows(cfg, cal)
+        return
+    (train_lo, train_hi), (test_lo, test_hi) = cli._sample_windows(cfg, cal)
+    assert (train_lo, cal[train_hi]) == (0, train_end)
+    assert test_lo == i + gap_days + 1 and test_hi == n_days - 1
+    gap = [k for k, d in enumerate(cal) if train_end < d < cal[test_lo]]
+    assert len(gap) == gap_days
+    assert not any(train_lo <= k <= train_hi or test_lo <= k <= test_hi for k in gap)
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -222,7 +274,9 @@ def _assert_config_error(capsys, setting):
 @pytest.mark.parametrize("setting", ["synth.n_clusters=0", "synth.noise_std=-1",
                                      "synth.days=0", "synth.days=2.5", "synth.days=abc",
                                      "synth.news_rate=-1", "synth.news_rate=NaN",
+                                     "synth.news_rate=1e308",
                                      "synth.start=notadate", "synth.start=20150105",
+                                     "synth.start=9999-12-30",
                                      "synth.horizon=0", "synth.horizon=-3",
                                      "synth.n_clusters=51", "synth.phi=1.5", "synth.phi=-1",
                                      "synth.co_mention_fidelity=2", "synth.tone_fidelity=-0.5",
@@ -690,16 +744,14 @@ def test_interpret_without_temporal_attention_is_data_error(run_copy, capsys):
 
 
 def test_interpret_after_a_train_window_predict_is_data_error(run_copy, capsys):
-    """interpret reports on the test window: forecasts of the training
-    window ask for predict to run again."""
+    """interpret reports on the test window: forecasts from before it (here
+    from a predict run with a shorter gap) ask for predict to run again."""
     out, cfg_path = run_copy
-    base = ["--config", str(cfg_path), "--out", str(out)]
-    assert main(["predict"] + base + ["--window", "train"]) == 0
-    capsys.readouterr()
+    base = ["--config", str(cfg_path), "--out", str(out), "--set", "split.gap_days=8"]
     assert main(["interpret"] + base) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: data: {out / 'forecasts.csv'}: forecasts from ")
-    assert len(err.splitlines()) == 1 and err.endswith("; rerun predict --window test\n")
+    assert len(err.splitlines()) == 1 and err.endswith("; rerun predict\n")
 
 
 @pytest.mark.parametrize("symbols", [[["S00"]], "S00", ["S00", ""]],
