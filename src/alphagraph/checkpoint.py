@@ -15,7 +15,8 @@ float64, no padding):
         data     f64 * prod(dims), row-major
 
 Writing the same parameter dict always produces identical bytes, so file
-hashes double as reproducibility checks.
+hashes double as reproducibility checks. Training never stores a NaN or an
+infinity, so a file that holds one is refused.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ def _parse(data: bytes, path) -> dict:
         n = int(np.prod(shape)) if ndim else 1
         values = np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape)
         offset += 8 * n
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{path}: parameter {name} holds a non-finite value; rerun train")
         out[name] = values.astype(np.float64)
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes")

@@ -216,9 +216,21 @@ def _load_cooccur(path) -> CooccurrenceMatrix:
 def _load_glove(path) -> StockEmbeddingSet:
     z = _NpzArrays(path)
     symbols = z.strings("symbols")
-    return StockEmbeddingSet(tuple(symbols), z.shaped("vectors", len(symbols), None),
-                             z.shaped("biases", len(symbols)),
+    vectors, biases = z.shaped("vectors", len(symbols), None), z.shaped("biases", len(symbols))
+    for name, a in (("vectors", vectors), ("biases", biases)):
+        if not np.all(np.isfinite(a)):
+            raise z.error(f"array {name!r} holds a non-finite value")
+    return StockEmbeddingSet(tuple(symbols), vectors, biases,
                              [float(v) for v in z.shaped("trace", None)])
+
+
+def _check_glove_symbols(out: OutDir, glove: StockEmbeddingSet, symbols) -> None:
+    """The GloVe embeddings must be of the panel's stocks, in its order: the
+    model reads a stock's embedding by its panel column."""
+    if tuple(glove.symbols) != tuple(symbols):
+        raise DataError(f"{out.path / GLOVE_FILE}: its stocks are not those of "
+                        f"{out.path / PANEL_FILE}; rerun cooccur, train-glove and graph "
+                        f"on this panel")
 
 
 def _load_graph(path, symbols) -> StockGraph:
@@ -433,6 +445,8 @@ def _training_set(cfg, out: OutDir, ablation: str | None, glove: StockEmbeddingS
     calendar are not held while the model trains."""
     factors = _load_factors(out.read(FACTORS_FILE))
     bars = _load_panel(out.read(PANEL_FILE))
+    if glove is not None:
+        _check_glove_symbols(out, glove, bars.symbols)
     (lo, hi), _ = _sample_windows(cfg, bars.calendar)
     wordvec_dim = embedding_dim(out.read(WORDVEC_FILE)) if out.has(WORDVEC_FILE) else None
     model_cfg = _model_config(cfg, ablation,
@@ -486,6 +500,8 @@ def cmd_predict(cfg, out: OutDir, args):
             raise DataError(f"checkpoint shape mismatch for {name}")
         params[name].values = values.astype(np.float64)
     bars = _load_panel(out.read(PANEL_FILE))
+    if glove is not None:
+        _check_glove_symbols(out, glove, bars.symbols)
     _, (lo, hi) = _sample_windows(cfg, bars.calendar)
     _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False, bars=bars)
     sub = ds.split_by_anchor(lo, hi)
@@ -594,32 +610,33 @@ def cmd_interpret(cfg, out: OutDir, args):
 
     if model_cfg.use_graph:
         emb = _stored_param(stored, "graph.emb", (len(symbols), model_cfg.embed_dim))
-        emb_symbols = symbols
     else:  # a non-graph model has no embeddings of its own: read train-glove's
         glove = _load_glove(out.read(GLOVE_FILE))
-        emb, emb_symbols = glove.vectors, glove.symbols
-    report = itp.pairwise_distance_report(emb)
-    low, high = itp.extreme_distance_pairs(report, icfg["distance_band"])
+        _check_glove_symbols(out, glove, symbols)
+        emb = glove.vectors
+    pair_i, pair_j, distance, percentile = itp.pairwise_distance_report(emb)
+    band = icfg["distance_band"]
     extreme_pairs = {
-        "closest": [[emb_symbols[p.i], emb_symbols[p.j]] for p in low],
-        "farthest": [[emb_symbols[p.i], emb_symbols[p.j]] for p in high],
-    }
+        name: [[symbols[a], symbols[b]] for a, b in zip(pair_i[sel].tolist(),
+                                                         pair_j[sel].tolist())]
+        for name, sel in (("closest", percentile <= band),
+                          ("farthest", percentile > 100.0 - band))}
     with open(out.write("pair_distances.csv"), "w", encoding="utf-8") as fh:
         fh.write("pair_a,pair_b,distance,percentile\n")
-        for p in report:
-            fh.write(f"{emb_symbols[p.i]},{emb_symbols[p.j]},{repr(p.distance)},"
-                     f"{p.percentile:.4f}\n")
-    write_embeddings(out.write("final_stock_embeddings.txt"), emb_symbols, emb)
+        for a, b, dist, pct in zip(pair_i.tolist(), pair_j.tolist(), distance.tolist(),
+                                   percentile.tolist()):
+            fh.write(f"{symbols[a]},{symbols[b]},{repr(dist)},{pct:.4f}\n")
+    write_embeddings(out.write("final_stock_embeddings.txt"), symbols, emb)
 
     if model_cfg.use_tech:
         names = _NpzArrays(out.read(FACTORS_FILE), "names").strings("names")
         tech_w = _stored_param(stored, "tech.w", (len(names), model_cfg.tech_dim))
         w = np.maximum(tech_w, 0.0).T  # (m, l)
         k_emb = min(icfg["k_emb"], w.shape[1])
-        freq = itp.factor_frequency(w, k_emb)
+        order, counts = itp.factor_frequency(w, k_emb)
         with open(out.write("factor_importance.csv"), "w", encoding="utf-8") as fh:
             fh.write("rank,factor_index,factor_name,top_k_appearances\n")
-            for rank, (j, count) in enumerate(freq, start=1):
+            for rank, (j, count) in enumerate(zip(order.tolist(), counts.tolist()), start=1):
                 fh.write(f"{rank},{j},{names[j]},{count}\n")
 
     if labelled.any():
@@ -627,15 +644,15 @@ def cmd_interpret(cfg, out: OutDir, args):
         if model_cfg.use_news:
             row_index, article_ids, _ = news_cells(load_articles(out.read(NEWS_FILE)),
                                                    symbols, calendar)
-        # forecasts in date order, then symbol order: equal errors rank by
-        # date, then by symbol (sorted order)
+        # np.nonzero lists the forecasts in date order, then symbol order, so
+        # equal errors rank by date, then by symbol (sorted order)
         d_idx, s_idx = np.nonzero(labelled)
         errors = (fc.yhat[d_idx, s_idx] - fc.y[d_idx, s_idx]) ** 2
-        buckets = itp.news_error_buckets(errors, (d_idx, s_idx), icfg["error_tail"])
+        low, high = itp.news_error_buckets(errors, icfg["error_tail"])
         T = model_cfg.lookback
         with open(out.write("news_error_buckets.csv"), "w", encoding="utf-8") as fh:
             fh.write("bucket,date,symbol,sq_error,article_ids\n")
-            for name, bucket in (("low_error", buckets.low), ("high_error", buckets.high)):
+            for name, bucket in (("low_error", low), ("high_error", high)):
                 for i in bucket:
                     a, s = rows[d_idx[i]], cols[s_idx[i]]
                     ids = []

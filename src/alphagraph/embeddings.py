@@ -133,8 +133,7 @@ def build_knn_graph(emb: StockEmbeddingSet, k: int) -> StockGraph:
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
     kk = min(k, emb.n - 1)
-    idx = np.broadcast_to(np.arange(emb.n), d2.shape)
-    neighbors = np.lexsort((idx, d2), axis=-1)[:, :kk]
+    neighbors = np.argsort(d2, axis=-1, kind="stable")[:, :kk]
     distances = np.sqrt(np.take_along_axis(d2, neighbors, axis=1))
     return StockGraph(emb.symbols, neighbors, distances)
 

@@ -19,6 +19,11 @@ runs, kept as the references and checks the tests use.
 * ``news_rows``: a dense (D, S, d_w) news array as ragged cell rows.
 * ``cooccurrence_value`` and ``cooccurrence_dense``: one count and the
   dense matrix of a :class:`CooccurrenceMatrix`.
+* ``ref_pairwise_distances``, ``ref_factor_importance``,
+  ``ref_factor_frequency``, ``ref_error_buckets`` and ``ref_knn_table``:
+  the rankings of ``interpret`` and ``embeddings.build_knn_graph`` with
+  their ties broken by explicit index keys (a tuple-keyed list sort or
+  ``np.lexsort``), the references of the stable sorts that replaced them.
 * ``markowitz_closed_form``: the single-day unconstrained Markowitz solve.
 * ``forecast_stats``: per-day forecast dispersion and forecast-realized
   correlation (acceptance criterion 5).
@@ -389,6 +394,62 @@ def cooccurrence_dense(x) -> np.ndarray:
         out[i, j] = c
         out[j, i] = c
     return out
+
+
+def ref_pairwise_distances(vectors: np.ndarray) -> list[tuple]:
+    """All pair distances as (i, j, distance, percentile) tuples, in a
+    Python sort on (distance, i, j)."""
+    n = vectors.shape[0]
+    pairs = []
+    for i in range(n):
+        diff = vectors[i + 1:] - vectors[i]
+        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        pairs.extend((float(d), i, i + 1 + k) for k, d in enumerate(dist))
+    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+    total = len(pairs)
+    return [(i, j, d, 100.0 * (rank + 1) / total) for rank, (d, i, j) in enumerate(pairs)]
+
+
+def ref_factor_importance(w_nonneg: np.ndarray, coordinate: int, k_emb: int) -> list[int]:
+    """Indices of the k largest weights feeding one embedding coordinate,
+    ties by ascending factor index."""
+    row = w_nonneg[coordinate]
+    order = np.lexsort((np.arange(row.size), -row))
+    return [int(i) for i in order[:k_emb]]
+
+
+def ref_factor_frequency(w_nonneg: np.ndarray, k_emb: int) -> list[tuple[int, int]]:
+    """(factor, count) of how often each factor makes a coordinate's top-k
+    list, by descending count, ties by ascending factor index."""
+    counts = np.zeros(w_nonneg.shape[1], dtype=np.int64)
+    for i in range(w_nonneg.shape[0]):
+        for j in ref_factor_importance(w_nonneg, i, k_emb):
+            counts[j] += 1
+    order = np.lexsort((np.arange(counts.size), -counts))
+    return [(int(j), int(counts[j])) for j in order]
+
+
+def ref_error_buckets(sq_errors, tie_keys, tail: float):
+    """(low, high) positions of the smallest and largest ``tail`` fraction
+    of errors; equal errors rank by the arrays of ``tie_keys``, the first
+    deciding first."""
+    errs = np.asarray(sq_errors, dtype=np.float64)
+    order = np.lexsort((*reversed([np.asarray(k) for k in tie_keys]), errs))
+    n_tail = max(1, math.ceil(tail * errs.size))
+    return order[:n_tail], order[-n_tail:]
+
+
+def ref_knn_table(vectors: np.ndarray, k: int):
+    """(neighbors, distances) of the exact kNN digraph, each row ranked by
+    ascending distance, ties by ascending stock index."""
+    n = vectors.shape[0]
+    sq = np.sum(vectors * vectors, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (vectors @ vectors.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    idx = np.broadcast_to(np.arange(n), d2.shape)
+    neighbors = np.lexsort((idx, d2), axis=-1)[:, :min(k, n - 1)]
+    return neighbors, np.sqrt(np.take_along_axis(d2, neighbors, axis=1))
 
 
 def markowitz_closed_form(yhat_row: np.ndarray, cov: np.ndarray,

@@ -610,6 +610,45 @@ def test_non_graph_train_runs_without_glove(run_copy, capsys):
     assert "glove.npz not found" in capsys.readouterr().err
 
 
+def _assert_stale_glove(out, err):
+    assert err == (f"error: data: {out / 'glove.npz'}: its stocks are not those of "
+                   f"{out / 'panel.npz'}; rerun cooccur, train-glove and graph on this "
+                   f"panel\n")
+
+
+def test_glove_of_a_wider_universe_is_data_error(run_copy, capsys):
+    """ingest rerun with a narrower universe (7 of the 10 stocks) after
+    graph: predict and train refuse glove.npz, whose row 0 is not the
+    panel's stock 0, instead of giving each stock another's embedding."""
+    out, cfg_path = run_copy
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["ingest"] + base + ["--set", "universe.min_price=40"]) == 0
+    assert len(cli._load_panel(out / "panel.npz").symbols) == 7
+    capsys.readouterr()
+    # predict first: a failed train deletes the checkpoint that predict reads
+    for command in ("predict", "train"):
+        assert main([command] + base) == 2
+        _assert_stale_glove(out, capsys.readouterr().err)
+
+
+def test_glove_of_a_narrower_universe_is_data_error(run_copy, capsys):
+    """cooccur, train-glove and graph run on a narrower universe, then
+    ingest on the whole one: train, which indexed past glove.npz's rows,
+    and interpret, which reads glove.npz for a Tech model, refuse it."""
+    out, cfg_path = run_copy
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["train", "--ablation", "Tech"] + base) == 0
+    assert main(["predict"] + base) == 0
+    for command in ("ingest", "cooccur", "train-glove", "graph"):
+        assert main([command] + base + ["--set", "universe.min_price=40"]) == 0
+    assert main(["ingest"] + base) == 0
+    assert cli._load_glove(out / "glove.npz").n == 7
+    capsys.readouterr()
+    for command in ("interpret", "train"):
+        assert main([command] + base) == 2
+        _assert_stale_glove(out, capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command, missing, producer", [
     (["train", "--ablation", "Tech"], "factors.npz", "ingest"),
     (["train-glove"], "cooccur.npz", "cooccur"),
@@ -891,7 +930,7 @@ def _append_invalid_utf8(path):
 
 
 def _set_first(name, value):
-    """Damage: entry 0 of cooccur array ``name`` becomes ``value(arrays)``."""
+    """Damage: entry 0 of .npz array ``name`` becomes ``value(arrays)``."""
     def damage(path):
         def change(arrays):
             a = arrays[name].copy()
@@ -899,6 +938,12 @@ def _set_first(name, value):
             return {name: a}
         _rewrite_npz(path, change)
     return damage
+
+
+def _nan_in_checkpoint(path):
+    values = load_checkpoint(path)
+    values["tech.w"][0, 0] = np.nan
+    save_checkpoint(path, values)
 
 
 def _quote_left_open(path):
@@ -945,6 +990,14 @@ CORRUPTIONS = {
     "panel dates not ISO": (
         "panel.npz", lambda path: _rewrite_npz(path, lambda a: {"calendar": np.array(["x"])}),
         "array 'calendar': Invalid isoformat string: 'x'; rerun ingest"),
+    "checkpoint non-finite": ("checkpoint.bin", _nan_in_checkpoint,
+                              "parameter tech.w holds a non-finite value; rerun train"),
+    "glove vectors non-finite": (
+        "glove.npz", _set_first("vectors", lambda a: np.nan),
+        "array 'vectors' holds a non-finite value; rerun train-glove"),
+    "glove biases non-finite": (
+        "glove.npz", _set_first("biases", lambda a: np.inf),
+        "array 'biases' holds a non-finite value; rerun train-glove"),
     "glove vectors 1-D": (
         "glove.npz", lambda path: _rewrite_npz(path, lambda a: {"vectors": np.zeros(10)}),
         "array 'vectors' has shape (10,), expected 10 x *; rerun train-glove"),
