@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .orderstats import distinct, quantiles
 
 TRADING_DAYS_PER_YEAR = 252
 QUANTILE_FRACTIONS = {1: 1.00, 2: 0.75, 3: 0.50, 4: 0.25}
@@ -259,7 +260,7 @@ def _count_groups(mask: np.ndarray):
     pairwise sums, as the per-row code.
     """
     counts = mask.sum(axis=1)
-    for n in np.unique(counts[counts > 0]):
+    for n in distinct(counts[counts > 0]):
         yield np.flatnonzero(counts == n), int(n)
 
 
@@ -278,9 +279,9 @@ def quantile_analysis(yhat: np.ndarray, y: np.ndarray, thresholds=(1, 2, 3, 4),
     counted in ``skipped_days``.
 
     Days that share a valid count form one block, so each rank's thresholds
-    take one ``np.quantile`` call per distinct count, and daily P&Ls one sum
-    per distinct bucket size; both give the same floats as the 1-D
-    per-day quantile and sum.
+    take one ``orderstats.quantiles`` call (``np.quantile``'s bits) per
+    distinct count, and daily P&Ls one sum per distinct bucket size; both
+    give the same floats as the 1-D per-day quantile and sum.
     """
     if side not in ("both", "long", "short"):
         raise ConfigError(f"unknown side {side!r}")
@@ -301,7 +302,7 @@ def quantile_analysis(yhat: np.ndarray, y: np.ndarray, thresholds=(1, 2, 3, 4),
     thr = np.full((len(levels), D), np.nan)  # NaN rows: no valid name that day
     for rows, n in _count_groups(valid):
         block = mags[rows][valid[rows]].reshape(rows.size, n)
-        thr[:, rows] = np.quantile(block, levels, axis=1)
+        thr[:, rows] = quantiles(block, levels)
     out = {}
     for qr, day_thr in zip(thresholds, thr):
         bucket = valid & (mags >= day_thr[:, None])

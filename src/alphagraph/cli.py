@@ -9,9 +9,11 @@ there, and records a manifest with content hashes. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as dt
 import json
+import math
 import sys
 import zipfile
 from pathlib import Path
@@ -99,36 +101,93 @@ class OutDir:
 # Artifact I/O helpers
 # ---------------------------------------------------------------------------
 
-class _NpzArrays:
-    """Every array of one ``.npz`` artifact, or only those ``names``, read
-    at once. A truncated or corrupt file (no zip directory, a member read
-    failing its CRC check), a missing array or one of the wrong shape is a
-    DataError naming the file and the command that writes it."""
+# bytes read from a zip member at a time when only some of its rows are kept
+_READ_CHUNK = 1 << 20
 
-    def __init__(self, path, *names):
+
+def _read_rows(fh, rows: slice):
+    """The rows ``rows`` (a slice without a step) of the leading axis of
+    the ``.npy`` array ``fh`` streams, and the array's whole shape; None
+    for an array this cannot cut (0-d, Fortran-ordered, of objects or not
+    in the version 1.0 format that ``np.savez`` writes). Every byte to EOF
+    is read, a chunk at a time, and those outside the rows are dropped, so
+    a zip member's CRC check still covers the whole array."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        return None
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    if not shape or fortran_order or dtype.hasobject:
+        return None
+    first, stop, _ = rows.indices(shape[0])
+    out = np.empty((max(stop - first, 0), *shape[1:]), dtype)
+    window = out.reshape(-1).view(np.uint8)
+    row_bytes = dtype.itemsize * math.prod(shape[1:])
+    lo, got = first * row_bytes, 0   # window and chunk offsets in the data
+    while chunk := fh.read(_READ_CHUNK):
+        a, b = max(got, lo), min(got + len(chunk), lo + window.size)
+        if a < b:
+            window[a - lo:b - lo] = np.frombuffer(chunk, np.uint8, b - a, a - got)
+        got += len(chunk)
+    if got < shape[0] * row_bytes:
+        raise ValueError(f"EOF: reading array data, expected {shape[0] * row_bytes} bytes "
+                         f"got {got}")
+    return out, shape
+
+
+class _NpzArrays:
+    """The arrays of one ``.npz`` artifact, each read when asked for; a
+    context manager that closes the file. A truncated or corrupt file (no
+    zip directory, a member read failing its CRC check), a missing array
+    or one of the wrong shape is a DataError naming the file and the
+    command that writes it. An array may be read as a range of rows of its
+    leading axis: its member is still read through to its end, so the CRC
+    and shape checks cover all of it, but only those rows are kept."""
+
+    def __init__(self, path):
         self.path = Path(path)
-        try:
-            z = np.load(self.path, allow_pickle=False)
-            if not isinstance(z, np.lib.npyio.NpzFile):
+        with self._reading():
+            self.npz = np.load(self.path, allow_pickle=False)
+            if not isinstance(self.npz, np.lib.npyio.NpzFile):
                 raise ValueError("a single array, not an archive")
-            with z:
-                self.arrays = {name: z[name] for name in z.files
-                               if not names or name in names}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.npz.close()
+
+    @contextlib.contextmanager
+    def _reading(self):
+        try:
+            yield
         except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
             raise self.error(f"truncated or corrupt .npz file ({exc})") from exc
 
     def error(self, what: str) -> DataError:
         return DataError(f"{self.path}: {what}; rerun {WRITTEN_BY[self.path.name]}")
 
-    def shaped(self, name: str, *shape) -> np.ndarray:
-        """Array ``name``, whose shape must be ``shape``; None matches any length."""
-        if name not in self.arrays:
+    def shaped(self, name: str, *shape, rows: slice | None = None) -> np.ndarray:
+        """Array ``name``, whose shape must be ``shape`` (None matches any
+        length); with ``rows``, only those rows of its leading axis."""
+        if name not in self.npz.files:
             raise self.error(f"no array {name!r}")
-        a = self.arrays[name]
-        if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        with self._reading():
+            cut = None
+            if rows is not None:
+                # the member NpzFile reads for ``name``
+                member = name if name in self.npz.zip.namelist() else name + ".npy"
+                with self.npz.zip.open(member) as fh:
+                    cut = _read_rows(fh, rows)
+            if cut is None:
+                a = self.npz[name]
+                whole = a.shape
+            else:
+                a, whole = cut
+        if len(whole) != len(shape) or any(n is not None and n != m
+                                           for n, m in zip(shape, whole)):
             want = " x ".join("*" if n is None else str(n) for n in shape)
-            raise self.error(f"array {name!r} has shape {a.shape}, expected {want}")
-        return a
+            raise self.error(f"array {name!r} has shape {whole}, expected {want}")
+        # an array _read_rows cannot cut is read whole, then cut
+        return a[rows].copy() if rows is not None and cut is None else a
 
     def strings(self, name: str) -> list[str]:
         return [str(s) for s in self.shaped(name, None)]
@@ -164,15 +223,20 @@ def _save_panel(path, panel: BarPanel) -> None:
               **{f: panel.arrays[f] for f in BarPanel.FIELDS})
 
 
-def _load_panel(path) -> BarPanel:
-    """The panel's calendar, symbols, mask and opens: the stages after
-    ingest read no other bar field (labels, returns and the universe all
-    price at the open)."""
-    z = _NpzArrays(path, "calendar", "symbols", "mask", "open")
+def _read_panel(z: _NpzArrays, rows: slice | None = None) -> BarPanel:
+    """The panel's calendar, symbols, mask and opens, of every day or of
+    the calendar rows ``rows``: the stages after ingest read no other bar
+    field (labels, returns and the universe all price at the open)."""
     calendar, symbols = z.dates("calendar"), z.strings("symbols")
     shape = (len(calendar), len(symbols))
-    return BarPanel(calendar, symbols, {"open": z.shaped("open", *shape)},
-                    z.shaped("mask", *shape))
+    return BarPanel(calendar if rows is None else calendar[rows], symbols,
+                    {"open": z.shaped("open", *shape, rows=rows)},
+                    z.shaped("mask", *shape, rows=rows))
+
+
+def _load_panel(path) -> BarPanel:
+    with _NpzArrays(path) as z:
+        return _read_panel(z)
 
 
 def _save_factors(path, fp: FactorPanel) -> None:
@@ -182,22 +246,36 @@ def _save_factors(path, fp: FactorPanel) -> None:
               symbols=np.array(fp.symbols))
 
 
-def _load_factors(path) -> FactorPanel:
-    z = _NpzArrays(path)
+def _read_factors(z: _NpzArrays, rows: slice | None = None) -> FactorPanel:
+    """The factor panel, of every day or of the calendar rows ``rows``."""
     names, calendar, symbols = z.strings("names"), z.dates("calendar"), z.strings("symbols")
     shape = (len(calendar), len(symbols), len(names))
-    return FactorPanel(names, z.shaped("values", *shape), z.shaped("mask", *shape),
-                       tuple(calendar), tuple(symbols))
+    return FactorPanel(names, z.shaped("values", *shape, rows=rows),
+                       z.shaped("mask", *shape, rows=rows),
+                       tuple(calendar if rows is None else calendar[rows]), tuple(symbols))
+
+
+def _load_factors(path) -> FactorPanel:
+    with _NpzArrays(path) as z:
+        return _read_factors(z)
+
+
+def _check_aligned(factors: _NpzArrays, panel: _NpzArrays) -> None:
+    """The factor panel must be of the bar panel's days and stocks: a stage
+    that reads some rows of each reads the same rows of both."""
+    if (factors.dates("calendar") != panel.dates("calendar")
+            or factors.strings("symbols") != panel.strings("symbols")):
+        raise DataError("factor panel is not aligned with the bar panel")
 
 
 def _load_cooccur(path) -> CooccurrenceMatrix:
     """The co-mention counts of a cooccur file: each pair (i, j) of distinct
     indices in [0, n) appears once in each order, with the same positive
     integer count."""
-    z = _NpzArrays(path)
-    symbols = z.strings("symbols")
-    rows = z.shaped("rows", None)
-    cols, vals = z.shaped("cols", rows.size), z.shaped("vals", rows.size)
+    with _NpzArrays(path) as z:
+        symbols = z.strings("symbols")
+        rows = z.shaped("rows", None)
+        cols, vals = z.shaped("cols", rows.size), z.shaped("vals", rows.size)
     for name, index in (("rows", rows), ("cols", cols)):
         if index.dtype.kind not in "iu" or np.any((index < 0) | (index >= len(symbols))):
             raise z.error(f"array {name!r} holds an entry that is not an index in "
@@ -214,14 +292,15 @@ def _load_cooccur(path) -> CooccurrenceMatrix:
 
 
 def _load_glove(path) -> StockEmbeddingSet:
-    z = _NpzArrays(path)
-    symbols = z.strings("symbols")
-    vectors, biases = z.shaped("vectors", len(symbols), None), z.shaped("biases", len(symbols))
-    for name, a in (("vectors", vectors), ("biases", biases)):
-        if not np.all(np.isfinite(a)):
-            raise z.error(f"array {name!r} holds a non-finite value")
-    return StockEmbeddingSet(tuple(symbols), vectors, biases,
-                             [float(v) for v in z.shaped("trace", None)])
+    with _NpzArrays(path) as z:
+        symbols = z.strings("symbols")
+        vectors = z.shaped("vectors", len(symbols), None)
+        biases = z.shaped("biases", len(symbols))
+        for name, a in (("vectors", vectors), ("biases", biases)):
+            if not np.all(np.isfinite(a)):
+                raise z.error(f"array {name!r} holds a non-finite value")
+        trace = [float(v) for v in z.shaped("trace", None)]
+    return StockEmbeddingSet(tuple(symbols), vectors, biases, trace)
 
 
 def _check_glove_symbols(out: OutDir, glove: StockEmbeddingSet, symbols) -> None:
@@ -300,11 +379,15 @@ def _model_config(cfg, ablation: str | None, glove_dim: int, n_factors: int,
 
 def _assemble_dataset(cfg, out: OutDir, model_cfg: ModelConfig,
                       require_labels: bool = True, bars: BarPanel | None = None,
-                      factors: FactorPanel | None = None):
+                      factors: FactorPanel | None = None, news_since: dt.date | None = None):
     """(bars, dataset, news panel) of every sample the model config can use.
 
-    The bar and factor panels are read from ``out`` unless the caller passes
-    the ones it already holds, so a stage reads each file once."""
+    The bar and factor panels of every day are read from ``out`` unless the
+    caller passes the ones it already holds, so a stage reads each file
+    once. A caller that holds panels of some rows of the calendar passes
+    ``news_since``, the day before their first day: the articles dated
+    before it are placed on earlier days, and are not read. Nor are those
+    dated on or after the last day, which are placed after it."""
     from . import model as mdl
     if not isinstance(out, OutDir):   # the directory itself (perfbench's tests pass it)
         out = OutDir(Path(out), cfg)
@@ -314,7 +397,8 @@ def _assemble_dataset(cfg, out: OutDir, model_cfg: ModelConfig,
         factors = _load_factors(out.read(FACTORS_FILE))
     news_panel = None
     if model_cfg.use_news:
-        articles = load_articles(out.read(NEWS_FILE))
+        articles = load_articles(out.read(NEWS_FILE), since=news_since,
+                                 before=bars.calendar[-1])
         wordvecs = _load_word_embeddings(out.read(WORDVEC_FILE))
         news_panel = daily_stock_news_vectors(articles, wordvecs, bars.symbols,
                                               bars.calendar)
@@ -395,12 +479,12 @@ def cmd_ingest(cfg, out: OutDir, args):
 def cmd_cooccur(cfg, out: OutDir, args):
     news_path = out.read(NEWS_FILE)
     train_end = _train_end(cfg)
-    panel = _load_panel(out.read(PANEL_FILE))
-    articles = [a for a in load_articles(news_path) if a.date <= train_end]
-    x = build_cooccurrence(articles, panel.symbols)
+    symbols = _load_panel(out.read(PANEL_FILE)).symbols
+    articles = [a for a in load_articles(news_path, tokenize=False) if a.date <= train_end]
+    x = build_cooccurrence(articles, symbols)
     rows, cols, vals = x.to_coo()
     _save_npz(out.write(COOCCUR_FILE), rows=rows, cols=cols, vals=vals,
-              symbols=np.array(panel.symbols))
+              symbols=np.array(symbols))
     return {"n_articles": len(articles), "n_pairs": len(x.counts)}
 
 
@@ -440,22 +524,29 @@ def cmd_graph(cfg, out: OutDir, args):
 def _training_set(cfg, out: OutDir, ablation: str | None, glove: StockEmbeddingSet | None):
     """The model config and the samples anchored through split.train_end.
 
-    Of what is read here, only the returned samples' feature store outlives
-    the call: the bar prices, the factor mask and the samples of the whole
-    calendar are not held while the model trains."""
-    factors = _load_factors(out.read(FACTORS_FILE))
-    bars = _load_panel(out.read(PANEL_FILE))
-    if glove is not None:
-        _check_glove_symbols(out, glove, bars.symbols)
-    (lo, hi), _ = _sample_windows(cfg, bars.calendar)
-    wordvec_dim = embedding_dim(out.read(WORDVEC_FILE)) if out.has(WORDVEC_FILE) else None
-    model_cfg = _model_config(cfg, ablation,
-                              cfg["glove"]["dim"] if glove is None else glove.dim,
-                              len(factors.factor_names),
-                              wordvec_dim or cfg["word2vec"]["dim"])
-    if model_cfg.use_graph and glove is None:
-        raise DataError(f"{out.path / GLOVE_FILE} not found; the graph module needs "
-                        f"train-glove to run first")
+    Only the days those samples read are loaded: their lookback days and
+    label days, from the first day to model.horizon days past
+    split.train_end. Of what is read here, only the returned samples'
+    feature store outlives the call: the bar prices, the factor mask and
+    the samples anchored past split.train_end are not held while the model
+    trains."""
+    with _NpzArrays(out.read(FACTORS_FILE)) as fz, _NpzArrays(out.read(PANEL_FILE)) as pz:
+        calendar = pz.dates("calendar")
+        if glove is not None:
+            _check_glove_symbols(out, glove, pz.strings("symbols"))
+        (lo, hi), _ = _sample_windows(cfg, calendar)
+        wordvec_dim = embedding_dim(out.read(WORDVEC_FILE)) if out.has(WORDVEC_FILE) else None
+        model_cfg = _model_config(cfg, ablation,
+                                  cfg["glove"]["dim"] if glove is None else glove.dim,
+                                  len(fz.strings("names")),
+                                  wordvec_dim or cfg["word2vec"]["dim"])
+        if model_cfg.use_graph and glove is None:
+            raise DataError(f"{out.path / GLOVE_FILE} not found; the graph module needs "
+                            f"train-glove to run first")
+        if model_cfg.use_tech:
+            _check_aligned(fz, pz)
+        rows = slice(lo, hi + model_cfg.horizon + 1)
+        bars, factors = _read_panel(pz, rows), _read_factors(fz, rows)
     _, ds, _ = _assemble_dataset(cfg, out, model_cfg, bars=bars, factors=factors)
     return model_cfg, ds.split_by_anchor(lo, hi)
 
@@ -499,18 +590,30 @@ def cmd_predict(cfg, out: OutDir, args):
         if params[name].values.shape != values.shape:
             raise DataError(f"checkpoint shape mismatch for {name}")
         params[name].values = values.astype(np.float64)
-    bars = _load_panel(out.read(PANEL_FILE))
-    if glove is not None:
-        _check_glove_symbols(out, glove, bars.symbols)
-    _, (lo, hi) = _sample_windows(cfg, bars.calendar)
-    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False, bars=bars)
-    sub = ds.split_by_anchor(lo, hi)
+    # only the test window and the lookback days before it are loaded
+    factors = None
+    with _NpzArrays(out.read(PANEL_FILE)) as pz:
+        calendar = pz.dates("calendar")
+        if glove is not None:
+            _check_glove_symbols(out, glove, pz.strings("symbols"))
+        _, (lo, hi) = _sample_windows(cfg, calendar)
+        start = max(lo - model_cfg.lookback, 0)
+        rows = slice(start, hi + 1)
+        bars = _read_panel(pz, rows)
+        if model_cfg.use_tech:
+            with _NpzArrays(out.read(FACTORS_FILE)) as fz:
+                _check_aligned(fz, pz)
+                factors = _read_factors(fz, rows)
+    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False, bars=bars,
+                                 factors=factors,
+                                 news_since=calendar[start - 1] if start else None)
+    sub = ds.split_by_anchor(lo - start, hi - start)
     if sub.n == 0:
         raise DataError("no samples in the test window")
     model = mdl.TrainedModel(params, model_cfg, graph, bars.symbols)
     panel, attention = mdl.predict(model, sub)
-    n_forecasts, test_start = sub.n, bars.calendar[lo]
-    del bars, ds, sub  # the forecasts are written without the factor panel
+    n_forecasts, test_start = sub.n, calendar[lo]
+    del bars, factors, ds, sub  # the forecasts are written without the factor panel
     write_forecasts(out.write(FORECASTS_FILE), panel)
     if attention is not None:  # the mean over the forecasts that have a label
         with open(out.write(ATTENTION_FILE), "w", encoding="utf-8") as fh:
@@ -594,8 +697,8 @@ def cmd_interpret(cfg, out: OutDir, args):
     window, read from what train and predict wrote; runs no model."""
     model_cfg = _read_model_config(out.read(MODELCFG_FILE))
     icfg = cfg["interpret"]
-    panel = _NpzArrays(out.read(PANEL_FILE), "calendar", "symbols")
-    calendar, symbols = panel.dates("calendar"), panel.strings("symbols")
+    with _NpzArrays(out.read(PANEL_FILE)) as z:
+        calendar, symbols = z.dates("calendar"), z.strings("symbols")
     fc = read_forecasts(out.read(FORECASTS_FILE))
     rows, cols = _panel_positions(out, fc, calendar, symbols)
     _, (lo, hi) = _sample_windows(cfg, calendar)
@@ -629,7 +732,8 @@ def cmd_interpret(cfg, out: OutDir, args):
     write_embeddings(out.write("final_stock_embeddings.txt"), symbols, emb)
 
     if model_cfg.use_tech:
-        names = _NpzArrays(out.read(FACTORS_FILE), "names").strings("names")
+        with _NpzArrays(out.read(FACTORS_FILE)) as z:
+            names = z.strings("names")
         tech_w = _stored_param(stored, "tech.w", (len(names), model_cfg.tech_dim))
         w = np.maximum(tech_w, 0.0).T  # (m, l)
         k_emb = min(icfg["k_emb"], w.shape[1])
@@ -642,8 +746,8 @@ def cmd_interpret(cfg, out: OutDir, args):
     if labelled.any():
         row_index = None
         if model_cfg.use_news:
-            row_index, article_ids, _ = news_cells(load_articles(out.read(NEWS_FILE)),
-                                                   symbols, calendar)
+            articles = load_articles(out.read(NEWS_FILE), tokenize=False)
+            row_index, article_ids, _ = news_cells(articles, symbols, calendar)
         # np.nonzero lists the forecasts in date order, then symbol order, so
         # equal errors rank by date, then by symbol (sorted order)
         d_idx, s_idx = np.nonzero(labelled)

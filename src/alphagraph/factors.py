@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .market import BarPanel, daily_log_returns
+from .orderstats import distinct
 
 DEFAULT_REGISTRY = {
     "momentum": [5, 10, 21, 63, 126, 252],
@@ -202,7 +203,7 @@ def _standardize_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """
     out = np.zeros_like(values)
     counts = mask.sum(axis=1)
-    for n in np.unique(counts[counts >= 2]):
+    for n in distinct(counts[counts >= 2]):
         group = np.flatnonzero(counts == n)
         for start in range(0, group.size, BLOCK_ROWS):
             rows = group[start:start + BLOCK_ROWS]

@@ -15,6 +15,7 @@ from array import array
 import numpy as np
 
 from .errors import DataError
+from .orderstats import median
 
 BAR_HEADER = ["date", "symbol", "open", "high", "low", "close", "volume"]
 
@@ -202,7 +203,9 @@ def load_bars(path) -> BarPanel:
     d_code = np.frombuffer(d_code, dtype=np.int64)
     s_code = np.frombuffer(s_code, dtype=np.int64)
     n = len(lines)  # a failed row may have left part of its fields behind
-    columns = np.frombuffer(values)[:5 * n].reshape(n, 5).T.copy()
+    # a strided view of the buffer, which holds the bars' only copy until
+    # the panel's arrays are scattered from it
+    columns = np.frombuffer(values)[:5 * n].reshape(n, 5).T
     bad_date = np.array([e is not None for e in date_errors], dtype=bool)
     no_symbol = np.array([not name for name in names], dtype=bool)
     broken = _first_broken_rule(columns, bad_date[d_code], no_symbol[s_code])
@@ -259,9 +262,9 @@ def filter_universe(panel: BarPanel, min_median_dollar_volume: float = 1e6,
             continue
         opens = panel.open[valid, s]
         dollar = opens * panel.volume[valid, s]
-        if np.median(dollar) < min_median_dollar_volume:
+        if median(dollar) < min_median_dollar_volume:
             continue
-        if np.median(opens) < min_price:
+        if median(opens) < min_price:
             continue
         out.append(sym)
     return out

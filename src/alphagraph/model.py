@@ -27,6 +27,7 @@ from .factors import FactorPanel
 from .forecasts import ForecastPanel
 from .market import BarPanel, log_return
 from .news import DailyNewsPanel
+from .orderstats import distinct
 
 # samples per forward pass in prediction and validation; it bounds the cell
 # rows and (N, T, .) states a forward holds at once. At 256 the training
@@ -194,14 +195,9 @@ def _distinct(keys: np.ndarray):
     """The sorted distinct values of an int array, and the position of each
     element of ``keys`` among them (same shape as ``keys``).
 
-    The same result as ``np.unique(keys, return_inverse=True)``, from one
-    sort and one ``searchsorted``: ``np.unique`` imports ``numpy.ma`` on
-    first use, which costs a fresh process about 1.6 MB.
+    The same result as ``np.unique(keys, return_inverse=True)``.
     """
-    flat = np.sort(keys, axis=None)
-    first = np.ones(flat.size, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    uniq = flat[first]
+    uniq = distinct(keys)
     return uniq, np.searchsorted(uniq, keys)
 
 

@@ -70,17 +70,21 @@ class NewsArticle:
     id: str
     date: dt.date
     symbols: list[str]
-    tokens: list[str]
+    tokens: list[str] | None  # None when loaded without tokenizing
 
 
-def load_articles(path) -> list[NewsArticle]:
-    """Read a JSONL news file and preprocess every article's text. A line
-    that is not a JSON object with an ``id``, a YYYY-MM-DD ``date``, a
-    ``text`` string and (optionally) ``symbols``, a list of non-empty
-    strings, is a DataError naming the line, as is an id, text or symbol
-    holding a lone surrogate; so is a file without articles, or not
-    UTF-8."""
-    articles = []
+def load_articles(path, since: dt.date | None = None, before: dt.date | None = None,
+                  tokenize: bool = True) -> list[NewsArticle]:
+    """Read a JSONL news file: the articles dated from ``since`` up to,
+    not including, ``before`` (no bound where None), their text tokenized
+    by ``clean_tokens`` unless ``tokenize`` is False.
+
+    Every line is checked, kept or not. A line that is not a JSON object
+    with an ``id``, a YYYY-MM-DD ``date``, a ``text`` string and
+    (optionally) ``symbols``, a list of non-empty strings, is a DataError
+    naming the line, as is an id, text or symbol holding a lone surrogate;
+    so is a file without articles, or not UTF-8."""
+    articles, n_read = [], 0
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -96,21 +100,27 @@ def load_articles(path) -> list[NewsArticle]:
                             and all(isinstance(s, str) and s for s in symbols)):
                         raise ValueError(f"symbols {symbols!r} is not a list of "
                                          f"non-empty strings")
-                    art = NewsArticle(
-                        id=str(rec["id"]),
-                        date=dt.date.fromisoformat(rec["date"]),
-                        symbols=symbols,
-                        tokens=clean_tokens(rec["text"]),
-                    )
-                    if any(map(_LONE_SURROGATE.search, (art.id, rec["text"], *symbols))):
+                    art = NewsArticle(id=str(rec["id"]),
+                                      date=dt.date.fromisoformat(rec["date"]),
+                                      symbols=symbols, tokens=None)
+                    # a text that is not a string fails the first search, with
+                    # the TypeError clean_tokens would raise
+                    text = rec["text"]
+                    if any(map(_LONE_SURROGATE.search, (text, art.id, *symbols))):
                         raise ValueError("the id, text or a symbol holds a lone surrogate")
                 except (KeyError, ValueError, TypeError) as exc:
                     raise DataError(f"{path} line {line_no}: malformed news record: "
                                     f"{exc}") from exc
+                n_read += 1
+                if (since is not None and art.date < since
+                        or before is not None and art.date >= before):
+                    continue
+                if tokenize:
+                    art.tokens = clean_tokens(text)
                 articles.append(art)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    if not articles:
+    if not n_read:
         raise DataError(f"{path}: no articles")
     return articles
 

@@ -7,9 +7,11 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +22,12 @@ from hypothesis.extra import numpy as hnp
 from alphagraph import cli
 from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.cli import main
-from alphagraph.config import DEFAULTS, ModelConfig, sha256_file
+from alphagraph.config import DEFAULTS, ModelConfig, load_config, sha256_file
 from alphagraph.embeddings import build_knn_graph
 from alphagraph.embfile import embedding_dim, read_embeddings
 from alphagraph.errors import AlphagraphError, DataError
-from alphagraph.news import load_articles
+from alphagraph.forecasts import write_forecasts
+from alphagraph.news import daily_stock_news_vectors, load_articles
 from alphagraph.synth import SyntheticSpec, generate, write_market
 
 from test_market import weekday_calendar
@@ -467,6 +470,14 @@ def test_report_stages_do_not_import_the_model(run_copy, command):
     assert _modules_left_loaded(run_copy, command, modules) == ["0 []"]
 
 
+@pytest.mark.parametrize("command", ["ingest", "backtest", "quantiles"])
+def test_order_statistics_leave_numpy_ma_unimported(run_copy, command):
+    """The universe's medians, the factors' and quantiles' distinct counts
+    and the quantile thresholds come from alphagraph.orderstats, so these
+    stages leave numpy.ma (about 1.3 MB in a fresh process) unimported."""
+    assert _modules_left_loaded(run_copy, command, ["numpy.ma"]) == ["0 []"]
+
+
 def _truncate(data: bytes) -> bytes:
     return data[:2000]
 
@@ -545,6 +556,99 @@ def test_npz_writer_writes_the_bytes_of_np_savez(drawn):
     cli._save_npz(ours, **arrays)
     np.savez(numpys, **arrays)
     assert ours.getvalue() == numpys.getvalue()
+
+
+_row_bounds = st.one_of(st.none(), st.integers(-6, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(npz_arrays, st.sampled_from(["C", "F"]), _row_bounds, _row_bounds)
+def test_rows_read_are_the_rows_of_the_whole_read(tmp_path_factory, a, layout, start, stop):
+    """An array read as a range of rows of its leading axis is that range
+    of the array read whole: same dtype, shape and bytes. Fortran-ordered
+    arrays are read whole and cut."""
+    if a.ndim == 0:
+        return
+    if layout == "F":
+        a = np.asfortranarray(a)
+    path = tmp_path_factory.mktemp("rows") / "panel.npz"
+    cli._save_npz(path, a=a)
+    rows = slice(start, stop)
+    with cli._NpzArrays(path) as z:
+        whole = z.shaped("a", *a.shape)
+        part = z.shaped("a", *a.shape, rows=rows)
+    assert part.dtype == whole.dtype and part.shape == whole[rows].shape
+    assert part.tobytes() == np.ascontiguousarray(whole[rows]).tobytes()
+
+
+def _member_data(data: bytes, member: str) -> tuple[int, int]:
+    """(first, end) byte offsets of the array data of a stored .npz member."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = zf.getinfo(member)
+    at = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", data[at + 26:at + 30])
+    start = at + 30 + name_len + extra_len
+    (header_len,) = struct.unpack("<H", data[start + 8:start + 10])   # .npy version 1.0
+    return start + 10 + header_len, start + info.compress_size
+
+
+@pytest.mark.parametrize("command, name, member, row", [
+    ("train", "panel.npz", "open.npy", "last"),
+    ("train", "factors.npz", "values.npy", "last"),
+    ("train", "factors.npz", "mask.npy", "last"),
+    ("predict", "panel.npz", "mask.npy", "first"),
+    ("predict", "factors.npz", "values.npy", "first"),
+])
+def test_byte_flipped_outside_the_rows_read_is_data_error(run_copy, capsys, command, name,
+                                                          member, row):
+    """train reads the rows through split.train_end + model.horizon and
+    predict those from the test window's lookback days on, yet a byte
+    flipped in a row outside them still fails the member's CRC check."""
+    out, cfg_path = run_copy
+    path = out / name
+    data = path.read_bytes()
+    first, end = _member_data(data, member)
+    at = first if row == "first" else end - 1
+    path.write_bytes(data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:])
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: truncated or corrupt .npz file (Bad CRC-32" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_windowed_predict_writes_the_forecasts_of_the_whole_calendar(run_copy, tmp_path):
+    """predict reads only the test window and its lookback days, and drops
+    the articles dated before the day ahead of them; it writes the bytes
+    that a prediction over the whole calendar with every article writes.
+    The market has articles before that day, which a windowed calendar
+    alone would place on its first day."""
+    from alphagraph import model as mdl
+    out, cfg_path = run_copy
+    cfg = load_config(cfg_path)
+    model_cfg = cli._read_model_config(out / "model_config.json")
+    bars = cli._load_panel(out / "panel.npz")
+    _, (lo, hi) = cli._sample_windows(cfg, bars.calendar)
+    articles = load_articles(out / "news.jsonl")
+    assert min(a.date for a in articles) < bars.calendar[lo - model_cfg.lookback - 1]
+    wordvecs = cli._load_word_embeddings(out / "word_embeddings.txt")
+    news = daily_stock_news_vectors(articles, wordvecs, bars.symbols, bars.calendar)
+    ds = mdl.build_dataset(bars, cli._load_factors(out / "factors.npz"), news, model_cfg,
+                           require_labels=False)
+    glove = cli._load_glove(out / "glove.npz")
+    params = mdl.build_params(model_cfg, None, glove)
+    for name, values in load_checkpoint(out / "checkpoint.bin").items():
+        params[name].values = values
+    model = mdl.TrainedModel(params, model_cfg, cli._load_graph(out / "graph.csv", glove.symbols),
+                             bars.symbols)
+    panel, attention = mdl.predict(model, ds.split_by_anchor(lo, hi))
+    write_forecasts(tmp_path / "forecasts.csv", panel)
+    lags = "".join(f"-{model_cfg.lookback - k}day,{float(w)!r}\n" for k, w in enumerate(attention))
+
+    (out / "forecasts.csv").unlink()
+    (out / "temporal_attention.csv").unlink()
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "forecasts.csv").read_bytes() == (tmp_path / "forecasts.csv").read_bytes()
+    assert (out / "temporal_attention.csv").read_text() == "lag,mean_weight\n" + lags
 
 
 def test_npz_writer_holds_no_copy_of_an_array(tmp_path):

@@ -1,14 +1,17 @@
 """Text preprocessing, daily news vectors, and co-mention counting."""
 
 import datetime as dt
+import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from alphagraph.errors import DataError
 from alphagraph.news import (NewsArticle, build_cooccurrence, build_vocabulary,
-                             clean_tokens, daily_stock_news_vectors, news_cells,
-                             news_vector, whitespace_tokenizer)
+                             clean_tokens, daily_stock_news_vectors, load_articles,
+                             news_cells, news_vector, whitespace_tokenizer)
 from alphagraph.word2vec import WordEmbeddingSet
 
 from helpers import cooccurrence_dense, cooccurrence_value
@@ -24,6 +27,86 @@ def emb_of(mapping):
 
 def art(i, date, symbols, tokens):
     return NewsArticle(f"A{i}", date, symbols, tokens)
+
+
+# ---------------------------------------------------------------------------
+# loading
+# ---------------------------------------------------------------------------
+
+def _news_file(path, records) -> None:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def _records(n=10):
+    return [{"id": f"A{k}", "date": (dt.date(2020, 1, 1) + dt.timedelta(days=k)).isoformat(),
+             "symbols": ["AAA", "BBB"][:k % 2 + 1], "text": f"The Market moved {k}%"}
+            for k in range(n)]
+
+
+def test_load_keeps_the_articles_dated_in_the_window(tmp_path):
+    """The articles dated from ``since`` up to ``before`` are those of the
+    whole file, in its order and with the same tokens; no article in the
+    window is an empty list."""
+    path = tmp_path / "news.jsonl"
+    _news_file(path, _records())
+    whole = load_articles(path)
+    since, before = dt.date(2020, 1, 3), dt.date(2020, 1, 7)
+    kept = load_articles(path, since=since, before=before)
+    assert kept == [a for a in whole if since <= a.date < before]
+    assert [a.id for a in kept] == ["A2", "A3", "A4", "A5"]
+    assert load_articles(path, before=since) == whole[:2]
+    assert load_articles(path, since=dt.date(2021, 1, 1)) == []
+
+
+@pytest.mark.parametrize("line, edit", [
+    (10, {"date": "2020-13-01"}),
+    (1, {"text": 7}),
+    (9, {"symbols": "AAA"}),
+])
+def test_load_checks_every_line_in_or_out_of_the_window(tmp_path, line, edit):
+    """A malformed line outside the window is the error a whole load
+    raises, naming the same line."""
+    records = _records()
+    records[line - 1].update(edit)
+    path = tmp_path / "news.jsonl"
+    _news_file(path, records)
+    with pytest.raises(DataError) as whole:
+        load_articles(path)
+    with pytest.raises(DataError) as window:
+        load_articles(path, since=dt.date(2020, 1, 3), before=dt.date(2020, 1, 7),
+                      tokenize=False)
+    assert f"line {line}: malformed news record" in str(whole.value)
+    assert str(window.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("record", [
+    {"id": "A0", "date": "2020-01-01", "text": 5},
+    {"id": "A0", "date": "2020-01-01", "text": None},
+    {"id": "A0", "date": "2020-01-01", "text": ["a"]},
+    {"id": "A0", "date": "2020-01-01"},
+    {"id": "A\ud800", "date": "2020-01-01", "text": 5},
+    {"id": "A0", "date": "2020-01-01", "text": "a\ud800"},
+])
+def test_untokenized_load_rejects_the_texts_a_tokenized_one_does(tmp_path, record):
+    """Without tokenizing, a text that is missing, not a string or holds a
+    lone surrogate is the error it is with tokenizing."""
+    path = tmp_path / "news.jsonl"
+    _news_file(path, [record])
+    messages = []
+    for tokenize in (True, False):
+        with pytest.raises(DataError) as exc:
+            load_articles(path, tokenize=tokenize)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_untokenized_load_keeps_ids_dates_and_symbols(tmp_path):
+    path = tmp_path / "news.jsonl"
+    _news_file(path, _records())
+    whole, bare = load_articles(path), load_articles(path, tokenize=False)
+    assert [(a.id, a.date, a.symbols) for a in bare] == [(a.id, a.date, a.symbols)
+                                                         for a in whole]
+    assert all(a.tokens is None for a in bare) and all(a.tokens for a in whole)
 
 
 # ---------------------------------------------------------------------------
