@@ -13,10 +13,12 @@ Run from the repository root (tier-1 does not collect this directory):
 
 import math
 
+import numpy as np
 import pytest
 
+from alphagraph import cli
 from alphagraph.embeddings import train_glove
-from alphagraph.factors import compute_factors
+from alphagraph.factors import factor_windows
 from alphagraph.market import load_bars
 from alphagraph.model import ModelConfig, build_dataset
 from alphagraph.news import build_cooccurrence, build_vocabulary, load_articles
@@ -34,9 +36,11 @@ SPEC = SyntheticSpec(n_stocks=120, days=600, news_rate=1.0, b_volume=0.01, b_rev
 
 @pytest.fixture(scope="module")
 def market(tmp_path_factory):
-    path = write_market(generate(SPEC), tmp_path_factory.mktemp("bench"))["bars"]
+    where = tmp_path_factory.mktemp("bench")
+    path = write_market(generate(SPEC), where)["bars"]
     panel = load_bars(path)
-    return path, panel, compute_factors(panel, REGISTRY)
+    cli._save_factors(where / "factors.npz", panel, factor_windows(REGISTRY))
+    return path, panel, cli._load_factors(where / "factors.npz")
 
 
 def test_bench_synth(benchmark, tmp_path):
@@ -50,10 +54,14 @@ def test_bench_load_bars(benchmark, market):
     assert out.n_symbols == panel.n_symbols
 
 
-def test_bench_compute_factors(benchmark, market):
+def test_bench_compute_factors(benchmark, market, tmp_path):
+    """What ingest runs for the factors: each block of dates computed and
+    streamed into factors.npz."""
     _, panel, fp = market
-    out = benchmark(compute_factors, panel, REGISTRY)
-    assert out.values.shape == fp.values.shape
+    path = tmp_path / "factors.npz"
+    benchmark(cli._save_factors, path, panel, factor_windows(REGISTRY))
+    with np.load(path) as z:
+        assert z["values"].shape == fp.values.shape
 
 
 def test_bench_build_dataset(benchmark, market):

@@ -16,7 +16,9 @@ import json
 import math
 import sys
 import zipfile
+from collections.abc import Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .embeddings import (StockEmbeddingSet, StockGraph, build_knn_graph,
 from .embfile import embedding_dim, read_embeddings, write_embeddings
 from .errors import (AlphagraphError, ConfigError, DataError, NumericalFault,
                      UsageError)
-from .factors import FactorPanel, compute_factors
+from .factors import FactorPanel, factor_blocks, factor_names, factor_windows
 from .forecasts import read_forecasts, write_forecasts
 from .market import (BarPanel, daily_simple_returns, filter_universe, load_bars)
 from .news import (CooccurrenceMatrix, build_cooccurrence, build_vocabulary,
@@ -199,20 +201,35 @@ class _NpzArrays:
             raise self.error(f"array {name!r}: {exc}") from None
 
 
+class _RowBlocks(NamedTuple):
+    """An array to write given as its shape, its dtype and an iterator of
+    its leading-axis row blocks, in order, which must fill that shape."""
+    shape: tuple
+    dtype: np.dtype
+    blocks: Iterator[np.ndarray]
+
+
 def _save_npz(path, **arrays) -> None:
     """Write ``arrays`` as ``np.savez`` does, byte for byte, each straight
     from its own buffer: ``np.savez`` copies every array it writes into a
     bytes object (16 MiB at a time). An F-ordered array is written as its
-    C-ordered transpose, under the header that says so."""
+    C-ordered transpose, under the header that says so. A ``_RowBlocks``
+    is written one block at a time, as its iterator yields them, in
+    the order of ``arrays``."""
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
         for name, a in arrays.items():
-            a = np.asanyarray(a)
+            if isinstance(a, _RowBlocks):
+                header = {"descr": np.lib.format.dtype_to_descr(a.dtype),
+                          "fortran_order": False, "shape": a.shape}
+                blocks = a.blocks
+            else:
+                a = np.asanyarray(a)
+                header = np.lib.format.header_data_from_array_1_0(a)
+                blocks = (a.T if a.flags.f_contiguous and not a.flags.c_contiguous else a,)
             with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array_header_1_0(
-                    fh, np.lib.format.header_data_from_array_1_0(a))
-                if a.flags.f_contiguous and not a.flags.c_contiguous:
-                    a = a.T
-                fh.write(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
+                np.lib.format.write_array_header_1_0(fh, header)
+                for block in blocks:
+                    fh.write(np.ascontiguousarray(block).reshape(-1).view(np.uint8))
 
 
 def _save_panel(path, panel: BarPanel) -> None:
@@ -239,11 +256,17 @@ def _load_panel(path) -> BarPanel:
         return _read_panel(z)
 
 
-def _save_factors(path, fp: FactorPanel) -> None:
-    _save_npz(path, names=np.array(fp.factor_names), values=fp.values,
-              mask=fp.mask,
-              calendar=np.array([d.isoformat() for d in fp.calendar]),
-              symbols=np.array(fp.symbols))
+def _save_factors(path, panel: BarPanel, windows: list) -> None:
+    """``factors.npz`` of the panel's factors ``windows``, its values
+    computed and written one block of dates at a time."""
+    shape = (panel.n_dates, panel.n_symbols, len(windows))
+    # filled block by block as the values are written, and written after them
+    mask = np.empty(shape, dtype=bool)
+    _save_npz(path, names=np.array(factor_names(windows)),
+              values=_RowBlocks(shape, np.dtype(np.float64), factor_blocks(panel, windows, mask)),
+              mask=mask,
+              calendar=np.array([d.isoformat() for d in panel.calendar]),
+              symbols=np.array(panel.symbols))
 
 
 def _read_factors(z: _NpzArrays, rows: slice | None = None) -> FactorPanel:
@@ -454,6 +477,7 @@ def cmd_synth(cfg, out: OutDir, args):
 
 
 def cmd_ingest(cfg, out: OutDir, args):
+    windows = factor_windows(cfg["factors"] or None)   # a bad window fails before any output
     panel = load_bars(out.read(BARS_FILE))
     u = cfg["universe"]
     window = panel
@@ -470,10 +494,9 @@ def cmd_ingest(cfg, out: OutDir, args):
     # the factors read only the opens and volumes
     panel = BarPanel(panel.calendar, panel.symbols,
                      {f: panel.arrays[f] for f in ("open", "volume")}, panel.mask)
-    fp = compute_factors(panel, cfg["factors"] or None)
-    _save_factors(out.write(FACTORS_FILE), fp)
+    _save_factors(out.write(FACTORS_FILE), panel, windows)
     return {"n_symbols": panel.n_symbols, "n_dates": panel.n_dates,
-            "factors": fp.factor_names}
+            "factors": factor_names(windows)}
 
 
 def cmd_cooccur(cfg, out: OutDir, args):

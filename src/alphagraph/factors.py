@@ -18,6 +18,11 @@ Implemented factor families, each a standard price/volume construction:
 
 Windows are positive integers, and at least 2 for ``volatility``,
 ``volume_z`` and ``ma_ratio``.
+
+``ingest`` computes the factors one block of DATE_BLOCK dates at a time
+(``factor_blocks``), each block from the whole-calendar opens, volumes and
+returns, and writes each block to ``factors.npz`` before the next; the values
+of a block do not depend on where the calendar is cut.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .market import BarPanel, daily_log_returns
 from .orderstats import distinct
 
@@ -50,6 +55,10 @@ STANDARDIZE_CLIP = 3.0
 # rows per standardization block, and windows per trailing-window block (about
 # BLOCK_ROWS // w dates of S windows): either keeps its temporaries at a few MB
 BLOCK_ROWS = 512
+# dates per block of factor values that ingest computes and writes at a time,
+# chosen by measurement (README): at 500 stocks and 13 factors a block is
+# 3.3 MB; at 120 x 600, shorter blocks cost time and longer ones memory
+DATE_BLOCK = 64
 
 
 @dataclass
@@ -65,87 +74,102 @@ class FactorPanel:
         return len(self.factor_names)
 
 
-def _trailing(x: np.ndarray, w: int, reduce) -> np.ndarray:
-    """``reduce(block)`` of the trailing windows of x: row t >= w - 1 of
-    the result holds, for each column s, the reduction of the w rows of x
-    ending at row t (NaN before). ``block[i, s]`` is a C-contiguous copy
-    of window (t, s), one block of about BLOCK_ROWS // w dates at a time,
+def _trailing(x: np.ndarray, w: int, reduce, start: int) -> np.ndarray:
+    """``reduce(block)`` of the trailing windows of x that end on its rows
+    start and later: row i of the result holds, for each column s, the
+    reduction of the w rows of x ending at row start + i (NaN where fewer
+    than w rows end there). ``block[i, s]`` is a C-contiguous copy of
+    window (t, s), one block of about BLOCK_ROWS // w windows at a time,
     which ``reduce`` takes along its last axis.
 
     numpy reduces the contiguous last axis of the copy with the same pairwise
     sum as a 1-D window, so ``block.mean(axis=-1)`` and ``block.std(axis=-1,
     ddof=1)`` equal ``np.mean`` and ``np.std(ddof=1)`` of each window bit for
-    bit. Reducing the strided ``sliding_window_view`` itself does not: on a
-    C-ordered x it adds the window's rows one after another and rounds
-    differently.
+    bit, however the windows are grouped. Reducing the strided
+    ``sliding_window_view`` itself does not: on a C-ordered x it adds the
+    window's rows one after another and rounds differently.
     """
-    out = np.full_like(x, np.nan)
-    if x.shape[0] >= w:
-        windows = sliding_window_view(x, w, axis=0)
+    out = np.full((x.shape[0] - start, *x.shape[1:]), np.nan)
+    first = max(start, w - 1)   # the first row of x that ends a whole window
+    if first < x.shape[0]:
+        windows = sliding_window_view(x[first - w + 1:], w, axis=0)
         step = max(1, BLOCK_ROWS // w)
         for t in range(0, windows.shape[0], step):
-            out[w - 1 + t:w - 1 + t + step] = reduce(np.ascontiguousarray(windows[t:t + step]))
+            at = first - start + t
+            out[at:at + step] = reduce(np.ascontiguousarray(windows[t:t + step]))
     return out
 
 
-def _trailing_mean(x: np.ndarray, w: int) -> np.ndarray:
-    """``np.mean`` of each trailing window of w rows, bit for bit (see
-    ``_trailing``)."""
-    return _trailing(x, w, lambda block: block.mean(axis=-1))
+def _trailing_mean(x: np.ndarray, w: int, start: int) -> np.ndarray:
+    """``np.mean`` of each trailing window of w rows ending on row start of
+    x or later, bit for bit (see ``_trailing``)."""
+    return _trailing(x, w, lambda block: block.mean(axis=-1), start)
 
 
-def _trailing_std(x: np.ndarray, w: int) -> np.ndarray:
-    """``np.std(..., ddof=1)`` of each trailing window of w rows, bit for
-    bit (see ``_trailing``). ``compute_factors`` never asks for w = 1,
-    where that std is NaN."""
-    return _trailing(x, w, lambda block: block.std(axis=-1, ddof=1))
+def _trailing_std(x: np.ndarray, w: int, start: int) -> np.ndarray:
+    """``np.std(..., ddof=1)`` of each trailing window of w rows ending on
+    row start of x or later, bit for bit (see ``_trailing``).
+    ``factor_windows`` never allows w = 1, where that std is NaN."""
+    return _trailing(x, w, lambda block: block.std(axis=-1, ddof=1), start)
+
+
+def _nan_before(out: np.ndarray, a: int, t: int) -> None:
+    """NaN in the rows of out, which hold calendar rows a, a + 1, ..., that
+    come before calendar row t."""
+    out[:max(0, t - a)] = np.nan
 
 
 def _raw_factor(family: str, w: int, opens: np.ndarray, volume: np.ndarray,
-                rets: np.ndarray) -> np.ndarray:
-    """Factor ``family_w`` of every (date, symbol), NaN where its window is
-    not covered. Each family works in place on the one array it returns, so
-    a factor holds at most two (D, S) temporaries besides its result."""
+                rets: np.ndarray, rows: range) -> np.ndarray:
+    """Factor ``family_w`` of the calendar rows ``rows`` (a range without a
+    step) of the whole-calendar (D, S) inputs, NaN where its window is not
+    covered. A trailing window reads the w - 1 rows before ``rows`` from
+    the inputs, so only the windows that end on ``rows`` are reduced; the
+    NaN prefixes are rows of the calendar, not of the block. Each family
+    works in place on the one array it returns, so a factor holds at most
+    two (rows, S) temporaries besides its result."""
+    a, b = rows.start, rows.stop
+    h = max(0, a - w + 1)   # the first row of the first window ending on rows
     with np.errstate(invalid="ignore", divide="ignore"):
         if family in ("momentum", "reversal"):
-            out = np.full_like(opens, np.nan)
-            if opens.shape[0] > w:
-                ratio = out[w:]
-                np.divide(opens[w:], opens[:-w], out=ratio)
+            out = np.full((b - a, opens.shape[1]), np.nan)
+            first = max(a, w)
+            if first < b:
+                ratio = out[first - a:]
+                np.divide(opens[first:b], opens[first - w:b - w], out=ratio)
                 np.log(ratio, out=ratio)
                 if family == "reversal":
                     np.negative(ratio, out=ratio)
         elif family == "volatility":
-            out = _trailing_std(rets, w)
-            out[:w] = np.nan
+            out = _trailing_std(rets[h:b], w, a - h)
+            _nan_before(out, a, w)
         elif family == "volume_z":
-            out = _trailing_mean(volume, w)
-            np.subtract(volume, out, out=out)
-            sd = _trailing_std(volume, w)
+            out = _trailing_mean(volume[h:b], w, a - h)
+            np.subtract(volume[a:b], out, out=out)
+            sd = _trailing_std(volume[h:b], w, a - h)
             out /= sd
             out[~(sd > 0)] = 0.0
-            out[:w - 1] = np.nan
+            _nan_before(out, a, w - 1)
         elif family == "amihud":
-            ratio = opens * volume
-            np.divide(np.abs(rets), ratio, out=ratio)
-            out = _trailing_mean(ratio, w)
-            out[:w] = np.nan
+            ratio = opens[h:b] * volume[h:b]
+            np.divide(np.abs(rets[h:b]), ratio, out=ratio)
+            out = _trailing_mean(ratio, w, a - h)
+            _nan_before(out, a, w)
         elif family == "rsi":
-            out = _trailing_mean(np.where(rets > 0, rets, 0.0), w)
-            losses = _trailing_mean(np.where(rets < 0, -rets, 0.0), w)
+            r = rets[h:b]
+            out = _trailing_mean(np.where(r > 0, r, 0.0), w, a - h)
+            losses = _trailing_mean(np.where(r < 0, -r, 0.0), w, a - h)
             losses += out  # the denominator: gains plus losses
             out *= 100.0
             out /= losses
             out[~(losses > 0)] = 50.0
-            out[:w] = np.nan
-        elif family == "ma_ratio":
-            out = _trailing_mean(opens, w)
+            _nan_before(out, a, w)
+        else:  # ma_ratio, the last family factor_windows admits
+            out = _trailing_mean(opens[h:b], w, a - h)
             unset = ~np.isfinite(out)
-            np.divide(opens, out, out=out)
+            np.divide(opens[a:b], out, out=out)
             out -= 1.0
             out[unset] = np.nan
-        else:
-            raise ConfigError(f"unknown factor family {family!r}")
     return out
 
 
@@ -216,38 +240,65 @@ def _standardize_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_factors(panel: BarPanel, registry: dict | None = None) -> FactorPanel:
-    """Compute the registry's factors for every (date, symbol).
-
-    Raw factors use trailing windows only; entries whose window exceeds the
-    available history (or covers a missing bar) are masked, never imputed.
-    Each valid (date, factor) column is then winsorized and z-scored across
-    symbols. One factor at a time is computed, standardized in one batched
-    pass over its dates and stored into the (D, S, L) output, so besides
-    the output only that factor's arrays are held.
-    """
-    if panel.n_dates == 0 or panel.n_symbols == 0:
-        raise DataError("compute_factors: empty panel")
+def factor_windows(registry: dict | None = None) -> list[tuple[str, int]]:
+    """The registry's (family, window) pairs in output order: families
+    sorted, each family's windows as listed. A window that is not a
+    positive integer, a one-day window of a family that needs two days or a
+    family not in DEFAULT_REGISTRY is a ConfigError."""
     registry = DEFAULT_REGISTRY if registry is None else registry
-    opens = panel.open
-    volume = panel.volume
-    rets = daily_log_returns(panel)
+    windows = []
+    for family in sorted(registry):
+        if family not in DEFAULT_REGISTRY:
+            raise ConfigError(f"unknown factor family {family!r}")
+        for w in registry[family]:
+            if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+                raise ConfigError(f"factor window {family} {w!r} is not a positive integer")
+            if w == 1 and family in NEEDS_TWO_DAYS:
+                raise ConfigError(f"factor {family}_1 carries no signal: its window must be "
+                                  "at least 2")
+            windows.append((family, w))
+    return windows
 
-    windows = [(family, w) for family in sorted(registry) for w in registry[family]]
-    for family, w in windows:
-        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
-            raise ConfigError(f"factor window {family} {w!r} is not a positive integer")
-        if w == 1 and family in NEEDS_TWO_DAYS:
-            raise ConfigError(f"factor {family}_1 carries no signal: its window must be at "
-                              "least 2")
-    names = [f"{family}_{w}" for family, w in windows]
-    D, S, L = panel.n_dates, panel.n_symbols, len(names)
-    values = np.empty((D, S, L))
-    mask = np.empty((D, S, L), dtype=bool)
+
+def factor_names(windows: list) -> list[str]:
+    """The name ``family_w`` of each (family, window) pair."""
+    return [f"{family}_{w}" for family, w in windows]
+
+
+def compute_factors(panel: BarPanel, rets: np.ndarray, windows: list,
+                    rows: range) -> FactorPanel:
+    """The factors ``windows`` of the calendar rows ``rows`` (a range
+    without a step) of the panel, whose daily log returns are ``rets``.
+
+    Raw factors use trailing windows only, read from the whole-calendar
+    inputs; entries whose window exceeds the available history (or covers
+    a missing bar) are masked, never imputed. Each valid (date, factor) row
+    is then winsorized and z-scored across symbols, the rows of every
+    factor in one batched pass; no value depends on how the calendar is
+    cut into rows.
+    """
+    a, b = rows.start, rows.stop
+    S = panel.n_symbols
+    raw = np.empty((len(windows), b - a, S))   # one (date, factor) cross-section per row
     for k, (family, w) in enumerate(windows):
-        raw = _raw_factor(family, w, opens, volume, rets)
-        valid = np.isfinite(raw)
-        valid &= panel.mask
-        mask[:, :, k] = valid
-        values[:, :, k] = _standardize_rows(raw, valid)
-    return FactorPanel(names, values, mask, panel.calendar, panel.symbols)
+        raw[k] = _raw_factor(family, w, panel.open, panel.volume, rets, rows)
+    valid = np.isfinite(raw)
+    valid &= panel.mask[a:b]
+    values = _standardize_rows(raw.reshape(-1, S), valid.reshape(-1, S)).reshape(raw.shape)
+    # (rows, S, L) views of the (L, rows, S) arrays
+    return FactorPanel(factor_names(windows), values.transpose(1, 2, 0),
+                       valid.transpose(1, 2, 0), panel.calendar[a:b], panel.symbols)
+
+
+def factor_blocks(panel: BarPanel, windows: list, mask: np.ndarray):
+    """The standardized (rows, S, L) values of the panel's factors, one
+    block of DATE_BLOCK dates at a time in calendar order; each block's
+    validity goes into its rows of the (D, S, L) ``mask`` before the block
+    is yielded. While a block is computed, the panel, the returns, ``mask``
+    and the block yielded before it are all else that is held."""
+    D = panel.n_dates
+    rets = daily_log_returns(panel)
+    for a in range(0, D, DATE_BLOCK):
+        block = compute_factors(panel, rets, windows, range(a, min(a + DATE_BLOCK, D)))
+        mask[a:a + DATE_BLOCK] = block.mask
+        yield block.values

@@ -229,11 +229,13 @@ def log_return(p_t: float, p_prev: float) -> float:
 
 
 def daily_log_returns(panel: BarPanel) -> np.ndarray:
-    """(D, S) open-to-open log returns; row t is the return ending at day t."""
+    """(D, S) open-to-open log returns; row t is the return ending at day t.
+    Computed in place: no (D, S) temporary besides the result."""
     opens = panel.open
     out = np.full_like(opens, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out[1:] = np.log(opens[1:] / opens[:-1])
+        np.divide(opens[1:], opens[:-1], out=out[1:])
+        np.log(out[1:], out=out[1:])
     return out
 
 

@@ -16,6 +16,8 @@ runs, kept as the references and checks the tests use.
   of ``model.build_dataset``.
 * ``standardize_cross_section``: one date's winsorized z-scores, the 1-D
   form of ``factors._standardize_rows``.
+* ``factor_panel``: the blocks of factor values that ``ingest`` writes to
+  ``factors.npz``, assembled into one :class:`FactorPanel`.
 * ``news_rows``: a dense (D, S, d_w) news array as ragged cell rows.
 * ``cooccurrence_value`` and ``cooccurrence_dense``: one count and the
   dense matrix of a :class:`CooccurrenceMatrix`.
@@ -45,7 +47,8 @@ import numpy as np
 
 from alphagraph.autodiff import Tape, Tensor, _as_tensor, _emit
 from alphagraph.errors import ConfigError, DataError, NumericalFault, ShapeError
-from alphagraph.factors import _standardize_rows
+from alphagraph.factors import (FactorPanel, _standardize_rows, factor_blocks, factor_names,
+                                factor_windows)
 from alphagraph.market import (BAR_HEADER, BarPanel, _duplicate_bar, _panel_from_columns,
                                log_return)
 
@@ -364,6 +367,16 @@ def standardize_cross_section(values: np.ndarray, mask: np.ndarray) -> np.ndarra
     """Winsorize and z-score one date's (S,) cross-section: one row of
     ``factors._standardize_rows``, whose docstring states the contract."""
     return _standardize_rows(values[None, :], np.asarray(mask, dtype=bool)[None, :])[0]
+
+
+def factor_panel(panel: BarPanel, registry: dict | None = None) -> FactorPanel:
+    """The factors of every (date, symbol) as ``ingest`` computes them, one
+    block of dates at a time, assembled into one (D, S, L) panel."""
+    windows = factor_windows(registry)
+    mask = np.empty((panel.n_dates, panel.n_symbols, len(windows)), dtype=bool)
+    values = np.concatenate([np.empty((0, *mask.shape[1:])),
+                             *factor_blocks(panel, windows, mask)])
+    return FactorPanel(factor_names(windows), values, mask, panel.calendar, panel.symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from alphagraph.embeddings import (StockEmbeddingSet, StockGraph,
                                    attention_representation, build_knn_graph,
                                    glove_loss_and_grads, glove_weight,
                                    train_glove)
-from alphagraph.factors import compute_factors
 from alphagraph.model import Dataset, FeatureStore, ModelConfig
 from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence,
                              build_vocabulary, clean_tokens,
@@ -29,7 +28,7 @@ from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence
 from alphagraph.synth import SyntheticSpec, generate
 from alphagraph.word2vec import train_cbow
 
-from helpers import (add, build_ridge_features, forecast_stats, gradient_check,
+from helpers import (add, build_ridge_features, factor_panel, forecast_stats, gradient_check,
                      markowitz_closed_form, mean, mul, mul_rows, news_rows, ridge_predict,
                      ridge_scan, sigmoid, stack_rows, take_row)
 
@@ -285,7 +284,7 @@ def recovery_world():
     spec = SyntheticSpec(horizon=1, b_volume=0.012, b_reversal=0.30, noise_std=0.01, seed=42)
     market = generate(spec)
     panel = market.panel()
-    factors = compute_factors(panel, RECOVERY_REGISTRY)
+    factors = factor_panel(panel, RECOVERY_REGISTRY)
     articles = [NewsArticle(a["id"], dt.date.fromisoformat(a["date"]),
                             a["symbols"], clean_tokens(a["text"]))
                 for a in market.articles]

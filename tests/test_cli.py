@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from alphagraph import cli
+from alphagraph import cli, factors
 from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.cli import main
 from alphagraph.config import DEFAULTS, ModelConfig, load_config, sha256_file
@@ -410,6 +410,47 @@ def test_one_day_window_without_signal_is_config_error(run_copy, capsys):
                                  "its window must be at least 2\n")
 
 
+@pytest.mark.parametrize("registry", ['{"volatility": [1], "momentum": [5]}',
+                                      '{"momentum": [0]}', '{"rsi": [2.5]}',
+                                      '{"momentum": ["21"]}', '{"momentum": [true]}',
+                                      '{"momentum": [5], "beta": [21]}'])
+def test_bad_factor_registry_fails_before_any_output(run_copy, capsys, monkeypatch, registry):
+    """A bad factor window or family is a config error raised before ingest
+    opens an output; the outputs and manifest of its earlier run go."""
+    out, cfg_path = run_copy
+    written = []
+    monkeypatch.setattr(cli.OutDir, "write", lambda self, name: written.append(name))
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(out),
+                 "--set", f"factors={registry}"]) == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert written == []
+    assert not {"panel.npz", "factors.npz", "ingest_manifest.json"} & {
+        p.name for p in out.iterdir()}
+
+
+def test_data_error_while_writing_the_factors_leaves_no_ingest_output(run_copy, capsys,
+                                                                      monkeypatch):
+    """A block of factors that fails after earlier blocks were written to
+    factors.npz ends ingest with exit code 2, and neither factors.npz nor
+    panel.npz nor the manifest remains, of this run or the earlier one."""
+    out, cfg_path = run_copy
+    compute, calls = factors.compute_factors, []
+
+    def third_block_fails(*args):
+        calls.append(args[-1])
+        if len(calls) == 3:
+            raise DataError("a block failed")
+        return compute(*args)
+
+    monkeypatch.setattr(factors, "DATE_BLOCK", 16)
+    monkeypatch.setattr(factors, "compute_factors", third_block_fails)
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: data: a block failed\n"
+    assert calls == [range(0, 16), range(16, 32), range(32, 48)]
+    assert not {"panel.npz", "factors.npz", "ingest_manifest.json"} & {
+        p.name for p in out.iterdir()}
+
+
 def test_truncated_checkpoint_is_data_error(run_copy, capsys):
     out, cfg_path = run_copy
     ckpt = out / "checkpoint.bin"
@@ -542,18 +583,32 @@ npz_arrays = hnp.arrays(
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.tuples(npz_arrays, st.sampled_from(["C", "F", "strided"])),
+@given(st.lists(st.tuples(npz_arrays, st.sampled_from(["C", "F", "strided", "blocks"]),
+                          st.integers(1, 5)),
                 min_size=1, max_size=3))
+# row blocks of one row, an uneven last block and zero rows
+@example([(np.arange(12.0).reshape(4, 3), "blocks", 1)])
+@example([(np.asfortranarray(np.arange(14).reshape(7, 2)), "blocks", 3)])
+@example([(np.zeros((0, 2, 3), dtype="<f8"), "blocks", 2), (np.ones(3, dtype="?"), "C", 1)])
 def test_npz_writer_writes_the_bytes_of_np_savez(drawn):
-    arrays = {}
-    for k, (a, layout) in enumerate(drawn):
+    """Each member is written as np.savez writes it, whether it is given as
+    an array or as an iterator of its row blocks."""
+    arrays, members = {}, {}
+    for k, (a, layout, n) in enumerate(drawn):
         if layout == "F":
             a = np.asfortranarray(a)
         elif layout == "strided" and a.ndim:
             a = a[..., ::2]
+        if layout == "blocks" and a.ndim:
+            blocks = [a[i:i + n] for i in range(0, len(a), n)]
+            members[f"a{k}"] = cli._RowBlocks(a.shape, a.dtype, iter(blocks))
+            # the blocks assembled, in C order as they are written
+            a = np.ascontiguousarray(np.concatenate([a[:0], *blocks], dtype=a.dtype))
+        else:
+            members[f"a{k}"] = a
         arrays[f"a{k}"] = a
     ours, numpys = io.BytesIO(), io.BytesIO()
-    cli._save_npz(ours, **arrays)
+    cli._save_npz(ours, **members)
     np.savez(numpys, **arrays)
     assert ours.getvalue() == numpys.getvalue()
 

@@ -10,7 +10,8 @@ and identical error text, never a tolerance):
   column pairwise as it reduces a 1-D array; on C-ordered arrays it adds the
   rows one after another and rounds differently;
 * ``ref_standardize`` / ``ref_compute_factors``: one 1-D winsorize-and-z-score
-  per (date, factor) column;
+  per (date, factor) column over the whole calendar, the reference of the
+  factors that ``ingest`` computes one block of dates at a time;
 * ``ref_build_dataset``: one ``forward_return`` call per (stock, anchor);
 * ``ref_load_bars``: one ``parse_bar_row`` (``tests/helpers.py``) per CSV
   row, then a sorted scan for duplicate keys.
@@ -20,20 +21,21 @@ import csv
 import datetime as dt
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alphagraph import factors as F
 from alphagraph.errors import DataError
-from alphagraph.factors import FactorPanel, compute_factors
+from alphagraph.factors import FactorPanel
 from alphagraph.market import _BAR_RULES, BarPanel, daily_log_returns, load_bars
 from alphagraph.model import ModelConfig, build_dataset
 from alphagraph.synth import SyntheticSpec, generate, write_market
 
-from helpers import (TEST_SIGNAL, build_panel, forward_return, market_bars, parse_bar_row,
-                     standardize_cross_section)
+from helpers import (TEST_SIGNAL, build_panel, factor_panel, forward_return, market_bars,
+                     parse_bar_row, standardize_cross_section)
 
 REGISTRY = {"momentum": [5, 21], "reversal": [1], "volatility": [21],
             "volume_z": [21], "amihud": [10], "rsi": [14], "ma_ratio": [10]}
@@ -69,7 +71,12 @@ def ref_raw_factor(family, w, opens, volume, rets):
     D = opens.shape[0]
     out = np.full_like(opens, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
-        if family == "volatility":
+        if family in ("momentum", "reversal"):
+            for t in range(w, D):
+                out[t] = np.log(opens[t] / opens[t - w])
+            if family == "reversal":
+                out[w:] = -out[w:]
+        elif family == "volatility":
             for t in range(w, D):
                 out[t] = np.std(rets[t - w + 1:t + 1], axis=0, ddof=1)
         elif family == "volume_z":
@@ -94,8 +101,6 @@ def ref_raw_factor(family, w, opens, volume, rets):
             for t in range(w - 1, D):
                 out[t] = np.mean(opens[t - w + 1:t + 1], axis=0)
             out = np.where(np.isfinite(out), opens / out - 1.0, np.nan)
-        else:
-            return F._raw_factor(family, w, opens, volume, rets)
     return out
 
 
@@ -227,7 +232,7 @@ def holey_panel():
 
 def test_factors_bit_equal_to_per_column_reference(holey_panel):
     names, values, mask = ref_compute_factors(holey_panel, REGISTRY)
-    fp = compute_factors(holey_panel, REGISTRY)
+    fp = factor_panel(holey_panel, REGISTRY)
     assert fp.factor_names == names
     assert same(fp.values, values) and same(fp.mask, mask)
     # the panel does exercise several group sizes and several clip rounds
@@ -235,12 +240,60 @@ def test_factors_bit_equal_to_per_column_reference(holey_panel):
     assert len(np.unique(counts[counts >= 2])) >= 3
 
 
-WINDOWED = ("amihud", "ma_ratio", "rsi", "volatility", "volume_z")
+FAMILIES = tuple(sorted(F.DEFAULT_REGISTRY))
+
+
+def random_panel(seed, n_dates, n_symbols, hole_rate):
+    """A panel of random opens and volumes, F-ordered as ``ingest`` passes
+    them, with bars missing at ``hole_rate`` and a few flat volume windows."""
+    rng = np.random.default_rng(seed)
+    shape = (n_dates, n_symbols)
+    opens = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, shape), axis=0))
+    volume = 1e4 * rng.integers(1, 4, shape)
+    mask = rng.random(shape) >= hole_rate
+    opens[~mask] = volume[~mask] = np.nan
+    calendar = [dt.date(2020, 1, 1) + dt.timedelta(days=d) for d in range(n_dates)]
+    return BarPanel(calendar, [f"S{s}" for s in range(n_symbols)],
+                    {"open": np.asfortranarray(opens), "volume": np.asfortranarray(volume)},
+                    mask)
+
+
+registries = st.dictionaries(
+    st.sampled_from(FAMILIES),
+    st.lists(st.integers(1, 20), min_size=1, max_size=2, unique=True),
+    min_size=1, max_size=4,
+).map(lambda r: {family: [max(w, 2) if family in F.NEEDS_TWO_DAYS else w for w in ws]
+                 for family, ws in r.items()})
+
+
+@pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0")
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_dates=st.integers(1, 40), n_symbols=st.integers(1, 7),
+       hole_rate=st.sampled_from([0.0, 0.1, 0.4]), block=st.integers(1, 12),
+       registry=registries)
+# a calendar shorter than one block; one that is not a multiple of the
+# block; windows longer than a block, with holes in the mask
+@example(seed=1, n_dates=5, n_symbols=4, hole_rate=0.0, block=8,
+         registry={"momentum": [2], "volume_z": [3]})
+@example(seed=2, n_dates=23, n_symbols=5, hole_rate=0.1, block=4,
+         registry={"rsi": [3], "ma_ratio": [4]})
+@example(seed=3, n_dates=40, n_symbols=6, hole_rate=0.4, block=3,
+         registry={"volatility": [17], "amihud": [9], "momentum": [20]})
+def test_blocked_factors_bit_equal_to_whole_calendar_reference(seed, n_dates, n_symbols,
+                                                               hole_rate, block, registry):
+    """The factors computed one block of dates at a time, as ``ingest``
+    writes them, are the whole-calendar reference's, values and mask."""
+    panel = random_panel(seed, n_dates, n_symbols, hole_rate)
+    names, values, mask = ref_compute_factors(panel, registry)
+    with mock.patch.object(F, "DATE_BLOCK", block):
+        fp = factor_panel(panel, registry)
+    assert fp.factor_names == names
+    assert same(fp.values, values) and same(fp.mask, mask)
 
 
 @pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0")
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
-@pytest.mark.parametrize("family", WINDOWED)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_window_factors_bit_equal_to_per_date_loop(holey_panel, family, layout):
     # windows below 8, at the 8-term unroll, up to 128 and above it, where
     # numpy's pairwise sum splits the window in halves
@@ -248,7 +301,7 @@ def test_window_factors_bit_equal_to_per_date_loop(holey_panel, family, layout):
     arrays = [layout(a) for a in (holey_panel.open, holey_panel.volume, rets)]
     for w in (1, 2, 7, 8, 9, 14, 17, 21, 63, 140, 159, 160, 200):
         expected = ref_raw_factor(family, w, *arrays)
-        got = F._raw_factor(family, w, *arrays)
+        got = F._raw_factor(family, w, *arrays, range(holey_panel.n_dates))
         assert same(got, expected), (family, w)
         if w in (7, 63, 140):  # each branch of the pairwise sum meets real values
             assert np.isfinite(got).any(), (family, w)
@@ -262,7 +315,7 @@ def test_window_moments_equal_1d_numpy_per_column():
     x[17, 1], x[40, 2], x[90:100, 3] = np.inf, -np.inf, -0.0
     for w in (1, 3, 8, 16, 63, 128, 129, 136, 255, 300):
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean, std = F._trailing_mean(x, w), F._trailing_std(x, w)
+            mean, std = F._trailing_mean(x, w, 0), F._trailing_std(x, w, 0)
         for t in range(w - 1, x.shape[0]):
             for s in range(x.shape[1]):
                 window = x[t - w + 1:t + 1, s]
@@ -328,7 +381,7 @@ def test_factors_bit_equal_to_reference_above_128_stocks():
     panel = build_panel(bars)
     registry = {"momentum": [5], "reversal": [1], "volatility": [10], "amihud": [5]}
     names, values, mask = ref_compute_factors(panel, registry)
-    fp = compute_factors(panel, registry)
+    fp = factor_panel(panel, registry)
     assert fp.factor_names == names
     assert same(fp.values, values) and same(fp.mask, mask)
     counts = mask.sum(axis=1)
@@ -344,7 +397,7 @@ def test_factors_bit_equal_to_reference_above_128_stocks():
 @pytest.mark.parametrize("use_tech", [True, False])
 def test_dataset_bit_equal_to_forward_return_loop(holey_panel, horizon, require_labels,
                                                   use_tech):
-    fp = compute_factors(holey_panel, REGISTRY)
+    fp = factor_panel(holey_panel, REGISTRY)
     mask = fp.mask.copy()
     mask[70:73, 7, 2] = False     # masked factor days inside otherwise full windows
     mask[100, :, 0] = False

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from alphagraph import cli, factors as F
 from alphagraph.errors import ConfigError, DataError
-from alphagraph.factors import DEFAULT_REGISTRY, compute_factors
+from alphagraph.factors import DEFAULT_REGISTRY, factor_windows
 from alphagraph.market import filter_universe, load_bars, log_return
 from alphagraph.synth import SyntheticSpec, generate
 
-from helpers import TEST_SIGNAL, Bar, build_panel, forward_return, standardize_cross_section
+from helpers import (TEST_SIGNAL, Bar, build_panel, factor_panel, forward_return,
+                     standardize_cross_section)
 
 D0 = dt.date(2020, 1, 6)  # a Monday
 
@@ -217,7 +219,7 @@ SMALL_REGISTRY = {"momentum": [5, 21], "reversal": [1], "volatility": [21],
 
 def test_constant_price_momentum_is_zero_before_standardization():
     panel = make_bars({"AAA": [100.0] * 60, "BBB": [100.0 * 1.001 ** i for i in range(60)]})
-    fp = compute_factors(panel, {"momentum": [5, 21]})
+    fp = factor_panel(panel, {"momentum": [5, 21]})
     k = fp.factor_names.index("momentum_5")
     # AAA has zero raw momentum; after cross-sectional z-scoring against the
     # trending BBB it sits below the mean but the ordering is fixed
@@ -228,7 +230,7 @@ def test_constant_price_momentum_is_zero_before_standardization():
 
 
 def test_cross_sectional_mean_and_range(trending_panel):
-    fp = compute_factors(trending_panel, SMALL_REGISTRY)
+    fp = factor_panel(trending_panel, SMALL_REGISTRY)
     D, S, L = fp.values.shape
     for t_i in range(D):
         for k in range(L):
@@ -240,7 +242,7 @@ def test_cross_sectional_mean_and_range(trending_panel):
 
 
 def test_momentum_matches_independent_recomputation(trending_panel):
-    fp = compute_factors(trending_panel, {"momentum": [21]})
+    fp = factor_panel(trending_panel, {"momentum": [21]})
     k = fp.factor_names.index("momentum_21")
     t_i = 60
     raw = np.array([math.log(trending_panel.open[t_i, s] / trending_panel.open[t_i - 21, s])
@@ -250,34 +252,39 @@ def test_momentum_matches_independent_recomputation(trending_panel):
 
 
 def test_no_look_ahead_truncation(trending_panel):
-    fp_full = compute_factors(trending_panel, SMALL_REGISTRY)
+    fp_full = factor_panel(trending_panel, SMALL_REGISTRY)
     cut = 80
     truncated = trending_panel.restrict_dates(end=trending_panel.calendar[cut])
-    fp_cut = compute_factors(truncated, SMALL_REGISTRY)
+    fp_cut = factor_panel(truncated, SMALL_REGISTRY)
     assert np.array_equal(fp_full.mask[:cut + 1], fp_cut.mask)
     assert np.allclose(fp_full.values[:cut + 1], fp_cut.values, atol=0, rtol=0)
 
 
-def test_compute_factors_holds_one_factor_at_a_time():
-    """On a 600 x 120 panel with nine factors, compute_factors holds its
-    (D, S, L) output and, besides, at most nine (D, S) float arrays: the
-    returns, one factor's raw values, its standardized values and their
-    temporaries, whatever the number of factors. A raw, a standardized and
-    a transposed copy of every factor would be 27 more."""
+def test_ingest_holds_one_block_of_factors(tmp_path, monkeypatch):
+    """On a 1,200 x 100 panel with nine factors in blocks of 64 dates,
+    writing factors.npz holds its (D, S, L) boolean mask and, besides, at
+    most six blocks' worth of float values (a block's raw and standardized
+    values, their temporaries and the block written before) and two (D, S)
+    float arrays (the returns among them); never the (D, S, L) float
+    values, which are 1.8 times that bound."""
     registry = {"momentum": [5, 10, 21], "reversal": [1], "volatility": [21],
                 "volume_z": [63], "rsi": [14], "ma_ratio": [21], "amihud": [21]}
-    panel = generate(SyntheticSpec(n_stocks=120, days=600, seed=3, **TEST_SIGNAL)).panel()
-    compute_factors(panel, {"momentum": [5]})  # numpy's lazy imports, outside the trace
+    monkeypatch.setattr(F, "DATE_BLOCK", 64)
+    panel = generate(SyntheticSpec(n_stocks=100, days=1200, seed=3, **TEST_SIGNAL)).panel()
+    windows = factor_windows(registry)
+    path = tmp_path / "factors.npz"
+    cli._save_factors(path, panel, windows[:1])   # numpy's lazy imports, outside the trace
     tracemalloc.start()
     try:
-        fp = compute_factors(panel, registry)
+        cli._save_factors(path, panel, windows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    D, S, L = fp.values.shape
-    assert (D, S, L) == (600, 120, 9)
-    extra = (peak - fp.values.nbytes - fp.mask.nbytes) / (D * S * 8)
-    assert extra < 9
+    D, S, L = 1200, 100, 9
+    with np.load(path) as z:
+        assert z["values"].shape == (D, S, L)
+    block, inputs = 64 * S * L * 8, D * S * 8
+    assert peak - D * S * L < 6 * block + 2 * inputs < D * S * L * 8
 
 
 def test_standardization_idempotence():
@@ -337,28 +344,27 @@ def test_standardization_of_a_lone_outlier():
 
 
 def test_factor_calendar_alignment(trending_panel):
-    fp = compute_factors(trending_panel, SMALL_REGISTRY)
+    fp = factor_panel(trending_panel, SMALL_REGISTRY)
     assert tuple(fp.calendar) == tuple(trending_panel.calendar)
     assert set(DEFAULT_REGISTRY) >= set(SMALL_REGISTRY)
 
 
 def test_window_exceeding_history_masked_not_error():
     panel = make_bars({"AAA": [100.0] * 30, "BBB": [90.0] * 30})
-    fp = compute_factors(panel, {"momentum": [252]})
+    fp = factor_panel(panel, {"momentum": [252]})
     assert not fp.mask.any()
 
 
 @pytest.mark.parametrize("window", [0, -5, 2.5, "21", True])
 def test_factor_window_must_be_a_positive_integer(window):
-    panel = make_bars({"AAA": [100.0] * 30, "BBB": [90.0] * 30})
     with pytest.raises(ConfigError, match="is not a positive integer"):
-        compute_factors(panel, {"volatility": [5, window]})
+        factor_windows({"volatility": [5, window]})
 
 
 @pytest.mark.parametrize("family", ["ma_ratio", "volatility", "volume_z"])
 def test_one_day_window_without_signal_rejected(family):
     panel = make_bars({"AAA": [100.0] * 30, "BBB": [90.0] * 30})
     with pytest.raises(ConfigError, match=f"factor {family}_1 carries no signal"):
-        compute_factors(panel, {"momentum": [5], family: [5, 1]})
+        factor_windows({"momentum": [5], family: [5, 1]})
     # the other families accept a one-day window
-    assert compute_factors(panel, {"reversal": [1], "amihud": [1], "rsi": [1]}).n_factors == 3
+    assert factor_panel(panel, {"reversal": [1], "amihud": [1], "rsi": [1]}).n_factors == 3

@@ -5,13 +5,12 @@ import pytest
 
 from alphagraph import backtest as bt
 from alphagraph import model as mdl
-from alphagraph.factors import compute_factors
 from alphagraph.market import BarPanel
 from alphagraph.news import build_cooccurrence, load_articles
 from alphagraph.synth import (SyntheticSpec, cluster_reversal_slopes, generate,
                               write_market)
 
-from helpers import TEST_SIGNAL, cooccurrence_dense, read_truth_signals
+from helpers import TEST_SIGNAL, cooccurrence_dense, factor_panel, read_truth_signals
 
 SMALL = SyntheticSpec(n_stocks=10, days=60, n_clusters=2, news_rate=4.0, seed=11,
                       **TEST_SIGNAL)
@@ -129,7 +128,7 @@ def test_factors_recover_planted_volume_signal():
     spec = SyntheticSpec(n_stocks=6, days=200, n_clusters=2, seed=9, **TEST_SIGNAL)
     market = generate(spec)
     panel = market.panel()
-    fp = compute_factors(panel, {"volume_z": [63]})
+    fp = factor_panel(panel, {"volume_z": [63]})
     k = fp.factor_names.index("volume_z_63")
     # generated activity state, recomputed independently of the factor path
     rng = np.random.default_rng(spec.seed)
