@@ -40,7 +40,8 @@ def market(tmp_path_factory):
     path = write_market(generate(SPEC), where)["bars"]
     panel = load_bars(path)
     cli._save_factors(where / "factors.npz", panel, factor_windows(REGISTRY))
-    return path, panel, cli._load_factors(where / "factors.npz")
+    with cli._NpzArrays(where / "factors.npz") as z:
+        return path, panel, cli._read_factors(z)
 
 
 def test_bench_synth(benchmark, tmp_path):

@@ -140,9 +140,10 @@ class _NpzArrays:
     context manager that closes the file. A truncated or corrupt file (no
     zip directory, a member read failing its CRC check), a missing array
     or one of the wrong shape is a DataError naming the file and the
-    command that writes it. An array may be read as a range of rows of its
-    leading axis: its member is still read through to its end, so the CRC
-    and shape checks cover all of it, but only those rows are kept."""
+    command that writes it. An array stored in C order may be read as a
+    range of rows of its leading axis: its member is still read through to
+    its end, so the CRC and shape checks cover all of it, but only those
+    rows are kept."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -169,27 +170,28 @@ class _NpzArrays:
 
     def shaped(self, name: str, *shape, rows: slice | None = None) -> np.ndarray:
         """Array ``name``, whose shape must be ``shape`` (None matches any
-        length); with ``rows``, only those rows of its leading axis."""
+        length); with ``rows``, only those rows of its leading axis, which
+        is a DataError for an array ``_read_rows`` cannot cut."""
         if name not in self.npz.files:
             raise self.error(f"no array {name!r}")
         with self._reading():
-            cut = None
-            if rows is not None:
+            if rows is None:
+                a = self.npz[name]
+                whole = a.shape
+            else:
                 # the member NpzFile reads for ``name``
                 member = name if name in self.npz.zip.namelist() else name + ".npy"
                 with self.npz.zip.open(member) as fh:
                     cut = _read_rows(fh, rows)
-            if cut is None:
-                a = self.npz[name]
-                whole = a.shape
-            else:
+                if cut is None:
+                    raise self.error(f"array {name!r} cannot be read by rows (not a "
+                                     f"C-ordered .npy 1.0 array)")
                 a, whole = cut
         if len(whole) != len(shape) or any(n is not None and n != m
                                            for n, m in zip(shape, whole)):
             want = " x ".join("*" if n is None else str(n) for n in shape)
             raise self.error(f"array {name!r} has shape {whole}, expected {want}")
-        # an array _read_rows cannot cut is read whole, then cut
-        return a[rows].copy() if rows is not None and cut is None else a
+        return a
 
     def strings(self, name: str) -> list[str]:
         return [str(s) for s in self.shaped(name, None)]
@@ -276,11 +278,6 @@ def _read_factors(z: _NpzArrays, rows: slice | None = None) -> FactorPanel:
     return FactorPanel(names, z.shaped("values", *shape, rows=rows),
                        z.shaped("mask", *shape, rows=rows),
                        tuple(calendar if rows is None else calendar[rows]), tuple(symbols))
-
-
-def _load_factors(path) -> FactorPanel:
-    with _NpzArrays(path) as z:
-        return _read_factors(z)
 
 
 def _check_aligned(factors: _NpzArrays, panel: _NpzArrays) -> None:
@@ -401,33 +398,48 @@ def _model_config(cfg, ablation: str | None, glove_dim: int, n_factors: int,
 
 
 def _assemble_dataset(cfg, out: OutDir, model_cfg: ModelConfig,
-                      require_labels: bool = True, bars: BarPanel | None = None,
-                      factors: FactorPanel | None = None, news_since: dt.date | None = None):
-    """(bars, dataset, news panel) of every sample the model config can use.
+                      window: tuple[int, int] | None = None,
+                      pz: _NpzArrays | None = None, fz: _NpzArrays | None = None):
+    """(bars, dataset, news panel) of the samples anchored in ``window``,
+    the (first, last) training or test window of ``_sample_windows``, or
+    on every day with None.
 
-    The bar and factor panels of every day are read from ``out`` unless the
-    caller passes the ones it already holds, so a stage reads each file
-    once. A caller that holds panels of some rows of the calendar passes
-    ``news_since``, the day before their first day: the articles dated
-    before it are placed on earlier days, and are not read. Nor are those
-    dated on or after the last day, which are placed after it."""
+    Only the days those samples read are loaded: the rows of ``panel.npz``
+    and ``factors.npz`` from ``model.lookback`` days before the first
+    anchor through ``model.horizon`` days past the last, where the last
+    label exits, and the articles dated from the day before those rows up
+    to their last day (earlier ones fall on days not read). The samples
+    must have a label, except in the test window, which runs to the
+    calendar's last day, where the returns are not known yet. The caller
+    may pass the panel and factor files it already has open, so a stage
+    opens each once; factor rows are read only for the technical module."""
     from . import model as mdl
     if not isinstance(out, OutDir):   # the directory itself (perfbench's tests pass it)
         out = OutDir(Path(out), cfg)
-    if bars is None:
-        bars = _load_panel(out.read(PANEL_FILE))
-    if model_cfg.use_tech and factors is None:
-        factors = _load_factors(out.read(FACTORS_FILE))
+    with contextlib.ExitStack() as opened:
+        if pz is None:
+            pz = opened.enter_context(_NpzArrays(out.read(PANEL_FILE)))
+        calendar = pz.dates("calendar")
+        lo, hi = (0, len(calendar) - 1) if window is None else window
+        start = max(lo - model_cfg.lookback, 0)
+        rows = slice(start, hi + model_cfg.horizon + 1)
+        bars, factors = _read_panel(pz, rows), None
+        if model_cfg.use_tech:
+            if fz is None:
+                fz = opened.enter_context(_NpzArrays(out.read(FACTORS_FILE)))
+            _check_aligned(fz, pz)
+            factors = _read_factors(fz, rows)
     news_panel = None
     if model_cfg.use_news:
-        articles = load_articles(out.read(NEWS_FILE), since=news_since,
+        articles = load_articles(out.read(NEWS_FILE),
+                                 since=calendar[start - 1] if start else None,
                                  before=bars.calendar[-1])
         wordvecs = _load_word_embeddings(out.read(WORDVEC_FILE))
         news_panel = daily_stock_news_vectors(articles, wordvecs, bars.symbols,
                                               bars.calendar)
     ds = mdl.build_dataset(bars, factors, news_panel, model_cfg,
-                           require_labels=require_labels)
-    return bars, ds, news_panel
+                           require_labels=window is None or hi < len(calendar) - 1)
+    return bars, ds.split_by_anchor(lo - start, hi - start), news_panel
 
 
 def _window_indices(calendar, start: dt.date | None, end: dt.date | None):
@@ -502,7 +514,9 @@ def cmd_ingest(cfg, out: OutDir, args):
 def cmd_cooccur(cfg, out: OutDir, args):
     news_path = out.read(NEWS_FILE)
     train_end = _train_end(cfg)
-    symbols = _load_panel(out.read(PANEL_FILE)).symbols
+    with _NpzArrays(out.read(PANEL_FILE)) as z:
+        z.dates("calendar")   # checked by the first stage that reads the panel
+        symbols = z.strings("symbols")
     articles = [a for a in load_articles(news_path, tokenize=False) if a.date <= train_end]
     x = build_cooccurrence(articles, symbols)
     rows, cols, vals = x.to_coo()
@@ -544,41 +558,25 @@ def cmd_graph(cfg, out: OutDir, args):
     return {"k": graph.k}
 
 
-def _training_set(cfg, out: OutDir, ablation: str | None, glove: StockEmbeddingSet | None):
-    """The model config and the samples anchored through split.train_end.
-
-    Only the days those samples read are loaded: their lookback days and
-    label days, from the first day to model.horizon days past
-    split.train_end. Of what is read here, only the returned samples'
-    feature store outlives the call: the bar prices, the factor mask and
-    the samples anchored past split.train_end are not held while the model
-    trains."""
+def cmd_train(cfg, out: OutDir, args):
+    # the graph module needs glove.npz; the other ablations only record its
+    # dim in the model config, so without the file they take the configured one
+    glove = _load_glove(out.read(GLOVE_FILE)) if out.has(GLOVE_FILE) else None
     with _NpzArrays(out.read(FACTORS_FILE)) as fz, _NpzArrays(out.read(PANEL_FILE)) as pz:
-        calendar = pz.dates("calendar")
         if glove is not None:
             _check_glove_symbols(out, glove, pz.strings("symbols"))
-        (lo, hi), _ = _sample_windows(cfg, calendar)
+        window, _ = _sample_windows(cfg, pz.dates("calendar"))
         wordvec_dim = embedding_dim(out.read(WORDVEC_FILE)) if out.has(WORDVEC_FILE) else None
-        model_cfg = _model_config(cfg, ablation,
+        model_cfg = _model_config(cfg, args.ablation,
                                   cfg["glove"]["dim"] if glove is None else glove.dim,
                                   len(fz.strings("names")),
                                   wordvec_dim or cfg["word2vec"]["dim"])
         if model_cfg.use_graph and glove is None:
             raise DataError(f"{out.path / GLOVE_FILE} not found; the graph module needs "
                             f"train-glove to run first")
-        if model_cfg.use_tech:
-            _check_aligned(fz, pz)
-        rows = slice(lo, hi + model_cfg.horizon + 1)
-        bars, factors = _read_panel(pz, rows), _read_factors(fz, rows)
-    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, bars=bars, factors=factors)
-    return model_cfg, ds.split_by_anchor(lo, hi)
-
-
-def cmd_train(cfg, out: OutDir, args):
-    # the graph module needs glove.npz; the other ablations only record its
-    # dim in the model config, so without the file they take the configured one
-    glove = _load_glove(out.read(GLOVE_FILE)) if out.has(GLOVE_FILE) else None
-    model_cfg, train_ds = _training_set(cfg, out, args.ablation, glove)
+        # of what is read, only the samples' feature store is held while the
+        # model trains, not the bar prices or the factor mask
+        _, train_ds, _ = _assemble_dataset(cfg, out, model_cfg, window, pz, fz)
     graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
     from . import model as mdl
     trained = mdl.train(train_ds, model_cfg, glove if model_cfg.use_graph else None,
@@ -600,43 +598,43 @@ def _read_model_config(path) -> ModelConfig:
     return model_cfg
 
 
+def _stored_param(path, stored: dict, name: str, shape: tuple) -> np.ndarray:
+    """Parameter ``name`` of ``stored``, the checkpoint read from ``path``,
+    which must have ``shape``."""
+    values = stored.get(name)
+    if values is None or values.shape != shape:
+        got = "missing" if values is None else f"of shape {values.shape}"
+        raise DataError(f"{path}: checkpoint parameter {name} is {got}, expected shape "
+                        f"{shape}; rerun train")
+    return values
+
+
 def cmd_predict(cfg, out: OutDir, args):
     from . import model as mdl
     model_cfg = _read_model_config(out.read(MODELCFG_FILE))
     glove = _load_glove(out.read(GLOVE_FILE)) if model_cfg.use_graph else None
     graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
     params = mdl.build_params(model_cfg, None, glove)  # the layout; draws nothing
-    stored_values = load_checkpoint(out.read(CHECKPOINT_FILE))
-    if set(stored_values) != set(params):
-        raise DataError("checkpoint parameter names do not match the model config")
-    for name, values in stored_values.items():
-        if params[name].values.shape != values.shape:
-            raise DataError(f"checkpoint shape mismatch for {name}")
-        params[name].values = values.astype(np.float64)
-    # only the test window and the lookback days before it are loaded
-    factors = None
+    path = out.read(CHECKPOINT_FILE)
+    stored = load_checkpoint(path)
+    unknown = sorted(set(stored) - set(params))
+    if unknown:
+        raise DataError(f"{path}: checkpoint parameter {unknown[0]} is not one of the "
+                        f"model's; rerun train")
+    for name, param in params.items():
+        param.values = _stored_param(path, stored, name, param.values.shape)
     with _NpzArrays(out.read(PANEL_FILE)) as pz:
         calendar = pz.dates("calendar")
         if glove is not None:
             _check_glove_symbols(out, glove, pz.strings("symbols"))
-        _, (lo, hi) = _sample_windows(cfg, calendar)
-        start = max(lo - model_cfg.lookback, 0)
-        rows = slice(start, hi + 1)
-        bars = _read_panel(pz, rows)
-        if model_cfg.use_tech:
-            with _NpzArrays(out.read(FACTORS_FILE)) as fz:
-                _check_aligned(fz, pz)
-                factors = _read_factors(fz, rows)
-    _, ds, _ = _assemble_dataset(cfg, out, model_cfg, require_labels=False, bars=bars,
-                                 factors=factors,
-                                 news_since=calendar[start - 1] if start else None)
-    sub = ds.split_by_anchor(lo - start, hi - start)
+        _, window = _sample_windows(cfg, calendar)
+        _, sub, _ = _assemble_dataset(cfg, out, model_cfg, window, pz)
     if sub.n == 0:
         raise DataError("no samples in the test window")
-    model = mdl.TrainedModel(params, model_cfg, graph, bars.symbols)
+    model = mdl.TrainedModel(params, model_cfg, graph, sub.store.symbols)
     panel, attention = mdl.predict(model, sub)
-    n_forecasts, test_start = sub.n, calendar[lo]
-    del bars, factors, ds, sub  # the forecasts are written without the factor panel
+    n_forecasts, test_start = sub.n, calendar[window[0]]
+    del sub  # the forecasts are written without the factor panel
     write_forecasts(out.write(FORECASTS_FILE), panel)
     if attention is not None:  # the mean over the forecasts that have a label
         with open(out.write(ATTENTION_FILE), "w", encoding="utf-8") as fh:
@@ -707,14 +705,6 @@ def cmd_quantiles(cfg, out: OutDir, args):
     return extra
 
 
-def _stored_param(stored: dict, name: str, shape: tuple) -> np.ndarray:
-    """Checkpoint parameter ``name``, which must have ``shape``."""
-    values = stored.get(name)
-    if values is None or values.shape != shape:
-        raise DataError(f"checkpoint parameter {name} is not of shape {shape}; rerun train")
-    return values
-
-
 def cmd_interpret(cfg, out: OutDir, args):
     """Reports on the trained parameters and on the forecasts of the test
     window, read from what train and predict wrote; runs no model."""
@@ -732,10 +722,11 @@ def cmd_interpret(cfg, out: OutDir, args):
     labelled = fc.aligned()
     if labelled.any():
         out.read(ATTENTION_FILE)
-    stored = load_checkpoint(out.read(CHECKPOINT_FILE))
+    checkpoint = out.read(CHECKPOINT_FILE)
+    stored = load_checkpoint(checkpoint)
 
     if model_cfg.use_graph:
-        emb = _stored_param(stored, "graph.emb", (len(symbols), model_cfg.embed_dim))
+        emb = _stored_param(checkpoint, stored, "graph.emb", (len(symbols), model_cfg.embed_dim))
     else:  # a non-graph model has no embeddings of its own: read train-glove's
         glove = _load_glove(out.read(GLOVE_FILE))
         _check_glove_symbols(out, glove, symbols)
@@ -757,7 +748,7 @@ def cmd_interpret(cfg, out: OutDir, args):
     if model_cfg.use_tech:
         with _NpzArrays(out.read(FACTORS_FILE)) as z:
             names = z.strings("names")
-        tech_w = _stored_param(stored, "tech.w", (len(names), model_cfg.tech_dim))
+        tech_w = _stored_param(checkpoint, stored, "tech.w", (len(names), model_cfg.tech_dim))
         w = np.maximum(tech_w, 0.0).T  # (m, l)
         k_emb = min(icfg["k_emb"], w.shape[1])
         order, counts = itp.factor_frequency(w, k_emb)

@@ -59,8 +59,11 @@ class BarPanel:
     def restrict_symbols(self, symbols) -> "BarPanel":
         keep = [self.symbol_index[s] for s in symbols]
         idx = np.asarray(keep, dtype=np.intp)
-        arrays = {f: a[:, idx] for f, a in self.arrays.items()}
-        return BarPanel(self.calendar, [self.symbols[i] for i in keep], arrays, self.mask[:, idx])
+        # np.take keeps C order, which a[:, idx] does not: the stages after
+        # ingest read the rows of these arrays straight from panel.npz
+        arrays = {f: np.take(a, idx, axis=1) for f, a in self.arrays.items()}
+        return BarPanel(self.calendar, [self.symbols[i] for i in keep], arrays,
+                        np.take(self.mask, idx, axis=1))
 
 
 # The bar rules in the order a row is checked, as (error, predicate) pairs.

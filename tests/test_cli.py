@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -22,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 from alphagraph import cli, factors
 from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.cli import main
-from alphagraph.config import DEFAULTS, ModelConfig, load_config, sha256_file
+from alphagraph.config import DEFAULTS, ModelConfig, ablation_config, load_config, sha256_file
 from alphagraph.embeddings import build_knn_graph
 from alphagraph.embfile import embedding_dim, read_embeddings
 from alphagraph.errors import AlphagraphError, DataError
@@ -467,16 +468,21 @@ def _widen_head_weights(values: dict) -> dict:
     return dict(values, **{"head.w": np.zeros(values["head.w"].size + 1)})
 
 
+def _add_unknown_param(values: dict) -> dict:
+    return dict(values, **{"head.extra": np.zeros(2)})
+
+
 @pytest.mark.parametrize("edit, detail", [
-    (_drop_head_bias, "checkpoint parameter names do not match the model config"),
-    (_widen_head_weights, "checkpoint shape mismatch for head.w")])
+    (_drop_head_bias, "checkpoint parameter head.b is missing, expected shape ()"),
+    (_widen_head_weights, "checkpoint parameter head.w is of shape (17,), expected shape (16,)"),
+    (_add_unknown_param, "checkpoint parameter head.extra is not one of the model's")])
 def test_checkpoint_not_matching_the_model_config_is_data_error(run_copy, capsys, edit,
                                                                 detail):
     out, cfg_path = run_copy
     ckpt = out / "checkpoint.bin"
     save_checkpoint(ckpt, edit(load_checkpoint(ckpt)))
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: data: {detail}\n"
+    assert capsys.readouterr().err == f"error: data: {ckpt}: {detail}; rerun train\n"
 
 
 def _modules_left_loaded(run, command, modules) -> list[str]:
@@ -620,8 +626,9 @@ _row_bounds = st.one_of(st.none(), st.integers(-6, 6))
 @given(npz_arrays, st.sampled_from(["C", "F"]), _row_bounds, _row_bounds)
 def test_rows_read_are_the_rows_of_the_whole_read(tmp_path_factory, a, layout, start, stop):
     """An array read as a range of rows of its leading axis is that range
-    of the array read whole: same dtype, shape and bytes. Fortran-ordered
-    arrays are read whole and cut."""
+    of the array read whole: same dtype, shape and bytes. A Fortran-ordered
+    array cannot be read by rows, and is a DataError asking to rerun the
+    stage that wrote it."""
     if a.ndim == 0:
         return
     if layout == "F":
@@ -631,6 +638,11 @@ def test_rows_read_are_the_rows_of_the_whole_read(tmp_path_factory, a, layout, s
     rows = slice(start, stop)
     with cli._NpzArrays(path) as z:
         whole = z.shaped("a", *a.shape)
+        if a.flags.f_contiguous and not a.flags.c_contiguous:   # stored F-ordered
+            with pytest.raises(DataError, match=rf"^{path}: array 'a' cannot be read by rows "
+                               r"\(not a C-ordered \.npy 1\.0 array\); rerun ingest$"):
+                z.shaped("a", *a.shape, rows=rows)
+            return
         part = z.shaped("a", *a.shape, rows=rows)
     assert part.dtype == whole.dtype and part.shape == whole[rows].shape
     assert part.tobytes() == np.ascontiguousarray(whole[rows]).tobytes()
@@ -671,6 +683,21 @@ def test_byte_flipped_outside_the_rows_read_is_data_error(run_copy, capsys, comm
     assert len(err.splitlines()) == 1
 
 
+def _whole_calendar_dataset(out, model_cfg, require_labels):
+    """The bar panel and the dataset of every row of panel.npz and
+    factors.npz and every article: the reference of the windowed reads."""
+    from alphagraph import model as mdl
+    bars = cli._load_panel(out / "panel.npz")
+    with cli._NpzArrays(out / "factors.npz") as z:
+        fp = cli._read_factors(z)
+    news = None
+    if model_cfg.use_news:
+        wordvecs = cli._load_word_embeddings(out / "word_embeddings.txt")
+        news = daily_stock_news_vectors(load_articles(out / "news.jsonl"), wordvecs,
+                                        bars.symbols, bars.calendar)
+    return bars, mdl.build_dataset(bars, fp, news, model_cfg, require_labels=require_labels)
+
+
 def test_windowed_predict_writes_the_forecasts_of_the_whole_calendar(run_copy, tmp_path):
     """predict reads only the test window and its lookback days, and drops
     the articles dated before the day ahead of them; it writes the bytes
@@ -681,14 +708,10 @@ def test_windowed_predict_writes_the_forecasts_of_the_whole_calendar(run_copy, t
     out, cfg_path = run_copy
     cfg = load_config(cfg_path)
     model_cfg = cli._read_model_config(out / "model_config.json")
-    bars = cli._load_panel(out / "panel.npz")
+    bars, ds = _whole_calendar_dataset(out, model_cfg, require_labels=False)
     _, (lo, hi) = cli._sample_windows(cfg, bars.calendar)
     articles = load_articles(out / "news.jsonl")
     assert min(a.date for a in articles) < bars.calendar[lo - model_cfg.lookback - 1]
-    wordvecs = cli._load_word_embeddings(out / "word_embeddings.txt")
-    news = daily_stock_news_vectors(articles, wordvecs, bars.symbols, bars.calendar)
-    ds = mdl.build_dataset(bars, cli._load_factors(out / "factors.npz"), news, model_cfg,
-                           require_labels=False)
     glove = cli._load_glove(out / "glove.npz")
     params = mdl.build_params(model_cfg, None, glove)
     for name, values in load_checkpoint(out / "checkpoint.bin").items():
@@ -704,6 +727,110 @@ def test_windowed_predict_writes_the_forecasts_of_the_whole_calendar(run_copy, t
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "forecasts.csv").read_bytes() == (tmp_path / "forecasts.csv").read_bytes()
     assert (out / "temporal_attention.csv").read_text() == "lag,mean_weight\n" + lags
+
+
+def _same_samples(ds, ref, first):
+    """Whether the dataset ``ds``, read from the calendar rows starting at
+    ``first``, holds the samples of ``ref``, of every row, bit for bit."""
+    n, n_symbols = len(ds.store.calendar), len(ds.store.symbols)
+    days, stocks = np.arange(n)[:, None], np.arange(n_symbols)[None, :]
+    same_news = ds.store.news is None and ref.store.news is None or (
+        ds.store.news_at(days, stocks).tobytes()
+        == ref.store.news_at(days + first, stocks).tobytes())
+    same_factors = ds.store.factors is None and ref.store.factors is None or (
+        ds.store.factors.tobytes() == ref.store.factors[first:first + n].tobytes())
+    return (ds.store.calendar == ref.store.calendar[first:first + n]
+            and ds.store.symbols == ref.store.symbols
+            and np.array_equal(ds.stock_idx, ref.stock_idx)
+            and np.array_equal(ds.anchor_idx + first, ref.anchor_idx)
+            and ds.labels.tobytes() == ref.labels.tobytes() and same_news and same_factors)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lookback=st.integers(1, 12), horizon=st.integers(1, 8), gap_days=st.integers(0, 12),
+       ablation=st.sampled_from(["Full", "News", "Tech"]))
+@example(lookback=3, horizon=3, gap_days=5, ablation="Full")   # the run's own settings
+@example(lookback=12, horizon=8, gap_days=0, ablation="Full")  # labels past train_end
+def test_windowed_samples_are_those_of_the_whole_calendar(pipeline_run, lookback, horizon,
+                                                          gap_days, ablation):
+    """The training and test windows' samples, read as train and predict
+    read them (only their rows of panel.npz and factors.npz, and their
+    articles), are the samples of the whole calendar anchored in the
+    window: the training window's only those with a label, the test
+    window's all of them. Read with no window, they are every labelled
+    sample of the whole calendar."""
+    out, cfg_path = pipeline_run
+    cfg = load_config(cfg_path, overrides=[f"model.lookback={lookback}",
+                                           f"model.horizon={horizon}",
+                                           f"split.gap_days={gap_days}"])
+    stored = cli._read_model_config(out / "model_config.json")
+    model_cfg = ablation_config(ablation, dataclasses.replace(stored, lookback=lookback,
+                                                              horizon=horizon))
+    bars, labelled = _whole_calendar_dataset(out, model_cfg, require_labels=True)
+    _, every = _whole_calendar_dataset(out, model_cfg, require_labels=False)
+    train, test = cli._sample_windows(cfg, bars.calendar)
+    for window, ref in ((train, labelled), (test, every)):
+        first = max(window[0] - lookback, 0)
+        read, ds, _ = cli._assemble_dataset(cfg, out, model_cfg, window)
+        assert read.calendar == bars.calendar[first:window[1] + horizon + 1]
+        assert _same_samples(ds, ref.split_by_anchor(*window), first)
+    assert _same_samples(cli._assemble_dataset(cfg, out, model_cfg)[1], labelled, 0)
+
+
+@pytest.mark.parametrize("ablation", ["News", "Graph+News"])
+def test_train_without_the_technical_module_reads_no_factor_rows(run_copy, monkeypatch,
+                                                                 ablation):
+    """factors.npz gives a model without the technical module only the
+    number of its factors, for the model config."""
+    out, cfg_path = run_copy
+    read = []
+    shaped = cli._NpzArrays.shaped
+
+    def spy(self, name, *shape, rows=None):
+        read.append((self.path.name, name))
+        return shaped(self, name, *shape, rows=rows)
+
+    monkeypatch.setattr(cli._NpzArrays, "shaped", spy)
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--ablation", ablation]) == 0
+    assert {name for file, name in read if file == "factors.npz"} == {"names"}
+    assert ("panel.npz", "open") in read
+
+
+def test_train_and_predict_read_rows_of_c_ordered_members(run_copy, monkeypatch, capsys):
+    """ingest writes every member of panel.npz and factors.npz in C order,
+    and train and predict read their bars, factor values and masks by rows,
+    never whole. A panel.npz with a Fortran-ordered member (as earlier
+    versions of ingest wrote it) is a DataError asking to rerun ingest."""
+    out, cfg_path = run_copy
+    for name in ("panel.npz", "factors.npz"):
+        with zipfile.ZipFile(out / name) as zf:
+            for member in zf.namelist():
+                with zf.open(member) as fh:
+                    assert np.lib.format.read_magic(fh) == (1, 0)
+                    assert not np.lib.format.read_array_header_1_0(fh)[1], (name, member)
+    by_rows, whole = set(), set()
+    shaped = cli._NpzArrays.shaped
+
+    def spy(self, name, *shape, rows=None):
+        (whole if rows is None else by_rows).add((self.path.name, name))
+        return shaped(self, name, *shape, rows=rows)
+
+    monkeypatch.setattr(cli._NpzArrays, "shaped", spy)
+    for command in ("train", "predict"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert by_rows == {("panel.npz", "open"), ("panel.npz", "mask"),
+                       ("factors.npz", "values"), ("factors.npz", "mask")}
+    assert {name for file, name in whole if file in ("panel.npz", "factors.npz")} == {
+        "calendar", "symbols", "names"}
+
+    with np.load(out / "panel.npz") as z:
+        arrays = {name: z[name] for name in z.files}
+    cli._save_npz(out / "panel.npz", **dict(arrays, open=np.asfortranarray(arrays["open"])))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: data: {out / 'panel.npz'}: array 'open' cannot be read by rows (not a "
+        f"C-ordered .npy 1.0 array); rerun ingest\n")
 
 
 def test_npz_writer_holds_no_copy_of_an_array(tmp_path):

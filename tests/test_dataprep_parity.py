@@ -5,10 +5,9 @@ replaced, kept here so the two can be compared exactly (``np.array_equal``
 and identical error text, never a tolerance):
 
 * ``ref_raw_factor``: one axis-0 ``np.mean``/``np.std`` per date and trailing
-  window, run on F-ordered arrays as ``ingest`` passes them (its
-  ``restrict_symbols`` fancy-indexes columns), where numpy reduces each window
-  column pairwise as it reduces a 1-D array; on C-ordered arrays it adds the
-  rows one after another and rounds differently;
+  window, run on F-ordered arrays, where numpy reduces each window column
+  pairwise as it reduces a 1-D array; on C-ordered arrays it adds the rows
+  one after another and rounds differently;
 * ``ref_standardize`` / ``ref_compute_factors``: one 1-D winsorize-and-z-score
   per (date, factor) column over the whole calendar, the reference of the
   factors that ``ingest`` computes one block of dates at a time;
@@ -244,8 +243,8 @@ FAMILIES = tuple(sorted(F.DEFAULT_REGISTRY))
 
 
 def random_panel(seed, n_dates, n_symbols, hole_rate):
-    """A panel of random opens and volumes, F-ordered as ``ingest`` passes
-    them, with bars missing at ``hole_rate`` and a few flat volume windows."""
+    """A panel of random opens and volumes, F-ordered, with bars missing at
+    ``hole_rate`` and a few flat volume windows."""
     rng = np.random.default_rng(seed)
     shape = (n_dates, n_symbols)
     opens = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, shape), axis=0))
