@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from alphagraph import cli
+from alphagraph import artifacts
 from alphagraph.embeddings import train_glove
 from alphagraph.factors import factor_windows
 from alphagraph.market import load_bars
@@ -39,9 +39,9 @@ def market(tmp_path_factory):
     where = tmp_path_factory.mktemp("bench")
     path = write_market(generate(SPEC), where)["bars"]
     panel = load_bars(path)
-    cli._save_factors(where / "factors.npz", panel, factor_windows(REGISTRY))
-    with cli._NpzArrays(where / "factors.npz") as z:
-        return path, panel, cli._read_factors(z)
+    artifacts._save_factors(where / "factors.npz", panel, factor_windows(REGISTRY))
+    with artifacts._NpzArrays(where / "factors.npz") as z:
+        return path, panel, artifacts._read_factors(z)
 
 
 def test_bench_synth(benchmark, tmp_path):
@@ -60,7 +60,7 @@ def test_bench_compute_factors(benchmark, market, tmp_path):
     streamed into factors.npz."""
     _, panel, fp = market
     path = tmp_path / "factors.npz"
-    benchmark(cli._save_factors, path, panel, factor_windows(REGISTRY))
+    benchmark(artifacts._save_factors, path, panel, factor_windows(REGISTRY))
     with np.load(path) as z:
         assert z["values"].shape == fp.values.shape
 

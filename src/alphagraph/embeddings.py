@@ -138,16 +138,6 @@ def build_knn_graph(emb: StockEmbeddingSet, k: int) -> StockGraph:
     return StockGraph(emb.symbols, neighbors, distances)
 
 
-def export_graph_csv(graph: StockGraph, path) -> None:
-    """CSV export: ``source,target,rank,distance`` with rank 1 = nearest."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("source,target,rank,distance\n")
-        for i, (nbrs, dists) in enumerate(zip(graph.neighbors.tolist(),
-                                              graph.distances.tolist())):
-            for rank, (j, dist) in enumerate(zip(nbrs, dists), start=1):
-                fh.write(f"{graph.symbols[i]},{graph.symbols[j]},{rank},{repr(dist)}\n")
-
-
 # ---------------------------------------------------------------------------
 # Neighbor attention
 # ---------------------------------------------------------------------------
@@ -176,6 +166,5 @@ def attention_representation(e_i, neighbor_rows, w, b, v):
 
 __all__ = [
     "StockEmbeddingSet", "StockGraph", "glove_weight", "train_glove",
-    "glove_loss_and_grads", "build_knn_graph", "export_graph_csv",
-    "attention_representation",
+    "glove_loss_and_grads", "build_knn_graph", "attention_representation",
 ]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphagraph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.config import (DEFAULTS, RANGES, ModelConfig, check_setting, load_config,
                                sha256_file, write_manifest)
 from alphagraph.errors import ConfigError, DataError
@@ -28,7 +28,7 @@ def test_checkpoint_round_trip(tmp_path):
         "a.vector": rng.normal(size=5),
         "c.scalar": np.asarray(1.5),
     }
-    path = tmp_path / "ck.bin"
+    path = tmp_path / "checkpoint.npz"
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
     assert set(loaded) == set(params)
@@ -40,41 +40,32 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_bytes_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     params = {"w": rng.normal(size=(4, 4)), "b": rng.normal(size=4)}
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+    p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(p1, params)
     save_checkpoint(p2, dict(reversed(list(params.items()))))
     assert p1.read_bytes() == p2.read_bytes()  # name-sorted, order independent
 
 
-def test_checkpoint_magic_and_version(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 8)
-    with pytest.raises(DataError):
-        load_checkpoint(path)
-    good = tmp_path / "good.bin"
-    save_checkpoint(good, {"x": np.zeros(2)})
-    assert good.read_bytes()[:4] == MAGIC
-    corrupt = tmp_path / "trail.bin"
-    corrupt.write_bytes(good.read_bytes() + b"extra")
-    with pytest.raises(DataError):
-        load_checkpoint(corrupt)
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_checkpoint_old_version_asks_to_rerun_train(tmp_path, version):
-    """Version 1 also stored graph.bias; versions 1 and 2 stored the LSTM
-    one tensor per gate."""
-    good = tmp_path / "good.bin"
-    save_checkpoint(good, {"x": np.zeros(2)})
-    old = tmp_path / f"v{version}.bin"
-    old.write_bytes(MAGIC + version.to_bytes(4, "little") + good.read_bytes()[8:])
-    with pytest.raises(DataError, match=f"checkpoint version {version}, .*; rerun train"):
-        load_checkpoint(old)
+def test_checkpoint_refuses_a_file_that_is_not_one(tmp_path):
+    """A file that is not an .npz archive, such as the hand-written format
+    of earlier versions (magic b"AGCP"), and a parameter that is not
+    float64 are DataErrors asking to rerun train; under another name, to
+    rerun what wrote it."""
+    path, elsewhere = tmp_path / "checkpoint.npz", tmp_path / "params.npz"
+    for name, writer in ((path, "train"), (elsewhere, "the command that wrote it")):
+        name.write_bytes(b"AGCP" + (3).to_bytes(4, "little") + b"\x00" * 4)
+        with pytest.raises(DataError, match=f"truncated or corrupt .npz file .*; rerun {writer}$"):
+            load_checkpoint(name)
+    for values in (np.zeros(2, dtype=np.float32), np.array(["x"])):
+        np.savez(path, x=values)
+        with pytest.raises(DataError, match=f"parameter x is of dtype {values.dtype}, not "
+                                            f"float64; rerun train"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_accepts_tensors(tmp_path):
     from alphagraph.autodiff import Tensor
-    path = tmp_path / "t.bin"
+    path = tmp_path / "checkpoint.npz"
     save_checkpoint(path, {"p": Tensor(np.arange(6.0).reshape(2, 3))})
     assert np.array_equal(load_checkpoint(path)["p"], np.arange(6.0).reshape(2, 3))
 

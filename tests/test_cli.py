@@ -7,6 +7,7 @@ import datetime as dt
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from alphagraph import cli, factors
+from alphagraph import artifacts, cli, factors
 from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.cli import main
 from alphagraph.config import DEFAULTS, ModelConfig, ablation_config, load_config, sha256_file
@@ -87,7 +88,7 @@ def test_pipeline_produces_expected_artifacts(pipeline_run):
     out, _ = pipeline_run
     for name in ("bars.csv", "news.jsonl", "panel.npz", "factors.npz",
                  "cooccur.npz", "word_embeddings.txt", "glove.npz",
-                 "stock_embeddings.txt", "graph.csv", "checkpoint.bin",
+                 "graph.csv", "checkpoint.npz",
                  "model_config.json", "forecasts.csv", "temporal_attention.csv",
                  "pnl_daily.csv", "metrics.csv", "quantiles.csv", "pair_distances.csv",
                  "factor_importance.csv", "news_error_buckets.csv",
@@ -120,6 +121,18 @@ def test_every_command_writes_manifest(pipeline_run):
         assert "outputs" in manifest and manifest["outputs"]
 
 
+def test_readme_file_formats_name_every_file_the_stages_write(pipeline_run):
+    """README's File formats section names, in backticks, each file that a
+    stage of the pipeline run lists among the outputs of its manifest."""
+    out, _ = pipeline_run
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## File formats\n")[1].split("\n## ")[0]
+    written = {name for manifest in out.glob("*_manifest.json")
+               for name in json.loads(manifest.read_text())["outputs"]}
+    assert len(written) > 20
+    assert written - set(re.findall(r"`([\w.]+)`", section)) == set()
+
+
 def test_rerun_is_deterministic(tmp_path, pipeline_run):
     out_a, cfg_path = pipeline_run
     out_b = tmp_path / "second"
@@ -129,7 +142,7 @@ def test_rerun_is_deterministic(tmp_path, pipeline_run):
         ha = sha256_file(out_a / f"{cmd}_manifest.json")
         hb = sha256_file(out_b / f"{cmd}_manifest.json")
         assert ha == hb, cmd
-    assert sha256_file(out_a / "checkpoint.bin") == sha256_file(out_b / "checkpoint.bin")
+    assert sha256_file(out_a / "checkpoint.npz") == sha256_file(out_b / "checkpoint.npz")
 
 
 def test_ablation_checkpoint_key_containment(tmp_path):
@@ -143,7 +156,7 @@ def test_ablation_checkpoint_key_containment(tmp_path):
     assert main(["train-glove"] + base) == 0
     assert main(["graph"] + base) == 0
     assert main(["train"] + base + ["--ablation", "News"]) == 0
-    keys = set(load_checkpoint(out / "checkpoint.bin"))
+    keys = set(load_checkpoint(out / "checkpoint.npz"))
     assert not any(k.startswith("graph.") or k.startswith("tech.") for k in keys)
     assert any(k.startswith("lstm.") for k in keys)
 
@@ -386,11 +399,11 @@ def test_mistyped_model_setting_is_refused_before_train(run_copy, capsys):
     """A flag that train would store in model_config.json, where predict
     refuses it, is refused at load; the stored config stays."""
     out, cfg_path = run_copy
-    stored = (out / cli.MODELCFG_FILE).read_bytes()
+    stored = (out / artifacts.MODELCFG_FILE).read_bytes()
     assert main(["train", "--config", str(cfg_path), "--out", str(out),
                  "--set", "model.nonneg_tech=1"]) == 1
     assert capsys.readouterr().err.startswith("error: config: model.nonneg_tech must be ")
-    assert (out / cli.MODELCFG_FILE).read_bytes() == stored
+    assert (out / artifacts.MODELCFG_FILE).read_bytes() == stored
 
 
 def test_synth_defaults_are_the_generator_defaults(tmp_path):
@@ -420,7 +433,7 @@ def test_bad_factor_registry_fails_before_any_output(run_copy, capsys, monkeypat
     opens an output; the outputs and manifest of its earlier run go."""
     out, cfg_path = run_copy
     written = []
-    monkeypatch.setattr(cli.OutDir, "write", lambda self, name: written.append(name))
+    monkeypatch.setattr(artifacts.OutDir, "write", lambda self, name: written.append(name))
     assert main(["ingest", "--config", str(cfg_path), "--out", str(out),
                  "--set", f"factors={registry}"]) == 1
     assert capsys.readouterr().err.startswith("error: config: ")
@@ -454,10 +467,57 @@ def test_data_error_while_writing_the_factors_leaves_no_ingest_output(run_copy, 
 
 def test_truncated_checkpoint_is_data_error(run_copy, capsys):
     out, cfg_path = run_copy
-    ckpt = out / "checkpoint.bin"
+    ckpt = out / "checkpoint.npz"
     ckpt.write_bytes(ckpt.read_bytes()[:-20])
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "truncated or corrupt checkpoint" in capsys.readouterr().err
+    assert f"{ckpt}: truncated or corrupt .npz file" in capsys.readouterr().err
+
+
+def test_flipped_weight_byte_in_checkpoint_is_data_error(run_copy, capsys):
+    """One byte flipped inside a stored weight fails its member's CRC
+    check: predict exits 2 instead of forecasting with a changed weight."""
+    out, cfg_path = run_copy
+    ckpt = out / "checkpoint.npz"
+    data = bytearray(ckpt.read_bytes())
+    at = data.find(load_checkpoint(ckpt)["head.w"].tobytes())
+    assert at > 0
+    data[at + 6] ^= 0x01
+    ckpt.write_bytes(bytes(data))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {ckpt}: truncated or corrupt .npz file (Bad CRC-32")
+    assert err.endswith("; rerun train\n") and len(err.splitlines()) == 1
+
+
+def test_old_checkpoint_bin_is_not_read(run_copy, capsys):
+    """The hand-written checkpoint.bin of earlier versions is never read:
+    without a checkpoint.npz, predict asks to run train."""
+    out, cfg_path = run_copy
+    (out / "checkpoint.npz").rename(out / "checkpoint.bin")
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: data: {out / 'checkpoint.npz'} not found; "
+                                       f"run train first\n")
+
+
+@pytest.mark.parametrize("reruns, name, field, width, trained", [
+    ([["train-word2vec", "--set", "word2vec.dim=6"]], "word_embeddings.txt", "news_dim", 6, 12),
+    ([["train-glove", "--set", "glove.dim=6"], ["graph"]], "glove.npz", "embed_dim", 6, 4),
+    ([["ingest", "--set", 'factors={"momentum": [5]}']], "factors.npz", "n_factors", 1, 6)],
+    ids=["word2vec", "glove", "factors"])
+def test_upstream_rerun_at_another_width_is_data_error(run_copy, capsys, reruns, name, field,
+                                                       width, trained):
+    """An upstream stage rerun after train at another width leaves an input
+    the trained model cannot read: predict exits 2, naming that input and
+    model_config.json and asking to rerun train."""
+    out, cfg_path = run_copy
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    for argv in reruns:
+        assert main(argv[:1] + base + argv[1:]) == 0
+    capsys.readouterr()
+    assert main(["predict"] + base) == 2
+    assert capsys.readouterr().err == (
+        f"error: data: {out / name}: width {width}, but {out / 'model_config.json'} has "
+        f"{field} {trained}; rerun train\n")
 
 
 def _drop_head_bias(values: dict) -> dict:
@@ -479,7 +539,7 @@ def _add_unknown_param(values: dict) -> dict:
 def test_checkpoint_not_matching_the_model_config_is_data_error(run_copy, capsys, edit,
                                                                 detail):
     out, cfg_path = run_copy
-    ckpt = out / "checkpoint.bin"
+    ckpt = out / "checkpoint.npz"
     save_checkpoint(ckpt, edit(load_checkpoint(ckpt)))
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: data: {ckpt}: {detail}; rerun train\n"
@@ -575,7 +635,7 @@ def test_stages_after_ingest_read_only_calendar_symbols_mask_and_open(run_copy):
         assert set(z.files) == {"calendar", "symbols", "mask", "open", "high", "low", "close",
                                 "volume"}
         np.savez(panel, **{name: z[name] for name in ("calendar", "symbols", "mask", "open")})
-    written = ("cooccur.npz", "checkpoint.bin", "forecasts.csv", "pnl_daily.csv", "metrics.csv")
+    written = ("cooccur.npz", "checkpoint.npz", "forecasts.csv", "pnl_daily.csv", "metrics.csv")
     before = {name: (out / name).read_bytes() for name in written}
     base = ["--config", str(cfg_path), "--out", str(out)]
     for argv in (["cooccur"], ["train"], ["predict"], ["backtest", "--simulator", "longshort"]):
@@ -607,14 +667,14 @@ def test_npz_writer_writes_the_bytes_of_np_savez(drawn):
             a = a[..., ::2]
         if layout == "blocks" and a.ndim:
             blocks = [a[i:i + n] for i in range(0, len(a), n)]
-            members[f"a{k}"] = cli._RowBlocks(a.shape, a.dtype, iter(blocks))
+            members[f"a{k}"] = artifacts._RowBlocks(a.shape, a.dtype, iter(blocks))
             # the blocks assembled, in C order as they are written
             a = np.ascontiguousarray(np.concatenate([a[:0], *blocks], dtype=a.dtype))
         else:
             members[f"a{k}"] = a
         arrays[f"a{k}"] = a
     ours, numpys = io.BytesIO(), io.BytesIO()
-    cli._save_npz(ours, **members)
+    artifacts._save_npz(ours, **members)
     np.savez(numpys, **arrays)
     assert ours.getvalue() == numpys.getvalue()
 
@@ -634,9 +694,9 @@ def test_rows_read_are_the_rows_of_the_whole_read(tmp_path_factory, a, layout, s
     if layout == "F":
         a = np.asfortranarray(a)
     path = tmp_path_factory.mktemp("rows") / "panel.npz"
-    cli._save_npz(path, a=a)
+    artifacts._save_npz(path, a=a)
     rows = slice(start, stop)
-    with cli._NpzArrays(path) as z:
+    with artifacts._NpzArrays(path) as z:
         whole = z.shaped("a", *a.shape)
         if a.flags.f_contiguous and not a.flags.c_contiguous:   # stored F-ordered
             with pytest.raises(DataError, match=rf"^{path}: array 'a' cannot be read by rows "
@@ -687,12 +747,12 @@ def _whole_calendar_dataset(out, model_cfg, require_labels):
     """The bar panel and the dataset of every row of panel.npz and
     factors.npz and every article: the reference of the windowed reads."""
     from alphagraph import model as mdl
-    bars = cli._load_panel(out / "panel.npz")
-    with cli._NpzArrays(out / "factors.npz") as z:
-        fp = cli._read_factors(z)
+    bars = artifacts._load_panel(out / "panel.npz")
+    with artifacts._NpzArrays(out / "factors.npz") as z:
+        fp = artifacts._read_factors(z)
     news = None
     if model_cfg.use_news:
-        wordvecs = cli._load_word_embeddings(out / "word_embeddings.txt")
+        wordvecs = artifacts._load_word_embeddings(out / "word_embeddings.txt")
         news = daily_stock_news_vectors(load_articles(out / "news.jsonl"), wordvecs,
                                         bars.symbols, bars.calendar)
     return bars, mdl.build_dataset(bars, fp, news, model_cfg, require_labels=require_labels)
@@ -707,16 +767,16 @@ def test_windowed_predict_writes_the_forecasts_of_the_whole_calendar(run_copy, t
     from alphagraph import model as mdl
     out, cfg_path = run_copy
     cfg = load_config(cfg_path)
-    model_cfg = cli._read_model_config(out / "model_config.json")
+    model_cfg = artifacts._read_model_config(out / "model_config.json")
     bars, ds = _whole_calendar_dataset(out, model_cfg, require_labels=False)
     _, (lo, hi) = cli._sample_windows(cfg, bars.calendar)
     articles = load_articles(out / "news.jsonl")
     assert min(a.date for a in articles) < bars.calendar[lo - model_cfg.lookback - 1]
-    glove = cli._load_glove(out / "glove.npz")
+    glove = artifacts._load_glove(out / "glove.npz")
     params = mdl.build_params(model_cfg, None, glove)
-    for name, values in load_checkpoint(out / "checkpoint.bin").items():
+    for name, values in load_checkpoint(out / "checkpoint.npz").items():
         params[name].values = values
-    model = mdl.TrainedModel(params, model_cfg, cli._load_graph(out / "graph.csv", glove.symbols),
+    model = mdl.TrainedModel(params, model_cfg, artifacts._load_graph(out / "graph.csv", glove.symbols),
                              bars.symbols)
     panel, attention = mdl.predict(model, ds.split_by_anchor(lo, hi))
     write_forecasts(tmp_path / "forecasts.csv", panel)
@@ -763,7 +823,7 @@ def test_windowed_samples_are_those_of_the_whole_calendar(pipeline_run, lookback
     cfg = load_config(cfg_path, overrides=[f"model.lookback={lookback}",
                                            f"model.horizon={horizon}",
                                            f"split.gap_days={gap_days}"])
-    stored = cli._read_model_config(out / "model_config.json")
+    stored = artifacts._read_model_config(out / "model_config.json")
     model_cfg = ablation_config(ablation, dataclasses.replace(stored, lookback=lookback,
                                                               horizon=horizon))
     bars, labelled = _whole_calendar_dataset(out, model_cfg, require_labels=True)
@@ -784,13 +844,13 @@ def test_train_without_the_technical_module_reads_no_factor_rows(run_copy, monke
     number of its factors, for the model config."""
     out, cfg_path = run_copy
     read = []
-    shaped = cli._NpzArrays.shaped
+    shaped = artifacts._NpzArrays.shaped
 
     def spy(self, name, *shape, rows=None):
         read.append((self.path.name, name))
         return shaped(self, name, *shape, rows=rows)
 
-    monkeypatch.setattr(cli._NpzArrays, "shaped", spy)
+    monkeypatch.setattr(artifacts._NpzArrays, "shaped", spy)
     assert main(["train", "--config", str(cfg_path), "--out", str(out),
                  "--ablation", ablation]) == 0
     assert {name for file, name in read if file == "factors.npz"} == {"names"}
@@ -810,13 +870,13 @@ def test_train_and_predict_read_rows_of_c_ordered_members(run_copy, monkeypatch,
                     assert np.lib.format.read_magic(fh) == (1, 0)
                     assert not np.lib.format.read_array_header_1_0(fh)[1], (name, member)
     by_rows, whole = set(), set()
-    shaped = cli._NpzArrays.shaped
+    shaped = artifacts._NpzArrays.shaped
 
     def spy(self, name, *shape, rows=None):
         (whole if rows is None else by_rows).add((self.path.name, name))
         return shaped(self, name, *shape, rows=rows)
 
-    monkeypatch.setattr(cli._NpzArrays, "shaped", spy)
+    monkeypatch.setattr(artifacts._NpzArrays, "shaped", spy)
     for command in ("train", "predict"):
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
     assert by_rows == {("panel.npz", "open"), ("panel.npz", "mask"),
@@ -826,7 +886,7 @@ def test_train_and_predict_read_rows_of_c_ordered_members(run_copy, monkeypatch,
 
     with np.load(out / "panel.npz") as z:
         arrays = {name: z[name] for name in z.files}
-    cli._save_npz(out / "panel.npz", **dict(arrays, open=np.asfortranarray(arrays["open"])))
+    artifacts._save_npz(out / "panel.npz", **dict(arrays, open=np.asfortranarray(arrays["open"])))
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: data: {out / 'panel.npz'}: array 'open' cannot be read by rows (not a "
@@ -839,7 +899,7 @@ def test_npz_writer_holds_no_copy_of_an_array(tmp_path):
     for a in (np.ones((300, 200)), np.asfortranarray(np.ones((300, 200)))):
         tracemalloc.start()
         try:
-            cli._save_npz(tmp_path / "a.npz", values=a)
+            artifacts._save_npz(tmp_path / "a.npz", values=a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -871,9 +931,9 @@ def test_ragged_graph_is_data_error(run_copy, capsys):
 
 def test_graph_csv_reads_back_as_the_built_table(pipeline_run):
     out, _ = pipeline_run
-    glove = cli._load_glove(out / "glove.npz")
+    glove = artifacts._load_glove(out / "glove.npz")
     built = build_knn_graph(glove, 3)
-    read = cli._load_graph(out / "graph.csv", glove.symbols)
+    read = artifacts._load_graph(out / "graph.csv", glove.symbols)
     assert read.k == built.k == 3
     assert np.array_equal(read.neighbors, built.neighbors)
     assert read.neighbors.dtype == np.intp
@@ -909,7 +969,7 @@ def test_glove_of_a_wider_universe_is_data_error(run_copy, capsys):
     out, cfg_path = run_copy
     base = ["--config", str(cfg_path), "--out", str(out)]
     assert main(["ingest"] + base + ["--set", "universe.min_price=40"]) == 0
-    assert len(cli._load_panel(out / "panel.npz").symbols) == 7
+    assert len(artifacts._load_panel(out / "panel.npz").symbols) == 7
     capsys.readouterr()
     # predict first: a failed train deletes the checkpoint that predict reads
     for command in ("predict", "train"):
@@ -928,7 +988,7 @@ def test_glove_of_a_narrower_universe_is_data_error(run_copy, capsys):
     for command in ("ingest", "cooccur", "train-glove", "graph"):
         assert main([command] + base + ["--set", "universe.min_price=40"]) == 0
     assert main(["ingest"] + base) == 0
-    assert cli._load_glove(out / "glove.npz").n == 7
+    assert artifacts._load_glove(out / "glove.npz").n == 7
     capsys.readouterr()
     for command in ("interpret", "train"):
         assert main([command] + base) == 2
@@ -983,7 +1043,7 @@ def test_diverging_train_glove_is_numerical_fault(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: numerical: train_glove: ") and "epoch" in err
     assert len(err.splitlines()) == 1
-    for name in ("glove.npz", "stock_embeddings.txt", "train_glove_manifest.json"):
+    for name in ("glove.npz", "train_glove_manifest.json"):
         assert not (tmp_path / "run" / name).exists(), name
     assert main(["graph"] + base) == 2
     err = capsys.readouterr().err
@@ -1117,7 +1177,7 @@ def test_news_lone_surrogate_is_data_error(run_copy, capsys, field):
 # none of its outputs
 # ---------------------------------------------------------------------------
 
-TRAINED = {"model_config.json", "checkpoint.bin", "panel.npz", "factors.npz", "news.jsonl",
+TRAINED = {"model_config.json", "checkpoint.npz", "panel.npz", "factors.npz", "news.jsonl",
            "word_embeddings.txt", "glove.npz", "graph.csv"}
 INTERPRET_OUTPUTS = {"pair_distances.csv", "final_stock_embeddings.txt",
                      "factor_importance.csv", "news_error_buckets.csv"}
@@ -1126,14 +1186,14 @@ READS_AND_WRITES = {
     "ingest": ({"bars.csv"}, {"panel.npz", "factors.npz"}),
     "cooccur": ({"news.jsonl", "panel.npz"}, {"cooccur.npz"}),
     "train_word2vec": ({"news.jsonl"}, {"word_embeddings.txt"}),
-    "train_glove": ({"cooccur.npz"}, {"glove.npz", "stock_embeddings.txt"}),
+    "train_glove": ({"cooccur.npz"}, {"glove.npz"}),
     "graph": ({"glove.npz"}, {"graph.csv"}),
-    "train": (TRAINED - {"model_config.json", "checkpoint.bin"},
-              {"checkpoint.bin", "model_config.json"}),
+    "train": (TRAINED - {"model_config.json", "checkpoint.npz"},
+              {"checkpoint.npz", "model_config.json"}),
     "predict": (TRAINED, {"forecasts.csv", "temporal_attention.csv"}),
     "backtest": ({"forecasts.csv", "panel.npz"}, {"pnl_daily.csv", "metrics.csv"}),
     "quantiles": ({"forecasts.csv"}, {"quantiles.csv"}),
-    "interpret": ({"model_config.json", "checkpoint.bin", "panel.npz", "factors.npz",
+    "interpret": ({"model_config.json", "checkpoint.npz", "panel.npz", "factors.npz",
                    "news.jsonl", "forecasts.csv", "temporal_attention.csv"},
                   INTERPRET_OUTPUTS),
 }
@@ -1157,8 +1217,8 @@ def test_failed_command_removes_what_it_wrote(run_copy, capsys, monkeypatch):
     out, cfg_path = run_copy
     (out / "news.jsonl").rename(out / "news.moved")
     written = []
-    write = cli.OutDir.write
-    monkeypatch.setattr(cli.OutDir, "write",
+    write = artifacts.OutDir.write
+    monkeypatch.setattr(artifacts.OutDir, "write",
                         lambda self, name: written.append(name) or write(self, name))
     assert main(["interpret", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "news.jsonl not found; run synth first" in capsys.readouterr().err
@@ -1166,7 +1226,7 @@ def test_failed_command_removes_what_it_wrote(run_copy, capsys, monkeypatch):
                        "factor_importance.csv"]
     left = {p.name for p in out.iterdir()}
     assert not left & (INTERPRET_OUTPUTS | {"interpret_manifest.json"})
-    assert {"forecasts.csv", "predict_manifest.json", "checkpoint.bin"} <= left
+    assert {"forecasts.csv", "predict_manifest.json", "checkpoint.npz"} <= left
 
 
 @pytest.mark.parametrize("cmd", ["train", "predict", "interpret"])
@@ -1176,12 +1236,13 @@ def test_model_stages_read_each_panel_once(run_copy, monkeypatch, cmd):
     out, cfg_path = run_copy
     opened = collections.Counter()
 
-    class CountingNpz(cli._NpzArrays):
+    class CountingNpz(artifacts._NpzArrays):
         def __init__(self, path, *names):
             opened[Path(path).name] += 1
             super().__init__(path, *names)
 
-    monkeypatch.setattr(cli, "_NpzArrays", CountingNpz)
+    for module in (artifacts, cli):
+        monkeypatch.setattr(module, "_NpzArrays", CountingNpz)
     manifest = out / f"{cmd}_manifest.json"
     before = manifest.read_bytes()
     assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -1241,7 +1302,7 @@ def _quote_left_open(path):
 FIRST_READER = {
     "bars.csv": "ingest", "news.jsonl": "cooccur", "panel.npz": "cooccur",
     "cooccur.npz": "train-glove", "glove.npz": "graph", "factors.npz": "train",
-    "word_embeddings.txt": "train", "graph.csv": "train", "checkpoint.bin": "predict",
+    "word_embeddings.txt": "train", "graph.csv": "train", "checkpoint.npz": "predict",
     "model_config.json": "predict", "forecasts.csv": "backtest",
 }
 CORRUPTIONS = {
@@ -1276,7 +1337,7 @@ CORRUPTIONS = {
     "panel dates not ISO": (
         "panel.npz", lambda path: _rewrite_npz(path, lambda a: {"calendar": np.array(["x"])}),
         "array 'calendar': Invalid isoformat string: 'x'; rerun ingest"),
-    "checkpoint non-finite": ("checkpoint.bin", _nan_in_checkpoint,
+    "checkpoint non-finite": ("checkpoint.npz", _nan_in_checkpoint,
                               "parameter tech.w holds a non-finite value; rerun train"),
     "glove vectors non-finite": (
         "glove.npz", _set_first("vectors", lambda a: np.nan),
@@ -1353,7 +1414,7 @@ def test_model_config_loader_fuzz(tmp_path_factory, changes, cut):
     text = json.dumps(dict(vars(ModelConfig(n_factors=3)), **changes))
     path.write_text(text[:len(text) - cut])
     try:
-        cfg = cli._read_model_config(path)
+        cfg = artifacts._read_model_config(path)
     except DataError:
         return
     for name, default in vars(ModelConfig()).items():
@@ -1460,7 +1521,7 @@ def fuzz_run(tmp_path_factory, pipeline_run):
 
 def _load_and_predict(run, name, data, load):
     """Put ``data`` in place of the run's ``name``; its loader may raise
-    only an AlphagraphError, and predict must exit with a documented code."""
+    only an AlphagraphError, and predict must succeed or exit 2."""
     out, cfg_path = run
     path = out / name
     original = path.read_bytes()
@@ -1470,7 +1531,7 @@ def _load_and_predict(run, name, data, load):
             load(path)
         except AlphagraphError:
             pass
-        assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) in (0, 1, 2, 3)
+        assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) in (0, 2)
     finally:
         path.write_bytes(original)
 
@@ -1479,19 +1540,61 @@ def _load_and_predict(run, name, data, load):
 @given(st.data())
 def test_graph_loader_fuzz(fuzz_run, data):
     out, _ = fuzz_run
-    symbols = cli._load_glove(out / "glove.npz").symbols
+    symbols = artifacts._load_glove(out / "glove.npz").symbols
     original = (out / "graph.csv").read_bytes()
     damaged = data.draw(_line_edits(original.decode()) | _byte_edits(original))
     _load_and_predict(fuzz_run, "graph.csv", damaged,
-                      lambda path: cli._load_graph(path, symbols))
+                      lambda path: artifacts._load_graph(path, symbols))
 
 
-@settings(max_examples=60, deadline=None)
+def _central_entry(data: bytes, field: int) -> int:
+    """The offset of a field of the first central-directory entry of a zip."""
+    return data.index(b"PK\x01\x02") + field
+
+
+def _npy_shape_end(data: bytes) -> int:
+    """The offset of the ``)`` that closes the first ``.npy`` header's shape."""
+    return data.index(b")", data.index(b"'shape': ("))
+
+
+@pytest.mark.parametrize("at, value", [
+    (lambda data: _central_entry(data, 6), 142),   # "version needed" 14.2
+    (lambda data: _central_entry(data, 8), 1),     # flag bit 0, encrypted
+    (lambda data: _central_entry(data, 10), 99),   # compression method 99
+    (_npy_shape_end, ord("("))],                   # a bracket left open
+    ids=["zip version", "encrypted", "compression", "npy header"])
+def test_damaged_npz_header_is_data_error(run_copy, capsys, at, value):
+    """zipfile's NotImplementedError and RuntimeError and numpy's TokenError
+    for a damaged header end, like any other damage, in exit 2."""
+    out, cfg_path = run_copy
+    panel = out / "panel.npz"
+    data = bytearray(panel.read_bytes())
+    data[at(data)] = value
+    panel.write_bytes(bytes(data))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {panel}: truncated or corrupt .npz file (")
+    assert err.endswith("; rerun ingest\n") and len(err.splitlines()) == 1
+
+
+def _load_factors(path):
+    with artifacts._NpzArrays(path) as z:
+        return artifacts._read_factors(z)
+
+
+NPZ_LOADERS = {"checkpoint.npz": load_checkpoint, "panel.npz": artifacts._load_panel,
+               "factors.npz": _load_factors}
+
+
+@settings(max_examples=90, deadline=None)
 @given(st.data())
 def test_checkpoint_loader_fuzz(fuzz_run, data):
+    """The .npz files predict reads, the checkpoint among them, with bytes
+    edited anywhere, headers and data alike."""
     out, _ = fuzz_run
-    damaged = data.draw(_byte_edits((out / "checkpoint.bin").read_bytes()))
-    _load_and_predict(fuzz_run, "checkpoint.bin", damaged, load_checkpoint)
+    name = data.draw(st.sampled_from(sorted(NPZ_LOADERS)))
+    damaged = data.draw(_byte_edits((out / name).read_bytes()))
+    _load_and_predict(fuzz_run, name, damaged, NPZ_LOADERS[name])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import pytest
 from alphagraph import autodiff as ad
 from alphagraph import nn
 from alphagraph.autodiff import Tensor
+from alphagraph.artifacts import _save_graph
 from alphagraph.embeddings import (StockEmbeddingSet, attention_representation,
-                                   build_knn_graph, export_graph_csv,
-                                   glove_loss_and_grads, glove_weight,
+                                   build_knn_graph, glove_loss_and_grads, glove_weight,
                                    train_glove)
 from alphagraph.errors import DataError, NumericalFault, ShapeError
 from alphagraph.news import CooccurrenceMatrix
@@ -248,7 +248,7 @@ def test_knn_determinism_and_export(tmp_path):
     assert np.array_equal(g1.neighbors, g2.neighbors)
     assert np.array_equal(g1.distances, g2.distances)
     path = tmp_path / "graph.csv"
-    export_graph_csv(g1, path)
+    _save_graph(path, g1)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "source,target,rank,distance"
     assert len(lines) == 1 + 10 * 3

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from alphagraph import cli, factors as F
+from alphagraph import artifacts, factors as F
 from alphagraph.errors import ConfigError, DataError
 from alphagraph.factors import DEFAULT_REGISTRY, factor_windows
 from alphagraph.market import filter_universe, load_bars, log_return
@@ -273,10 +273,10 @@ def test_ingest_holds_one_block_of_factors(tmp_path, monkeypatch):
     panel = generate(SyntheticSpec(n_stocks=100, days=1200, seed=3, **TEST_SIGNAL)).panel()
     windows = factor_windows(registry)
     path = tmp_path / "factors.npz"
-    cli._save_factors(path, panel, windows[:1])   # numpy's lazy imports, outside the trace
+    artifacts._save_factors(path, panel, windows[:1])   # numpy's lazy imports, outside the trace
     tracemalloc.start()
     try:
-        cli._save_factors(path, panel, windows)
+        artifacts._save_factors(path, panel, windows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
