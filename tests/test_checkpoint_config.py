@@ -63,6 +63,21 @@ def test_checkpoint_refuses_a_file_that_is_not_one(tmp_path):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_old_version_asks_to_rerun_train(tmp_path, version):
+    """A whole checkpoint of the hand-written format of earlier versions
+    (magic b"AGCP", then version, count and one named float64 parameter),
+    even put under the new file name, is refused with a request to rerun
+    train rather than read."""
+    name = b"x"
+    body = (len(name).to_bytes(4, "little") + name + (1).to_bytes(4, "little")
+            + (2).to_bytes(4, "little") + np.zeros(2, dtype="<f8").tobytes())
+    old = tmp_path / "checkpoint.npz"
+    old.write_bytes(b"AGCP" + version.to_bytes(4, "little") + (1).to_bytes(4, "little") + body)
+    with pytest.raises(DataError, match=r"^.*checkpoint\.npz: .*; rerun train$"):
+        load_checkpoint(old)
+
+
 def test_checkpoint_accepts_tensors(tmp_path):
     from alphagraph.autodiff import Tensor
     path = tmp_path / "checkpoint.npz"
