@@ -16,18 +16,19 @@ import tokenize
 import zipfile
 from collections.abc import Iterator
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .config import ModelConfig
-from .embeddings import StockEmbeddingSet, StockGraph
-from .embfile import read_embeddings
 from .errors import ConfigError, DataError
-from .factors import FactorPanel, factor_blocks, factor_names
-from .market import BarPanel
-from .news import CooccurrenceMatrix
-from .word2vec import WordEmbeddingSet
+
+if TYPE_CHECKING:   # each loader imports the module of the type it builds
+    from .embeddings import StockEmbeddingSet, StockGraph
+    from .factors import FactorPanel
+    from .market import BarPanel
+    from .news import CooccurrenceMatrix
+    from .word2vec import WordEmbeddingSet
 
 BARS_FILE = "bars.csv"
 NEWS_FILE = "news.jsonl"
@@ -232,13 +233,14 @@ def _save_panel(path, panel: BarPanel) -> None:
               calendar=np.array([d.isoformat() for d in panel.calendar]),
               symbols=np.array(panel.symbols),
               mask=panel.mask,
-              **{f: panel.arrays[f] for f in BarPanel.FIELDS})
+              **{f: panel.arrays[f] for f in panel.FIELDS})
 
 
 def _read_panel(z: _NpzArrays, rows: slice | None = None) -> BarPanel:
     """The panel's calendar, symbols, mask and opens, of every day or of
     the calendar rows ``rows``: the stages after ingest read no other bar
     field (labels, returns and the universe all price at the open)."""
+    from .market import BarPanel
     calendar, symbols = z.dates("calendar"), z.strings("symbols")
     shape = (len(calendar), len(symbols))
     return BarPanel(calendar if rows is None else calendar[rows], symbols,
@@ -254,6 +256,7 @@ def _load_panel(path) -> BarPanel:
 def _save_factors(path, panel: BarPanel, windows: list) -> None:
     """``factors.npz`` of the panel's factors ``windows``, its values
     computed and written one block of dates at a time."""
+    from .factors import factor_blocks, factor_names
     shape = (panel.n_dates, panel.n_symbols, len(windows))
     # filled block by block as the values are written, and written after them
     mask = np.empty(shape, dtype=bool)
@@ -266,6 +269,7 @@ def _save_factors(path, panel: BarPanel, windows: list) -> None:
 
 def _read_factors(z: _NpzArrays, rows: slice | None = None) -> FactorPanel:
     """The factor panel, of every day or of the calendar rows ``rows``."""
+    from .factors import FactorPanel
     names, calendar, symbols = z.strings("names"), z.dates("calendar"), z.strings("symbols")
     shape = (len(calendar), len(symbols), len(names))
     return FactorPanel(names, z.shaped("values", *shape, rows=rows),
@@ -290,6 +294,7 @@ def _load_cooccur(path) -> CooccurrenceMatrix:
     """The co-mention counts of a cooccur file: each pair (i, j) of distinct
     indices in [0, n) appears once in each order, with the same positive
     integer count."""
+    from .news import CooccurrenceMatrix
     with _NpzArrays(path) as z:
         symbols = z.strings("symbols")
         rows = z.shaped("rows", None)
@@ -310,6 +315,8 @@ def _load_cooccur(path) -> CooccurrenceMatrix:
 
 
 def _load_word_embeddings(path) -> WordEmbeddingSet:
+    from .embfile import read_embeddings
+    from .word2vec import WordEmbeddingSet
     labels, matrix = read_embeddings(path)
     return WordEmbeddingSet({t: i for i, t in enumerate(labels)}, matrix)
 
@@ -320,6 +327,7 @@ def _save_glove(path, emb: StockEmbeddingSet) -> None:
 
 
 def _load_glove(path) -> StockEmbeddingSet:
+    from .embeddings import StockEmbeddingSet
     with _NpzArrays(path) as z:
         symbols = z.strings("symbols")
         vectors = z.shaped("vectors", len(symbols), None)
@@ -340,6 +348,21 @@ def _check_glove_symbols(out: OutDir, glove: StockEmbeddingSet, symbols) -> None
                         f"on this panel")
 
 
+def _panel_positions(out: OutDir, fc, calendar, symbols):
+    """The panel row of each forecast date and the panel column of each
+    forecast symbol; a DataError if the forecasts name one the panel lacks."""
+    date_index = {d: i for i, d in enumerate(calendar)}
+    symbol_index = {s: i for i, s in enumerate(symbols)}
+    unknown = ([d.isoformat() for d in fc.calendar if d not in date_index]
+               + [s for s in fc.symbols if s not in symbol_index])
+    if unknown:
+        raise DataError(f"{out.path / FORECASTS_FILE}: {unknown[0]} is not in "
+                        f"{out.path / PANEL_FILE}; the forecasts do not match the panel, "
+                        f"rerun predict")
+    return ([date_index[d] for d in fc.calendar],
+            [symbol_index[s] for s in fc.symbols])
+
+
 def _save_graph(path, graph: StockGraph) -> None:
     """``source,target,rank,distance`` with rank 1 = nearest."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -353,6 +376,7 @@ def _save_graph(path, graph: StockGraph) -> None:
 def _load_graph(path, symbols) -> StockGraph:
     """The neighbor table of a graph CSV: every stock of ``symbols`` is the
     source of one row of each rank 1..k, with one k for every stock."""
+    from .embeddings import StockGraph
     index = {s: i for i, s in enumerate(symbols)}
     rows = []
     try:

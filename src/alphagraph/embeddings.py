@@ -12,12 +12,14 @@ are fine-tuned there; the graph built from them stays frozen afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DataError, NumericalFault, ShapeError
-from .news import CooccurrenceMatrix
+
+if TYPE_CHECKING:
+    from .news import CooccurrenceMatrix
 
 
 @dataclass
@@ -153,6 +155,7 @@ def attention_representation(e_i, neighbor_rows, w, b, v):
     the representation is the weight-averaged neighbor embedding. Returns
     (representation (U, d), weights (U, K)).
     """
+    from . import autodiff as ad   # only the model's stages run it
     if neighbor_rows.ndim != 3 or neighbor_rows.shape[1] == 0:
         raise ShapeError(f"attention_representation: expected (U, K, d) neighbor rows "
                          f"with K >= 1, got {neighbor_rows.shape}")

@@ -15,7 +15,7 @@ from alphagraph import backtest as bt
 from alphagraph import model as M
 from alphagraph import nn
 from alphagraph.autodiff import Tensor
-from alphagraph.cli import _sample_windows, main as cli_main
+from alphagraph.cli import main as cli_main
 from alphagraph.config import sha256_file
 from alphagraph.embeddings import (StockEmbeddingSet, StockGraph,
                                    attention_representation, build_knn_graph,
@@ -25,6 +25,7 @@ from alphagraph.model import Dataset, FeatureStore, ModelConfig
 from alphagraph.news import (CooccurrenceMatrix, NewsArticle, build_cooccurrence,
                              build_vocabulary, clean_tokens,
                              daily_stock_news_vectors)
+from alphagraph.samples import _sample_windows
 from alphagraph.synth import SyntheticSpec, generate
 from alphagraph.word2vec import train_cbow
 

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphagraph import backtest as bt
-from alphagraph.cli import _sample_windows
 from alphagraph.errors import ConfigError, DataError
+from alphagraph.samples import _sample_windows
 
 from helpers import forecast_stats, markowitz_closed_form
 from test_market import weekday_calendar
 
 
 # ---------------------------------------------------------------------------
-# sample windows (cli._sample_windows; the property test is in test_cli.py)
+# sample windows (samples._sample_windows; the property test is in test_cli.py)
 # ---------------------------------------------------------------------------
 
 def windows(cal, train_end, gap_days):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from alphagraph import artifacts, cli, factors
+from alphagraph import artifacts, cli, factors, samples, stage_interpret, stage_model
 from alphagraph.checkpoint import load_checkpoint, save_checkpoint
 from alphagraph.cli import main
 from alphagraph.config import DEFAULTS, ModelConfig, ablation_config, load_config, sha256_file
@@ -229,14 +229,14 @@ def test_sample_windows(n_days, offset, gap_days):
     cfg = {"split": {"train_end": train_end.isoformat(), "gap_days": gap_days}}
     if train_end not in cal:
         with pytest.raises(DataError, match=f"^split.train_end {train_end} is not a trading day"):
-            cli._sample_windows(cfg, cal)
+            samples._sample_windows(cfg, cal)
         return
     i = cal.index(train_end)
     if i + gap_days + 1 >= n_days:
         with pytest.raises(DataError, match=f"^split.gap_days {gap_days} leaves no test day"):
-            cli._sample_windows(cfg, cal)
+            samples._sample_windows(cfg, cal)
         return
-    (train_lo, train_hi), (test_lo, test_hi) = cli._sample_windows(cfg, cal)
+    (train_lo, train_hi), (test_lo, test_hi) = samples._sample_windows(cfg, cal)
     assert (train_lo, cal[train_hi]) == (0, train_end)
     assert test_lo == i + gap_days + 1 and test_hi == n_days - 1
     gap = [k for k, d in enumerate(cal) if train_end < d < cal[test_lo]]
@@ -499,25 +499,30 @@ def test_old_checkpoint_bin_is_not_read(run_copy, capsys):
                                        f"run train first\n")
 
 
-@pytest.mark.parametrize("reruns, name, field, width, trained", [
-    ([["train-word2vec", "--set", "word2vec.dim=6"]], "word_embeddings.txt", "news_dim", 6, 12),
-    ([["train-glove", "--set", "glove.dim=6"], ["graph"]], "glove.npz", "embed_dim", 6, 4),
-    ([["ingest", "--set", 'factors={"momentum": [5]}']], "factors.npz", "n_factors", 1, 6)],
+@pytest.mark.parametrize("reruns, name, field, width, trained, readers", [
+    ([["train-word2vec", "--set", "word2vec.dim=6"]], "word_embeddings.txt", "news_dim", 6, 12,
+     ["predict"]),
+    ([["train-glove", "--set", "glove.dim=6"], ["graph"]], "glove.npz", "embed_dim", 6, 4,
+     ["predict"]),
+    ([["ingest", "--set", 'factors={"momentum": [5]}']], "factors.npz", "n_factors", 1, 6,
+     ["interpret", "predict"])],
     ids=["word2vec", "glove", "factors"])
 def test_upstream_rerun_at_another_width_is_data_error(run_copy, capsys, reruns, name, field,
-                                                       width, trained):
+                                                       width, trained, readers):
     """An upstream stage rerun after train at another width leaves an input
-    the trained model cannot read: predict exits 2, naming that input and
-    model_config.json and asking to rerun train."""
+    the trained model cannot read: each stage that reads it with the model
+    exits 2, naming that input and model_config.json and asking to rerun
+    train."""
     out, cfg_path = run_copy
     base = ["--config", str(cfg_path), "--out", str(out)]
     for argv in reruns:
         assert main(argv[:1] + base + argv[1:]) == 0
     capsys.readouterr()
-    assert main(["predict"] + base) == 2
-    assert capsys.readouterr().err == (
-        f"error: data: {out / name}: width {width}, but {out / 'model_config.json'} has "
-        f"{field} {trained}; rerun train\n")
+    for command in readers:
+        assert main([command] + base) == 2
+        assert capsys.readouterr().err == (
+            f"error: data: {out / name}: width {width}, but {out / 'model_config.json'} has "
+            f"{field} {trained}; rerun train\n")
 
 
 def _drop_head_bias(values: dict) -> dict:
@@ -545,6 +550,15 @@ def test_checkpoint_not_matching_the_model_config_is_data_error(run_copy, capsys
     assert capsys.readouterr().err == f"error: data: {ckpt}: {detail}; rerun train\n"
 
 
+def _python(*argv) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``argv``, the package's sources on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          check=False)
+
+
 def _modules_left_loaded(run, command, modules) -> list[str]:
     """Run ``command`` on ``run`` in a fresh interpreter; the last line it
     prints: the exit code and those of ``modules`` left in sys.modules."""
@@ -552,11 +566,7 @@ def _modules_left_loaded(run, command, modules) -> list[str]:
     script = ("import sys\nfrom alphagraph.cli import main\n"
               f"code = main([{command!r}, '--config', {str(cfg_path)!r}, '--out', {str(out)!r}])\n"
               f"print(code, [m for m in {modules!r} if m in sys.modules])\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=False)
+    proc = _python("-c", script)
     assert proc.stdout, proc.stderr
     return proc.stdout.splitlines()[-1:]
 
@@ -569,12 +579,40 @@ def test_model_stages_do_not_import_numpy_random(run_copy, command):
     assert _modules_left_loaded(run_copy, command, ["numpy.random"]) == ["0 []"]
 
 
-@pytest.mark.parametrize("command", ["interpret", "backtest", "quantiles"])
-def test_report_stages_do_not_import_the_model(run_copy, command):
-    """The stages that read forecasts.csv run no model, and load neither
-    alphagraph.model nor alphagraph.nn."""
-    modules = ["alphagraph.model", "alphagraph.nn"]
-    assert _modules_left_loaded(run_copy, command, modules) == ["0 []"]
+# the alphagraph modules that each command imports besides alphagraph.cli's
+# own (config, errors and artifacts): its stage module and what its stage calls
+_EMBEDDING_STAGE = {"stage_embeddings", "samples", "news", "word2vec", "embfile", "embeddings"}
+_MODEL_STAGE = {"stage_model", "samples", "model", "nn", "autodiff", "checkpoint", "embeddings",
+                "embfile", "factors", "forecasts", "market", "news", "orderstats", "word2vec"}
+_REPORT_STAGE = {"stage_reports", "backtest", "forecasts", "market", "orderstats"}
+STAGE_IMPORTS = {
+    "synth": {"stage_synth", "synth", "market", "orderstats"},
+    "ingest": {"stage_ingest", "samples", "factors", "market", "orderstats"},
+    "cooccur": _EMBEDDING_STAGE, "train-word2vec": _EMBEDDING_STAGE,
+    "train-glove": _EMBEDDING_STAGE, "graph": _EMBEDDING_STAGE,
+    "train": _MODEL_STAGE, "predict": _MODEL_STAGE,
+    "backtest": _REPORT_STAGE, "quantiles": _REPORT_STAGE,
+    "interpret": {"stage_interpret", "samples", "checkpoint", "interpret", "forecasts", "news",
+                  "embfile"},
+}
+
+
+@pytest.mark.parametrize("command", list(STAGE_IMPORTS))
+def test_each_command_imports_exactly_its_modules(run_copy, command):
+    """``python -m alphagraph.cli COMMAND`` imports exactly the alphagraph
+    modules of its row. So cooccur loads neither autodiff, model nor synth,
+    the stages that read forecasts.csv load neither model nor nn, and no
+    module imports alphagraph.cli, which would run it a second time beside
+    ``__main__``."""
+    out, cfg_path = run_copy
+    proc = _python("-X", "importtime", "-m", "alphagraph.cli", command,
+                   "--config", str(cfg_path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {name.removeprefix("alphagraph.") for name in imported
+            if name.startswith("alphagraph.")} == {"config", "errors", "artifacts",
+                                                    *STAGE_IMPORTS[command]}
 
 
 @pytest.mark.parametrize("command", ["ingest", "backtest", "quantiles"])
@@ -769,7 +807,7 @@ def test_windowed_predict_writes_the_forecasts_of_the_whole_calendar(run_copy, t
     cfg = load_config(cfg_path)
     model_cfg = artifacts._read_model_config(out / "model_config.json")
     bars, ds = _whole_calendar_dataset(out, model_cfg, require_labels=False)
-    _, (lo, hi) = cli._sample_windows(cfg, bars.calendar)
+    _, (lo, hi) = samples._sample_windows(cfg, bars.calendar)
     articles = load_articles(out / "news.jsonl")
     assert min(a.date for a in articles) < bars.calendar[lo - model_cfg.lookback - 1]
     glove = artifacts._load_glove(out / "glove.npz")
@@ -828,13 +866,13 @@ def test_windowed_samples_are_those_of_the_whole_calendar(pipeline_run, lookback
                                                               horizon=horizon))
     bars, labelled = _whole_calendar_dataset(out, model_cfg, require_labels=True)
     _, every = _whole_calendar_dataset(out, model_cfg, require_labels=False)
-    train, test = cli._sample_windows(cfg, bars.calendar)
+    train, test = samples._sample_windows(cfg, bars.calendar)
     for window, ref in ((train, labelled), (test, every)):
         first = max(window[0] - lookback, 0)
-        read, ds, _ = cli._assemble_dataset(cfg, out, model_cfg, window)
+        read, ds, _ = samples._assemble_dataset(cfg, out, model_cfg, window)
         assert read.calendar == bars.calendar[first:window[1] + horizon + 1]
         assert _same_samples(ds, ref.split_by_anchor(*window), first)
-    assert _same_samples(cli._assemble_dataset(cfg, out, model_cfg)[1], labelled, 0)
+    assert _same_samples(samples._assemble_dataset(cfg, out, model_cfg)[1], labelled, 0)
 
 
 @pytest.mark.parametrize("ablation", ["News", "Graph+News"])
@@ -1241,7 +1279,7 @@ def test_model_stages_read_each_panel_once(run_copy, monkeypatch, cmd):
             opened[Path(path).name] += 1
             super().__init__(path, *names)
 
-    for module in (artifacts, cli):
+    for module in (artifacts, samples, stage_model, stage_interpret):
         monkeypatch.setattr(module, "_NpzArrays", CountingNpz)
     manifest = out / f"{cmd}_manifest.json"
     before = manifest.read_bytes()
@@ -1486,16 +1524,43 @@ def _line_edits(draw, text: str) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
+# the signature of each zip record with the length of its fixed fields, and
+# the start of an .npy header's dict, which runs to its closing brace
+_HEADER_MARKS = ((b"PK\x03\x04", 30), (b"PK\x01\x02", 46), (b"PK\x05\x06", 22),
+                 (b"{'descr'", None))
+
+
+def _header_positions(data: bytes) -> list[int]:
+    """The offsets of the bytes of ``data``'s zip records (each member's
+    local header and central-directory entry, and the end record) and of
+    each member's .npy header dict."""
+    positions = []
+    for mark, length in _HEADER_MARKS:
+        at = data.find(mark)
+        while at >= 0:
+            end = data.find(b"}", at) + 1 if length is None else at + length
+            positions.extend(range(at, min(end, len(data))))
+            at = data.find(mark, at + 1)
+    return positions
+
+
 @st.composite
 def _byte_edits(draw, data: bytes) -> bytes:
     """``data`` with one to three edits: a byte or a little-endian u32
     overwritten, a short span deleted or repeated, or the tail cut. Edits
-    favour the first 64 bytes, where the headers are."""
+    favour the first 64 bytes, and half the edits of an .npz file overwrite
+    a byte or u32 of a zip record or an .npy header dict, where a random
+    position rarely falls."""
     for _ in range(draw(st.integers(1, 3))):
         if not data:
             break
-        at = draw(st.integers(0, min(63, len(data) - 1)) | st.integers(0, len(data) - 1))
-        kind = draw(st.sampled_from(["byte", "u32", "delete", "repeat", "cut"]))
+        headers = _header_positions(data)
+        if headers and draw(st.booleans()):
+            at, kinds = draw(st.sampled_from(headers)), ["byte", "u32"]
+        else:
+            at = draw(st.integers(0, min(63, len(data) - 1)) | st.integers(0, len(data) - 1))
+            kinds = ["byte", "u32", "delete", "repeat", "cut"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "byte":
             data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
         elif kind == "u32":
@@ -1519,21 +1584,24 @@ def fuzz_run(tmp_path_factory, pipeline_run):
     return copy, cfg_path
 
 
-def _load_and_predict(run, name, data, load):
+def _load_and_run(run, command, name, data, load):
     """Put ``data`` in place of the run's ``name``; its loader may raise
-    only an AlphagraphError, and predict must succeed or exit 2."""
+    only an AlphagraphError, and ``command`` must succeed or exit 2. The
+    run's files are restored after, those the command wrote or removed too."""
     out, cfg_path = run
-    path = out / name
-    original = path.read_bytes()
-    path.write_bytes(data)
+    files = {path: path.read_bytes() for path in out.iterdir()}
+    (out / name).write_bytes(data)
     try:
         try:
-            load(path)
+            load(out / name)
         except AlphagraphError:
             pass
-        assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) in (0, 2)
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) in (0, 2)
     finally:
-        path.write_bytes(original)
+        for path in set(out.iterdir()) - set(files):
+            path.unlink()
+        for path, content in files.items():
+            path.write_bytes(content)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1543,8 +1611,8 @@ def test_graph_loader_fuzz(fuzz_run, data):
     symbols = artifacts._load_glove(out / "glove.npz").symbols
     original = (out / "graph.csv").read_bytes()
     damaged = data.draw(_line_edits(original.decode()) | _byte_edits(original))
-    _load_and_predict(fuzz_run, "graph.csv", damaged,
-                      lambda path: artifacts._load_graph(path, symbols))
+    _load_and_run(fuzz_run, "predict", "graph.csv", damaged,
+                  lambda path: artifacts._load_graph(path, symbols))
 
 
 def _central_entry(data: bytes, field: int) -> int:
@@ -1586,7 +1654,7 @@ NPZ_LOADERS = {"checkpoint.npz": load_checkpoint, "panel.npz": artifacts._load_p
                "factors.npz": _load_factors}
 
 
-@settings(max_examples=90, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_checkpoint_loader_fuzz(fuzz_run, data):
     """The .npz files predict reads, the checkpoint among them, with bytes
@@ -1594,7 +1662,19 @@ def test_checkpoint_loader_fuzz(fuzz_run, data):
     out, _ = fuzz_run
     name = data.draw(st.sampled_from(sorted(NPZ_LOADERS)))
     damaged = data.draw(_byte_edits((out / name).read_bytes()))
-    _load_and_predict(fuzz_run, name, damaged, NPZ_LOADERS[name])
+    _load_and_run(fuzz_run, "predict", name, damaged, NPZ_LOADERS[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("cooccur.npz", artifacts._load_cooccur, "train-glove"),
+                        ("glove.npz", artifacts._load_glove, "graph")]), st.data())
+def test_news_stage_npz_loader_fuzz(fuzz_run, reader, data):
+    """cooccur.npz through train-glove and glove.npz through graph, with
+    bytes edited anywhere, headers and data alike."""
+    out, _ = fuzz_run
+    name, load, command = reader
+    damaged = data.draw(_byte_edits((out / name).read_bytes()))
+    _load_and_run(fuzz_run, command, name, damaged, load)
 
 
 # ---------------------------------------------------------------------------
