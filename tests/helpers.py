@@ -33,6 +33,8 @@ runs, kept as the references and checks the tests use.
 * ``dump_config``: a config dict as the JSON text ``load_config`` reads.
 * ``TEST_SIGNAL``: the planted-signal strength of the unit tests' synthetic
   markets, stronger and less noisy than the ``synth`` defaults.
+* ``ref_cbow_minibatch``: one minibatch update of ``word2vec.cbow_epoch``
+  in loop form, one center, target and dimension at a time.
 * ``mse_loss``, ``ridge_fit``, ``ridge_predict``, ``build_ridge_features``
   and ``ridge_scan``: the ridge baseline of acceptance criterion 4 and its
   unit tests; no stage runs it.
@@ -592,3 +594,45 @@ def ridge_scan(x: np.ndarray, y: np.ndarray, lambdas, val_fraction: float = 0.2,
     lam = best[1]
     beta, icpt = ridge_fit(x, y, lam)
     return beta, icpt, lam
+
+
+def ref_cbow_minibatch(w_in, w_out, centers, contexts, negatives, lr):
+    """One CBOW minibatch in loop form; updates the weights in place and
+    returns (loss_sum, n_terms).
+
+    ``centers`` lists the minibatch's center ids, ``contexts`` each center's
+    context ids and ``negatives`` each center's trained negatives (those
+    equal to the center already left out). Every dot, loss and gradient is
+    taken from the weights as they stood before the minibatch; the updates
+    of a row that several centers touch are summed.
+    """
+    in0 = w_in.copy()
+    out0 = w_out.copy()
+    dim = w_in.shape[1]
+    loss_sum = 0.0
+    n_terms = 0
+    for center, context, negs in zip(centers, contexts, negatives):
+        h = np.zeros(dim)
+        for word in context:
+            h += in0[word]
+        h /= len(context)
+        grad_h = np.zeros(dim)
+        for target, label in [(center, 1.0)] + [(n, 0.0) for n in negs]:
+            dot = 0.0
+            for d in range(dim):
+                dot += h[d] * out0[target, d]
+            if dot >= 0.0:
+                p = 1.0 / (1.0 + math.exp(-dot))
+            else:
+                e = math.exp(dot)
+                p = e / (1.0 + e)
+            loss_sum -= math.log((p if label > 0.5 else 1.0 - p) + 1e-12)
+            n_terms += 1
+            g = (p - label) * lr
+            for d in range(dim):
+                grad_h[d] += g * out0[target, d]
+                w_out[target, d] -= g * h[d]
+        for word in context:
+            for d in range(dim):
+                w_in[word, d] -= grad_h[d] / len(context)
+    return loss_sum, n_terms
