@@ -77,8 +77,8 @@ def minibatches(tokens, starts, window, negatives, table, rng_state, pad):
     window, padded with ``pad``; ``n_ctx`` (b, 1) counts the real ones.
     ``targets`` (b, 1 + negatives) holds the center, then its negatives:
     the next ``negatives`` Park-Miller draws in center order, mapped through
-    ``table``. ``keep`` (b, 1 + negatives) is 0.0 where a negative equals
-    its center, which uses up its draw but is not trained, else 1.0.
+    ``table``. ``keep`` (b, 1 + negatives) is False where a negative equals
+    its center: that negative uses up its draw but is not trained.
     ``state`` is the generator state after the minibatch's draws.
     """
     lengths = np.diff(starts)
