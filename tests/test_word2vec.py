@@ -7,7 +7,6 @@ one minibatch update, over a corpus as ``cbow_epoch`` does.
 
 import numpy as np
 import pytest
-from helpers import ref_cbow_minibatch
 from hypothesis import example, given, settings, strategies as st
 
 from alphagraph import word2vec
@@ -15,6 +14,8 @@ from alphagraph.errors import ConfigError, DataError
 from alphagraph.news import build_vocabulary
 from alphagraph.word2vec import (MINIBATCH, MINSTD_A, MINSTD_M, build_negative_table,
                                  encode_corpus, minibatches, seed_to_state, train_cbow)
+
+from helpers import ref_cbow_minibatch
 
 
 def ref_cbow_epoch(tokens, starts, w_in, w_out, window, negatives, lr, table, rng_state):
