@@ -82,24 +82,21 @@ def minibatches(tokens, starts, window, negatives, table, rng_state, pad):
     ``state`` is the generator state after the minibatch's draws.
     """
     lengths = np.diff(starts)
-    sentence = np.repeat(np.arange(lengths.size), lengths)
     # each sentence framed by ``window`` pad ids, so that a fixed window of
     # offsets around a center never reaches another sentence
-    at = np.arange(tokens.size) + window * (sentence + 1)
+    at = np.repeat(np.arange(1, lengths.size + 1) * window, lengths)
+    at += np.arange(tokens.size)
     framed = np.full(tokens.size + window * (lengths.size + 1), pad, dtype=np.int64)
     framed[at] = tokens
-    pos = np.arange(tokens.size)
-    n_ctx = (np.minimum(pos + window + 1, starts[sentence + 1])
-             - np.maximum(pos - window, starts[sentence]) - 1)
-    trainable = n_ctx > 0
-    at, centers = at[trainable], tokens[trainable]
-    n_ctx = n_ctx[trainable, None].astype(np.float64)
+    at = at[np.repeat(lengths > 1, lengths)]
     offsets = np.r_[-window:0, 1:window + 1]
     powers = _powers(MINIBATCH * negatives)
     tsize = table.shape[0]
     state = rng_state
-    for i in range(0, centers.size, MINIBATCH):
-        center = centers[i:i + MINIBATCH, None]
+    for i in range(0, at.size, MINIBATCH):
+        where = at[i:i + MINIBATCH, None]
+        center = framed[where]
+        contexts = framed[where + offsets]
         b = center.shape[0]
         draws = state * powers[:b * negatives] % MINSTD_M
         state = int(draws[-1])
@@ -107,8 +104,7 @@ def minibatches(tokens, starts, window, negatives, table, rng_state, pad):
             (center, table[draws % tsize].reshape(b, negatives)), axis=1)
         keep = targets != center
         keep[:, 0] = True
-        yield framed[at[i:i + MINIBATCH, None] + offsets], n_ctx[i:i + MINIBATCH], \
-            targets, keep, state
+        yield contexts, (contexts != pad).sum(axis=1, keepdims=True), targets, keep, state
 
 
 def _assign(w, ids, before, weight, grad):
@@ -219,4 +215,4 @@ def train_cbow(token_lists, vocabulary, dim: int = 400, window: int = 5,
             tokens, starts, w_in, w_out, int(window), int(negatives),
             float(lr), table, state)
         losses.append(loss_sum / max(n_terms, 1))
-    return WordEmbeddingSet(dict(vocabulary), w_in[:n_vocab].copy(), losses)
+    return WordEmbeddingSet(dict(vocabulary), w_in[:n_vocab], losses)
