@@ -91,7 +91,8 @@ def cooccur(news):
 
 
 def test_bench_train_glove(benchmark, cooccur):
-    emb = benchmark(train_glove, cooccur, dim=8, epochs=40, lr=0.01, seed=1)
+    emb = benchmark(train_glove, cooccur, dim=8, x_max=100.0, alpha=0.75, epochs=40,
+                    lr=0.01, seed=1)
     assert len(emb.loss_trace) == 41 and emb.loss_trace[-1] < emb.loss_trace[0]
 
 

@@ -62,9 +62,6 @@ class OutDir:
         # the raw bars and news may live elsewhere (paths.bars, paths.news)
         self._elsewhere = {BARS_FILE: cfg["paths"]["bars"], NEWS_FILE: cfg["paths"]["news"]}
 
-    def has(self, name: str) -> bool:
-        return (self.path / name).exists()
-
     def read(self, name: str) -> Path:
         """The path of input ``name``, recorded; a DataError naming the
         command that writes it if the file does not exist."""

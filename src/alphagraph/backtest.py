@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .orderstats import distinct, quantiles
+from .orderstats import count_groups, quantiles
 
 TRADING_DAYS_PER_YEAR = 252
 QUANTILE_FRACTIONS = {1: 1.00, 2: 0.75, 3: 0.50, 4: 0.25}
@@ -77,7 +77,6 @@ class TradeLedger:
     positions: np.ndarray  # (D, S) signed notionals held after day-t trading
     pnl: np.ndarray        # (D,)  realized on day t from day t-1 positions
     turnover: np.ndarray   # (D,)
-    costs: np.ndarray | None = None
     hedge: np.ndarray | None = None
     warnings: list = field(default_factory=list)
 
@@ -109,7 +108,7 @@ def longshort_weights(forecasts_row: np.ndarray) -> np.ndarray:
 
 
 def simulate_longshort(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
-                       horizon: int = 5) -> TradeLedger:
+                       horizon: int) -> TradeLedger:
     """Signal-proportional long-short book with overlapping tranches.
 
     Capital is split across ``horizon`` tranches; tranche (t mod horizon) is
@@ -143,8 +142,8 @@ def simulate_longshort(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
                        warnings=warnings)
 
 
-def ewma_covariance(returns_history: np.ndarray, halflife: float = 20.0,
-                    shrinkage: float = 0.1) -> np.ndarray:
+def ewma_covariance(returns_history: np.ndarray, halflife: float,
+                    shrinkage: float) -> np.ndarray:
     """Exponentially weighted covariance with diagonal shrinkage.
 
     Shrinks toward the diagonal of variances, which also floors
@@ -166,13 +165,11 @@ def ewma_covariance(returns_history: np.ndarray, halflife: float = 20.0,
 
 
 def simulate_markowitz(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
-                       risk_aversion: float = 0.5, cov_window: int = 60,
-                       halflife: float = 20.0, shrinkage: float = 0.1,
-                       per_name_cap: float | None = None,
-                       gross_cap: float | None = None,
-                       cost_linear: float = 5e-4, cost_quadratic: float = 0.0,
-                       market: np.ndarray | None = None,
-                       capital: float = 1.0) -> TradeLedger:
+                       risk_aversion: float, cov_window: int, halflife: float,
+                       shrinkage: float, per_name_cap: float | None,
+                       gross_cap: float | None, cost_linear: float,
+                       cost_quadratic: float, market: np.ndarray | None,
+                       capital: float) -> TradeLedger:
     """Mean-variance positions with caps, costs, and an optional market hedge.
 
     Each day with at least ``cov_window`` days of history solves
@@ -192,7 +189,6 @@ def simulate_markowitz(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
     positions = np.zeros((D, S))
     pnl = np.zeros(D)
     turnover = np.zeros(D)
-    costs = np.zeros(D)
     hedge = np.zeros(D)
     book_prev = np.zeros(S)
     hedge_prev = 0.0
@@ -224,14 +220,13 @@ def simulate_markowitz(yhat: np.ndarray, returns: np.ndarray, calendar, symbols,
         delta = np.abs(w - book_prev).sum()
         day_cost = cost_linear * delta + cost_quadratic * float(((w - book_prev) ** 2).sum())
         pnl[t] -= day_cost
-        costs[t] = day_cost
         turnover[t] = delta
         positions[t] = w
         hedge[t] = h
         book_prev = w
         hedge_prev = h
     return TradeLedger(tuple(calendar), tuple(symbols), positions, pnl, turnover,
-                       costs=costs, hedge=hedge)
+                       hedge=hedge)
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +243,6 @@ class QuantileReport:
     pnl_curve: np.ndarray
     skipped_days: int
     members: np.ndarray  # (D, S) bool: row t is day t's bucket
-
-
-def _count_groups(mask: np.ndarray):
-    """(rows, n) for each count n >= 1 of True entries in a row of a (D, S)
-    mask, where ``rows`` are the rows with that count.
-
-    ``values[rows][mask[rows]].reshape(rows.size, n)`` then holds each row's
-    selected values, compacted in index order, as one C-ordered block: a
-    reduction along its rows sees the same 1-D values, and so the same
-    pairwise sums, as the per-row code.
-    """
-    counts = mask.sum(axis=1)
-    for n in distinct(counts[counts > 0]):
-        yield np.flatnonzero(counts == n), int(n)
 
 
 def quantile_analysis(yhat: np.ndarray, y: np.ndarray, thresholds=(1, 2, 3, 4),
@@ -300,14 +281,14 @@ def quantile_analysis(yhat: np.ndarray, y: np.ndarray, thresholds=(1, 2, 3, 4),
     skipped = int((~valid.any(axis=1)).sum())
     levels = [1.0 - QUANTILE_FRACTIONS[qr] for qr in thresholds]
     thr = np.full((len(levels), D), np.nan)  # NaN rows: no valid name that day
-    for rows, n in _count_groups(valid):
+    for rows, n in count_groups(valid):
         block = mags[rows][valid[rows]].reshape(rows.size, n)
         thr[:, rows] = quantiles(block, levels)
     out = {}
     for qr, day_thr in zip(thresholds, thr):
         bucket = valid & (mags >= day_thr[:, None])
         pnl_curve = np.zeros(D)
-        for rows, k in _count_groups(bucket):
+        for rows, k in count_groups(bucket):
             pnl_curve[rows] = pay[rows][bucket[rows]].reshape(rows.size, k).sum(axis=1)
         trades = pay[bucket]
         ppd = float(trades.mean()) * 1e4 if trades.size else math.nan

@@ -78,9 +78,8 @@ def glove_loss_and_grads(emb, bias, rows, cols, logx, wgt):
     return loss, g_emb, g_bias
 
 
-def train_glove(x: CooccurrenceMatrix, dim: int = 32, x_max: float = 100.0,
-                alpha: float = 0.75, epochs: int = 200, lr: float = 0.05,
-                seed: int = 0) -> StockEmbeddingSet:
+def train_glove(x: CooccurrenceMatrix, dim: int, x_max: float, alpha: float,
+                epochs: int, lr: float, seed: int) -> StockEmbeddingSet:
     """Fit stock embeddings to the co-mention matrix.
 
     Deterministic given the seed. The trace holds the loss before each step

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .market import BarPanel, daily_log_returns
-from .orderstats import distinct
+from .orderstats import count_groups
 
 DEFAULT_REGISTRY = {
     "momentum": [5, 10, 21, 63, 126, 252],
@@ -226,9 +226,9 @@ def _standardize_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     (rows, n) block.
     """
     out = np.zeros_like(values)
-    counts = mask.sum(axis=1)
-    for n in distinct(counts[counts >= 2]):
-        group = np.flatnonzero(counts == n)
+    for group, n in count_groups(mask):
+        if n < 2:
+            continue
         for start in range(0, group.size, BLOCK_ROWS):
             rows = group[start:start + BLOCK_ROWS]
             sub_mask = mask[rows]

@@ -35,7 +35,7 @@ def pairwise_distance_report(vectors: np.ndarray):
     return i[order], j[order], distance[order], 100.0 * np.arange(1, i.size + 1) / i.size
 
 
-def factor_frequency(w_nonneg: np.ndarray, k_emb: int = 50):
+def factor_frequency(w_nonneg: np.ndarray, k_emb: int):
     """How often each factor makes a coordinate's top-k list, descending.
 
     ``w_nonneg`` is the (m, l) non-negative technical layer (the relu of the
@@ -51,7 +51,7 @@ def factor_frequency(w_nonneg: np.ndarray, k_emb: int = 50):
     return order, counts[order]
 
 
-def news_error_buckets(sq_errors, tail: float = 0.05):
+def news_error_buckets(sq_errors, tail: float):
     """Samples in the smallest and largest ``tail`` fraction of squared errors.
 
     Returns the positions ``(low, high)`` of each bucket's samples in rank

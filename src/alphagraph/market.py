@@ -30,7 +30,6 @@ class BarPanel:
         self.symbols = tuple(symbols)
         self.arrays = arrays  # field name -> (D, S) float64, NaN where missing
         self.mask = mask
-        self.date_index = {d: i for i, d in enumerate(self.calendar)}
         self.symbol_index = {s: i for i, s in enumerate(self.symbols)}
 
     @property
@@ -49,9 +48,9 @@ class BarPanel:
     def volume(self) -> np.ndarray:
         return self.arrays["volume"]
 
-    def restrict_dates(self, end: dt.date | None = None, start: dt.date | None = None) -> "BarPanel":
-        keep = [i for i, d in enumerate(self.calendar)
-                if (end is None or d <= end) and (start is None or d >= start)]
+    def restrict_dates(self, end: dt.date) -> "BarPanel":
+        """The dates through ``end``."""
+        keep = [i for i, d in enumerate(self.calendar) if d <= end]
         idx = np.asarray(keep, dtype=np.intp)
         arrays = {f: a[idx] for f, a in self.arrays.items()}
         return BarPanel([self.calendar[i] for i in keep], self.symbols, arrays, self.mask[idx])
@@ -251,8 +250,8 @@ def daily_simple_returns(panel: BarPanel) -> np.ndarray:
     return out
 
 
-def filter_universe(panel: BarPanel, min_median_dollar_volume: float = 1e6,
-                    min_price: float = 1.0, min_history: int = 250) -> list[str]:
+def filter_universe(panel: BarPanel, min_median_dollar_volume: float, min_price: float,
+                    min_history: int) -> list[str]:
     """Keep symbols that are liquid, not penny-priced, and long-lived.
 
     A symbol passes iff, over the given panel window: its count of valid bars

@@ -253,7 +253,6 @@ class TrainedModel:
     params: dict
     cfg: ModelConfig
     graph: StockGraph | None
-    symbols: tuple
     trace: list = field(default_factory=list)
 
 
@@ -337,7 +336,7 @@ def train(dataset: Dataset, cfg: ModelConfig, init_emb: StockEmbeddingSet | None
     if best_values is not None:
         for k, t in params.items():
             t.values = best_values[k]
-    return TrainedModel(params, cfg, graph, dataset.store.symbols, trace)
+    return TrainedModel(params, cfg, graph, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -27,31 +27,25 @@ _PUNCT_STRIP = str.maketrans("", "", string.punctuation)
 # a lone one (the escape \ud800): it cannot be written as UTF-8
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
-DEFAULT_STOPWORDS = frozenset(
+STOPWORDS = frozenset(
     "a an and are as at be by for from has have in is it its of on or that the "
     "to was were will with this those these".split()
 )
 
 
-def whitespace_tokenizer(text: str) -> list[str]:
-    return text.split()
-
-
-def clean_tokens(raw_text: str, tokenizer=whitespace_tokenizer,
-                 stopwords=DEFAULT_STOPWORDS) -> list[str]:
-    """Tokenize and scrub one document: URLs out, punctuation stripped,
-    lowercased, stopwords removed. The tokenizer is pluggable so that
-    language-specific segmenters can be dropped in."""
+def clean_tokens(raw_text: str) -> list[str]:
+    """Tokenize and scrub one document: split at whitespace, URLs out,
+    punctuation stripped, lowercased, stopwords removed."""
     text = _URL_RE.sub(" ", raw_text)
     out = []
-    for tok in tokenizer(text):
+    for tok in text.split():
         tok = tok.translate(_PUNCT_STRIP).lower()
-        if tok and tok not in stopwords:
+        if tok and tok not in STOPWORDS:
             out.append(tok)
     return out
 
 
-def build_vocabulary(token_lists, min_count: int = 10) -> dict[str, int]:
+def build_vocabulary(token_lists, min_count: int) -> dict[str, int]:
     """Token -> index map over tokens with corpus frequency >= min_count.
 
     Indices are assigned by descending frequency, ties by token string, so

@@ -87,16 +87,18 @@ def score_net(x, params: dict, prefix: str):
     return ad.matmul(hidden, params[f"{prefix}.v"])
 
 
+# Adam's moment decay rates and the floor of its step's denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a named parameter dict. Deterministic."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.values) for k, p in params.items()}
@@ -108,8 +110,8 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad
@@ -117,8 +119,8 @@ class Adam:
                 continue
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

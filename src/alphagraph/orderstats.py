@@ -1,10 +1,12 @@
-"""Distinct values, medians and quantiles from one sort or partition.
+"""Distinct values, medians and quantiles from one sort or partition, and
+the rows of a mask grouped by their count of True entries.
 
-Each function gives the bits of the numpy function it stands for, through
-the same sort or partition and the same arithmetic. ``np.unique``,
-``np.median`` and ``np.quantile`` (which calls ``np.unique``) import
-``numpy.ma`` on first use, about 1.3 MB of a fresh process's memory; the
-stages that only need these statistics leave it unimported.
+``distinct``, ``median`` and ``quantiles`` give the bits of the numpy
+function each stands for, through the same sort or partition and the same
+arithmetic. ``np.unique``, ``np.median`` and ``np.quantile`` (which calls
+``np.unique``) import ``numpy.ma`` on first use, about 1.3 MB of a fresh
+process's memory; the stages that only need these statistics leave it
+unimported.
 """
 
 from __future__ import annotations
@@ -20,6 +22,20 @@ def distinct(values: np.ndarray) -> np.ndarray:
     first = np.ones(flat.size, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=first[1:])
     return flat[first]
+
+
+def count_groups(mask: np.ndarray):
+    """(rows, n) for each count n >= 1 of True entries in a row of a 2-D
+    mask, in ascending n, where ``rows`` are the rows with that count.
+
+    ``values[rows][mask[rows]].reshape(rows.size, n)`` then holds each row's
+    selected values, compacted in index order, as one C-ordered block: a
+    reduction along its rows sees the same 1-D values, and so the same
+    pairwise sums, as the per-row code.
+    """
+    counts = mask.sum(axis=1)
+    for n in distinct(counts[counts > 0]):
+        yield np.flatnonzero(counts == n), int(n)
 
 
 def median(values: np.ndarray) -> float:

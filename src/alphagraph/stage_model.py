@@ -4,6 +4,9 @@ window, and predict forecasts the test window with it.
 
 from __future__ import annotations
 
+import contextlib
+from dataclasses import replace
+
 from . import model as mdl
 from .artifacts import (ATTENTION_FILE, CHECKPOINT_FILE, FACTORS_FILE, FORECASTS_FILE,
                         GLOVE_FILE, GRAPH_FILE, MODELCFG_FILE, PANEL_FILE, WORDVEC_FILE,
@@ -13,35 +16,38 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, ablation_config
 from .embfile import embedding_dim
 from .errors import DataError
+from .factors import factor_windows
 from .forecasts import write_forecasts
 from .samples import _assemble_dataset, _sample_windows
 
 
 def cmd_train(cfg, out: OutDir, args):
-    # the graph module needs glove.npz; the other ablations only record its
-    # dim in the model config, so without the file they take the configured one
-    glove = _load_glove(out.read(GLOVE_FILE)) if out.has(GLOVE_FILE) else None
-    with _NpzArrays(out.read(FACTORS_FILE)) as fz, _NpzArrays(out.read(PANEL_FILE)) as pz:
+    # the ablation's module flags come first: train reads the inputs of only
+    # the modules it trains, and records a disabled module's configured
+    # width. Every key of the model section is a ModelConfig field
+    model_cfg = ModelConfig(**cfg["model"], seed=cfg["seed"])
+    if args.ablation:
+        model_cfg = ablation_config(args.ablation, model_cfg)
+    glove = _load_glove(out.read(GLOVE_FILE)) if model_cfg.use_graph else None
+    with contextlib.ExitStack() as opened:
+        fz = (opened.enter_context(_NpzArrays(out.read(FACTORS_FILE)))
+              if model_cfg.use_tech else None)
+        pz = opened.enter_context(_NpzArrays(out.read(PANEL_FILE)))
         if glove is not None:
             _check_glove_symbols(out, glove, pz.strings("symbols"))
         window, _ = _sample_windows(cfg, pz.dates("calendar"))
-        # every key of the model section is a ModelConfig field
-        model_cfg = ModelConfig(
-            **cfg["model"], embed_dim=cfg["glove"]["dim"] if glove is None else glove.dim,
-            n_factors=len(fz.strings("names")), seed=cfg["seed"],
-            news_dim=(embedding_dim(out.read(WORDVEC_FILE)) if out.has(WORDVEC_FILE)
+        model_cfg = replace(
+            model_cfg,
+            embed_dim=cfg["glove"]["dim"] if glove is None else glove.dim,
+            n_factors=(len(fz.strings("names")) if fz is not None
+                       else len(factor_windows(cfg["factors"] or None))),
+            news_dim=(embedding_dim(out.read(WORDVEC_FILE)) if model_cfg.use_news
                       else cfg["word2vec"]["dim"]))
-        if args.ablation:
-            model_cfg = ablation_config(args.ablation, model_cfg)
-        if model_cfg.use_graph and glove is None:
-            raise DataError(f"{out.path / GLOVE_FILE} not found; the graph module needs "
-                            f"train-glove to run first")
         # of what is read, only the samples' feature store is held while the
         # model trains, not the bar prices or the factor mask
         _, train_ds, _ = _assemble_dataset(cfg, out, model_cfg, window, pz, fz)
-    graph = _load_graph(out.read(GRAPH_FILE), glove.symbols) if model_cfg.use_graph else None
-    trained = mdl.train(train_ds, model_cfg, glove if model_cfg.use_graph else None,
-                        graph)
+    graph = None if glove is None else _load_graph(out.read(GRAPH_FILE), glove.symbols)
+    trained = mdl.train(train_ds, model_cfg, glove, graph)
     save_checkpoint(out.write(CHECKPOINT_FILE), trained.params)
     _save_model_config(out.write(MODELCFG_FILE), model_cfg)
     return {"ablation": args.ablation or "Full", "n_train_samples": train_ds.n,
@@ -72,7 +78,7 @@ def cmd_predict(cfg, out: OutDir, args):
         _, sub, _ = _assemble_dataset(cfg, out, model_cfg, window, pz)
     if sub.n == 0:
         raise DataError("no samples in the test window")
-    model = mdl.TrainedModel(params, model_cfg, graph, sub.store.symbols)
+    model = mdl.TrainedModel(params, model_cfg, graph)
     panel, attention = mdl.predict(model, sub)
     n_forecasts, test_start = sub.n, calendar[window[0]]
     del sub  # the forecasts are written without the factor panel

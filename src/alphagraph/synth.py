@@ -19,9 +19,7 @@ window. The exact conditional mean of every sample label is written to a
 sidecar, giving tests a noiseless oracle.
 
 The market is whole-array data: the open, high, low, close and volume are
-(dates, stocks) arrays, rounded as ``bars.csv`` holds them, and
-:meth:`SyntheticMarket.panel` is the :class:`~alphagraph.market.BarPanel`
-that :func:`~alphagraph.market.load_bars` reads back from that file.
+(dates, stocks) arrays, rounded as ``bars.csv`` holds them.
 ``write_market`` formats a block of dates at a time.
 """
 
@@ -50,13 +48,6 @@ class SyntheticMarket:
     articles: list              # list of dicts (JSONL records)
     signals: np.ndarray         # (D, S) conditional mean of the label entered at day t
     returns: np.ndarray         # (D, S) realized daily log returns (row t ends at t)
-
-    def panel(self) -> BarPanel:
-        """The bars as a panel, symbols sorted as ``load_bars`` sorts them."""
-        order = sorted(range(len(self.symbols)), key=self.symbols.__getitem__)
-        arrays = {f: np.take(a, order, axis=1) for f, a in self.arrays.items()}
-        mask = np.ones((len(self.calendar), len(order)), dtype=bool)
-        return BarPanel(self.calendar, [self.symbols[i] for i in order], arrays, mask)
 
 
 def trading_calendar(start: dt.date, days: int) -> list:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalFault
 
 NEG_TABLE_SIZE = 100_000
 UNIGRAM_POWER = 0.75
@@ -161,11 +161,12 @@ def cbow_epoch(tokens, starts, w_in, w_out, window, negatives, lr, table, rng_st
     return loss_sum, n_terms, state
 
 
-def build_negative_table(freqs: np.ndarray, size: int = NEG_TABLE_SIZE) -> np.ndarray:
-    """Unigram^0.75 sampling table (word2vec convention)."""
+def build_negative_table(freqs: np.ndarray) -> np.ndarray:
+    """Unigram^0.75 sampling table (word2vec convention) of NEG_TABLE_SIZE
+    entries."""
     powed = np.power(freqs.astype(np.float64), UNIGRAM_POWER)
     cum = np.cumsum(powed / powed.sum())
-    table = np.searchsorted(cum, (np.arange(size) + 0.5) / size)
+    table = np.searchsorted(cum, (np.arange(NEG_TABLE_SIZE) + 0.5) / NEG_TABLE_SIZE)
     return table.astype(np.int64)
 
 
@@ -179,9 +180,8 @@ def encode_corpus(token_lists, vocabulary):
     return np.asarray(flat, dtype=np.int64), np.asarray(starts, dtype=np.int64)
 
 
-def train_cbow(token_lists, vocabulary, dim: int = 400, window: int = 5,
-               negatives: int = 5, epochs: int = 5, lr: float = 0.025,
-               seed: int = 0) -> WordEmbeddingSet:
+def train_cbow(token_lists, vocabulary, dim: int, window: int, negatives: int,
+               epochs: int, lr: float, seed: int) -> WordEmbeddingSet:
     """Train CBOW embeddings over preprocessed sentences.
 
     Minibatch SGD over runs of :data:`MINIBATCH` consecutive trainable
@@ -190,7 +190,8 @@ def train_cbow(token_lists, vocabulary, dim: int = 400, window: int = 5,
     shrinking), and the negatives follow one Park-Miller stream seeded by
     ``seed``, so a given seed always gives the same embeddings and losses.
     Per-epoch averaged negative-sampling losses are recorded on the result
-    for inspection.
+    for inspection. Raises ``NumericalFault``, naming the epoch, once the
+    loss or the vectors stop being finite.
     """
     if not vocabulary:
         raise DataError("train_cbow: empty vocabulary")
@@ -210,9 +211,15 @@ def train_cbow(token_lists, vocabulary, dim: int = 400, window: int = 5,
     w_out = np.zeros((n_vocab, dim))
     state = seed_to_state(seed)
     losses = []
-    for _ in range(epochs):
-        loss_sum, n_terms, state = cbow_epoch(
-            tokens, starts, w_in, w_out, int(window), int(negatives),
-            float(lr), table, state)
-        losses.append(loss_sum / max(n_terms, 1))
+    for epoch in range(epochs):
+        # a diverging run overflows; it ends in the NumericalFault below
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss_sum, n_terms, state = cbow_epoch(
+                tokens, starts, w_in, w_out, int(window), int(negatives),
+                float(lr), table, state)
+        loss = loss_sum / max(n_terms, 1)
+        if not (np.isfinite(loss) and np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+            raise NumericalFault(f"train_cbow: non-finite vectors or loss ({loss}) at "
+                                 f"epoch {epoch}; lower word2vec.lr (now {lr})")
+        losses.append(loss)
     return WordEmbeddingSet(dict(vocabulary), w_in[:n_vocab], losses)

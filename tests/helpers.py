@@ -12,6 +12,8 @@ runs, kept as the references and checks the tests use.
   that ``market.load_bars`` checks column by column.
 * ``market_bars``: a synthetic market's bars as :class:`Bar` objects, and
   ``build_panel``, which assembles such bars into a :class:`BarPanel`.
+* ``synthetic_panel``: a synthetic market's bars as the :class:`BarPanel`
+  that ``market.load_bars`` reads back from its ``bars.csv``.
 * ``forward_return``: the label of one (symbol, day), the scalar reference
   of ``model.build_dataset``.
 * ``standardize_cross_section``: one date's winsorized z-scores, the 1-D
@@ -40,6 +42,7 @@ runs, kept as the references and checks the tests use.
   unit tests; no stage runs it.
 """
 
+import bisect
 import datetime as dt
 import json
 import math
@@ -320,6 +323,15 @@ def market_bars(market) -> list:
             for i, sym in enumerate(market.symbols)]
 
 
+def synthetic_panel(market) -> BarPanel:
+    """The bars of a :class:`SyntheticMarket` as the panel that
+    ``load_bars`` reads back from its ``bars.csv``: symbols sorted."""
+    order = sorted(range(len(market.symbols)), key=market.symbols.__getitem__)
+    arrays = {f: np.take(a, order, axis=1) for f, a in market.arrays.items()}
+    mask = np.ones((len(market.calendar), len(order)), dtype=bool)
+    return BarPanel(market.calendar, [market.symbols[i] for i in order], arrays, mask)
+
+
 def build_panel(bars) -> BarPanel:
     """Assemble bars into a panel; every bar is validated and duplicate
     (date, symbol) keys are rejected.
@@ -352,9 +364,9 @@ def forward_return(panel: BarPanel, symbol: str, t: dt.date, horizon: int) -> fl
     s = panel.symbol_index.get(symbol)
     if s is None:
         raise DataError(f"forward_return: unknown symbol {symbol!r}")
-    if t not in panel.date_index:
+    i = bisect.bisect_left(panel.calendar, t)   # the calendar is sorted
+    if i == panel.n_dates or panel.calendar[i] != t:
         raise DataError(f"forward_return: date {t} not in calendar")
-    i = panel.date_index[t]
     entry, exit_ = i + 1, i + 1 + horizon
     if exit_ > panel.n_dates - 1:
         return None

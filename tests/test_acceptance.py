@@ -31,7 +31,7 @@ from alphagraph.word2vec import train_cbow
 
 from helpers import (add, build_ridge_features, factor_panel, forecast_stats, gradient_check,
                      markowitz_closed_form, mean, mul, mul_rows, news_rows, ridge_predict,
-                     ridge_scan, sigmoid, stack_rows, take_row)
+                     ridge_scan, sigmoid, stack_rows, synthetic_panel, take_row)
 
 N_SEEDS = 10
 PRIMITIVE_TOL = 1e-6
@@ -221,7 +221,8 @@ def test_criterion_2_glove_correctness():
             same = (i < 2) == (j < 2)
             planted[(i, j)] = 100 if same else 1
     px = CooccurrenceMatrix(("A", "B", "C", "D"), planted)
-    trained = train_glove(px, dim=8, epochs=200, lr=0.05, seed=0)
+    trained = train_glove(px, dim=8, x_max=100.0, alpha=0.75, epochs=200, lr=0.05,
+                          seed=0)
     trace = trained.loss_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])), "loss not monotone"
     within, cross = [], []
@@ -284,7 +285,7 @@ def recovery_world():
     start = time.monotonic()
     spec = SyntheticSpec(horizon=1, b_volume=0.012, b_reversal=0.30, noise_std=0.01, seed=42)
     market = generate(spec)
-    panel = market.panel()
+    panel = synthetic_panel(market)
     factors = factor_panel(panel, RECOVERY_REGISTRY)
     articles = [NewsArticle(a["id"], dt.date.fromisoformat(a["date"]),
                             a["symbols"], clean_tokens(a["text"]))
@@ -295,10 +296,10 @@ def recovery_world():
         {"split": {"train_end": train_end.isoformat(), "gap_days": 10}}, cal)
     train_articles = [a for a in articles if a.date <= train_end]
     corpus = [a.tokens for a in train_articles]
-    wordvecs = train_cbow(corpus, build_vocabulary(corpus, 10), dim=16,
-                          epochs=3, seed=1)
+    wordvecs = train_cbow(corpus, build_vocabulary(corpus, 10), dim=16, window=5,
+                          negatives=5, epochs=3, lr=0.025, seed=1)
     stockvecs = train_glove(build_cooccurrence(train_articles, panel.symbols),
-                            dim=8, epochs=300, lr=0.01, seed=2)
+                            dim=8, x_max=100.0, alpha=0.75, epochs=300, lr=0.01, seed=2)
     graph = build_knn_graph(stockvecs, 5)
     news_panel = daily_stock_news_vectors(articles, wordvecs, panel.symbols, cal)
     cfg = ModelConfig(lookback=5, embed_dim=8,

@@ -14,6 +14,16 @@ from alphagraph.samples import _sample_windows
 from helpers import forecast_stats, markowitz_closed_form
 from test_market import weekday_calendar
 
+# the settings simulate_markowitz gets unless a test sets its own: an
+# uncapped, unhedged book of unit capital
+MARKOWITZ = {"risk_aversion": 0.5, "cov_window": 60, "halflife": 20.0, "shrinkage": 0.1,
+             "per_name_cap": None, "gross_cap": None, "cost_linear": 5e-4,
+             "cost_quadratic": 0.0, "market": None, "capital": 1.0}
+
+
+def markowitz(yhat, rets, cal, symbols, **settings):
+    return bt.simulate_markowitz(yhat, rets, cal, symbols, **dict(MARKOWITZ, **settings))
+
 
 # ---------------------------------------------------------------------------
 # sample windows (samples._sample_windows; the property test is in test_cli.py)
@@ -198,7 +208,7 @@ def test_markowitz_zero_forecasts_zero_positions():
     yhat = np.zeros((D, S))
     rets = np.random.default_rng(7).normal(0, 0.01, size=(D, S))
     cal = weekday_calendar(D)
-    ledger = bt.simulate_markowitz(yhat, rets, cal, [f"S{i}" for i in range(S)],
+    ledger = markowitz(yhat, rets, cal, [f"S{i}" for i in range(S)],
                                    cost_linear=0.0)
     assert np.allclose(ledger.positions, 0.0)
     assert np.allclose(ledger.pnl, 0.0)
@@ -212,8 +222,8 @@ def test_markowitz_linear_cost_never_raises_turnover():
     rets = rng.normal(0, 0.01, size=(D, S))
     cal = weekday_calendar(D)
     syms = [f"S{i}" for i in range(S)]
-    free = bt.simulate_markowitz(yhat, rets, cal, syms, cost_linear=0.0)
-    costly = bt.simulate_markowitz(yhat, rets, cal, syms, cost_linear=5e-4)
+    free = markowitz(yhat, rets, cal, syms, cost_linear=0.0)
+    costly = markowitz(yhat, rets, cal, syms, cost_linear=5e-4)
     assert costly.turnover.sum() <= free.turnover.sum() + 1e-12
     assert costly.pnl.sum() <= free.pnl.sum()
 
@@ -227,7 +237,7 @@ def test_markowitz_singular_covariance_survives():
     yhat = np.full((D, 3), np.nan)
     yhat[70:] = 0.01
     cal = weekday_calendar(D)
-    ledger = bt.simulate_markowitz(yhat, rets, cal, ["A", "B", "C"])
+    ledger = markowitz(yhat, rets, cal, ["A", "B", "C"])
     assert np.all(np.isfinite(ledger.positions))
     assert np.all(np.isfinite(ledger.pnl))
 
@@ -240,8 +250,8 @@ def test_markowitz_capital_scales_ledger_linearly():
     rets = rng.normal(0, 0.01, size=(D, S))
     cal = weekday_calendar(D)
     syms = ["A", "B", "C"]
-    unit = bt.simulate_markowitz(yhat, rets, cal, syms, capital=1.0)
-    big = bt.simulate_markowitz(yhat, rets, cal, syms, capital=5e7)
+    unit = markowitz(yhat, rets, cal, syms, capital=1.0)
+    big = markowitz(yhat, rets, cal, syms, capital=5e7)
     assert np.allclose(big.positions, 5e7 * unit.positions, rtol=1e-12)
     assert np.allclose(big.pnl, 5e7 * unit.pnl, rtol=1e-9, atol=1e-12)
 
@@ -254,7 +264,7 @@ def test_markowitz_caps_and_hedge_fields():
     rets = rng.normal(0, 0.01, size=(D, S))
     market = rets.mean(axis=1)
     cal = weekday_calendar(D)
-    ledger = bt.simulate_markowitz(yhat, rets, cal, [f"S{i}" for i in range(S)],
+    ledger = markowitz(yhat, rets, cal, [f"S{i}" for i in range(S)],
                                    per_name_cap=0.05, gross_cap=1.0,
                                    market=market)
     live = np.abs(ledger.positions).sum(axis=1) > 0

@@ -814,8 +814,8 @@ def test_windowed_predict_writes_the_forecasts_of_the_whole_calendar(run_copy, t
     params = mdl.build_params(model_cfg, None, glove)
     for name, values in load_checkpoint(out / "checkpoint.npz").items():
         params[name].values = values
-    model = mdl.TrainedModel(params, model_cfg, artifacts._load_graph(out / "graph.csv", glove.symbols),
-                             bars.symbols)
+    model = mdl.TrainedModel(params, model_cfg,
+                             artifacts._load_graph(out / "graph.csv", glove.symbols))
     panel, attention = mdl.predict(model, ds.split_by_anchor(lo, hi))
     write_forecasts(tmp_path / "forecasts.csv", panel)
     lags = "".join(f"-{model_cfg.lookback - k}day,{float(w)!r}\n" for k, w in enumerate(attention))
@@ -878,8 +878,9 @@ def test_windowed_samples_are_those_of_the_whole_calendar(pipeline_run, lookback
 @pytest.mark.parametrize("ablation", ["News", "Graph+News"])
 def test_train_without_the_technical_module_reads_no_factor_rows(run_copy, monkeypatch,
                                                                  ablation):
-    """factors.npz gives a model without the technical module only the
-    number of its factors, for the model config."""
+    """A model without the technical module reads nothing of factors.npz:
+    its model config takes the number of factors from the config's
+    registry."""
     out, cfg_path = run_copy
     read = []
     shaped = artifacts._NpzArrays.shaped
@@ -891,8 +892,11 @@ def test_train_without_the_technical_module_reads_no_factor_rows(run_copy, monke
     monkeypatch.setattr(artifacts._NpzArrays, "shaped", spy)
     assert main(["train", "--config", str(cfg_path), "--out", str(out),
                  "--ablation", ablation]) == 0
-    assert {name for file, name in read if file == "factors.npz"} == {"names"}
+    assert not [name for file, name in read if file == "factors.npz"]
     assert ("panel.npz", "open") in read
+    assert "factors.npz" not in json.loads((out / "train_manifest.json").read_text())["inputs"]
+    stored = json.loads((out / "model_config.json").read_text())
+    assert stored["n_factors"] == len(factors.factor_windows(load_config(cfg_path)["factors"]))
 
 
 def test_train_and_predict_read_rows_of_c_ordered_members(run_copy, monkeypatch, capsys):
@@ -994,6 +998,26 @@ def test_non_graph_train_runs_without_glove(run_copy, capsys):
     assert "glove.npz not found" in capsys.readouterr().err
 
 
+def test_tech_train_reads_neither_glove_nor_word_vectors(run_copy):
+    """A Tech model reads no input of the graph or news modules, so a stale
+    glove.npz, of more stocks than the panel, does not stop it."""
+    out, cfg_path = run_copy
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["ingest"] + base + ["--set", "universe.min_price=40"]) == 0
+    assert artifacts._load_glove(out / "glove.npz").n == 10
+    assert len(artifacts._load_panel(out / "panel.npz").symbols) == 7
+    assert main(["train", "--ablation", "Tech"] + base) == 0
+    inputs = json.loads((out / "train_manifest.json").read_text())["inputs"]
+    assert not {"glove.npz", "graph.csv", "word_embeddings.txt", "news.jsonl"} & set(inputs)
+
+
+def test_news_train_runs_without_factors(run_copy):
+    out, cfg_path = run_copy
+    (out / "factors.npz").unlink()
+    assert main(["train", "--ablation", "News", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+
+
 def _assert_stale_glove(out, err):
     assert err == (f"error: data: {out / 'glove.npz'}: its stocks are not those of "
                    f"{out / 'panel.npz'}; rerun cooccur, train-glove and graph on this "
@@ -1086,6 +1110,21 @@ def test_diverging_train_glove_is_numerical_fault(tmp_path, capsys):
     assert main(["graph"] + base) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "glove.npz not found; run train-glove first" in err
+
+
+def test_diverging_train_word2vec_is_numerical_fault(tmp_path, capsys):
+    """The failed run also removes what the earlier successful run wrote."""
+    cfg_path = small_config(tmp_path, train_end="2015-04-06")
+    base = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    for command in ("synth", "train-word2vec"):
+        assert main([command] + base) == 0
+    capsys.readouterr()
+    assert main(["train-word2vec"] + base + ["--set", "word2vec.lr=1e6"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: train_cbow: ") and "epoch" in err
+    assert "word2vec.lr" in err and len(err.splitlines()) == 1
+    for name in ("word_embeddings.txt", "train_word2vec_manifest.json"):
+        assert not (tmp_path / "run" / name).exists(), name
 
 
 # ---------------------------------------------------------------------------

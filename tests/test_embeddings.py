@@ -66,7 +66,7 @@ def test_glove_weight_monotone():
 
 def test_two_stock_single_constraint_exact_fit():
     x = CooccurrenceMatrix(("A", "B"), {(0, 1): 1})
-    emb = train_glove(x, dim=4, x_max=1.0, epochs=400, lr=0.05, seed=0)
+    emb = train_glove(x, dim=4, x_max=1.0, alpha=0.75, epochs=400, lr=0.05, seed=0)
     fit = emb.vectors[0] @ emb.vectors[1] + emb.biases[0] + emb.biases[1]
     assert fit == pytest.approx(np.log(1.0), abs=1e-6)
     assert emb.loss_trace[-1] <= 1e-10
@@ -74,7 +74,7 @@ def test_two_stock_single_constraint_exact_fit():
 
 def test_planted_two_cluster_monotone_descent_and_separation():
     x = planted_two_clusters()
-    emb = train_glove(x, dim=8, epochs=200, lr=0.05, seed=0)
+    emb = train_glove(x, dim=8, x_max=100.0, alpha=0.75, epochs=200, lr=0.05, seed=0)
     trace = emb.loss_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     n = x.n
@@ -175,23 +175,23 @@ def test_gradient_scatter_equals_add_at(seed):
 def test_divergent_step_raises_numerical_fault():
     x = planted_two_clusters()
     with pytest.raises(NumericalFault) as exc:
-        train_glove(x, dim=4, epochs=200, lr=5.0, seed=0)
+        train_glove(x, dim=4, x_max=100.0, alpha=0.75, epochs=200, lr=5.0, seed=0)
     assert "epoch" in str(exc.value)
-    ok = train_glove(x, dim=4, epochs=200, lr=0.05, seed=0)
+    ok = train_glove(x, dim=4, x_max=100.0, alpha=0.75, epochs=200, lr=0.05, seed=0)
     assert np.all(np.isfinite(ok.vectors))
 
 
 def test_all_zero_cooccurrence_rejected():
     x = CooccurrenceMatrix(("A", "B"), {})
     with pytest.raises(DataError) as exc:
-        train_glove(x, dim=2, seed=0)
+        train_glove(x, dim=2, x_max=100.0, alpha=0.75, epochs=200, lr=0.05, seed=0)
     assert "no co-occurrence signal" in str(exc.value)
 
 
 def test_training_deterministic_per_seed():
     x = planted_two_clusters()
-    a = train_glove(x, dim=4, epochs=50, lr=0.05, seed=9)
-    b = train_glove(x, dim=4, epochs=50, lr=0.05, seed=9)
+    a = train_glove(x, dim=4, x_max=100.0, alpha=0.75, epochs=50, lr=0.05, seed=9)
+    b = train_glove(x, dim=4, x_max=100.0, alpha=0.75, epochs=50, lr=0.05, seed=9)
     assert np.array_equal(a.vectors, b.vectors)
     assert a.loss_trace == b.loss_trace
 

@@ -115,8 +115,8 @@ def test_factor_frequency_top_is_planted():
 
 def test_error_buckets_uniform_sizes_deterministic():
     errs = np.ones(100)
-    a = news_error_buckets(errs)
-    b = news_error_buckets(errs)
+    a = news_error_buckets(errs, 0.05)
+    b = news_error_buckets(errs, 0.05)
     assert len(a[0]) == len(a[1]) == 5  # ceil(0.05 * 100)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     # every error ties: position ranks
@@ -127,14 +127,14 @@ def test_error_buckets_uniform_sizes_deterministic():
 def test_error_buckets_outlier_lands_high():
     errs = np.full(40, 0.1)
     errs[17] = 9.9
-    _, high = news_error_buckets(errs)
+    _, high = news_error_buckets(errs, 0.05)
     assert 17 in high
 
 
 def test_error_buckets_match_sort_oracle():
     rng = np.random.default_rng(8)
     errs = rng.random(63)
-    low, high = news_error_buckets(errs)
+    low, high = news_error_buckets(errs, 0.05)
     order = np.argsort(errs, kind="stable")
     n_tail = int(np.ceil(0.05 * 63))
     assert low.tolist() == order[:n_tail].tolist()
@@ -144,7 +144,7 @@ def test_error_buckets_match_sort_oracle():
 def test_error_buckets_degenerate_below_twenty():
     """Below 20 samples a 5% tail is degenerate: each bucket holds the one
     extreme sample."""
-    low, high = news_error_buckets(np.arange(5.0))
+    low, high = news_error_buckets(np.arange(5.0), 0.05)
     assert low.tolist() == [0] and high.tolist() == [4]
 
 

@@ -15,7 +15,7 @@ from alphagraph.market import filter_universe, load_bars, log_return
 from alphagraph.synth import SyntheticSpec, generate
 
 from helpers import (TEST_SIGNAL, Bar, build_panel, factor_panel, forward_return,
-                     standardize_cross_section)
+                     standardize_cross_section, synthetic_panel)
 
 D0 = dt.date(2020, 1, 6)  # a Monday
 
@@ -270,7 +270,8 @@ def test_ingest_holds_one_block_of_factors(tmp_path, monkeypatch):
     registry = {"momentum": [5, 10, 21], "reversal": [1], "volatility": [21],
                 "volume_z": [63], "rsi": [14], "ma_ratio": [21], "amihud": [21]}
     monkeypatch.setattr(F, "DATE_BLOCK", 64)
-    panel = generate(SyntheticSpec(n_stocks=100, days=1200, seed=3, **TEST_SIGNAL)).panel()
+    panel = synthetic_panel(generate(SyntheticSpec(n_stocks=100, days=1200, seed=3,
+                                                   **TEST_SIGNAL)))
     windows = factor_windows(registry)
     path = tmp_path / "factors.npz"
     artifacts._save_factors(path, panel, windows[:1])   # numpy's lazy imports, outside the trace

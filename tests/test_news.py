@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from alphagraph.errors import DataError
 from alphagraph.news import (NewsArticle, build_cooccurrence, build_vocabulary,
                              clean_tokens, daily_stock_news_vectors, load_articles,
-                             news_cells, news_vector, whitespace_tokenizer)
+                             news_cells, news_vector)
 from alphagraph.word2vec import WordEmbeddingSet
 
 from helpers import cooccurrence_dense, cooccurrence_value
@@ -120,8 +120,8 @@ def test_punctuation_and_url_only_text_is_empty():
 
 
 def test_whitespace_tokenizer_keeps_repeats():
-    assert clean_tokens("a b a", stopwords=frozenset()) == ["a", "b", "a"]
-    assert whitespace_tokenizer("a b a") == ["a", "b", "a"]
+    """clean_tokens splits at whitespace and keeps every occurrence."""
+    assert clean_tokens("buy\tsell  buy\nbuy") == ["buy", "sell", "buy", "buy"]
 
 
 def test_stopwords_removed_and_lowercased():

@@ -10,7 +10,8 @@ from alphagraph.news import build_cooccurrence, load_articles
 from alphagraph.synth import (SyntheticSpec, cluster_reversal_slopes, generate,
                               write_market)
 
-from helpers import TEST_SIGNAL, cooccurrence_dense, factor_panel, read_truth_signals
+from helpers import (TEST_SIGNAL, cooccurrence_dense, factor_panel, read_truth_signals,
+                     synthetic_panel)
 
 SMALL = SyntheticSpec(n_stocks=10, days=60, n_clusters=2, news_rate=4.0, seed=11,
                       **TEST_SIGNAL)
@@ -38,7 +39,7 @@ def test_generated_bars_satisfy_invariants():
     assert (np.minimum(np.minimum(o, h), np.minimum(lo, c)) > 0).all()
     assert (lo <= np.minimum(o, c)).all() and (np.maximum(o, c) <= h).all()
     assert (v >= 0).all()
-    panel = market.panel()
+    panel = synthetic_panel(market)
     assert panel.n_dates == SMALL.days and panel.n_symbols == SMALL.n_stocks
 
 
@@ -46,7 +47,7 @@ def test_full_comention_fidelity_block_diagonal():
     spec = SyntheticSpec(n_stocks=12, days=40, n_clusters=3,
                          co_mention_fidelity=1.0, news_rate=8.0, seed=3, **TEST_SIGNAL)
     market = generate(spec)
-    panel = market.panel()
+    panel = synthetic_panel(market)
     arts = [type("A", (), {"symbols": a["symbols"], "date": None})
             for a in market.articles]
     x = build_cooccurrence(arts, panel.symbols)
@@ -64,7 +65,7 @@ def test_noiseless_oracle_r2_is_one():
                          factor_init_scale=1.0, phi=0.995, horizon=3,
                          news_rate=2.0, seed=5)
     market = generate(spec)
-    panel = market.panel()
+    panel = synthetic_panel(market)
     cfg = mdl.ModelConfig(lookback=2, n_factors=1, use_graph=False,
                           use_news=False, horizon=3, tech_dim=2, hidden=4)
     from alphagraph.factors import FactorPanel
@@ -83,7 +84,7 @@ def test_truth_signal_matches_pipeline_labels_statistically():
     realized labels on it gives slope ~ 1 at the tests' noise levels."""
     spec = SyntheticSpec(n_stocks=20, days=300, n_clusters=4, seed=7, **TEST_SIGNAL)
     market = generate(spec)
-    panel = market.panel()
+    panel = synthetic_panel(market)
     cfg = mdl.ModelConfig(lookback=2, n_factors=1, use_graph=False,
                           use_news=False, horizon=spec.horizon, tech_dim=2, hidden=4)
     from alphagraph.factors import FactorPanel
@@ -127,7 +128,7 @@ def test_factors_recover_planted_volume_signal():
     state that drives it."""
     spec = SyntheticSpec(n_stocks=6, days=200, n_clusters=2, seed=9, **TEST_SIGNAL)
     market = generate(spec)
-    panel = market.panel()
+    panel = synthetic_panel(market)
     fp = factor_panel(panel, {"volume_z": [63]})
     k = fp.factor_names.index("volume_z_63")
     # generated activity state, recomputed independently of the factor path

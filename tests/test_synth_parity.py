@@ -22,7 +22,7 @@ from alphagraph.market import BarPanel, load_bars
 from alphagraph.synth import (SyntheticSpec, _label_signal, cluster_reversal_slopes,
                               generate, round6, trading_calendar, write_market)
 
-from helpers import TEST_SIGNAL, Bar
+from helpers import TEST_SIGNAL, Bar, synthetic_panel
 
 # the synth specs of the benchmark workloads (perfbench/workloads.py)
 _SIGNAL = dict(n_clusters=5, horizon=1, b_volume=0.036, b_reversal=0.30,
@@ -201,7 +201,7 @@ def test_market_files_byte_equal_to_scalar_reference(tmp_path, name):
 @pytest.mark.parametrize("name", ["news-text-1", "150-stocks", "one-cluster"])
 def test_panel_equals_loaded_bars_file(tmp_path, name):
     market = generate(SPECS[name])
-    panel = market.panel()
+    panel = synthetic_panel(market)
     loaded = load_bars(write_market(market, tmp_path)["bars"])
     assert panel.calendar == loaded.calendar and panel.symbols == loaded.symbols
     assert same(panel.mask, loaded.mask)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from alphagraph import word2vec
-from alphagraph.errors import ConfigError, DataError
+from alphagraph.errors import ConfigError, DataError, NumericalFault
 from alphagraph.news import build_vocabulary
 from alphagraph.word2vec import (MINIBATCH, MINSTD_A, MINSTD_M, build_negative_table,
                                  encode_corpus, minibatches, seed_to_state, train_cbow)
@@ -65,9 +65,10 @@ def topic_corpus(seed=0, sentences=120, length=8):
 def test_same_seed_bitwise_identical_different_seed_differs():
     corpus = topic_corpus()
     vocab = build_vocabulary(corpus, min_count=1)
-    a = train_cbow(corpus, vocab, dim=12, epochs=2, seed=5)
-    b = train_cbow(corpus, vocab, dim=12, epochs=2, seed=5)
-    c = train_cbow(corpus, vocab, dim=12, epochs=2, seed=6)
+    kwargs = dict(dim=12, window=5, negatives=5, epochs=2, lr=0.025)
+    a = train_cbow(corpus, vocab, **kwargs, seed=5)
+    b = train_cbow(corpus, vocab, **kwargs, seed=5)
+    c = train_cbow(corpus, vocab, **kwargs, seed=6)
     assert np.array_equal(a.vectors, b.vectors)
     assert not np.array_equal(a.vectors, c.vectors)
 
@@ -75,7 +76,8 @@ def test_same_seed_bitwise_identical_different_seed_differs():
 def test_topic_separation_cosine():
     corpus = topic_corpus()
     vocab = build_vocabulary(corpus, min_count=1)
-    emb = train_cbow(corpus, vocab, dim=16, epochs=12, seed=0)
+    emb = train_cbow(corpus, vocab, dim=16, window=5, negatives=5, epochs=12, lr=0.025,
+                     seed=0)
 
     def cos(u, v):
         return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -100,7 +102,8 @@ def test_topic_separation_cosine():
 def test_final_epoch_loss_below_first():
     corpus = topic_corpus(seed=3)
     vocab = build_vocabulary(corpus, min_count=1)
-    emb = train_cbow(corpus, vocab, dim=16, epochs=6, seed=1)
+    emb = train_cbow(corpus, vocab, dim=16, window=5, negatives=5, epochs=6, lr=0.025,
+                     seed=1)
     assert emb.epoch_losses[-1] < emb.epoch_losses[0]
 
 
@@ -108,18 +111,30 @@ def test_vocabulary_smaller_than_negatives_rejected():
     corpus = [["x", "y"] * 10]
     vocab = build_vocabulary(corpus, min_count=1)
     with pytest.raises(ConfigError):
-        train_cbow(corpus, vocab, dim=4, negatives=5, seed=0)
+        train_cbow(corpus, vocab, dim=4, window=5, negatives=5, epochs=5, lr=0.025, seed=0)
 
 
 def test_empty_vocabulary_rejected():
     with pytest.raises(DataError):
-        train_cbow([["only", "rare"]], {}, dim=4, seed=0)
+        train_cbow([["only", "rare"]], {}, dim=4, window=5, negatives=5, epochs=5, lr=0.025,
+                   seed=0)
+
+
+def test_diverging_training_raises_numerical_fault():
+    """At lr 1e6 the vectors overflow within a few epochs: train_cbow stops
+    there, naming the epoch and the setting to lower, instead of returning
+    non-finite vectors."""
+    corpus = [["a", "b", "c", "d"], ["b", "c"], ["e"], ["f", "a", "b", "d", "e"], ["c", "f"]] * 3
+    vocab = build_vocabulary(corpus, min_count=1)
+    with pytest.raises(NumericalFault) as exc:
+        train_cbow(corpus, vocab, dim=2, window=2, negatives=2, epochs=20, lr=1e6, seed=0)
+    assert "epoch" in str(exc.value) and "word2vec.lr" in str(exc.value)
 
 
 def test_negative_table_deterministic_and_distributed():
     freqs = np.array([100, 10, 1], dtype=np.int64)
-    t1 = build_negative_table(freqs, size=10_000)
-    t2 = build_negative_table(freqs, size=10_000)
+    t1 = build_negative_table(freqs)
+    t2 = build_negative_table(freqs)
     assert np.array_equal(t1, t2)
     counts = np.bincount(t1, minlength=3)
     assert counts[0] > counts[1] > counts[2] > 0
